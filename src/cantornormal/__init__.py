@@ -20,6 +20,7 @@ from .blocks import (
     count_straddling,
     count_top_digit,
     enumerate_blocks,
+    max_digit,
     read_digit_file,
     tally_blocks,
     write_digit_file,
@@ -50,6 +51,7 @@ from .constructions import (
     build_C,
     build_P,
     build_P_copies,
+    build_P_runs,
     mff_nice_diagnostics,
     qde_default_eps,
     qde_frame,

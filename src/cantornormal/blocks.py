@@ -8,12 +8,16 @@ Digits are arbitrary-precision integers at the API boundary.  Internally a
 digit sequence is packed as ``bytes`` whenever every digit fits in one byte,
 which keeps multi-megabyte blocks cheap and lets the counting routines use
 C-speed scans; anything larger falls back to a tuple of ints.
+
+A ``ConcatSpec`` (copies of a few distinct blocks) is never materialized
+implicitly: ``tally_blocks`` counts its windows from the distinct blocks,
+and only ``concat`` builds its digits, under the size cap.
 """
 from __future__ import annotations
 
 import itertools
 import struct
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -23,6 +27,9 @@ from .errors import InvalidSpecError, NeedsMoreDigitsError, SizeLimitError
 from .limits import resolve_cap
 
 _TALLY_CHUNK = 1 << 22
+# byte strings from this length on are scanned with numpy, whose fixed cost
+# per call outweighs the builtin scan on shorter ones
+_NUMPY_SCAN = 256
 
 
 def _pack_digits(digits) -> bytes | tuple[int, ...]:
@@ -43,10 +50,29 @@ def _pack_digits(digits) -> bytes | tuple[int, ...]:
 
 
 def digit_data(x) -> bytes | tuple[int, ...]:
-    """Raw packed digit sequence behind a Block/DigitString/plain sequence."""
+    """Raw packed digit sequence behind a Block/DigitString/plain sequence.
+
+    A ConcatSpec is refused: its digits are built only by ``concat``, which
+    honours the size cap.
+    """
     if isinstance(x, (Block, DigitString)):
         return x.digits
+    if isinstance(x, ConcatSpec):
+        raise TypeError("a ConcatSpec is not materialized implicitly; use concat(spec, cap=...)")
     return _pack_digits(x)
+
+
+def max_digit(x) -> int:
+    """Largest digit of a nonempty packed sequence or of a ConcatSpec.
+
+    Long packed bytes are scanned with numpy; a ConcatSpec is read from the
+    distinct blocks of its nonzero parts.
+    """
+    if isinstance(x, ConcatSpec):
+        return max(max_digit(b.digits) for m, b in x.parts if m and len(b))
+    if isinstance(x, (bytes, bytearray)) and len(x) >= _NUMPY_SCAN:
+        return int(np.frombuffer(x, dtype=np.uint8).max())
+    return max(x)
 
 
 @dataclass(frozen=True)
@@ -84,10 +110,8 @@ class Block:
         if not isinstance(self.base, int) or self.base < 2:
             raise ValueError(f"block base must be an integer >= 2, got {self.base}")
         packed = _pack_digits(self.digits)
-        if len(packed) > 0 and max(packed) >= self.base:
-            raise ValueError(
-                f"digit {max(packed)} out of range for base {self.base}"
-            )
+        if len(packed) > 0 and (top := max_digit(packed)) >= self.base:
+            raise ValueError(f"digit {top} out of range for base {self.base}")
         object.__setattr__(self, "digits", packed)
 
     def __len__(self) -> int:
@@ -117,6 +141,9 @@ class ConcatSpec:
     """Concatenation recipe: ordered (multiplicity, block) parts.
 
     Multiplicities are >= 0 and at least one must be positive.
+    ``length`` (and ``len`` while it fits an index) is the number of digits
+    described, and iteration yields them lazily; neither materializes the
+    concatenation.
     """
 
     parts: tuple[tuple[int, Block], ...]
@@ -132,15 +159,33 @@ class ConcatSpec:
             raise InvalidSpecError("at least one multiplicity must be positive")
         object.__setattr__(self, "parts", parts)
 
+    @property
+    def length(self) -> int:
+        """Number of digits described, as an unbounded int."""
+        return sum(m * len(b) for m, b in self.parts)
 
-def concat(spec) -> DigitString:
+    def __len__(self) -> int:
+        return self.length
+
+    def __iter__(self) -> Iterator[int]:
+        return itertools.chain.from_iterable(
+            itertools.chain.from_iterable(itertools.repeat(b.digits, m)) for m, b in self.parts
+        )
+
+
+def concat(spec, cap: int | None = None) -> DigitString:
     """Concatenate blocks with multiplicities: m1*B1 then m2*B2, etc.
 
     ``spec`` is a ConcatSpec or a sequence of (multiplicity, block) pairs.
     Zero multiplicities contribute nothing; all-zero spec is rejected.
+    The digits built count against the size cap.
     """
     if not isinstance(spec, ConcatSpec):
         spec = ConcatSpec(tuple(spec))
+    total = spec.length
+    limit = resolve_cap(cap)
+    if total > limit:
+        raise SizeLimitError(total, limit)
     raws = []
     for mult, blk in spec.parts:
         if mult == 0:
@@ -203,8 +248,8 @@ def count_top_digit(block, b: int) -> int:
     if not isinstance(b, int) or b < 1:
         raise ValueError(f"top digit must be an integer >= 1, got {b}")
     raw = digit_data(block)
-    if len(raw) > 0 and max(raw) > b:
-        raise ValueError(f"digit {max(raw)} exceeds top digit {b}")
+    if len(raw) > 0 and (top := max_digit(raw)) > b:
+        raise ValueError(f"digit {top} exceeds top digit {b}")
     if isinstance(raw, bytes) and b <= 0xFF:
         return raw.count(b)
     return sum(1 for d in raw if d == b)
@@ -251,17 +296,27 @@ def tally_blocks(text, length: int, alphabet_size: int | None = None) -> dict[tu
     """Exact counts of every length-``length`` window occurring in ``text``.
 
     Returns a dict keyed by digit tuples; absent keys mean count zero.
-    Byte-packed input with window length 1 or 2 takes a vectorized path,
-    so multi-megadigit scans stay fast; counts are exact integers either way.
+    ``text`` is a digit sequence or a ConcatSpec.  A ConcatSpec is counted
+    from its blocks without building its digits, so the work grows with the
+    total length of its parts' blocks, not with the length described, and
+    the ``alphabet_size`` hint is not needed.  Byte-packed input with window
+    length 1 or 2 takes a vectorized path, so multi-megadigit scans stay
+    fast; counts are exact integers either way.
     """
     if not isinstance(length, int) or length < 1:
         raise ValueError(f"window length must be an integer >= 1, got {length}")
-    seq = digit_data(text)
+    if isinstance(text, ConcatSpec):
+        return _tally_runs(text, length)
+    return _tally_flat(digit_data(text), length, alphabet_size)
+
+
+def _tally_flat(seq, length: int, alphabet_size: int | None = None) -> dict[tuple[int, ...], int]:
+    """tally_blocks over one packed digit sequence."""
     n = len(seq)
     if n < length:
         return {}
     if isinstance(seq, bytes) and length <= 2:
-        alpha = max(seq) + 1
+        alpha = max_digit(seq) + 1
         if alphabet_size is not None:
             alpha = max(alpha, int(alphabet_size))
         if length == 1:
@@ -286,6 +341,44 @@ def tally_blocks(text, length: int, alphabet_size: int | None = None) -> dict[tu
         return {pair: cnt for pair, cnt in pairs.items()}
     windows = Counter(seqt[i : i + length] for i in range(n - length + 1))
     return dict(windows)
+
+
+def _cyclic(raw, start: int, k: int) -> tuple[int, ...]:
+    """Digits start .. start+k-1 of ``raw`` repeated forever (0 <= start < len)."""
+    if start + k <= len(raw):
+        return tuple(raw[start : start + k])
+    return tuple(raw[(start + i) % len(raw)] for i in range(k))
+
+
+def _tally_runs(spec: ConcatSpec, k: int) -> dict[tuple[int, ...], int]:
+    """Window counts of m1*B1 m2*B2 ... from the distinct blocks alone.
+
+    Every window is counted at the part it starts in.  In a part of m
+    copies of a length-L block, the window starting at offset p of copy j
+    stays inside the part iff j*L + p + k <= m*L: that holds for
+    m - (p+k-1)//L copies, i.e. all m when the window fits inside one copy,
+    m - 1 when it crosses one seam between copies, and so on.  The at most
+    k - 1 windows that start in a part and leave it are read off the
+    part's last k - 1 digits and the next k - 1 digits of the text, each
+    counted once.  Counts are exact Python ints.
+    """
+    counts: dict[tuple[int, ...], int] = defaultdict(int)
+    follow: tuple[int, ...] = ()  # the first k-1 digits after the current part
+    for m, blk in reversed(spec.parts):
+        raw = blk.digits
+        size = len(raw)
+        if m == 0 or size == 0:
+            continue
+        for p in range(size):
+            copies = m - (p + k - 1) // size
+            if copies > 0:
+                counts[_cyclic(raw, p, k)] += copies
+        edge = min(k - 1, m * size)
+        local = _cyclic(raw, -edge % size, edge) + follow
+        for j in range(len(local) - k + 1):
+            counts[local[j : j + k]] += 1
+        follow = (_cyclic(raw, 0, edge) + follow)[: k - 1]
+    return dict(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +412,7 @@ def write_digit_file(path, digits, count: int | None = None) -> int:
     with open(path, "wb") as fh:
         fh.write(struct.pack("<Q", count))
         if isinstance(digits, (bytes, bytearray)) and (
-            len(digits) == 0 or max(digits) < 0x80
+            len(digits) == 0 or max_digit(digits) < 0x80
         ):
             # every digit < 128 encodes as itself
             if len(digits) != count:
@@ -351,7 +444,7 @@ def read_digit_file(path) -> DigitString:
             raise ValueError(f"{path}: truncated header")
         (count,) = struct.unpack("<Q", header)
         payload = fh.read()
-    if len(payload) == count and (count == 0 or max(payload) < 0x80):
+    if len(payload) == count and (count == 0 or max_digit(payload) < 0x80):
         return DigitString(payload)
     digits: list[int] = []
     value = 0

@@ -347,7 +347,7 @@ def _cmd_discrepancy(cfg: RunConfig, args) -> int:
 def _cmd_verify(cfg: RunConfig, args) -> int:
     if args.all:
         budget = parse_budget(args.budget) if args.budget else None
-        certs, skipped = run_all(budget_seconds=budget)
+        certs, skipped = run_all(budget_seconds=budget, cap=cfg.cap)
         payload = {"certificates": [c.to_json() for c in certs], "skipped": skipped}
         passed = all(c.passed for c in certs)
         runtimes = [
@@ -358,7 +358,7 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
         if not args.claim:
             raise InvalidSpecError("pass --claim NAME or --all")
         grid = parse_grid(args.grid) if args.grid else None
-        certs = run_claim(args.claim, grid)
+        certs = run_claim(args.claim, grid, cap=cfg.cap)
         payload = certs[0].to_json() if len(certs) == 1 else [c.to_json() for c in certs]
         passed = all(c.passed for c in certs)
         runtimes = [
@@ -449,7 +449,12 @@ def _add_spec_args(p: argparse.ArgumentParser, family_ok: bool = True) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cap", type=int, help="size cap on materialized digits (default 10^8 or CNL_SIZE_CAP)")
+    p.add_argument(
+        "--cap",
+        type=int,
+        help="size cap on digits materialized and runs or blocks enumerated "
+        "(default 10^8 or CNL_SIZE_CAP)",
+    )
     p.add_argument("--tail", type=int, default=64, help="enclosure tail length M (default 64)")
     p.add_argument("--checkpoints", help="comma-separated strictly increasing positions")
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .blocks import Block, DigitString, count_top_digit, digit_data
+from .blocks import Block, ConcatSpec, DigitString, concat, count_top_digit, digit_data, max_digit
 from .errors import InvalidSpecError, NeedsMoreDigitsError, NeedsMoreSegmentsError, SizeLimitError
 from .limits import resolve_cap
 from .weightings import Weighting, check_pb_uniform
@@ -35,31 +35,40 @@ from .weightings import Weighting, check_pb_uniform
 _CHUNK = 1 << 20
 
 
-def build_P(b: int, w: int, cap: int | None = None) -> Block:
-    """Weighted enumeration block over base b+1, length ``w * 2**(b*w)``.
-
-    Lists all base-(b+1) blocks of length w lexicographically, repeating a
-    block with t top digits ``(2**b - b)**t`` times.
-    """
+def _check_bw(b: int, w: int) -> None:
     if not isinstance(b, int) or b < 2:
         raise ValueError(f"b must be an integer >= 2, got {b}")
     if not isinstance(w, int) or w < 1:
         raise ValueError(f"w must be an integer >= 1, got {w}")
+
+
+def build_P(b: int, w: int, cap: int | None = None) -> Block:
+    """Weighted enumeration block over base b+1, length ``w * 2**(b*w)``.
+
+    Lists all base-(b+1) blocks of length w lexicographically, repeating a
+    block with t top digits ``(2**b - b)**t`` times: ``concat`` of
+    ``build_P_runs(b, w)``.
+    """
+    _check_bw(b, w)
     total = w * (1 << (b * w))
     limit = resolve_cap(cap)
-    if total > limit:
+    if total > limit:  # refuse before enumerating the runs
         raise SizeLimitError(total, limit)
-    base = b + 1
-    rep = (1 << b) - b
-    if base <= 256:
-        parts = []
-        for tup in itertools.product(range(base), repeat=w):
-            parts.append(bytes(tup) * rep ** tup.count(b))
-        return Block(base, b"".join(parts))
-    out: list[int] = []
-    for tup in itertools.product(range(base), repeat=w):
-        out.extend(tup * rep ** tup.count(b))
-    return Block(base, tuple(out))
+    return Block(b + 1, concat(build_P_runs(b, w, cap=cap), cap=cap).digits)
+
+
+def build_P_runs(b: int, w: int, cap: int | None = None) -> ConcatSpec:
+    """build_P(b, w) as (copies, block) runs, without building its digits.
+
+    The cap bounds the ``(b+1)**w`` runs enumerated, not the
+    ``w * 2**(b*w)`` digits they describe.
+    """
+    _check_bw(b, w)
+    runs = (b + 1) ** w
+    limit = resolve_cap(cap)
+    if runs > limit:
+        raise SizeLimitError(runs, limit, what="enumerated runs")
+    return ConcatSpec(tuple((copies, block) for block, copies in build_P_copies(b, w)))
 
 
 def repetition_count(b: int, w: int, block: Block) -> int:
@@ -80,10 +89,7 @@ def build_P_copies(b: int, w: int) -> Iterator[tuple[Block, int]]:
 
 def build_C(b: int, w: int, cap: int | None = None) -> Block:
     """Plain enumeration block: every base-b block of length w once, in order."""
-    if not isinstance(b, int) or b < 2:
-        raise ValueError(f"b must be an integer >= 2, got {b}")
-    if not isinstance(w, int) or w < 1:
-        raise ValueError(f"w must be an integer >= 1, got {w}")
+    _check_bw(b, w)
     total = w * b**w
     limit = resolve_cap(cap)
     if total > limit:
@@ -112,11 +118,9 @@ class SegmentSpec:
             raise InvalidSpecError(f"segment base must be an integer >= 2, got {self.base}")
         if not isinstance(self.block, Block) or len(self.block) == 0:
             raise InvalidSpecError("segment block must be a nonempty Block")
-        raw = self.block.digits
-        if max(raw) >= self.base:
-            raise InvalidSpecError(
-                f"segment digits reach {max(raw)}, not valid for base {self.base}"
-            )
+        top = max_digit(self.block.digits)
+        if top >= self.base:
+            raise InvalidSpecError(f"segment digits reach {top}, not valid for base {self.base}")
 
     @property
     def length(self) -> int:

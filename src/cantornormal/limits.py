@@ -1,7 +1,7 @@
-"""Global size cap for materialized digit data.
+"""Global size cap on the work an operation does.
 
-Every operation that can materialize or enumerate unboundedly many digits
-takes an optional ``cap`` argument.  Resolution order: explicit argument,
+Every operation that can materialize unboundedly many digits, or enumerate
+unboundedly many runs or blocks, takes an optional ``cap`` argument.  Resolution order: explicit argument,
 the ``CNL_SIZE_CAP`` environment variable, then the package default of
 10**8 digits.
 """

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blocks import digit_data, tally_blocks
+from .blocks import ConcatSpec, digit_data, max_digit, tally_blocks
 from .errors import SizeLimitError
 from .limits import resolve_cap
 
@@ -221,23 +221,29 @@ def check_eps_k_normal(y, eps, k: int, mu: Weighting, cap: int | None = None) ->
 
     with N counting overlapping occurrences, compared in exact rationals.
     The first violation (shortest length, then lexicographic) is returned
-    as a witness.
+    as a witness.  ``y`` may be a ConcatSpec: its length is the sum of
+    multiplicity times block length, its top digit comes from the distinct
+    blocks, and its windows are counted without building its digits.  The
+    cap bounds the alphabet**k blocks enumerated.
     """
     eps = Fraction(eps)
     if not (0 < eps < 1):
         raise ValueError(f"eps must satisfy 0 < eps < 1, got {eps}")
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k}")
-    raw = digit_data(y)
-    n = len(raw)
+    if isinstance(y, ConcatSpec):
+        text, n = y, y.length
+    else:
+        text = digit_data(y)
+        n = len(text)
     if n == 0:
         raise ValueError("normality check needs a nonempty digit string")
-    alphabet = max(mu.support_bound, max(raw)) + 1
+    alphabet = max(mu.support_bound, max_digit(text)) + 1
     limit = resolve_cap(cap)
     if alphabet**k > limit:
         raise SizeLimitError(alphabet**k, limit, what="enumerated blocks")
     for m in range(1, k + 1):
-        tallies = tally_blocks(raw, m, alphabet_size=alphabet) if n >= m else {}
+        tallies = tally_blocks(text, m, alphabet_size=alphabet) if n >= m else {}
         for tup in itertools.product(range(alphabet), repeat=m):
             mass = mu.weight(tup)
             lower = mass * n * (1 - eps)

@@ -14,7 +14,9 @@ from cantornormal.blocks import (
     count_prefix_occurrences,
     count_straddling,
     count_top_digit,
+    digit_data,
     enumerate_blocks,
+    max_digit,
     read_digit_file,
     tally_blocks,
     write_digit_file,
@@ -65,6 +67,59 @@ def test_concat_repeats_blocks_in_order():
 def test_concat_rejects_all_zero_copies():
     with pytest.raises(ValueError):
         ConcatSpec(((0, Block(2, (0,))),))
+
+
+def test_concat_spec_length_and_lazy_digits():
+    spec = ConcatSpec(((2, Block(2, (0, 1))), (0, Block(5, (4,))), (3, Block(3, (2,)))))
+    assert len(spec) == 7
+    assert tuple(spec) == (0, 1, 0, 1, 2, 2, 2)
+    # 10**12 copies are described, not built
+    huge = ConcatSpec(((10**12, Block(2, (0, 1))),))
+    assert len(huge) == 2 * 10**12
+    assert next(iter(huge)) == 0
+
+
+def test_concat_honours_size_cap():
+    spec = ConcatSpec(((5, Block(2, (0, 1))),))
+    assert len(concat(spec, cap=10)) == 10
+    with pytest.raises(SizeLimitError):
+        concat(spec, cap=9)
+    with pytest.raises(SizeLimitError):
+        concat(((10**12, Block(2, (0, 1))),))
+    # past 2**63 digits: len() cannot say, the length and the cap still can
+    with pytest.raises(SizeLimitError):
+        concat(((10**30, Block(2, (0, 1))),))
+
+
+def test_tally_blocks_over_runs_past_index_size():
+    spec = ConcatSpec(((10**30, Block(2, (0, 1))),))
+    assert spec.length == 2 * 10**30
+    assert tally_blocks(spec, 2) == {(0, 1): 10**30, (1, 0): 10**30 - 1}
+
+
+def test_digit_data_refuses_concat_spec():
+    spec = ConcatSpec(((3, Block(2, (0, 1))),))
+    with pytest.raises(TypeError):
+        digit_data(spec)
+    with pytest.raises(TypeError):
+        count_occurrences((0, 1), spec)
+
+
+def test_max_digit_paths_agree():
+    long_bytes = bytes(300) + b"\x07" + bytes(10)
+    assert max_digit(long_bytes) == 7
+    assert max_digit(bytearray(long_bytes)) == 7
+    assert max_digit(b"\x00\x03\x01") == 3
+    assert max_digit((0, 300, 2)) == 300
+    spec = ConcatSpec(((0, DigitString((9,))), (2, Block(4, (0, 3)))))
+    assert max_digit(spec) == 3  # a zero-multiplicity part adds no digits
+
+
+def test_digit_range_messages_on_long_blocks():
+    with pytest.raises(ValueError, match="digit 5 out of range for base 3"):
+        Block(3, bytes(300) + b"\x05")
+    with pytest.raises(ValueError, match="digit 5 exceeds top digit 4"):
+        count_top_digit(bytes(300) + b"\x05", 4)
 
 
 def test_count_occurrences_frozen():
@@ -190,6 +245,35 @@ def test_tally_blocks_chunked_path(text, length):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(B, "_TALLY_CHUNK", 7)
         assert tally_blocks(bytes(text), length) == slow_tally(text, length)
+
+
+# Parts drawn from a small pool so that equal adjacent blocks are common;
+# lengths 0..5 make parts shorter than the window.
+_pool_block = st.one_of(
+    st.lists(st.integers(0, 3), min_size=0, max_size=5),
+    st.lists(st.integers(0, 300), min_size=1, max_size=4),
+)
+concat_specs = st.lists(_pool_block, min_size=1, max_size=3).flatmap(
+    lambda pool: st.lists(
+        st.tuples(st.integers(0, 4), st.sampled_from([DigitString(b) for b in pool])),
+        min_size=1,
+        max_size=6,
+    ).filter(lambda parts: any(m for m, _ in parts))
+).map(lambda parts: ConcatSpec(tuple(parts)))
+
+
+@given(concat_specs, st.integers(1, 4))
+@settings(max_examples=300)
+def test_tally_blocks_over_runs_matches_window_scan(spec, length):
+    assert tally_blocks(spec, length) == slow_tally(concat(spec), length)
+
+
+def test_tally_blocks_over_runs_frozen():
+    # 3*(0,1) | 1*(1,) | 2*(1,): seams inside a part, between parts, equal blocks
+    spec = ConcatSpec(((3, Block(2, (0, 1))), (1, Block(2, (1,))), (2, Block(2, (1,)))))
+    assert tally_blocks(spec, 2) == {(0, 1): 3, (1, 0): 2, (1, 1): 3}
+    assert tally_blocks(spec, 9) == {(0, 1, 0, 1, 0, 1, 1, 1, 1): 1}
+    assert tally_blocks(spec, 10) == {}
 
 
 def test_tally_blocks_alphabet_size_zeros_are_absent():

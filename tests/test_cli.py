@@ -368,6 +368,20 @@ def test_verify_all_with_zero_budget(capsys):
     assert len(payload["certificates"]) + len(payload["skipped"]) == 13
 
 
+def test_verify_cap_reaches_the_run_enumeration(capsys):
+    # 7**4 runs of build_P(6, 4) exceed the cap
+    argv = ["verify", "--cap", "1000", "--claim", "eknu", "--grid", "b=6,w=4,k=2"]
+    assert main(argv) == 3
+    assert main(["verify", "--cap", "1000", "--all"]) == 3
+    assert main(["verify", "--cap", "1000", "--claim", "bounds-ng-nl", "--grid", "b=6,w=4,k_max=1"]) == 3
+
+
+def test_verify_cap_spares_claims_without_enumeration(capsys):
+    code, payload = run_json(capsys, ["verify", "--cap", "5", "--claim", "lemma-1021"])
+    assert code == 0
+    assert payload["passed"] is True
+
+
 def test_verify_without_claim_exits_2(capsys):
     assert main(["verify"]) == 2
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantornormal.blocks import Block, count_occurrences
+from cantornormal.blocks import Block, concat, count_occurrences
 from cantornormal.constructions import (
     BffSpec,
     ConstructionSpec,
@@ -19,6 +19,7 @@ from cantornormal.constructions import (
     build_C,
     build_P,
     build_P_copies,
+    build_P_runs,
     mff_nice_diagnostics,
     qde_default_eps,
     qde_frame,
@@ -106,6 +107,25 @@ def test_build_P_validation_and_cap():
         build_P(2, 0)
     with pytest.raises(SizeLimitError):
         build_P(6, 4, cap=10**5)
+
+
+@pytest.mark.parametrize("b,w", [(2, 2), (3, 2), (6, 1)])
+def test_build_P_runs_describe_build_P(b, w):
+    runs = build_P_runs(b, w)
+    assert len(runs.parts) == (b + 1) ** w
+    assert len(runs) == w * 2 ** (b * w)
+    assert concat(runs).digits == build_P(b, w).digits
+
+
+def test_build_P_runs_cap_counts_runs_not_digits():
+    runs = build_P_runs(6, 6)  # 7**6 runs describing ~4.1e11 digits
+    assert len(runs) == 6 * 2**36
+    with pytest.raises(SizeLimitError):
+        concat(runs)
+    with pytest.raises(SizeLimitError):
+        build_P_runs(6, 4, cap=2400)
+    with pytest.raises(ValueError):
+        build_P_runs(1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from cantornormal.constructions import (
     qnex_spec,
     salat_counterexample_spec,
 )
-from cantornormal.errors import InvalidSpecError
+from cantornormal.errors import InvalidSpecError, SizeLimitError
 from cantornormal.verify import (
     CLAIMS,
     DEFAULT_JOBS,
@@ -165,6 +165,26 @@ def test_eknu_catches_wrong_weighting():
     cert = verify_eknu(6, 2, 1, mu_factory=uniform)
     assert not cert.passed
     assert "block" in cert.counterexample
+
+
+def test_eknu_reaches_past_the_digit_cap():
+    # 4 * 2**32 digits are described by 9**4 runs: counted, never built
+    cert = verify_eknu(8, 4, 2)
+    assert cert.passed
+    assert cert.details["length"] == 4 * 2**32
+
+
+def test_eknu_cap_bounds_enumerated_runs():
+    with pytest.raises(SizeLimitError):
+        verify_eknu(6, 4, 2, cap=100)  # 7**4 runs
+
+
+def test_bounds_ng_nl_full_width_window():
+    cert = verify_bounds_ng_nl(6, 4, 2)
+    assert cert.passed
+    assert cert.checked == 7 + 49
+    with pytest.raises(SizeLimitError):
+        verify_bounds_ng_nl(6, 4, 2, cap=100)
 
 
 def test_eknu_guards():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cantornormal.blocks import ConcatSpec, DigitString, concat
+from cantornormal.constructions import build_P_runs
 from cantornormal.errors import SizeLimitError
 from cantornormal.weightings import (
     Weighting,
@@ -159,6 +161,39 @@ def test_eps_k_normal_validation():
         check_eps_k_normal((), Fraction(1, 2), 1, uniform(2))
     with pytest.raises(SizeLimitError):
         check_eps_k_normal((0, 1), Fraction(1, 2), 12, uniform(2), cap=100)
+
+
+_runs = st.lists(
+    st.tuples(st.integers(0, 3), st.lists(st.integers(0, 2), min_size=1, max_size=4)),
+    min_size=1,
+    max_size=5,
+).filter(lambda parts: any(m for m, _ in parts))
+
+
+@given(
+    _runs,
+    st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(9, 10)]),
+    st.integers(1, 3),
+    st.sampled_from([uniform(2), uniform(3), nu(2)]),
+)
+def test_eps_k_normal_same_verdict_on_runs_and_digits(parts, eps, k, mu):
+    spec = ConcatSpec(tuple((m, DigitString(d)) for m, d in parts))
+    assert check_eps_k_normal(spec, eps, k, mu) == check_eps_k_normal(concat(spec), eps, k, mu)
+
+
+@pytest.mark.parametrize("mu,passed", [(nu(6), True), (uniform(7), False)])
+def test_eps_k_normal_on_build_P_runs(mu, passed):
+    runs = build_P_runs(6, 2)
+    verdict = check_eps_k_normal(runs, Fraction(1, 2), 1, mu)
+    assert verdict.passed is passed
+    assert verdict == check_eps_k_normal(concat(runs), Fraction(1, 2), 1, mu)
+
+
+def test_eps_k_normal_on_runs_past_index_size():
+    spec = ConcatSpec(((10**30, DigitString((0, 1))),))
+    verdict = check_eps_k_normal(spec, Fraction(1, 2), 1, uniform(2))
+    assert verdict.passed
+    assert verdict.length == 2 * 10**30
 
 
 def test_eps_k_normal_json_shapes():
