@@ -33,7 +33,6 @@ from .cantor import (
     divergence_diagnostics,
     normality_ratio,
     orbit_point,
-    orbit_points,
     q_moment,
     salat_hypothesis,
     salat_sequence,
@@ -61,10 +60,8 @@ from .constructions import (
     qnex_spec,
     repetition_count,
     salat_counterexample_spec,
-    segment_index,
 )
 from .discrepancy import (
-    DiscrepancyReport,
     HypothesisReport,
     PrefixWeights,
     boundf_hypotheses,
@@ -112,7 +109,6 @@ from .weightings import (
     parse_weighting,
     table_weighting,
     uniform,
-    weight_eval,
 )
 
 __version__ = "0.1.0"

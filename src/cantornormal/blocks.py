@@ -30,6 +30,9 @@ _TALLY_CHUNK = 1 << 22
 # byte strings from this length on are scanned with numpy, whose fixed cost
 # per call outweighs the builtin scan on shorter ones
 _NUMPY_SCAN = 256
+# concat joins repeated references to one slab of about this many digits per
+# part, so building a text takes little more memory than the text itself
+_JOIN_SLAB = 1 << 20
 
 
 def _pack_digits(digits) -> bytes | tuple[int, ...]:
@@ -188,11 +191,18 @@ def concat(spec, cap: int | None = None) -> DigitString:
         raise SizeLimitError(total, limit)
     raws = []
     for mult, blk in spec.parts:
-        if mult == 0:
+        if mult == 0 or len(blk) == 0:
             continue
         raws.append((mult, digit_data(blk)))
     if all(isinstance(r, bytes) for _, r in raws):
-        return DigitString(b"".join(r * m for m, r in raws))
+        pieces: list[bytes] = []
+        for mult, raw in raws:
+            per = min(mult, max(1, _JOIN_SLAB // len(raw)))
+            slabs, rest = divmod(mult, per)
+            pieces += [raw * per] * slabs
+            if rest:
+                pieces.append(raw * rest)
+        return DigitString(b"".join(pieces))
     out: list[int] = []
     for mult, raw in raws:
         out.extend(tuple(raw) * mult)

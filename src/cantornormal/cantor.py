@@ -12,6 +12,7 @@ of x under repeated multiply-by-q_n-mod-1 is enclosed the same way.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,10 +66,6 @@ class BasicSequence:
     def from_spec(cls, spec: ConstructionSpec) -> "BasicSequence":
         return cls(spec.q_at, horizon=spec.total_length, spec=spec)
 
-    @classmethod
-    def from_rule(cls, fn: Callable[[int], int], horizon: int | None = None) -> "BasicSequence":
-        return cls(fn, horizon=horizon)
-
     def q(self, n: int) -> int:
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"positions are 1-based integers, got {n}")
@@ -84,7 +81,7 @@ class BasicSequence:
         if self.const is not None:
             return self.const**n
         if self.spec is not None:
-            return self.spec.q_product(1, n) if n >= 1 else 1
+            return math.prod(base**run for base, run in self.spec.q_runs(n))
         out = 1
         for m in range(1, n + 1):
             out *= self.q(m)
@@ -135,10 +132,7 @@ class CantorExpansion:
             raise SizeLimitError(n, limit)
         if self.spec is not None:
             return self.spec.digits_prefix(n, cap=limit)
-        ds = [self.digit(m) for m in range(1, n + 1)]
-        if all(0 <= d <= 255 for d in ds):
-            return DigitString(bytes(ds))
-        return DigitString(tuple(ds))
+        return DigitString([self.digit(m) for m in range(1, n + 1)])
 
 
 @dataclass(frozen=True)
@@ -204,9 +198,7 @@ def value_to_digits(x, Q: BasicSequence, n: int) -> DigitString:
         d = int(r)
         out.append(d)
         r -= d
-    if all(d <= 255 for d in out):
-        return DigitString(bytes(out))
-    return DigitString(tuple(out))
+    return DigitString(out)
 
 
 def q_moment(Q: BasicSequence, n: int, k: int) -> Fraction:
@@ -292,10 +284,6 @@ def orbit_point(exp: CantorExpansion, n: int, tail: int = 64) -> RationalInterva
     return RationalInterval(Fraction(num, den), Fraction(num + 1, den))
 
 
-def orbit_points(exp: CantorExpansion, positions: Iterable[int], tail: int = 64) -> list[RationalInterval]:
-    return [orbit_point(exp, n, tail=tail) for n in positions]
-
-
 def salat_sequence(exp: CantorExpansion, n: int) -> tuple[Fraction, ...]:
     """Scaled digits E_m / q_m for m = 1..n, each in [0, 1)."""
     if not isinstance(n, int) or n < 0:
@@ -306,50 +294,25 @@ def salat_sequence(exp: CantorExpansion, n: int) -> tuple[Fraction, ...]:
 def scaled_value_counts(spec: ConstructionSpec, n: int) -> dict[Fraction, int]:
     """Multiplicity table of the scaled digits E_m/q_m over positions m <= n.
 
-    Works segment by segment in closed form (whole block copies tallied
-    once, remainder digits individually), so n may be astronomically large
-    as long as the construction itself reaches it.
+    Works segment by segment in closed form (a segment's whole block copies
+    tallied once, then its cut copy), so n may be astronomically large as
+    long as the construction itself reaches it.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n}")
-    if n > spec.total_length:
-        raise NeedsMoreDigitsError(n, spec.total_length)
     counts: dict[Fraction, int] = {}
-    L = spec.boundaries
-    for s, seg in enumerate(spec.segments, start=1):
-        if L[s - 1] >= n:
-            break
-        if seg.length == 0:
-            continue
-        span = min(n, L[s]) - L[s - 1]
-        full, rem = divmod(span, len(seg.block))
+    for seg, take in spec.prefix_parts(n):
+        full, rem = divmod(take, len(seg.block))
         raw = seg.block.digits
-        if full:
-            for (d,), c in tally_blocks(raw, 1, alphabet_size=seg.base).items():
+        for part, copies in ((raw, full), (raw[:rem], 1)):
+            if not (copies and part):
+                continue
+            for (d,), c in tally_blocks(part, 1, alphabet_size=seg.base).items():
                 v = Fraction(d, seg.base)
-                counts[v] = counts.get(v, 0) + full * c
-        if rem:
-            part = raw[:rem]
-            if rem > 1024:
-                for (d,), c in tally_blocks(part, 1, alphabet_size=seg.base).items():
-                    v = Fraction(d, seg.base)
-                    counts[v] = counts.get(v, 0) + c
-            else:
-                for d in part:
-                    v = Fraction(d, seg.base)
-                    counts[v] = counts.get(v, 0) + 1
+                counts[v] = counts.get(v, 0) + copies * c
     return counts
 
 
 def salat_hypothesis(Q: BasicSequence, n: int) -> Fraction:
     """Mean reciprocal base (1/n) * sum_{m=1..n} 1/q_m, exact."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n}")
-    if Q.const is not None:
-        return Fraction(1, Q.const)
-    if Q.spec is not None:
-        total = Fraction(0)
-        for base, run in Q.spec.q_runs(n):
-            total += Fraction(run, base)
-        return total / n
     return q_moment(Q, n, 1) / n

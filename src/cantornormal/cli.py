@@ -34,18 +34,15 @@ from .cantor import (
 )
 from .constructions import ConstructionSpec, assemble, qde_spec, qnex_spec
 from .discrepancy import (
-    PrefixWeights,
-    boundf_hypotheses,
     concat_bound,
     e1l_bound,
-    epsbar,
     kn1_bound,
     star_discrepancy,
     star_discrepancy_from_counts,
     unit_sequence,
 )
 from .errors import InvalidSpecError, NeedsMoreDigitsError, SizeLimitError
-from .verify import CLAIMS, _qde_segment_eps_primes, run_all, run_claim
+from .verify import CLAIMS, epsbar_rows, run_all, run_claim
 from .weightings import check_eps_k_normal, parse_weighting
 
 _FAMILIES = {"qde-scaled": qde_spec, "qnex-scaled": qnex_spec}
@@ -55,8 +52,6 @@ _FAMILIES = {"qde-scaled": qde_spec, "qnex-scaled": qnex_spec}
 class RunConfig:
     """Validated run-wide options shared by the subcommands."""
 
-    subcommand: str
-    spec_path: str | None
     cap: int | None
     tail: int
     checkpoints: tuple[int, ...] | None
@@ -150,10 +145,6 @@ def _load_digit_input(args, cap: int | None):
     raise InvalidSpecError("pass --in FILE, or --spec/--family with --n-max")
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f)
-
-
 def _emit_text(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -222,7 +213,7 @@ def _cmd_weights(cfg: RunConfig, args) -> int:
         {
             "weighting": args.mu,
             "block": list(block),
-            "weight": _frac_str(weight),
+            "weight": str(weight),
             "weight_decimal": float(weight),
         },
         cfg.out,
@@ -253,7 +244,7 @@ def _cmd_moments(cfg: RunConfig, args) -> int:
     rows = []
     for n in cfg.checkpoints:
         value = q_moment(Q, n, args.k)
-        rows.append({"n": n, "k": args.k, "moment": _frac_str(value), "moment_decimal": float(value)})
+        rows.append({"n": n, "k": args.k, "moment": str(value), "moment_decimal": float(value)})
     if cfg.fmt == "csv":
         _emit_csv(
             ["n", "k", "moment", "moment_decimal"],
@@ -278,8 +269,8 @@ def _cmd_orbit(cfg: RunConfig, args) -> int:
             {
                 "n": n,
                 "j": j,
-                "lo": _frac_str(iv.lo),
-                "hi": _frac_str(iv.hi),
+                "lo": str(iv.lo),
+                "hi": str(iv.hi),
                 "lo_decimal": float(iv.lo),
                 "hi_decimal": float(iv.hi),
             }
@@ -316,7 +307,7 @@ def _cmd_discrepancy(cfg: RunConfig, args) -> int:
     d_star = star_discrepancy(zs)
     payload: dict = {
         "n": len(zs),
-        "discrepancy": _frac_str(d_star),
+        "discrepancy": str(d_star),
         "discrepancy_decimal": float(d_star),
         "bounds": {},
         "within": {},
@@ -338,7 +329,7 @@ def _cmd_discrepancy(cfg: RunConfig, args) -> int:
             bound = e1l_bound(args.e1l_base, _parse_fraction(args.e1l_eps, "e1l eps"), len(zs))
         else:
             raise InvalidSpecError(f"unknown bound {name!r}; choose from kn1, kn2, e1l")
-        payload["bounds"][name] = _frac_str(bound)
+        payload["bounds"][name] = str(bound)
         payload["within"][name] = d_star <= bound
     _emit_json(payload, cfg.out)
     return 0 if all(payload["within"].values()) else 1
@@ -349,28 +340,22 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
         budget = parse_budget(args.budget) if args.budget else None
         certs, skipped = run_all(budget_seconds=budget, cap=cfg.cap)
         payload = {"certificates": [c.to_json() for c in certs], "skipped": skipped}
-        passed = all(c.passed for c in certs)
-        runtimes = [
-            {"claim": c.claim, "params": c.to_json()["params"], "runtime_seconds": c.runtime_seconds}
-            for c in certs
-        ]
     else:
         if not args.claim:
             raise InvalidSpecError("pass --claim NAME or --all")
         grid = parse_grid(args.grid) if args.grid else None
         certs = run_claim(args.claim, grid, cap=cfg.cap)
         payload = certs[0].to_json() if len(certs) == 1 else [c.to_json() for c in certs]
-        passed = all(c.passed for c in certs)
+    _emit_json(payload, cfg.out)
+    if cfg.out:
         runtimes = [
             {"claim": c.claim, "params": c.to_json()["params"], "runtime_seconds": c.runtime_seconds}
             for c in certs
         ]
-    _emit_json(payload, cfg.out)
-    if cfg.out:
         with open(cfg.out + ".meta.json", "w", encoding="utf-8") as fh:
             json.dump({"runtimes": runtimes}, fh, indent=2)
             fh.write("\n")
-    return 0 if passed else 1
+    return 0 if all(c.passed for c in certs) else 1
 
 
 def _cmd_report(cfg: RunConfig, args) -> int:
@@ -386,40 +371,26 @@ def _cmd_report(cfg: RunConfig, args) -> int:
     ratios = []
     for n in cfg.checkpoints:
         ratio = normality_ratio(exp, block, n)
-        ratios.append({"n": n, "ratio": _frac_str(ratio), "ratio_decimal": float(ratio)})
+        ratios.append({"n": n, "ratio": str(ratio), "ratio_decimal": float(ratio)})
     orbits = []
     for n in cfg.checkpoints:
         if n + cfg.tail <= spec.total_length:
             iv = orbit_point(exp, n, tail=cfg.tail)
-            orbits.append({"n": n, "lo": _frac_str(iv.lo), "hi": _frac_str(iv.hi)})
+            orbits.append({"n": n, "lo": str(iv.lo), "hi": str(iv.hi)})
         else:
             orbits.append({"n": n, "lo": None, "hi": None})
     d_traj = []
     for n in cfg.checkpoints:
         d = star_discrepancy_from_counts(scaled_value_counts(spec, n), n)
-        d_traj.append({"n": n, "d_star": _frac_str(d), "d_star_decimal": float(d)})
+        d_traj.append({"n": n, "d_star": str(d), "d_star_decimal": float(d)})
     bars = []
     if spec.family == "qde-scaled":
-        from .constructions import qde_default_eps
-
-        eps_primes = _qde_segment_eps_primes(spec, qde_default_eps)
-        seg_meta = [(seg.multiplicity, len(seg.block)) for seg in spec.segments]
-        for n in cfg.checkpoints:
-            i = spec.idef_index(n)
-            row: dict = {"n": n, "i": i}
-            if 1 <= i < len(spec.segments):
-                entries = tuple((seg_meta[j][0], seg_meta[j][1], eps_primes[j]) for j in range(i))
-                pw = PrefixWeights(entries, seg_meta[i][1], eps_primes[i])
-                hyp = boundf_hypotheses(pw)
-                if hyp:
-                    bar = epsbar(pw)
-                    row["epsbar"] = _frac_str(bar)
-                    row["epsbar_decimal"] = float(bar)
-                else:
-                    row["epsbar"] = None
-                    row["unmet"] = list(hyp.failures)
-            else:
-                row["epsbar"] = None
+        for n, i, hyp, bar in epsbar_rows(spec, cfg.checkpoints):
+            row: dict = {"n": n, "i": i, "epsbar": None if bar is None else str(bar)}
+            if bar is not None:
+                row["epsbar_decimal"] = float(bar)
+            elif hyp is not None:
+                row["unmet"] = list(hyp.failures)
             bars.append(row)
     payload = {
         "family": spec.family,
@@ -513,8 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discrepancy", help="exact star discrepancy of a point file")
     p.add_argument("--in", dest="infile", required=True, metavar="FILE",
                    help="values in [0,1), one or more per line, p/q or decimal")
-    p.add_argument("--exact", action="store_true",
-                   help="compute the exact value (always on; flag kept for explicitness)")
     p.add_argument("--bounds", help="comma-separated bound names: kn1,kn2,e1l")
     p.add_argument("--families", metavar="FILE", help="JSON [[copies,length,eps],...] for kn2")
     p.add_argument("--e1l-base", type=int, help="digit base for the e1l bound")
@@ -557,8 +526,6 @@ def main(argv=None) -> int:
             _parse_int_list(args.checkpoints, "checkpoints") if args.checkpoints else None
         )
         cfg = RunConfig(
-            subcommand=args.subcommand,
-            spec_path=getattr(args, "spec", None),
             cap=args.cap,
             tail=args.tail,
             checkpoints=checkpoints,

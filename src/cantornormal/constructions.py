@@ -28,11 +28,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .blocks import Block, ConcatSpec, DigitString, concat, count_top_digit, digit_data, max_digit
-from .errors import InvalidSpecError, NeedsMoreDigitsError, NeedsMoreSegmentsError, SizeLimitError
+from .errors import InvalidSpecError, NeedsMoreSegmentsError, SizeLimitError
 from .limits import resolve_cap
 from .weightings import Weighting, check_pb_uniform
-
-_CHUNK = 1 << 20
 
 
 def _check_bw(b: int, w: int) -> None:
@@ -193,35 +191,12 @@ class ConstructionSpec:
             raise NeedsMoreSegmentsError(n + 1, self.total_length)
         return bisect_left(self.boundaries, n + 1)
 
-    def iter_digit_chunks(self, n_max: int) -> Iterator[bytes | tuple[int, ...]]:
-        """Yield the first n_max digits in packed chunks, copy-aligned."""
-        if not isinstance(n_max, int) or n_max < 0:
-            raise ValueError(f"n_max must be an integer >= 0, got {n_max}")
-        if n_max > self.total_length:
-            raise NeedsMoreSegmentsError(n_max, self.total_length)
-        remaining = n_max
-        for seg in self.segments:
-            if remaining == 0:
-                return
-            take = min(remaining, seg.length)
-            if take == 0:
-                continue
-            raw = seg.block.digits
-            copies_per_chunk = max(1, _CHUNK // len(raw))
-            slab = raw * copies_per_chunk
-            emitted = 0
-            while emitted < take:
-                step = min(len(slab), take - emitted)
-                yield slab[:step]
-                emitted += step
-            remaining -= take
+    def prefix_parts(self, n_max: int) -> Iterator[tuple[SegmentSpec, int]]:
+        """Yield (segment, positions taken) covering the first n_max positions.
 
-    def iter_digits(self, n_max: int) -> Iterator[int]:
-        for chunk in self.iter_digit_chunks(n_max):
-            yield from chunk
-
-    def q_runs(self, n_max: int) -> Iterator[tuple[int, int]]:
-        """Yield (base, run length) pairs covering the first n_max positions."""
+        Segments that contribute no position are skipped; every other
+        segment is taken whole except the last, which may end inside a copy.
+        """
         if not isinstance(n_max, int) or n_max < 0:
             raise ValueError(f"n_max must be an integer >= 0, got {n_max}")
         if n_max > self.total_length:
@@ -232,38 +207,26 @@ class ConstructionSpec:
                 return
             take = min(remaining, seg.length)
             if take:
-                yield seg.base, take
+                yield seg, take
                 remaining -= take
 
-    def q_product(self, lo: int, hi: int) -> int:
-        """Exact product of base entries over positions lo..hi inclusive."""
-        if lo > hi:
-            return 1
-        self._check_position(lo)
-        self._check_position(hi)
-        product = 1
-        s = self.segment_at(lo)
-        pos = lo
-        while pos <= hi:
-            seg_end = self.boundaries[s]
-            count = min(hi, seg_end) - pos + 1
-            product *= self.segments[s - 1].base ** count
-            pos += count
-            s += 1
-        return product
+    def q_runs(self, n_max: int) -> Iterator[tuple[int, int]]:
+        """Yield (base, run length) pairs covering the first n_max positions."""
+        for seg, take in self.prefix_parts(n_max):
+            yield seg.base, take
 
     def digits_prefix(self, n_max: int, cap: int | None = None) -> DigitString:
         """Materialize the first n_max digits (size-capped)."""
         limit = resolve_cap(cap)
         if n_max > limit:
             raise SizeLimitError(n_max, limit)
-        chunks = list(self.iter_digit_chunks(n_max))
-        if all(isinstance(c, bytes) for c in chunks):
-            return DigitString(b"".join(chunks))
-        flat: list[int] = []
-        for c in chunks:
-            flat.extend(c)
-        return DigitString(tuple(flat))
+        parts = []
+        for seg, take in self.prefix_parts(n_max):
+            full, rem = divmod(take, len(seg.block))
+            parts.append((full, seg.block))
+            if rem:
+                parts.append((1, seg.block[:rem]))
+        return concat(parts, cap=limit) if parts else DigitString(b"")
 
     def to_json(self) -> dict:
         segments = []
@@ -324,24 +287,6 @@ class ConstructionSpec:
     def load(cls, path, cap: int | None = None) -> "ConstructionSpec":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(json.load(fh), cap=cap)
-
-
-@dataclass(frozen=True)
-class SegmentIndices:
-    """Both segment-index conventions for a position n."""
-
-    idef: int  # i(n): boundaries[i] < n <= boundaries[i+1]
-    t0: int | None  # j(n): boundaries[j-1] < n+1 <= boundaries[j]; None at the very end
-
-
-def segment_index(spec: ConstructionSpec, n: int) -> SegmentIndices:
-    """Evaluate both index conventions at position n, explicitly labeled."""
-    idef = spec.idef_index(n)
-    try:
-        t0 = spec.t0_index(n)
-    except NeedsMoreDigitsError:
-        t0 = None
-    return SegmentIndices(idef=idef, t0=t0)
 
 
 def assemble(spec: ConstructionSpec, n_max: int, cap: int | None = None) -> tuple[list[int], DigitString]:

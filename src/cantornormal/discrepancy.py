@@ -17,7 +17,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blocks import digit_data
+from .blocks import digit_data, max_digit
 
 
 def unit_sequence(zs) -> tuple[Fraction, ...]:
@@ -68,10 +68,12 @@ def star_discrepancy(zs) -> Fraction:
 
 
 def kn1_bound(zs) -> Fraction:
-    """Displacement bound for a sorted sequence.
+    """Star discrepancy of a sorted sequence by the displacement formula.
 
-    For z_1 <= ... <= z_n:  D*(z) <= 1/(2n) + max_i |z_i - (2i-1)/(2n)|.
-    Requires sorted input; equality holds exactly on the centered grid.
+    For z_1 <= ... <= z_n:  D*(z) = 1/(2n) + max_i |z_i - (2i-1)/(2n)|
+    (Kuipers & Niederreiter, Ch. 2, Thm 1.4).  The identity holds for every
+    sorted input, ties included, so this equals star_discrepancy(z).
+    Requires sorted input.
     """
     zs = unit_sequence(zs)
     n = len(zs)
@@ -110,8 +112,8 @@ def scaled_digits(block, b: int) -> tuple[Fraction, ...]:
     digits = digit_data(block)
     if not isinstance(b, int) or b < 1:
         raise ValueError(f"b must be an integer >= 1, got {b}")
-    if digits and max(digits) >= b:
-        raise ValueError(f"digit {max(digits)} not below {b}")
+    if digits and (top := max_digit(digits)) >= b:
+        raise ValueError(f"digit {top} not below {b}")
     return tuple(Fraction(d, b) for d in digits)
 
 
@@ -248,25 +250,3 @@ def boundf_hypotheses(pw: PrefixWeights) -> HypothesisReport:
         if not small:
             failures.append("next-block-small-enough")
     return HypothesisReport(holds=not failures, failures=tuple(failures))
-
-
-@dataclass(frozen=True)
-class DiscrepancyReport:
-    """A computed discrepancy next to the bound that is supposed to cover it."""
-
-    n: int
-    discrepancy: Fraction
-    bound: Fraction | None = None
-
-    @property
-    def within(self) -> bool | None:
-        if self.bound is None:
-            return None
-        return self.discrepancy <= self.bound
-
-    def to_json(self) -> dict:
-        out: dict = {"n": self.n, "discrepancy": str(self.discrepancy)}
-        if self.bound is not None:
-            out["bound"] = str(self.bound)
-            out["within"] = self.within
-        return out

@@ -452,6 +452,31 @@ def _qde_segment_eps_primes(spec: ConstructionSpec, eps_fn) -> list[Fraction]:
     return out
 
 
+def epsbar_rows(spec: ConstructionSpec, positions, eps_fn=None) -> list[tuple]:
+    """The interpolated prefix bound epsbar_i at each position n.
+
+    Returns one (n, i, hyp, bar) per position: i counts the segments fully
+    included in the first n positions; hyp reports the bound's
+    preconditions, or is None when no segment is fully included or none
+    follows; bar is epsbar_i where they hold, else None.  Segment budgets
+    are ``e1l_bound`` at tolerances ``eps_fn(s)`` (default
+    ``qde_default_eps``).
+    """
+    eps_primes = _qde_segment_eps_primes(spec, eps_fn or qde_default_eps)
+    seg_meta = [(seg.multiplicity, len(seg.block)) for seg in spec.segments]
+    rows = []
+    for n in positions:
+        i = spec.idef_index(n)
+        if not 1 <= i < len(spec.segments):
+            rows.append((n, i, None, None))
+            continue
+        entries = tuple((seg_meta[j][0], seg_meta[j][1], eps_primes[j]) for j in range(i))
+        pw = PrefixWeights(entries, seg_meta[i][1], eps_primes[i])
+        hyp = boundf_hypotheses(pw)
+        rows.append((n, i, hyp, epsbar(pw) if hyp else None))
+    return rows
+
+
 def verify_mqd_scaled(
     spec: ConstructionSpec | None = None, checkpoints=None, eps_fn=None
 ) -> Certificate:
@@ -466,7 +491,6 @@ def verify_mqd_scaled(
     if spec is None:
         spec = qde_spec()
     _require_family(spec, "qde-scaled", "mqd-scaled")
-    eps_fn = eps_fn or qde_default_eps
     if checkpoints is None:
         positions = _segment_checkpoints(spec, 40)
     elif isinstance(checkpoints, int):
@@ -476,35 +500,21 @@ def verify_mqd_scaled(
         if not positions or positions[0] < 1 or positions[-1] > spec.total_length:
             raise InvalidSpecError("checkpoints must be positions within the construction")
     params = {"checkpoints": len(positions), "spec_family": spec.family}
-    eps_primes = _qde_segment_eps_primes(spec, eps_fn)
-    seg_meta = [(seg.multiplicity, len(seg.block)) for seg in spec.segments]
     rows = []
     asserted = 0
     counterexample = None
     with _Timer() as t:
-        for n in positions:
-            counts = scaled_value_counts(spec, n)
-            d_star = star_discrepancy_from_counts(counts, n)
-            i = spec.idef_index(n)
-            row: dict = {"n": n, "i": i, "d_star": d_star}
-            if 1 <= i < len(spec.segments):
-                entries = tuple(
-                    (seg_meta[j][0], seg_meta[j][1], eps_primes[j]) for j in range(i)
-                )
-                pw = PrefixWeights(entries, seg_meta[i][1], eps_primes[i])
-                hyp = boundf_hypotheses(pw)
-                if hyp:
-                    bar = epsbar(pw)
-                    row["epsbar"] = bar
-                    row["asserted"] = True
-                    asserted += 1
-                    if d_star > bar and counterexample is None:
-                        counterexample = {"n": n, "i": i, "d_star": d_star, "epsbar": bar}
-                else:
-                    row["asserted"] = False
-                    row["unmet"] = list(hyp.failures)
+        for n, i, hyp, bar in epsbar_rows(spec, positions, eps_fn):
+            d_star = star_discrepancy_from_counts(scaled_value_counts(spec, n), n)
+            row: dict = {"n": n, "i": i, "d_star": d_star, "asserted": bar is not None}
+            if bar is not None:
+                row["epsbar"] = bar
+                asserted += 1
+                if d_star > bar and counterexample is None:
+                    counterexample = {"n": n, "i": i, "d_star": d_star, "epsbar": bar}
+            elif hyp is not None:
+                row["unmet"] = list(hyp.failures)
             else:
-                row["asserted"] = False
                 row["unmet"] = ["no-fully-included-segment"]
             rows.append(row)
         final_counts = scaled_value_counts(spec, spec.total_length)

@@ -122,11 +122,6 @@ def parse_weighting(token: str) -> Weighting:
         raise ValueError(f"bad weighting token {token!r}; expected uniform:B or nu:B") from exc
 
 
-def weight_eval(mu: Weighting, block) -> Fraction:
-    """Exact mass the weighting assigns to a block."""
-    return mu.weight(block)
-
-
 def check_consistency(mu: Weighting, k: int, block) -> bool:
     """Does the block's mass equal the total mass of its one-digit extensions?
 

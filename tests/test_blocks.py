@@ -263,6 +263,15 @@ concat_specs = st.lists(_pool_block, min_size=1, max_size=3).flatmap(
 
 
 @given(concat_specs, st.integers(1, 4))
+@settings(max_examples=100)
+def test_concat_slab_join_matches_digits(spec, slab):
+    # shrink the slab so parts are joined from several slabs plus a rest
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(B, "_JOIN_SLAB", slab)
+        assert concat(spec).as_tuple() == tuple(spec)
+
+
+@given(concat_specs, st.integers(1, 4))
 @settings(max_examples=300)
 def test_tally_blocks_over_runs_matches_window_scan(spec, length):
     assert tally_blocks(spec, length) == slow_tally(concat(spec), length)

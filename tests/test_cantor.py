@@ -16,14 +16,19 @@ from cantornormal.cantor import (
     divergence_diagnostics,
     normality_ratio,
     orbit_point,
-    orbit_points,
     q_moment,
     salat_hypothesis,
     salat_sequence,
     scaled_value_counts,
     value_to_digits,
 )
-from cantornormal.constructions import qde_spec, salat_counterexample_spec
+from cantornormal.blocks import Block
+from cantornormal.constructions import (
+    ConstructionSpec,
+    SegmentSpec,
+    qde_spec,
+    salat_counterexample_spec,
+)
 from cantornormal.errors import (
     InvalidSpecError,
     NeedsMoreDigitsError,
@@ -50,7 +55,7 @@ def test_basic_sequence_backings():
     e = BasicSequence.explicit([2, 3, 4])
     assert e.prefix(3) == [2, 3, 4]
     assert e.horizon == 3
-    r = BasicSequence.from_rule(lambda n: n + 1, horizon=None)
+    r = BasicSequence(lambda n: n + 1, horizon=None)
     assert r.q(9) == 10
 
 
@@ -62,7 +67,7 @@ def test_basic_sequence_validation():
     with pytest.raises(InvalidSpecError):
         BasicSequence.explicit([])
     # rule-backed entries are validated at access time
-    bad = BasicSequence.from_rule(lambda n: 1)
+    bad = BasicSequence(lambda n: 1)
     with pytest.raises(InvalidSpecError):
         bad.q(1)
     with pytest.raises(ValueError):
@@ -251,8 +256,7 @@ def test_orbit_point_validation():
         orbit_point(exp, -1, tail=1)
     with pytest.raises(ValueError):
         orbit_point(exp, 1, tail=0)
-    ivs = orbit_points(exp, [0, 1], tail=2)
-    assert len(ivs) == 2 and ivs[0].lo == Fraction(1, 2) + Fraction(2, 6)
+    assert orbit_point(exp, 0, tail=2).lo == Fraction(1, 2) + Fraction(2, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +305,43 @@ def test_scaled_value_counts_matches_brute_force():
         brute = Counter(salat_sequence(exp, n))
         assert scaled_value_counts(spec, n) == brute
         assert sum(scaled_value_counts(spec, n).values()) == n
+
+
+# small segments (multiplicity, base, block): zero multiplicities, and bases
+# up to 301 so digits reach 300 and leave the byte-packed form
+segments = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(2, 301)).flatmap(
+        lambda mb: st.lists(st.integers(0, mb[1] - 1), min_size=1, max_size=5).map(
+            lambda digits: SegmentSpec(mb[0], Block(mb[1], digits), mb[1])
+        )
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@given(segments)
+@settings(max_examples=150)
+def test_prefix_readers_match_literal_expansion(segs):
+    spec = ConstructionSpec(tuple(segs))
+    qs, ds = [], []
+    for seg in segs:
+        qs += [seg.base] * seg.length
+        ds += list(seg.block) * seg.multiplicity
+    Q = BasicSequence.from_spec(spec)
+    # every n, so each cut inside a copy is visited
+    for n in range(len(qs) + 1):
+        assert spec.digits_prefix(n).as_tuple() == tuple(ds[:n])
+        runs = list(spec.q_runs(n))
+        assert all(run > 0 for _, run in runs)
+        assert [b for b, run in runs for _ in range(run)] == qs[:n]
+        assert Q.product(n) == math.prod(qs[:n])
+        if n:
+            assert scaled_value_counts(spec, n) == Counter(map(Fraction, ds[:n], qs[:n]))
+    with pytest.raises(NeedsMoreDigitsError):
+        spec.digits_prefix(len(qs) + 1)
+    with pytest.raises(NeedsMoreDigitsError):
+        Q.product(len(qs) + 1)
 
 
 def test_scaled_value_counts_validation():

@@ -261,7 +261,7 @@ def test_discrepancy_exact_with_kn1(tmp_path, capsys):
     seq = tmp_path / "points.txt"
     seq.write_text("1/4 0.75\n")
     code, payload = run_json(
-        capsys, ["discrepancy", "--in", str(seq), "--exact", "--bounds", "kn1"]
+        capsys, ["discrepancy", "--in", str(seq), "--bounds", "kn1"]
     )
     assert code == 0
     assert payload["n"] == 2
@@ -494,10 +494,10 @@ def test_console_script_entry_point():
 
 def test_run_config_validation():
     with pytest.raises(InvalidSpecError):
-        cli.RunConfig("orbit", None, 0, 64, None, "json", None)
+        cli.RunConfig(0, 64, None, "json", None)
     with pytest.raises(InvalidSpecError):
-        cli.RunConfig("orbit", None, None, 0, None, "json", None)
+        cli.RunConfig(None, 0, None, "json", None)
     with pytest.raises(InvalidSpecError):
-        cli.RunConfig("orbit", None, None, 64, (), "json", None)
+        cli.RunConfig(None, 64, (), "json", None)
     with pytest.raises(InvalidSpecError):
-        cli.RunConfig("orbit", None, None, 64, None, "yaml", None)
+        cli.RunConfig(None, 64, None, "yaml", None)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantornormal.blocks import Block, concat, count_occurrences
+from cantornormal.cantor import BasicSequence
 from cantornormal.constructions import (
     BffSpec,
     ConstructionSpec,
@@ -29,7 +30,6 @@ from cantornormal.constructions import (
     qnex_spec,
     repetition_count,
     salat_counterexample_spec,
-    segment_index,
 )
 from cantornormal.errors import (
     InvalidSpecError,
@@ -241,22 +241,10 @@ def test_idef_and_t0_conventions():
     # successor convention: segment containing position n+1
     for n in range(0, spec.total_length):
         assert spec.t0_index(n) == spec.segment_at(n + 1)
-    si = segment_index(spec, 4)
-    assert si.idef == 1
-    assert si.t0 == 3
+    assert spec.idef_index(4) == 1
+    assert spec.t0_index(4) == 3
     with pytest.raises(NeedsMoreSegmentsError):
         spec.t0_index(spec.total_length)
-
-
-def test_chunk_iteration_matches_prefix():
-    spec = small_spec()
-    for n in (0, 1, 3, 4, 7, 10):
-        flat = []
-        for chunk in spec.iter_digit_chunks(n):
-            flat.extend(chunk)
-        assert tuple(flat) == spec.digits_prefix(n).as_tuple()[: n]
-        assert len(flat) == n
-    assert list(spec.iter_digits(5)) == [0, 1, 0, 1, 1]
 
 
 def test_q_runs_and_product():
@@ -264,12 +252,9 @@ def test_q_runs_and_product():
     assert list(spec.q_runs(10)) == [(2, 4), (4, 6)]
     assert list(spec.q_runs(5)) == [(2, 4), (4, 1)]
     q, _ = assemble(spec, 10)
-    for lo in range(1, 11):
-        for hi in range(lo - 1, 11):
-            if hi == lo - 1:
-                assert spec.q_product(lo, hi) == 1
-            else:
-                assert spec.q_product(lo, hi) == math.prod(q[lo - 1 : hi])
+    Q = BasicSequence.from_spec(spec)
+    for n in range(0, 11):
+        assert Q.product(n) == math.prod(q[:n])
 
 
 def test_spec_json_round_trip(tmp_path):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cantornormal.blocks import Block
 from cantornormal.constructions import build_C
 from cantornormal.discrepancy import (
-    DiscrepancyReport,
     PrefixWeights,
     boundf_hypotheses,
     concat_bound,
@@ -91,8 +90,9 @@ def test_counts_interface_partial_mass():
 
 @given(points)
 def test_kn1_bounds_discrepancy_on_sorted_input(zs):
-    zs = sorted(zs)
-    assert star_discrepancy(zs) <= kn1_bound(zs)
+    # the bound is tight: the displacement formula is D* itself on any sorted
+    # input, ties included (Kuipers & Niederreiter, Ch. 2, Thm 1.4)
+    assert kn1_bound(sorted(zs)) == star_discrepancy(zs) == sweep_dstar(zs)
 
 
 def test_kn1_frozen_and_validation():
@@ -275,17 +275,3 @@ def test_epsbar_is_grid_maximum():
             if z >= 1:
                 assert val > f_bound(pw, w, z - 1)
 
-
-def test_discrepancy_report():
-    rep = DiscrepancyReport(10, Fraction(1, 5), Fraction(1, 4))
-    assert rep.within is True
-    assert rep.to_json() == {
-        "n": 10,
-        "discrepancy": "1/5",
-        "bound": "1/4",
-        "within": True,
-    }
-    assert DiscrepancyReport(10, Fraction(1, 2), Fraction(1, 4)).within is False
-    bare = DiscrepancyReport(10, Fraction(1, 5))
-    assert bare.within is None
-    assert bare.to_json() == {"n": 10, "discrepancy": "1/5"}

@@ -18,7 +18,6 @@ from cantornormal.weightings import (
     parse_weighting,
     table_weighting,
     uniform,
-    weight_eval,
 )
 
 
@@ -53,7 +52,7 @@ def test_weight_is_multiplicative(b, digits):
     expected = Fraction(1)
     for d in digits:
         expected *= mu.digit_weight(d)
-    assert weight_eval(mu, digits) == expected
+    assert mu.weight(digits) == expected
 
 
 def test_weight_outside_support_is_zero():
