@@ -5,9 +5,11 @@ string is a finite string of non-negative integers with no base attached.
 Occurrence counting is always overlapping, with 1-based start positions.
 
 Digits are arbitrary-precision integers at the API boundary.  Internally a
-digit sequence is packed as ``bytes`` whenever every digit fits in one byte,
-which keeps multi-megabyte blocks cheap and lets the counting routines use
-C-speed scans; anything larger falls back to a tuple of ints.
+digit sequence is one read-only numpy array whose dtype is the smallest
+unsigned type holding its top digit (uint8 up to uint64), or ``object``
+past 2**64 - 1 so digits of any size still work.  ``_pack_digits`` is the
+only place that looks at the input's type; every kernel below has one numpy
+path for all dtypes, and digits leave the array as Python ints.
 
 A ``ConcatSpec`` (copies of a few distinct blocks) is never materialized
 implicitly: ``tally_blocks`` counts its windows from the distinct blocks,
@@ -15,45 +17,51 @@ and only ``concat`` builds its digits, under the size cap.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import struct
-from collections import Counter, defaultdict
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from collections import defaultdict
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError, NeedsMoreDigitsError, SizeLimitError
-from .limits import resolve_cap
+from .errors import InvalidSpecError, NeedsMoreDigitsError
+from .limits import check_cap
 
+# windows handled per numpy pass, so scans of long texts use bounded memory
 _TALLY_CHUNK = 1 << 22
-# byte strings from this length on are scanned with numpy, whose fixed cost
-# per call outweighs the builtin scan on shorter ones
-_NUMPY_SCAN = 256
-# concat joins repeated references to one slab of about this many digits per
-# part, so building a text takes little more memory than the text itself
-_JOIN_SLAB = 1 << 20
 
 
-def _pack_digits(digits) -> bytes | tuple[int, ...]:
-    """Canonicalize a digit sequence: bytes iff every digit fits in a byte."""
-    if isinstance(digits, bytes):
-        return digits
-    if isinstance(digits, bytearray):
-        return bytes(digits)
-    packed = tuple(int(d) for d in digits)
-    for d in packed:
-        if d < 0:
-            raise ValueError(f"digits must be non-negative, got {d}")
-    if packed and max(packed) <= 0xFF:
-        return bytes(packed)
-    if not packed:
-        return b""
-    return packed
+def _pack_digits(digits, base: int | None = None) -> np.ndarray:
+    """The packed form of a digit sequence, validated.
+
+    Accepts bytes, bytearray, an unsigned numpy array (shared when it is
+    read-only, else copied) or any iterable of integers.  Digits must be
+    non-negative, and below ``base`` when one is given.
+    """
+    top = None
+    if isinstance(digits, np.ndarray) and digits.dtype.kind == "u":
+        arr = digits.copy() if digits.flags.writeable else digits
+    elif isinstance(digits, (bytes, bytearray)):
+        arr = np.frombuffer(bytes(digits), dtype=np.uint8)
+    else:
+        vals = list(map(int, digits))
+        low, top = (min(vals), max(vals)) if vals else (0, 0)
+        if low < 0:
+            raise ValueError(f"digits must be non-negative, got {low}")
+        arr = np.array(vals, dtype=np.min_scalar_type(top))
+    arr.setflags(write=False)
+    if base is not None and len(arr):
+        if top is None:
+            top = int(arr.max())
+        if top >= base:
+            raise ValueError(f"digit {top} out of range for base {base}")
+    return arr
 
 
-def digit_data(x) -> bytes | tuple[int, ...]:
-    """Raw packed digit sequence behind a Block/DigitString/plain sequence.
+def digit_data(x) -> np.ndarray:
+    """Packed digit array behind a Block/DigitString/plain sequence.
 
     A ConcatSpec is refused: its digits are built only by ``concat``, which
     honours the size cap.
@@ -66,73 +74,72 @@ def digit_data(x) -> bytes | tuple[int, ...]:
 
 
 def max_digit(x) -> int:
-    """Largest digit of a nonempty packed sequence or of a ConcatSpec.
+    """Largest digit of a nonempty digit sequence or of a ConcatSpec.
 
-    Long packed bytes are scanned with numpy; a ConcatSpec is read from the
-    distinct blocks of its nonzero parts.
+    A ConcatSpec is read from the distinct blocks of its nonzero parts.
     """
     if isinstance(x, ConcatSpec):
-        return max(max_digit(b.digits) for m, b in x.parts if m and len(b))
-    if isinstance(x, (bytes, bytearray)) and len(x) >= _NUMPY_SCAN:
-        return int(np.frombuffer(x, dtype=np.uint8).max())
-    return max(x)
+        x = np.concatenate([b.digits for m, b in x.parts if m])
+    return int(digit_data(x).max())
 
 
-@dataclass(frozen=True)
-class DigitString:
+class _Digits:
+    """Read access shared by DigitString and Block over the packed array."""
+
+    def __len__(self) -> int:
+        return len(self.digits)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.digits.tolist())
+
+    def __getitem__(self, idx):
+        if isinstance(idx, slice):
+            return dataclasses.replace(self, digits=self.digits[idx])
+        return self.digits.item(idx)
+
+    def as_tuple(self) -> tuple[int, ...]:
+        return tuple(self.digits.tolist())
+
+    def _fields(self) -> tuple:
+        """Fields other than the digits, compared and hashed with them."""
+        return ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields() and np.array_equal(self.digits, other.digits)
+
+    def __hash__(self) -> int:
+        return hash((self._fields(), self.as_tuple()))
+
+
+@dataclass(frozen=True, eq=False)
+class DigitString(_Digits):
     """Immutable string of non-negative integer digits, no base attached."""
 
-    digits: bytes | tuple[int, ...]
+    digits: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "digits", _pack_digits(self.digits))
 
-    def __len__(self) -> int:
-        return len(self.digits)
 
-    def __iter__(self):
-        return iter(self.digits)
-
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return DigitString(self.digits[idx])
-        return self.digits[idx]
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple(self.digits)
-
-
-@dataclass(frozen=True)
-class Block:
+@dataclass(frozen=True, eq=False)
+class Block(_Digits):
     """A digit string over ``{0, ..., base-1}`` for a fixed base >= 2."""
 
     base: int
-    digits: bytes | tuple[int, ...]
+    digits: np.ndarray
 
     def __post_init__(self):
         if not isinstance(self.base, int) or self.base < 2:
             raise ValueError(f"block base must be an integer >= 2, got {self.base}")
-        packed = _pack_digits(self.digits)
-        if len(packed) > 0 and (top := max_digit(packed)) >= self.base:
-            raise ValueError(f"digit {top} out of range for base {self.base}")
-        object.__setattr__(self, "digits", packed)
+        object.__setattr__(self, "digits", _pack_digits(self.digits, self.base))
 
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def __iter__(self):
-        return iter(self.digits)
-
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return Block(self.base, self.digits[idx])
-        return self.digits[idx]
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple(self.digits)
+    def _fields(self) -> tuple:
+        return (self.base,)
 
     def to_json(self) -> dict:
-        return {"digits": list(self.digits), "base": self.base}
+        return {"digits": self.digits.tolist(), "base": self.base}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Block":
@@ -172,7 +179,7 @@ class ConcatSpec:
 
     def __iter__(self) -> Iterator[int]:
         return itertools.chain.from_iterable(
-            itertools.chain.from_iterable(itertools.repeat(b.digits, m)) for m, b in self.parts
+            itertools.chain.from_iterable(itertools.repeat(b.as_tuple(), m)) for m, b in self.parts
         )
 
 
@@ -186,52 +193,45 @@ def concat(spec, cap: int | None = None) -> DigitString:
     if not isinstance(spec, ConcatSpec):
         spec = ConcatSpec(tuple(spec))
     total = spec.length
-    limit = resolve_cap(cap)
-    if total > limit:
-        raise SizeLimitError(total, limit)
-    raws = []
-    for mult, blk in spec.parts:
-        if mult == 0 or len(blk) == 0:
-            continue
-        raws.append((mult, digit_data(blk)))
-    if all(isinstance(r, bytes) for _, r in raws):
-        pieces: list[bytes] = []
-        for mult, raw in raws:
-            per = min(mult, max(1, _JOIN_SLAB // len(raw)))
-            slabs, rest = divmod(mult, per)
-            pieces += [raw * per] * slabs
-            if rest:
-                pieces.append(raw * rest)
-        return DigitString(b"".join(pieces))
-    out: list[int] = []
-    for mult, raw in raws:
-        out.extend(tuple(raw) * mult)
-    return DigitString(tuple(out))
+    check_cap(total, cap)
+    parts = [(m, b.digits) for m, b in spec.parts if m and len(b)]
+    out = np.empty(total, dtype=np.result_type(np.uint8, *(raw.dtype for _, raw in parts)))
+    pos = 0
+    for m, raw in parts:
+        # the m copies are the rows of an (m, len) view; the rows filled so
+        # far are copied onward, so a part takes about log2(m) array copies
+        rows = out[pos : pos + m * len(raw)].reshape(m, len(raw))
+        rows[0] = raw
+        done = 1
+        while done < m:
+            rows[done : 2 * done] = rows[: min(done, m - done)]
+            done *= 2
+        pos += m * len(raw)
+    out.setflags(write=False)
+    return DigitString(out)
+
+
+def _windows(seq: np.ndarray, k: int) -> Iterator[np.ndarray]:
+    """Overlapping slices of ``seq`` that hold each length-k window once."""
+    for lo in range(0, len(seq) - k + 1, _TALLY_CHUNK):
+        yield seq[lo : lo + _TALLY_CHUNK + k - 1]
 
 
 def count_occurrences(block, text) -> int:
     """Number of (overlapping) occurrences of ``block`` inside ``text``."""
-    pat = digit_data(block)
+    pat = digit_data(block).tolist()
     hay = digit_data(text)
     k = len(pat)
     if k == 0:
         raise ValueError("occurrence counting needs a nonempty block")
-    if k > len(hay):
-        return 0
-    if isinstance(hay, bytes):
-        if not isinstance(pat, bytes):
-            return 0  # some pattern digit exceeds every text digit
-        count = 0
-        start = 0
-        while True:
-            idx = hay.find(pat, start)
-            if idx < 0:
-                return count
-            count += 1
-            start = idx + 1
-    patt = tuple(pat)
-    hayt = tuple(hay)
-    return sum(1 for i in range(len(hayt) - k + 1) if hayt[i : i + k] == patt)
+    count = 0
+    for part in _windows(hay, k):
+        n = len(part) - k + 1
+        hit = part[:n] == pat[0]
+        for j in range(1, k):
+            hit &= part[j : j + n] == pat[j]
+        count += int(np.count_nonzero(hit))
+    return count
 
 
 def count_prefix_occurrences(block, text, n: int) -> int:
@@ -260,9 +260,7 @@ def count_top_digit(block, b: int) -> int:
     raw = digit_data(block)
     if len(raw) > 0 and (top := max_digit(raw)) > b:
         raise ValueError(f"digit {top} exceeds top digit {b}")
-    if isinstance(raw, bytes) and b <= 0xFF:
-        return raw.count(b)
-    return sum(1 for d in raw if d == b)
+    return int(np.count_nonzero(raw == b))
 
 
 def enumerate_blocks(base: int, length: int, cap: int | None = None) -> Iterator[Block]:
@@ -272,9 +270,7 @@ def enumerate_blocks(base: int, length: int, cap: int | None = None) -> Iterator
     if not isinstance(length, int) or length < 0:
         raise ValueError(f"length must be an integer >= 0, got {length}")
     total = base**length
-    limit = resolve_cap(cap)
-    if total > limit:
-        raise SizeLimitError(total, limit, what="enumerated blocks")
+    check_cap(total, cap, what="enumerated blocks")
     for tup in itertools.product(range(base), repeat=length):
         yield Block(base, tup)
 
@@ -282,24 +278,16 @@ def enumerate_blocks(base: int, length: int, cap: int | None = None) -> Iterator
 def count_straddling(block, left, right) -> int:
     """Occurrences of ``block`` split across the boundary ``left | right``.
 
-    Counts split indices s in [2, len(block)] where the first s-1 digits are
-    a suffix of ``left`` and the rest are a prefix of ``right``.  A length-1
-    block can never straddle.
+    Every window of the last len(block)-1 digits of ``left`` followed by the
+    first len(block)-1 digits of ``right`` crosses the boundary, so those
+    are counted.  A length-1 block can never straddle.
     """
-    b = tuple(digit_data(block))
-    c = tuple(digit_data(left))
-    d = tuple(digit_data(right))
-    k = len(b)
-    if k == 0:
+    pat = digit_data(block)
+    if len(pat) == 0:
         raise ValueError("straddle counting needs a nonempty block")
-    total = 0
-    for s in range(2, k + 1):
-        head, tail = b[: s - 1], b[s - 1 :]
-        if len(head) > len(c) or len(tail) > len(d):
-            continue
-        if c[len(c) - len(head) :] == head and d[: len(tail)] == tail:
-            total += 1
-    return total
+    tail, head = digit_data(left), digit_data(right)
+    seam = np.concatenate((tail[max(0, len(tail) - len(pat) + 1) :], head[: len(pat) - 1]))
+    return count_occurrences(pat, seam)
 
 
 def tally_blocks(text, length: int, alphabet_size: int | None = None) -> dict[tuple[int, ...], int]:
@@ -308,10 +296,10 @@ def tally_blocks(text, length: int, alphabet_size: int | None = None) -> dict[tu
     Returns a dict keyed by digit tuples; absent keys mean count zero.
     ``text`` is a digit sequence or a ConcatSpec.  A ConcatSpec is counted
     from its blocks without building its digits, so the work grows with the
-    total length of its parts' blocks, not with the length described, and
-    the ``alphabet_size`` hint is not needed.  Byte-packed input with window
-    length 1 or 2 takes a vectorized path, so multi-megadigit scans stay
-    fast; counts are exact integers either way.
+    total length of its parts' blocks, not with the length described.  A
+    digit sequence is counted by one vectorized pass per chunk at every
+    window length; ``alphabet_size`` may only widen the alphabet its window
+    codes are formed in.  Counts are exact integers either way.
     """
     if not isinstance(length, int) or length < 1:
         raise ValueError(f"window length must be an integer >= 1, got {length}")
@@ -320,44 +308,38 @@ def tally_blocks(text, length: int, alphabet_size: int | None = None) -> dict[tu
     return _tally_flat(digit_data(text), length, alphabet_size)
 
 
-def _tally_flat(seq, length: int, alphabet_size: int | None = None) -> dict[tuple[int, ...], int]:
-    """tally_blocks over one packed digit sequence."""
-    n = len(seq)
-    if n < length:
+def _tally_flat(seq: np.ndarray, k: int, alphabet_size: int | None = None) -> dict[tuple[int, ...], int]:
+    """tally_blocks over one packed digit array.
+
+    Each window is coded as a base-``alpha`` number (int64 while every code
+    fits, Python ints in an object array past that).  Codes are counted with
+    a dense ``bincount`` table while alpha**k is no longer than the chunk,
+    else by sorting them with ``unique``; keys are decoded back to digits.
+    """
+    if len(seq) < k:
         return {}
-    if isinstance(seq, bytes) and length <= 2:
-        alpha = max_digit(seq) + 1
-        if alphabet_size is not None:
-            alpha = max(alpha, int(alphabet_size))
-        if length == 1:
-            counts = np.zeros(alpha, dtype=np.int64)
-            for lo in range(0, n, _TALLY_CHUNK):
-                arr = np.frombuffer(seq[lo : lo + _TALLY_CHUNK], dtype=np.uint8)
-                counts += np.bincount(arr, minlength=alpha)
-            return {(d,): int(c) for d, c in enumerate(counts) if c}
-        counts = np.zeros(alpha * alpha, dtype=np.int64)
-        for lo in range(0, n - 1, _TALLY_CHUNK):
-            arr = np.frombuffer(seq[lo : lo + _TALLY_CHUNK + 1], dtype=np.uint8)
-            codes = arr[:-1].astype(np.int64) * alpha + arr[1:]
-            counts += np.bincount(codes, minlength=alpha * alpha)
-        return {
-            (code // alpha, code % alpha): int(c)
-            for code, c in enumerate(counts)
-            if c
-        }
-    seqt = tuple(seq)
-    if length == 2:
-        pairs = Counter(zip(seqt, seqt[1:]))
-        return {pair: cnt for pair, cnt in pairs.items()}
-    windows = Counter(seqt[i : i + length] for i in range(n - length + 1))
-    return dict(windows)
-
-
-def _cyclic(raw, start: int, k: int) -> tuple[int, ...]:
-    """Digits start .. start+k-1 of ``raw`` repeated forever (0 <= start < len)."""
-    if start + k <= len(raw):
-        return tuple(raw[start : start + k])
-    return tuple(raw[(start + i) % len(raw)] for i in range(k))
+    alpha = max(max_digit(seq) + 1, alphabet_size or 0)
+    size = alpha**k
+    code_type = np.int64 if size <= 1 << 63 else object
+    totals: dict[int, int] = defaultdict(int)
+    for part in _windows(seq, k):
+        n = len(part) - k + 1
+        codes = part[:n].astype(code_type)
+        for j in range(1, k):
+            codes *= alpha
+            # digits are below alpha, so casting them to the code type is exact
+            np.add(codes, part[j : j + n], out=codes, casting="unsafe")
+        if size <= max(n, 1 << 16):
+            table = np.bincount(codes)
+            found = np.flatnonzero(table)
+            counts = table[found]
+        else:
+            found, counts = np.unique(codes, return_counts=True)
+        for code, c in zip(found.tolist(), counts.tolist()):
+            totals[code] += c
+    codes = np.array(list(totals), dtype=code_type)
+    places = [(codes // alpha ** (k - 1 - j) % alpha).tolist() for j in range(k)]
+    return dict(zip(zip(*places), totals.values()))
 
 
 def _tally_runs(spec: ConcatSpec, k: int) -> dict[tuple[int, ...], int]:
@@ -375,19 +357,20 @@ def _tally_runs(spec: ConcatSpec, k: int) -> dict[tuple[int, ...], int]:
     counts: dict[tuple[int, ...], int] = defaultdict(int)
     follow: tuple[int, ...] = ()  # the first k-1 digits after the current part
     for m, blk in reversed(spec.parts):
-        raw = blk.digits
-        size = len(raw)
+        size = len(blk)
         if m == 0 or size == 0:
             continue
+        # copies enough that every window starting in the first is a slice
+        raw = blk.as_tuple() * (k // size + 2)
         for p in range(size):
             copies = m - (p + k - 1) // size
             if copies > 0:
-                counts[_cyclic(raw, p, k)] += copies
+                counts[raw[p : p + k]] += copies
         edge = min(k - 1, m * size)
-        local = _cyclic(raw, -edge % size, edge) + follow
+        local = raw[-edge % size :][:edge] + follow
         for j in range(len(local) - k + 1):
             counts[local[j : j + k]] += 1
-        follow = (_cyclic(raw, 0, edge) + follow)[: k - 1]
+        follow = (raw[:edge] + follow)[: k - 1]
     return dict(counts)
 
 
@@ -417,17 +400,15 @@ def write_digit_file(path, digits, count: int | None = None) -> int:
     count = int(count)
     if count < 0:
         raise ValueError(f"digit count must be >= 0, got {count}")
-    if isinstance(digits, (Block, DigitString)):
-        digits = digits.digits
+    if isinstance(digits, (Block, DigitString, np.ndarray)):
+        digits = digit_data(digits)
     with open(path, "wb") as fh:
         fh.write(struct.pack("<Q", count))
-        if isinstance(digits, (bytes, bytearray)) and (
-            len(digits) == 0 or max_digit(digits) < 0x80
-        ):
+        if isinstance(digits, np.ndarray) and (len(digits) == 0 or max_digit(digits) < 0x80):
             # every digit < 128 encodes as itself
             if len(digits) != count:
                 raise ValueError(f"count {count} does not match {len(digits)} digits")
-            fh.write(bytes(digits))
+            fh.write(digits.astype(np.uint8).tobytes())
             return count
         buf = bytearray()
         written = 0

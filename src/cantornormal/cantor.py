@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from .blocks import DigitString, count_prefix_occurrences, digit_data, tally_blocks
 from .constructions import ConstructionSpec
-from .errors import InvalidSpecError, NeedsMoreDigitsError, SizeLimitError
-from .limits import resolve_cap
+from .errors import InvalidSpecError, NeedsMoreDigitsError
+from .limits import check_cap
 
 
 def _validate_base(q: int, n: int) -> int:
@@ -101,7 +101,7 @@ class CantorExpansion:
 
     @classmethod
     def from_digits(cls, Q: BasicSequence, digits) -> "CantorExpansion":
-        ds = digit_data(digits) if isinstance(digits, (DigitString,)) else tuple(digits)
+        ds = tuple(digits)
         for n, d in enumerate(ds, start=1):
             q = Q.q(n)
             if not 0 <= d <= q - 1:
@@ -127,9 +127,7 @@ class CantorExpansion:
         return self._digit_fn(n)
 
     def digits_prefix(self, n: int, cap: int | None = None) -> DigitString:
-        limit = resolve_cap(cap)
-        if n > limit:
-            raise SizeLimitError(n, limit)
+        limit = check_cap(n, cap)
         if self.spec is not None:
             return self.spec.digits_prefix(n, cap=limit)
         return DigitString([self.digit(m) for m in range(1, n + 1)])
@@ -201,12 +199,13 @@ def value_to_digits(x, Q: BasicSequence, n: int) -> DigitString:
     return DigitString(out)
 
 
-def q_moment(Q: BasicSequence, n: int, k: int) -> Fraction:
+def q_moment(Q: BasicSequence, n: int, k: int, cap: int | None = None) -> Fraction:
     """Normalizer sum_{j=1..n} 1 / (q_j * q_{j+1} * ... * q_{j+k-1}).
 
     This is the expected count of any fixed length-k block in the first n
     positions under ideal behavior; block counts are compared against it.
-    Needs base entries through position n + k - 1.
+    Needs base entries through position n + k - 1.  The per-position loop
+    (k >= 2 on a non-constant base) counts n against the size cap.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n}")
@@ -220,6 +219,7 @@ def q_moment(Q: BasicSequence, n: int, k: int) -> Fraction:
         for base, run in Q.spec.q_runs(n):
             total += Fraction(run, base)
         return total
+    check_cap(n, cap, what="positions")
     # rolling window of the product q_j ... q_{j+k-1}
     window = 1
     for m in range(1, k + 1):
@@ -263,18 +263,20 @@ def divergence_diagnostics(Q: BasicSequence, k: int, checkpoints: Iterable[int])
     return tuple(rows)
 
 
-def orbit_point(exp: CantorExpansion, n: int, tail: int = 64) -> RationalInterval:
+def orbit_point(exp: CantorExpansion, n: int, tail: int = 64, cap: int | None = None) -> RationalInterval:
     """Enclose T_n(x) = (q_1 ... q_n) * x mod 1 from digits alone.
 
     The shifted value equals the tail series sum_{m>=1}
     E_{n+m} / (q_{n+1} ... q_{n+m}); truncating after ``tail`` terms gives
     a lower endpoint, and one unit in the last place covers the rest.
-    Needs digits through position n + tail.
+    Needs digits through position n + tail; the ``tail`` positions read
+    count against the size cap.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be an integer >= 0, got {n}")
     if not isinstance(tail, int) or tail < 1:
         raise ValueError(f"tail must be an integer >= 1, got {tail}")
+    check_cap(tail, cap, what="positions")
     num = 0
     den = 1
     for m in range(n + 1, n + tail + 1):
@@ -305,7 +307,7 @@ def scaled_value_counts(spec: ConstructionSpec, n: int) -> dict[Fraction, int]:
         full, rem = divmod(take, len(seg.block))
         raw = seg.block.digits
         for part, copies in ((raw, full), (raw[:rem], 1)):
-            if not (copies and part):
+            if not (copies and len(part)):
                 continue
             for (d,), c in tally_blocks(part, 1, alphabet_size=seg.base).items():
                 v = Fraction(d, seg.base)

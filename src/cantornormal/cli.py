@@ -4,7 +4,8 @@ verification, and combined reports, with stable machine-readable output.
 Exit codes: 0 success; 1 a verification-style check failed (the failing
 certificate or verdict is still emitted); 2 usage or validation error;
 3 size limit exceeded (raise it with the CNL_SIZE_CAP environment
-variable or --cap).
+variable or --cap); 4 internal error, a fault in the library rather than
+in the input, reported with its traceback on stderr.
 
 All numeric output is exact by default: fractions appear as "p/q"
 strings, and any float column is suffixed _decimal to mark it as an
@@ -20,6 +21,7 @@ import io
 import json
 import re
 import sys
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -176,7 +178,7 @@ def _cmd_construct(cfg: RunConfig, args) -> int:
         spec.save(args.spec_out)
     q, digits = assemble(spec, args.n_max, cap=cfg.cap)
     if args.digits_out:
-        write_digit_file(args.digits_out, digits.digits, count=len(digits))
+        write_digit_file(args.digits_out, digits)
     if cfg.fmt == "csv":
         rows = [[n + 1, q[n], digits[n]] for n in range(len(digits))]
         _emit_csv(["n", "q", "digit"], rows, cfg.out)
@@ -243,7 +245,7 @@ def _cmd_moments(cfg: RunConfig, args) -> int:
         Q = BasicSequence.from_spec(_load_spec(args, cfg.cap))
     rows = []
     for n in cfg.checkpoints:
-        value = q_moment(Q, n, args.k)
+        value = q_moment(Q, n, args.k, cap=cfg.cap)
         rows.append({"n": n, "k": args.k, "moment": str(value), "moment_decimal": float(value)})
     if cfg.fmt == "csv":
         _emit_csv(
@@ -263,7 +265,7 @@ def _cmd_orbit(cfg: RunConfig, args) -> int:
     exp = CantorExpansion.from_spec(spec)
     rows = []
     for n in cfg.checkpoints:
-        iv = orbit_point(exp, n, tail=cfg.tail)
+        iv = orbit_point(exp, n, tail=cfg.tail, cap=cfg.cap)
         j = spec.t0_index(n) if n < spec.total_length else None
         rows.append(
             {
@@ -302,6 +304,18 @@ def _read_sequence_file(path: str) -> tuple[Fraction, ...]:
     return tuple(values)
 
 
+def _read_families(path: str) -> list[tuple[int, int, Fraction]]:
+    """The kn2 families file: a JSON list of [copies, length, eps] triples."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fams = json.load(fh)
+    rows_ok = isinstance(fams, list) and all(
+        isinstance(f, list) and len(f) == 3 and type(f[0]) is type(f[1]) is int for f in fams
+    )
+    if not rows_ok:
+        raise InvalidSpecError(f"{path}: expected a JSON list of [copies, length, eps] with integer copies and length")
+    return [(c, ln, _parse_fraction(str(e), "family eps")) for c, ln, e in fams]
+
+
 def _cmd_discrepancy(cfg: RunConfig, args) -> int:
     zs = unit_sequence(_read_sequence_file(args.infile))
     d_star = star_discrepancy(zs)
@@ -319,10 +333,7 @@ def _cmd_discrepancy(cfg: RunConfig, args) -> int:
         elif name == "kn2":
             if not args.families:
                 raise InvalidSpecError("--families FILE is required for the kn2 bound")
-            with open(args.families, "r", encoding="utf-8") as fh:
-                fams = json.load(fh)
-            parts = [(int(c), int(ln), _parse_fraction(str(e), "family eps")) for c, ln, e in fams]
-            bound = concat_bound(parts)
+            bound = concat_bound(_read_families(args.families))
         elif name == "e1l":
             if args.e1l_base is None or args.e1l_eps is None:
                 raise InvalidSpecError("--e1l-base and --e1l-eps are required for the e1l bound")
@@ -375,7 +386,7 @@ def _cmd_report(cfg: RunConfig, args) -> int:
     orbits = []
     for n in cfg.checkpoints:
         if n + cfg.tail <= spec.total_length:
-            iv = orbit_point(exp, n, tail=cfg.tail)
+            iv = orbit_point(exp, n, tail=cfg.tail, cap=cfg.cap)
             orbits.append({"n": n, "lo": str(iv.lo), "hi": str(iv.hi)})
         else:
             orbits.append({"n": n, "lo": None, "hi": None})
@@ -536,12 +547,13 @@ def main(argv=None) -> int:
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InvalidSpecError, NeedsMoreDigitsError) as exc:
+    except (InvalidSpecError, NeedsMoreDigitsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception:  # a fault in the library, not in the input
+        traceback.print_exc()
+        print("internal error", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

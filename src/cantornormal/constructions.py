@@ -27,9 +27,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from .blocks import Block, ConcatSpec, DigitString, concat, count_top_digit, digit_data, max_digit
-from .errors import InvalidSpecError, NeedsMoreSegmentsError, SizeLimitError
-from .limits import resolve_cap
+from .errors import InvalidSpecError, NeedsMoreSegmentsError
+from .limits import check_cap
 from .weightings import Weighting, check_pb_uniform
 
 
@@ -49,9 +51,7 @@ def build_P(b: int, w: int, cap: int | None = None) -> Block:
     """
     _check_bw(b, w)
     total = w * (1 << (b * w))
-    limit = resolve_cap(cap)
-    if total > limit:  # refuse before enumerating the runs
-        raise SizeLimitError(total, limit)
+    check_cap(total, cap)  # refuse before enumerating the runs
     return Block(b + 1, concat(build_P_runs(b, w, cap=cap), cap=cap).digits)
 
 
@@ -63,9 +63,7 @@ def build_P_runs(b: int, w: int, cap: int | None = None) -> ConcatSpec:
     """
     _check_bw(b, w)
     runs = (b + 1) ** w
-    limit = resolve_cap(cap)
-    if runs > limit:
-        raise SizeLimitError(runs, limit, what="enumerated runs")
+    check_cap(runs, cap, what="enumerated runs")
     return ConcatSpec(tuple((copies, block) for block, copies in build_P_copies(b, w)))
 
 
@@ -89,15 +87,12 @@ def build_C(b: int, w: int, cap: int | None = None) -> Block:
     """Plain enumeration block: every base-b block of length w once, in order."""
     _check_bw(b, w)
     total = w * b**w
-    limit = resolve_cap(cap)
-    if total > limit:
-        raise SizeLimitError(total, limit)
-    if b <= 256:
-        return Block(b, b"".join(bytes(tup) for tup in itertools.product(range(b), repeat=w)))
-    out: list[int] = []
-    for tup in itertools.product(range(b), repeat=w):
-        out.extend(tup)
-    return Block(b, tuple(out))
+    check_cap(total, cap)
+    # block number (i_0, ..., i_{w-1}) in lexicographic order has digit j = i_j
+    grid = np.empty((b,) * w + (w,), dtype=np.min_scalar_type(b - 1))
+    for j in range(w):
+        grid[..., j] = np.arange(b).reshape((b,) + (1,) * (w - 1 - j))
+    return Block(b, grid.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -116,7 +111,7 @@ class SegmentSpec:
             raise InvalidSpecError(f"segment base must be an integer >= 2, got {self.base}")
         if not isinstance(self.block, Block) or len(self.block) == 0:
             raise InvalidSpecError("segment block must be a nonempty Block")
-        top = max_digit(self.block.digits)
+        top = max_digit(self.block)
         if top >= self.base:
             raise InvalidSpecError(f"segment digits reach {top}, not valid for base {self.base}")
 
@@ -217,16 +212,14 @@ class ConstructionSpec:
 
     def digits_prefix(self, n_max: int, cap: int | None = None) -> DigitString:
         """Materialize the first n_max digits (size-capped)."""
-        limit = resolve_cap(cap)
-        if n_max > limit:
-            raise SizeLimitError(n_max, limit)
+        limit = check_cap(n_max, cap)
         parts = []
         for seg, take in self.prefix_parts(n_max):
             full, rem = divmod(take, len(seg.block))
             parts.append((full, seg.block))
             if rem:
                 parts.append((1, seg.block[:rem]))
-        return concat(parts, cap=limit) if parts else DigitString(b"")
+        return concat(parts, cap=limit) if parts else DigitString(())
 
     def to_json(self) -> dict:
         segments = []
@@ -259,18 +252,17 @@ class ConstructionSpec:
                 gen = block_obj["gen"]
             except (TypeError, KeyError, ValueError) as exc:
                 raise InvalidSpecError(f"segment {idx}: malformed entry") from exc
-            if gen == "P":
-                gb, gw = int(block_obj["b"]), int(block_obj["w"])
-                block = build_P(gb, gw, cap=cap)
-                generator: tuple | None = ("P", gb, gw)
-            elif gen == "C":
-                gb, gw = int(block_obj["b"]), int(block_obj["w"])
-                block = build_C(gb, gw, cap=cap)
-                generator = ("C", gb, gw)
+            if gen in ("P", "C"):
+                try:
+                    gb, gw = int(block_obj["b"]), int(block_obj["w"])
+                except (TypeError, KeyError, ValueError) as exc:
+                    raise InvalidSpecError(f"segment {idx}: generator {gen} needs integer 'b' and 'w'") from exc
+                block = (build_P if gen == "P" else build_C)(gb, gw, cap=cap)
+                generator: tuple | None = (gen, gb, gw)
             elif gen == "explicit":
                 digits = block_obj.get("digits")
-                if not isinstance(digits, list):
-                    raise InvalidSpecError(f"segment {idx}: explicit block needs 'digits'")
+                if not (isinstance(digits, list) and all(type(d) is int for d in digits)):
+                    raise InvalidSpecError(f"segment {idx}: explicit block needs a 'digits' list of integers")
                 block = Block(base, digits)
                 generator = None
             else:
@@ -291,9 +283,7 @@ class ConstructionSpec:
 
 def assemble(spec: ConstructionSpec, n_max: int, cap: int | None = None) -> tuple[list[int], DigitString]:
     """Materialize the first n_max base entries and digits of a spec."""
-    limit = resolve_cap(cap)
-    if n_max > limit:
-        raise SizeLimitError(n_max, limit)
+    limit = check_cap(n_max, cap)
     digits = spec.digits_prefix(n_max, cap=limit)
     q: list[int] = []
     for base, run in spec.q_runs(n_max):

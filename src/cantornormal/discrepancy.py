@@ -112,9 +112,9 @@ def scaled_digits(block, b: int) -> tuple[Fraction, ...]:
     digits = digit_data(block)
     if not isinstance(b, int) or b < 1:
         raise ValueError(f"b must be an integer >= 1, got {b}")
-    if digits and (top := max_digit(digits)) >= b:
+    if len(digits) and (top := max_digit(digits)) >= b:
         raise ValueError(f"digit {top} not below {b}")
-    return tuple(Fraction(d, b) for d in digits)
+    return tuple(Fraction(d, b) for d in digits.tolist())
 
 
 def e1l_bound(b: int, eps, length: int) -> Fraction:

@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: usage/validation problems (including
 ``InvalidSpecError`` and plain ``ValueError``) exit 2, size-limit refusals
-exit 3, and a failed verification certificate exits 1.
+exit 3, and a failed verification certificate exits 1.  Any other exception
+is a fault in the library and exits 4 with its traceback.
 """
 from __future__ import annotations
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import os
 
+from .errors import SizeLimitError
+
 DEFAULT_SIZE_CAP = 10**8
 ENV_VAR = "CNL_SIZE_CAP"
 
@@ -30,3 +32,11 @@ def resolve_cap(cap: int | None = None) -> int:
             raise ValueError(f"{ENV_VAR} must be positive, got {value}")
         return value
     return DEFAULT_SIZE_CAP
+
+
+def check_cap(required: int, cap: int | None = None, what: str = "digits") -> int:
+    """Refuse work of size ``required`` above the effective cap; return the cap."""
+    limit = resolve_cap(cap)
+    if required > limit:
+        raise SizeLimitError(required, limit, what)
+    return limit

@@ -55,8 +55,6 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, bytes):
-        return list(value)
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
@@ -345,16 +343,11 @@ def _require_family(spec: ConstructionSpec, family: str, claim: str) -> None:
         )
 
 
-def verify_t0_scaled(
-    spec: ConstructionSpec | None = None, n_checkpoints: int = 100, M: int = 64
-) -> Certificate:
-    """Orbit collapse: at each checkpoint n, the enclosure of the shifted
-    value satisfies hi <= (j+1)/2**j + 2**-M, where j is the segment index
-    of position n+1; and the next digit satisfies E_{n+1} <= j.
-    """
+def _orbit_claim_setup(spec: ConstructionSpec | None, claim: str, n_checkpoints: int, M: int):
+    """(spec, params, expansion, shift counts n) of the two qnex-scaled orbit claims."""
     if spec is None:
         spec = qnex_spec()
-    _require_family(spec, "qnex-scaled", "t0-scaled")
+    _require_family(spec, "qnex-scaled", claim)
     if not (isinstance(M, int) and M >= 1):
         raise ValueError(f"M must be an integer >= 1, got {M}")
     total = spec.total_length
@@ -363,6 +356,17 @@ def verify_t0_scaled(
     params = {"n_checkpoints": n_checkpoints, "M": M, "spec_family": spec.family}
     exp = CantorExpansion.from_spec(spec)
     positions = sorted({min(pos - 1, total - M) for pos in _segment_checkpoints(spec, n_checkpoints)})
+    return spec, params, exp, positions
+
+
+def verify_t0_scaled(
+    spec: ConstructionSpec | None = None, n_checkpoints: int = 100, M: int = 64
+) -> Certificate:
+    """Orbit collapse: at each checkpoint n, the enclosure of the shifted
+    value satisfies hi <= (j+1)/2**j + 2**-M, where j is the segment index
+    of position n+1; and the next digit satisfies E_{n+1} <= j.
+    """
+    spec, params, exp, positions = _orbit_claim_setup(spec, "t0-scaled", n_checkpoints, M)
     checked = 0
     per_segment_max: dict[int, Fraction] = {}
     ulp = Fraction(1, 2**M)
@@ -406,17 +410,7 @@ def verify_notdn_scaled(
     1 - (j_min+1)/2**j_min - 2**-M.  j_min is the smallest segment index
     covered and must be >= 6 for the threshold to mean anything.
     """
-    if spec is None:
-        spec = qnex_spec()
-    _require_family(spec, "qnex-scaled", "notdn-scaled")
-    if not (isinstance(M, int) and M >= 1):
-        raise ValueError(f"M must be an integer >= 1, got {M}")
-    total = spec.total_length
-    if total < M + 1:
-        raise NeedsMoreDigitsError(M + 1, total)
-    params = {"n_checkpoints": n_checkpoints, "M": M, "spec_family": spec.family}
-    exp = CantorExpansion.from_spec(spec)
-    positions = sorted({min(pos - 1, total - M) for pos in _segment_checkpoints(spec, n_checkpoints)})
+    spec, params, exp, positions = _orbit_claim_setup(spec, "notdn-scaled", n_checkpoints, M)
     j_min = min(spec.t0_index(n) for n in positions)
     if j_min < 6:
         raise InvalidSpecError(f"checkpoints must lie in segments >= 6, found segment {j_min}")
@@ -478,7 +472,7 @@ def epsbar_rows(spec: ConstructionSpec, positions, eps_fn=None) -> list[tuple]:
 
 
 def verify_mqd_scaled(
-    spec: ConstructionSpec | None = None, checkpoints=None, eps_fn=None
+    spec: ConstructionSpec | None = None, checkpoints=40, eps_fn=None
 ) -> Certificate:
     """Prefix discrepancy control on the both-senses-normal family.
 
@@ -486,14 +480,13 @@ def verify_mqd_scaled(
     interpolation preconditions are evaluated; where they hold, the exact
     star discrepancy of the scaled digits E_m/q_m (m <= n) must stay below
     epsbar_i.  Checkpoints before the preconditions first hold are reported
-    unasserted.  At least one checkpoint must be asserted.
+    unasserted.  At least one checkpoint must be asserted.  ``checkpoints``
+    is a budget of positions spread across the segments, or the positions.
     """
     if spec is None:
         spec = qde_spec()
     _require_family(spec, "qde-scaled", "mqd-scaled")
-    if checkpoints is None:
-        positions = _segment_checkpoints(spec, 40)
-    elif isinstance(checkpoints, int):
+    if isinstance(checkpoints, int):
         positions = _segment_checkpoints(spec, checkpoints)
     else:
         positions = sorted(set(int(n) for n in checkpoints))
@@ -562,7 +555,7 @@ def verify_salat_counterexample(m_rows: int = 200) -> Certificate:
     sample_rows = sorted({m for m in (50, 100, 150, 200) if m <= m_rows} | {m_rows})
     with _Timer() as t:
         q, digits = _constructions.salat_counterexample_spec(n_total)
-        raw = digits.digits
+        raw = digits.as_tuple()
         if len(raw) != n_total or len(q) != n_total:
             raise InvalidSpecError(
                 f"expected {n_total} positions, got {len(raw)} digits and {len(q)} base entries"
@@ -691,8 +684,9 @@ def run_claim(
 
     ``grid`` maps parameter names to lists of integers (from CLI syntax
     like ``b=2..6,w=1..3``).  Range-style claims receive the lists whole;
-    point-style claims get one run per Cartesian-product point.  ``cap``
-    reaches the claims in CAPPED_CLAIMS.
+    point-style claims get one run per Cartesian-product point.  A name the
+    verifier does not take is an InvalidSpecError.  ``cap`` reaches the
+    claims in CAPPED_CLAIMS.
     """
     if claim not in CLAIMS:
         raise InvalidSpecError(
@@ -701,6 +695,18 @@ def run_claim(
     fn, kind = CLAIMS[claim]
     kwargs = _with_cap(claim, kwargs, cap)
     grid = dict(grid or {})
+    # grids carry integers: a range-style claim takes its *_range lists
+    # (named without the suffix), the others their integer parameters
+    params = inspect.signature(fn).parameters.values()
+    if kind == "range":
+        accepted = sorted(p.name.removesuffix("_range") for p in params if p.name.endswith("_range"))
+    else:
+        accepted = sorted(p.name for p in params if p.default is p.empty or type(p.default) is int)
+    unknown = sorted(set(grid) - set(accepted))
+    if unknown:
+        raise InvalidSpecError(
+            f"claim {claim} takes no grid parameter {unknown[0]!r}; accepted: {', '.join(accepted)}"
+        )
     if kind == "range":
         call_kwargs = dict(kwargs)
         for key, values in grid.items():

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blocks import ConcatSpec, digit_data, max_digit, tally_blocks
-from .errors import SizeLimitError
-from .limits import resolve_cap
+from .limits import check_cap
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -82,7 +81,7 @@ class Weighting:
     def weight(self, block) -> Fraction:
         """Mass of a block: the product of its digit masses (1 for empty)."""
         total = _ONE
-        for d in digit_data(block):
+        for d in digit_data(block).tolist():
             w = self.digit_weight(d)
             if w == 0:
                 return _ZERO
@@ -129,7 +128,7 @@ def check_consistency(mu: Weighting, k: int, block) -> bool:
     For a properly normalized weighting this is an identity; a corrupted
     digit table breaks it on any block of nonzero mass.
     """
-    digits = tuple(digit_data(block))
+    digits = tuple(digit_data(block).tolist())
     if len(digits) != k:
         raise ValueError(f"block has length {len(digits)}, expected k={k}")
     base_mass = mu.weight(digits)
@@ -152,10 +151,8 @@ def check_pb_uniform(mu: Weighting, p: int, b: int, k_max: int, cap: int | None 
         raise ValueError(f"b must be an integer >= 1, got {b}")
     if not isinstance(k_max, int) or k_max < 1:
         raise ValueError(f"k_max must be an integer >= 1, got {k_max}")
-    limit = resolve_cap(cap)
     for k in range(1, k_max + 1):
-        if p**k > limit:
-            raise SizeLimitError(p**k, limit, what="enumerated blocks")
+        check_cap(p**k, cap, what="enumerated blocks")
         target = Fraction(1, b**k)
         for tup in itertools.product(range(p), repeat=k):
             if mu.weight(tup) != target:
@@ -234,9 +231,7 @@ def check_eps_k_normal(y, eps, k: int, mu: Weighting, cap: int | None = None) ->
     if n == 0:
         raise ValueError("normality check needs a nonempty digit string")
     alphabet = max(mu.support_bound, max_digit(text)) + 1
-    limit = resolve_cap(cap)
-    if alphabet**k > limit:
-        raise SizeLimitError(alphabet**k, limit, what="enumerated blocks")
+    check_cap(alphabet**k, cap, what="enumerated blocks")
     for m in range(1, k + 1):
         tallies = tally_blocks(text, m, alphabet_size=alphabet) if n >= m else {}
         for tup in itertools.product(range(alphabet), repeat=m):

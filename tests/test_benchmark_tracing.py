@@ -6,9 +6,11 @@ of them makes the traced benchmark run crash, so the names are checked here.
 """
 import importlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
-from cantornormal.constructions import ConstructionSpec
+from cantornormal.constructions import ConstructionSpec, build_P_runs
+from cantornormal.weightings import check_eps_k_normal, nu
 
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
 
@@ -33,3 +35,15 @@ def test_traced_functions_exist():
         if not callable(getattr(ConstructionSpec, attr, None))
     ]
     assert not missing, f"benchmarks/tracing.py wraps missing functions: {missing}"
+
+
+def test_work_counts_on_run_verdict_are_python_ints():
+    # the eknu (b=6, w=2, k=1) job of verify_all checks a ConcatSpec of runs:
+    # 2 * 2**12 digits over the alphabet 0..6, all 7 one-digit blocks compared
+    tracing = _load_tracing()
+    runs = build_P_runs(6, 2)
+    args = (runs, Fraction(1, 2), 1, nu(6))
+    verdict = check_eps_k_normal(*args)
+    assert verdict.passed
+    for got, literal in ((tracing._len_of(runs), 2 * 2**12), (tracing._blocks_checked(args, {}, verdict), 7)):
+        assert type(got) is int and got == literal

@@ -215,6 +215,16 @@ def test_q_moment_validation():
         q_moment(BasicSequence.explicit([2, 2]), 2, 2)  # needs q_3
 
 
+def test_q_moment_position_loop_honours_size_cap():
+    Q = BasicSequence.from_spec(qde_spec(i_max=4))
+    assert q_moment(Q, 50, 2, cap=50) == slow_q_moment(Q.prefix(51), 2)
+    with pytest.raises(SizeLimitError):
+        q_moment(Q, 51, 2, cap=50)
+    # the closed forms loop over no positions, so the cap leaves them alone
+    assert q_moment(Q, 51, 1, cap=50) == slow_q_moment(Q.prefix(51), 1)
+    assert q_moment(BasicSequence.constant(2), 10**9, 2, cap=50) == Fraction(10**9, 4)
+
+
 def test_normality_ratio_frozen():
     Q = BasicSequence.constant(2)
     exp = CantorExpansion.from_digits(Q, (0, 1) * 5)
@@ -257,6 +267,13 @@ def test_orbit_point_validation():
     with pytest.raises(ValueError):
         orbit_point(exp, 1, tail=0)
     assert orbit_point(exp, 0, tail=2).lo == Fraction(1, 2) + Fraction(2, 6)
+
+
+def test_orbit_point_tail_honours_size_cap():
+    exp = CantorExpansion.from_digits(BasicSequence.explicit([2, 3, 4]), (1, 2, 3))
+    assert orbit_point(exp, 0, tail=3, cap=3).lo == Fraction(1, 2) + Fraction(2, 6) + Fraction(3, 24)
+    with pytest.raises(SizeLimitError):
+        orbit_point(exp, 0, tail=4, cap=3)
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +325,13 @@ def test_scaled_value_counts_matches_brute_force():
 
 
 # small segments (multiplicity, base, block): zero multiplicities, and bases
-# up to 301 so digits reach 300 and leave the byte-packed form
+# up to 301 so digits reach 300 and leave the uint8 dtype, or 2**64 + 1 so a
+# digit may be 2**64 and need the object dtype
 segments = st.lists(
-    st.tuples(st.integers(0, 4), st.integers(2, 301)).flatmap(
-        lambda mb: st.lists(st.integers(0, mb[1] - 1), min_size=1, max_size=5).map(
+    st.tuples(st.integers(0, 4), st.integers(2, 301) | st.just(2**64 + 1)).flatmap(
+        lambda mb: st.lists(
+            st.integers(0, min(mb[1], 301) - 1) | st.just(mb[1] - 1), min_size=1, max_size=5
+        ).map(
             lambda digits: SegmentSpec(mb[0], Block(mb[1], digits), mb[1])
         )
     ),

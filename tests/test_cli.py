@@ -229,6 +229,16 @@ def test_orbit_matches_library(capsys, spec_file):
         assert row["lo_decimal"] == pytest.approx(float(iv.lo))
 
 
+def test_per_position_loops_honour_cap(capsys, spec_file):
+    # moments at k = 2 on a spec loop once per position, orbit once per tail digit
+    argv = ["moments", "--family", "qnex-scaled", "--k", "2", "--checkpoints", "200000000"]
+    assert main(argv) == 3
+    assert main(["moments", "--spec", spec_file, "--k", "2", "--checkpoints", "9", "--cap", "8"]) == 3
+    assert main(["moments", "--spec", spec_file, "--k", "2", "--checkpoints", "8", "--cap", "8"]) == 0
+    assert main(["orbit", "--spec", spec_file, "--checkpoints", "1", "--tail", "5", "--cap", "4"]) == 3
+    assert "size cap" in capsys.readouterr().err
+
+
 def test_orbit_csv_header(capsys, spec_file):
     code = main(
         [
@@ -290,6 +300,17 @@ def test_discrepancy_kn2_from_families_file(tmp_path, capsys):
     assert code == 0
     assert payload["discrepancy"] == "1/20"
     assert payload["bounds"]["kn2"] == "7/20"
+
+
+@pytest.mark.parametrize("families", [{"a": 1}, [[2, 3]], [2, 3, "1/4"], [[2, {}, "1/4"]], [[2, 3, "x"]]])
+def test_discrepancy_kn2_malformed_families_exits_2(tmp_path, capsys, families):
+    seq = tmp_path / "points.txt"
+    seq.write_text("1/2\n")
+    fams = tmp_path / "families.json"
+    fams.write_text(json.dumps(families))
+    argv = ["discrepancy", "--in", str(seq), "--bounds", "kn2", "--families", str(fams)]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_discrepancy_violated_bound_exits_1(tmp_path, capsys):
@@ -360,6 +381,25 @@ def test_verify_failing_claim_exits_1(monkeypatch, capsys):
 
 def test_verify_bad_grid_exits_2(capsys):
     assert main(["verify", "--claim", "lemma-amount", "--grid", "b=..2"]) == 2
+
+
+def test_verify_unknown_grid_name_exits_2(capsys):
+    assert main(["verify", "--claim", "eknu", "--grid", "foo=1"]) == 2
+    err = capsys.readouterr().err
+    assert "'foo'" in err and "accepted: b, k, w" in err
+    # range-style claims name their *_range parameters without the suffix
+    assert main(["verify", "--claim", "lemma-amount", "--grid", "b_range=2"]) == 2
+    assert "accepted: b, w" in capsys.readouterr().err
+
+
+def test_internal_error_exits_4_with_traceback(monkeypatch, capsys):
+    def broken(**kwargs):
+        raise TypeError("a fault inside the verifier")
+
+    monkeypatch.setitem(CLAIMS, "zz-broken", (broken, "plain"))
+    assert main(["verify", "--claim", "zz-broken"]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "a fault inside the verifier" in err and "internal error" in err
 
 
 def test_verify_all_with_zero_budget(capsys):
@@ -456,6 +496,10 @@ def test_malformed_spec_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["construct", "--spec", str(bad), "--n-max", "5"]) == 2
+    # a generator without its parameters, and explicit digits that are not integers
+    for block in ({"gen": "P", "b": 2}, {"gen": "explicit", "digits": [0, [1]]}):
+        bad.write_text(json.dumps({"segments": [{"l": 1, "base": 3, "block": block}]}))
+        assert main(["construct", "--spec", str(bad), "--n-max", "1"]) == 2
 
 
 def test_missing_input_file_exits_2(tmp_path, capsys):

@@ -114,7 +114,7 @@ def test_build_P_runs_describe_build_P(b, w):
     runs = build_P_runs(b, w)
     assert len(runs.parts) == (b + 1) ** w
     assert len(runs) == w * 2 ** (b * w)
-    assert concat(runs).digits == build_P(b, w).digits
+    assert concat(runs).as_tuple() == build_P(b, w).as_tuple()
 
 
 def test_build_P_runs_cap_counts_runs_not_digits():
