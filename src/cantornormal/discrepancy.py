@@ -9,11 +9,20 @@ come in as Fractions, the sup is attained at a point value or its
 one-sided limit, and the bounds (sorted-grid, concatenation, scaled-block)
 are evaluated in rational arithmetic so that an inequality either holds
 or visibly fails.
+
+One integer kernel computes D*: ``star_discrepancy_from_counts`` sweeps
+the distinct values in ascending order (Kuipers & Niederreiter, Ch. 2,
+Thm 1.4).  Each value p/q is ordered by the integer key (p << s) // q,
+with 2**s above the square of every denominator, so distinct values get
+distinct keys; each sweep candidate is an integer over q * n, and the
+running maximum is compared by cross-multiplication.  Only the result
+is built as a Fraction.  ``star_discrepancy`` and ``kn1_bound`` reduce
+their points to runs of equal values and call the kernel.
 """
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Iterable, Sequence
+import operator
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,15 +33,45 @@ def unit_sequence(zs) -> tuple[Fraction, ...]:
     """Validate and convert points to exact Fractions in [0, 1)."""
     out = []
     for i, z in enumerate(zs):
-        f = Fraction(z)
-        if not 0 <= f < 1:
+        f = z if isinstance(z, Fraction) else Fraction(z)
+        p, q = f.as_integer_ratio()
+        if not 0 <= p < q:
             raise ValueError(f"point {i} is {f}, outside [0, 1)")
         out.append(f)
     return tuple(out)
 
 
-def star_discrepancy_from_counts(value_counts: dict, n: int) -> Fraction:
-    """D* from a value -> multiplicity table (n = total count).
+def _key_shift(max_q: int) -> int:
+    """Shift s with 2**s > max_q**2: then (p << s) // q is strictly monotone.
+
+    Distinct reduced values p/q < p'/q' differ by at least 1/(q q'), which
+    is more than 2**-s, so a multiple of 2**-s separates them.
+    """
+    return 2 * max_q.bit_length()
+
+
+def _ratio(v) -> tuple[int, int]:
+    """Numerator and denominator of v in lowest terms."""
+    return (v if isinstance(v, Fraction) else Fraction(v)).as_integer_ratio()
+
+
+def _count(c) -> int:
+    try:
+        c = operator.index(c)
+    except TypeError:
+        raise ValueError(f"count {c!r} is not an integer") from None
+    if c < 0:
+        raise ValueError(f"count {c} is negative")
+    return c
+
+
+def star_discrepancy_from_counts(value_counts, n: int) -> Fraction:
+    """D* of n points from a value -> multiplicity table.
+
+    ``value_counts`` is a mapping, or a sequence of (value, count) pairs
+    with distinct values.  Values are ints or Fractions (anything else
+    goes through ``Fraction``) in [0, 1); counts are integers >= 0 that
+    sum to at most n.  Mass left out of the table lies above every value.
 
     Over distinct sorted values v_1 < ... < v_r with cumulative counts
     c_1 <= ... <= c_r, the sup is max over t of
@@ -40,23 +79,70 @@ def star_discrepancy_from_counts(value_counts: dict, n: int) -> Fraction:
     (= 0 when all mass is counted).  Left limits at each v_t and the
     endpoint gamma = 1 are covered by those terms.
     """
-    if n <= 0:
+    if operator.index(n) <= 0:
         raise ValueError(f"need a positive point count, got {n}")
-    best = Fraction(0)
+    if isinstance(value_counts, Mapping):
+        pairs = value_counts.items()
+    else:  # read twice below, so a one-shot iterable is copied
+        pairs = value_counts if isinstance(value_counts, Sequence) else list(value_counts)
+    total = 0
+    max_q = 1
+    for v, c in pairs:
+        p, q = _ratio(v)
+        if not 0 <= p < q:
+            raise ValueError(f"value {v} outside [0, 1)")
+        total += _count(c)
+        if q > max_q:
+            max_q = q
+    if total > n:
+        raise ValueError(f"counts sum to {total}, more than n = {n}")
+    s = _key_shift(max_q)
+
+    def key(pair):
+        p, q = _ratio(pair[0])
+        return (p << s) // q
+
+    # candidates are num / (den * n); start from the right-end gap
+    best_num, best_den = n - total, 1
     cum = 0
-    for v in sorted(value_counts):
-        below = Fraction(cum, n)  # A just left of v
-        vf = Fraction(v)
-        if vf - below > best:
-            best = vf - below
-        cum += value_counts[v]
-        at = Fraction(cum, n)  # A over [0, v]
-        if at - vf > best:
-            best = at - vf
-    right_gap = 1 - Fraction(cum, n)
-    if right_gap > best:
-        best = right_gap
-    return best
+    for v, c in sorted(pairs, key=key):
+        p, q = _ratio(v)
+        pn = p * n
+        below = pn - cum * q  # v - A just left of v
+        cum += c
+        at = cum * q - pn  # A over [0, v] - v
+        d = below if below > at else at
+        if d * best_den > best_num * q:
+            best_num, best_den = d, q
+    return Fraction(best_num, best_den * n)
+
+
+def _value_runs(zs: tuple[Fraction, ...], presorted: bool) -> list[tuple[Fraction, int]]:
+    """(value, count) runs of equal points, ascending.
+
+    With ``presorted`` the points must already ascend, which is checked on
+    the integer keys; otherwise they are sorted by those keys.
+    """
+    s = _key_shift(max(z.denominator for z in zs))
+
+    def key(z):
+        p, q = z.as_integer_ratio()
+        return (p << s) // q
+
+    runs = []
+    first, count, prev = None, 0, -1
+    for z in zs if presorted else sorted(zs, key=key):
+        k = key(z)
+        if k == prev:
+            count += 1
+            continue
+        if k < prev:
+            raise ValueError("displacement bound needs the sequence sorted ascending")
+        if count:
+            runs.append((first, count))
+        first, count, prev = z, 1, k
+    runs.append((first, count))
+    return runs
 
 
 def star_discrepancy(zs) -> Fraction:
@@ -64,7 +150,7 @@ def star_discrepancy(zs) -> Fraction:
     zs = unit_sequence(zs)
     if not zs:
         raise ValueError("star discrepancy of an empty sequence is undefined")
-    return star_discrepancy_from_counts(Counter(zs), len(zs))
+    return star_discrepancy_from_counts(_value_runs(zs, presorted=False), len(zs))
 
 
 def kn1_bound(zs) -> Fraction:
@@ -72,17 +158,14 @@ def kn1_bound(zs) -> Fraction:
 
     For z_1 <= ... <= z_n:  D*(z) = 1/(2n) + max_i |z_i - (2i-1)/(2n)|
     (Kuipers & Niederreiter, Ch. 2, Thm 1.4).  The identity holds for every
-    sorted input, ties included, so this equals star_discrepancy(z).
+    sorted input, ties included, so this equals star_discrepancy(z), and it
+    is computed as such: the kernel's sweep over the runs of equal values.
     Requires sorted input.
     """
     zs = unit_sequence(zs)
-    n = len(zs)
-    if n == 0:
+    if not zs:
         raise ValueError("empty sequence")
-    if any(a > b for a, b in zip(zs, zs[1:])):
-        raise ValueError("displacement bound needs the sequence sorted ascending")
-    disp = max(abs(z - Fraction(2 * i - 1, 2 * n)) for i, z in enumerate(zs, start=1))
-    return Fraction(1, 2 * n) + disp
+    return star_discrepancy_from_counts(_value_runs(zs, presorted=True), len(zs))
 
 
 def concat_bound(parts: Sequence[tuple[int, int, Fraction]]) -> Fraction:

@@ -572,6 +572,7 @@ def verify_salat_counterexample(m_rows: int = 200) -> Certificate:
         d_samples: list[tuple[int, Fraction]] = []
         normalizer_samples: list[tuple[int, Fraction]] = []
         for m in range(1, m_rows + 1):
+            run_base, run_len = None, 0
             for _ in range(m):
                 base = q[pos]
                 if not (isinstance(base, int) and base >= 2 and 0 <= raw[pos] < base):
@@ -580,8 +581,14 @@ def verify_salat_counterexample(m_rows: int = 200) -> Certificate:
                     )
                 v = Fraction(raw[pos], base)
                 counts[v] = counts.get(v, 0) + 1
-                recip_sum += Fraction(1, base)
+                # 1/base is added once per run of equal bases
+                if base != run_base:
+                    if run_len:
+                        recip_sum += Fraction(run_len, run_base)
+                    run_base, run_len = base, 0
+                run_len += 1
                 pos += 1
+            recip_sum += Fraction(run_len, run_base)
             h = recip_sum / pos
             if hyp_values and h >= hyp_values[-1] and first_increase is None:
                 hyp_decreasing = False

@@ -147,6 +147,14 @@ def test_digits_to_value_needs_n_when_unbounded():
     assert digits_to_value(exp, 3).lo == 0
 
 
+def test_digits_to_value_honours_size_cap():
+    exp = CantorExpansion(BasicSequence.constant(2), lambda n: 1)
+    assert digits_to_value(exp, 3, cap=3).lo == Fraction(7, 8)
+    # refused before the loop starts, however far the expansion reaches
+    with pytest.raises(SizeLimitError):
+        digits_to_value(exp, 10**12, cap=3)
+
+
 def test_value_to_digits_frozen():
     Q = BasicSequence.constant(2)
     assert value_to_digits(Fraction(1, 3), Q, 6).as_tuple() == (0, 1, 0, 1, 0, 1)
@@ -156,6 +164,13 @@ def test_value_to_digits_frozen():
         value_to_digits(Fraction(1), Q, 3)
     with pytest.raises(ValueError):
         value_to_digits(Fraction(-1, 2), Q, 3)
+
+
+def test_value_to_digits_honours_size_cap():
+    Q = BasicSequence.constant(2)
+    assert value_to_digits(Fraction(1, 3), Q, 4, cap=4).as_tuple() == (0, 1, 0, 1)
+    with pytest.raises(SizeLimitError):
+        value_to_digits(Fraction(1, 3), Q, 10**12, cap=4)
 
 
 @given(rationals, base_lists)
@@ -296,6 +311,13 @@ def test_salat_sequence_frozen():
         Fraction(2, 4),
         Fraction(3, 4),
     )
+
+
+def test_salat_sequence_honours_size_cap():
+    exp = CantorExpansion(BasicSequence.constant(3), lambda n: 2)
+    assert salat_sequence(exp, 2, cap=2) == (Fraction(2, 3), Fraction(2, 3))
+    with pytest.raises(SizeLimitError):
+        salat_sequence(exp, 10**12, cap=2)
 
 
 def test_salat_hypothesis_frozen():

@@ -1,5 +1,7 @@
 """Star discrepancy, its classical bounds, and the interpolation bound."""
 
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -88,11 +90,106 @@ def test_counts_interface_partial_mass():
         star_discrepancy_from_counts({}, 0)
 
 
+@pytest.mark.parametrize(
+    "table, n",
+    [
+        ({Fraction(3, 2): 1}, 1),  # value above 1
+        ({1: 1}, 1),  # value 1 itself
+        ({Fraction(-1, 3): 1}, 1),  # value below 0
+        ({Fraction(1, 2): 5}, 1),  # counts sum past n
+        ({Fraction(1, 2): -3}, 4),  # negative count
+        ({Fraction(1, 2): Fraction(1, 2)}, 1),  # fractional count
+        ({Fraction(1, 2): 1.0}, 1),  # float count
+    ],
+)
+def test_counts_interface_rejects_invalid_tables(table, n):
+    with pytest.raises(ValueError):
+        star_discrepancy_from_counts(table, n)
+
+
+def test_counts_interface_accepts_pairs_and_int_keys():
+    table = {0: 1, Fraction(1, 2): 2}
+    d = sweep_dstar([Fraction(0), Fraction(1, 2), Fraction(1, 2)])
+    assert star_discrepancy_from_counts(table, 3) == d
+    assert star_discrepancy_from_counts([(Fraction(1, 2), 2), (0, 1)], 3) == d
+    assert star_discrepancy_from_counts(iter(table.items()), 3) == d
+
+
 @given(points)
 def test_kn1_bounds_discrepancy_on_sorted_input(zs):
     # the bound is tight: the displacement formula is D* itself on any sorted
     # input, ties included (Kuipers & Niederreiter, Ch. 2, Thm 1.4)
     assert kn1_bound(sorted(zs)) == star_discrepancy(zs) == sweep_dstar(zs)
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel on hard inputs: ties, the ends of [0, 1), denominators
+# above 2**100, and Farey neighbours a/q < c/r (c q - a r = 1), which lie
+# exactly 1/(q r) apart and arrive in descending order.
+# ---------------------------------------------------------------------------
+
+BIG = 2**100
+
+
+@st.composite
+def farey_pairs(draw):
+    """(a/q, c/r) with c q - a r = 1 and q > 2**100."""
+    q = draw(st.integers(BIG, 2 * BIG))
+    a = draw(st.integers(1, q - 2).filter(lambda a: math.gcd(a, q) == 1))
+    r = -pow(a, -1, q) % q
+    c = (1 + a * r) // q
+    return Fraction(a, q), Fraction(c, r)
+
+
+def _fractions(den_lo, den_hi):
+    return st.integers(den_lo, den_hi).flatmap(
+        lambda q: st.integers(0, q - 1).map(lambda p: Fraction(p, q))
+    )
+
+
+_ends = st.integers(1, 2 * BIG).flatmap(
+    lambda q: st.sampled_from([Fraction(0), Fraction(q - 1, q)])
+)
+_repeated = st.tuples(
+    st.one_of(_fractions(1, 12), _fractions(BIG, 2 * BIG), _ends), st.integers(1, 3)
+).map(lambda zc: [zc[0]] * zc[1])
+_descending_pair = farey_pairs().map(lambda pair: [pair[1], pair[0]])
+hard_points = st.lists(st.one_of(_repeated, _descending_pair), min_size=1, max_size=12).map(
+    lambda chunks: [z for chunk in chunks for z in chunk]
+)
+
+
+def test_farey_pair_with_two_large_denominators():
+    q, a = BIG + 1, 10**29
+    r = -pow(a, -1, q) % q  # about 2**99
+    lo, hi = Fraction(a, q), Fraction((1 + a * r) // q, r)
+    assert hi - lo == Fraction(1, q * r)
+    assert star_discrepancy([hi, lo]) == kn1_bound([lo, hi]) == sweep_dstar([lo, hi])
+    assert star_discrepancy_from_counts({hi: 1, lo: 1}, 2) == sweep_dstar([lo, hi])
+    with pytest.raises(ValueError, match="sorted ascending"):
+        kn1_bound([hi, lo])
+
+
+@given(hard_points)
+@settings(max_examples=300)
+def test_every_dstar_entry_point_matches_sweep(zs):
+    d = sweep_dstar(zs)
+    assert star_discrepancy(zs) == d
+    assert kn1_bound(sorted(zs)) == d
+    counts = Counter(zs)  # keeps first-seen order: Farey pairs stay descending
+    assert star_discrepancy_from_counts(counts, len(zs)) == d
+    assert star_discrepancy_from_counts(list(counts.items()), len(zs)) == d
+
+
+@given(farey_pairs(), st.lists(_fractions(1, 12), max_size=4))
+def test_kn1_rejects_farey_pair_out_of_order(pair, others):
+    lo, hi = pair
+    with pytest.raises(ValueError, match="sorted ascending"):
+        kn1_bound([hi, lo])
+    # still out of order when other points sit below the pair
+    below = sorted(z for z in others if z < lo)
+    with pytest.raises(ValueError, match="sorted ascending"):
+        kn1_bound(below + [hi, lo])
 
 
 def test_kn1_frozen_and_validation():
