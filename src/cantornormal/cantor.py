@@ -155,8 +155,7 @@ class RationalInterval:
         return {"lo": str(self.lo), "hi": str(self.hi)}
 
 
-def digits_to_value(exp: CantorExpansion, n: int | None = None,
-                    cap: int | None = None) -> RationalInterval:
+def digits_to_value(exp: CantorExpansion, n: int | None = None) -> RationalInterval:
     """Enclose the represented real using the first n digits.
 
     The partial sum is a lower bound; adding one full unit in the last
@@ -170,7 +169,7 @@ def digits_to_value(exp: CantorExpansion, n: int | None = None,
         n = exp.horizon
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be an integer >= 0, got {n}")
-    check_cap(n, cap, what="positions")
+    check_cap(n, what="positions")
     num = 0
     den = 1
     for m in range(1, n + 1):
@@ -180,7 +179,7 @@ def digits_to_value(exp: CantorExpansion, n: int | None = None,
     return RationalInterval(Fraction(num, den), Fraction(num + 1, den))
 
 
-def value_to_digits(x, Q: BasicSequence, n: int, cap: int | None = None) -> DigitString:
+def value_to_digits(x, Q: BasicSequence, n: int) -> DigitString:
     """First n digits of x in [0, 1) against base sequence Q (greedy).
 
     Each step peels off the integer part of r * q_m.  For rational x this
@@ -192,7 +191,7 @@ def value_to_digits(x, Q: BasicSequence, n: int, cap: int | None = None) -> Digi
         raise ValueError(f"x must lie in [0, 1), got {x}")
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be an integer >= 0, got {n}")
-    check_cap(n, cap, what="positions")
+    check_cap(n, what="positions")
     out = []
     r = x
     for m in range(1, n + 1):
@@ -290,14 +289,14 @@ def orbit_point(exp: CantorExpansion, n: int, tail: int = 64, cap: int | None = 
     return RationalInterval(Fraction(num, den), Fraction(num + 1, den))
 
 
-def salat_sequence(exp: CantorExpansion, n: int, cap: int | None = None) -> tuple[Fraction, ...]:
+def salat_sequence(exp: CantorExpansion, n: int) -> tuple[Fraction, ...]:
     """Scaled digits E_m / q_m for m = 1..n, each in [0, 1).
 
     The n positions count against the size cap.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be an integer >= 0, got {n}")
-    check_cap(n, cap, what="positions")
+    check_cap(n, what="positions")
     return tuple(Fraction(exp.digit(m), exp.Q.q(m)) for m in range(1, n + 1))
 
 

@@ -68,10 +68,10 @@ def _count(c) -> int:
 def star_discrepancy_from_counts(value_counts, n: int) -> Fraction:
     """D* of n points from a value -> multiplicity table.
 
-    ``value_counts`` is a mapping, or a sequence of (value, count) pairs
-    with distinct values.  Values are ints or Fractions (anything else
-    goes through ``Fraction``) in [0, 1); counts are integers >= 0 that
-    sum to at most n.  Mass left out of the table lies above every value.
+    ``value_counts`` is a mapping, or an iterable of (value, count) pairs
+    with distinct values; it is read once.  Values are ints or Fractions
+    (anything else goes through ``Fraction``) in [0, 1); counts are
+    integers >= 0 that sum to at most n.  Mass left out of the table lies above every value.
 
     Over distinct sorted values v_1 < ... < v_r with cumulative counts
     c_1 <= ... <= c_r, the sup is max over t of
@@ -81,32 +81,28 @@ def star_discrepancy_from_counts(value_counts, n: int) -> Fraction:
     """
     if operator.index(n) <= 0:
         raise ValueError(f"need a positive point count, got {n}")
-    if isinstance(value_counts, Mapping):
-        pairs = value_counts.items()
-    else:  # read twice below, so a one-shot iterable is copied
-        pairs = value_counts if isinstance(value_counts, Sequence) else list(value_counts)
+    items = value_counts.items() if isinstance(value_counts, Mapping) else value_counts
+    table = []  # (p, q, count) per value, p/q in lowest terms
     total = 0
     max_q = 1
-    for v, c in pairs:
+    for v, c in items:
         p, q = _ratio(v)
         if not 0 <= p < q:
             raise ValueError(f"value {v} outside [0, 1)")
-        total += _count(c)
+        c = _count(c)
+        total += c
         if q > max_q:
             max_q = q
+        table.append((p, q, c))
     if total > n:
         raise ValueError(f"counts sum to {total}, more than n = {n}")
     s = _key_shift(max_q)
-
-    def key(pair):
-        p, q = _ratio(pair[0])
-        return (p << s) // q
+    table.sort(key=lambda t: (t[0] << s) // t[1])
 
     # candidates are num / (den * n); start from the right-end gap
     best_num, best_den = n - total, 1
     cum = 0
-    for v, c in sorted(pairs, key=key):
-        p, q = _ratio(v)
+    for p, q, c in table:
         pn = p * n
         below = pn - cum * q  # v - A just left of v
         cum += c

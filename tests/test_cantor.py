@@ -147,12 +147,13 @@ def test_digits_to_value_needs_n_when_unbounded():
     assert digits_to_value(exp, 3).lo == 0
 
 
-def test_digits_to_value_honours_size_cap():
+def test_digits_to_value_honours_size_cap(monkeypatch):
+    monkeypatch.setenv("CNL_SIZE_CAP", "3")
     exp = CantorExpansion(BasicSequence.constant(2), lambda n: 1)
-    assert digits_to_value(exp, 3, cap=3).lo == Fraction(7, 8)
+    assert digits_to_value(exp, 3).lo == Fraction(7, 8)
     # refused before the loop starts, however far the expansion reaches
     with pytest.raises(SizeLimitError):
-        digits_to_value(exp, 10**12, cap=3)
+        digits_to_value(exp, 10**12)
 
 
 def test_value_to_digits_frozen():
@@ -166,11 +167,12 @@ def test_value_to_digits_frozen():
         value_to_digits(Fraction(-1, 2), Q, 3)
 
 
-def test_value_to_digits_honours_size_cap():
+def test_value_to_digits_honours_size_cap(monkeypatch):
+    monkeypatch.setenv("CNL_SIZE_CAP", "4")
     Q = BasicSequence.constant(2)
-    assert value_to_digits(Fraction(1, 3), Q, 4, cap=4).as_tuple() == (0, 1, 0, 1)
+    assert value_to_digits(Fraction(1, 3), Q, 4).as_tuple() == (0, 1, 0, 1)
     with pytest.raises(SizeLimitError):
-        value_to_digits(Fraction(1, 3), Q, 10**12, cap=4)
+        value_to_digits(Fraction(1, 3), Q, 10**12)
 
 
 @given(rationals, base_lists)
@@ -313,11 +315,12 @@ def test_salat_sequence_frozen():
     )
 
 
-def test_salat_sequence_honours_size_cap():
+def test_salat_sequence_honours_size_cap(monkeypatch):
+    monkeypatch.setenv("CNL_SIZE_CAP", "2")
     exp = CantorExpansion(BasicSequence.constant(3), lambda n: 2)
-    assert salat_sequence(exp, 2, cap=2) == (Fraction(2, 3), Fraction(2, 3))
+    assert salat_sequence(exp, 2) == (Fraction(2, 3), Fraction(2, 3))
     with pytest.raises(SizeLimitError):
-        salat_sequence(exp, 10**12, cap=2)
+        salat_sequence(exp, 10**12)
 
 
 def test_salat_hypothesis_frozen():
