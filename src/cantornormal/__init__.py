@@ -82,7 +82,7 @@ from .errors import (
     NeedsMoreSegmentsError,
     SizeLimitError,
 )
-from .limits import DEFAULT_SIZE_CAP, resolve_cap
+from .limits import DEFAULT_SIZE_CAP, resolve_cap, size_cap
 from .verify import (
     CLAIMS,
     Certificate,

@@ -69,7 +69,7 @@ def digit_data(x) -> np.ndarray:
     if isinstance(x, (Block, DigitString)):
         return x.digits
     if isinstance(x, ConcatSpec):
-        raise TypeError("a ConcatSpec is not materialized implicitly; use concat(spec, cap=...)")
+        raise TypeError("a ConcatSpec is not materialized implicitly; use concat(spec)")
     return _pack_digits(x)
 
 
@@ -183,7 +183,7 @@ class ConcatSpec:
         )
 
 
-def concat(spec, cap: int | None = None) -> DigitString:
+def concat(spec) -> DigitString:
     """Concatenate blocks with multiplicities: m1*B1 then m2*B2, etc.
 
     ``spec`` is a ConcatSpec or a sequence of (multiplicity, block) pairs.
@@ -193,7 +193,7 @@ def concat(spec, cap: int | None = None) -> DigitString:
     if not isinstance(spec, ConcatSpec):
         spec = ConcatSpec(tuple(spec))
     total = spec.length
-    check_cap(total, cap)
+    check_cap(total)
     parts = [(m, b.digits) for m, b in spec.parts if m and len(b)]
     out = np.empty(total, dtype=np.result_type(np.uint8, *(raw.dtype for _, raw in parts)))
     pos = 0
@@ -263,14 +263,14 @@ def count_top_digit(block, b: int) -> int:
     return int(np.count_nonzero(raw == b))
 
 
-def enumerate_blocks(base: int, length: int, cap: int | None = None) -> Iterator[Block]:
+def enumerate_blocks(base: int, length: int) -> Iterator[Block]:
     """Yield every base-``base`` block of ``length`` digits in lexicographic order."""
     if not isinstance(base, int) or base < 2:
         raise ValueError(f"base must be an integer >= 2, got {base}")
     if not isinstance(length, int) or length < 0:
         raise ValueError(f"length must be an integer >= 0, got {length}")
     total = base**length
-    check_cap(total, cap, what="enumerated blocks")
+    check_cap(total, what="enumerated blocks")
     for tup in itertools.product(range(base), repeat=length):
         yield Block(base, tup)
 

@@ -126,10 +126,10 @@ class CantorExpansion:
             raise NeedsMoreDigitsError(n, self.horizon)
         return self._digit_fn(n)
 
-    def digits_prefix(self, n: int, cap: int | None = None) -> DigitString:
-        limit = check_cap(n, cap)
+    def digits_prefix(self, n: int) -> DigitString:
         if self.spec is not None:
-            return self.spec.digits_prefix(n, cap=limit)
+            return self.spec.digits_prefix(n)
+        check_cap(n)
         return DigitString([self.digit(m) for m in range(1, n + 1)])
 
 
@@ -169,14 +169,9 @@ def digits_to_value(exp: CantorExpansion, n: int | None = None) -> RationalInter
         n = exp.horizon
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be an integer >= 0, got {n}")
-    check_cap(n, what="positions")
-    num = 0
-    den = 1
-    for m in range(1, n + 1):
-        q = exp.Q.q(m)
-        num = num * q + exp.digit(m)
-        den *= q
-    return RationalInterval(Fraction(num, den), Fraction(num + 1, den))
+    if n == 0:
+        return RationalInterval(Fraction(0), Fraction(1))
+    return orbit_point(exp, 0, tail=n)
 
 
 def value_to_digits(x, Q: BasicSequence, n: int) -> DigitString:
@@ -202,7 +197,7 @@ def value_to_digits(x, Q: BasicSequence, n: int) -> DigitString:
     return DigitString(out)
 
 
-def q_moment(Q: BasicSequence, n: int, k: int, cap: int | None = None) -> Fraction:
+def q_moment(Q: BasicSequence, n: int, k: int) -> Fraction:
     """Normalizer sum_{j=1..n} 1 / (q_j * q_{j+1} * ... * q_{j+k-1}).
 
     This is the expected count of any fixed length-k block in the first n
@@ -222,7 +217,7 @@ def q_moment(Q: BasicSequence, n: int, k: int, cap: int | None = None) -> Fracti
         for base, run in Q.spec.q_runs(n):
             total += Fraction(run, base)
         return total
-    check_cap(n, cap, what="positions")
+    check_cap(n, what="positions")
     # rolling window of the product q_j ... q_{j+k-1}
     window = 1
     for m in range(1, k + 1):
@@ -266,7 +261,7 @@ def divergence_diagnostics(Q: BasicSequence, k: int, checkpoints: Iterable[int])
     return tuple(rows)
 
 
-def orbit_point(exp: CantorExpansion, n: int, tail: int = 64, cap: int | None = None) -> RationalInterval:
+def orbit_point(exp: CantorExpansion, n: int, tail: int = 64) -> RationalInterval:
     """Enclose T_n(x) = (q_1 ... q_n) * x mod 1 from digits alone.
 
     The shifted value equals the tail series sum_{m>=1}
@@ -279,7 +274,7 @@ def orbit_point(exp: CantorExpansion, n: int, tail: int = 64, cap: int | None = 
         raise ValueError(f"n must be an integer >= 0, got {n}")
     if not isinstance(tail, int) or tail < 1:
         raise ValueError(f"tail must be an integer >= 1, got {tail}")
-    check_cap(tail, cap, what="positions")
+    check_cap(tail, what="positions")
     num = 0
     den = 1
     for m in range(n + 1, n + tail + 1):

@@ -3,9 +3,11 @@ verification, and combined reports, with stable machine-readable output.
 
 Exit codes: 0 success; 1 a verification-style check failed (the failing
 certificate or verdict is still emitted); 2 usage or validation error;
-3 size limit exceeded (raise it with the CNL_SIZE_CAP environment
-variable or --cap); 4 internal error, a fault in the library rather than
-in the input, reported with its traceback on stderr.
+3 size limit exceeded; 4 internal error, a fault in the library rather
+than in the input, reported with its traceback on stderr.
+
+``--cap N`` is entered once, as ``limits.size_cap(N)`` around the whole
+subcommand, so it reaches every path that ``CNL_SIZE_CAP`` reaches.
 
 All numeric output is exact by default: fractions appear as "p/q"
 strings, and any float column is suffixed _decimal to mark it as an
@@ -16,6 +18,7 @@ files; run metadata such as wall-clock time goes to a separate
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -39,11 +42,13 @@ from .discrepancy import (
     concat_bound,
     e1l_bound,
     kn1_bound,
+    sorted_points,
     star_discrepancy,
     star_discrepancy_from_counts,
     unit_sequence,
 )
 from .errors import InvalidSpecError, NeedsMoreDigitsError, SizeLimitError
+from .limits import size_cap
 from .verify import CLAIMS, epsbar_rows, run_all, run_claim
 from .weightings import check_eps_k_normal, parse_weighting
 
@@ -54,15 +59,12 @@ _FAMILIES = {"qde-scaled": qde_spec, "qnex-scaled": qnex_spec}
 class RunConfig:
     """Validated run-wide options shared by the subcommands."""
 
-    cap: int | None
     tail: int
     checkpoints: tuple[int, ...] | None
     fmt: str
     out: str | None
 
     def __post_init__(self):
-        if self.cap is not None and self.cap <= 0:
-            raise InvalidSpecError(f"size cap must be positive, got {self.cap}")
         if self.tail < 1:
             raise InvalidSpecError(f"tail length must be >= 1, got {self.tail}")
         if self.fmt not in ("json", "csv"):
@@ -125,16 +127,16 @@ def parse_budget(text: str) -> float:
     return value * scale[unit]
 
 
-def _load_spec(args, cap: int | None) -> ConstructionSpec:
+def _load_spec(args) -> ConstructionSpec:
     if getattr(args, "spec", None):
-        return ConstructionSpec.load(args.spec, cap=cap)
+        return ConstructionSpec.load(args.spec)
     family = getattr(args, "family", None)
     if family:
-        return _FAMILIES[family](cap=cap)
+        return _FAMILIES[family]()
     raise InvalidSpecError("pass --spec FILE or --family NAME")
 
 
-def _load_digit_input(args, cap: int | None):
+def _load_digit_input(args):
     """Digits for count/normality: a binary file or a spec prefix."""
     if getattr(args, "infile", None):
         return read_digit_file(args.infile)
@@ -142,8 +144,7 @@ def _load_digit_input(args, cap: int | None):
         n_max = getattr(args, "n_max", None)
         if n_max is None:
             raise InvalidSpecError("--n-max is required when reading digits from a spec")
-        spec = _load_spec(args, cap)
-        return spec.digits_prefix(n_max, cap=cap)
+        return _load_spec(args).digits_prefix(n_max)
     raise InvalidSpecError("pass --in FILE, or --spec/--family with --n-max")
 
 
@@ -173,10 +174,10 @@ def _emit_csv(header: list[str], rows: list[list], out: str | None) -> None:
 
 
 def _cmd_construct(cfg: RunConfig, args) -> int:
-    spec = _load_spec(args, cfg.cap)
+    spec = _load_spec(args)
     if args.spec_out:
         spec.save(args.spec_out)
-    q, digits = assemble(spec, args.n_max, cap=cfg.cap)
+    q, digits = assemble(spec, args.n_max)
     if args.digits_out:
         write_digit_file(args.digits_out, digits)
     if cfg.fmt == "csv":
@@ -191,7 +192,7 @@ def _cmd_construct(cfg: RunConfig, args) -> int:
 
 
 def _cmd_count(cfg: RunConfig, args) -> int:
-    digits = _load_digit_input(args, cfg.cap)
+    digits = _load_digit_input(args)
     block = _parse_int_list(args.block, "block")
     if not block:
         raise InvalidSpecError("block must have at least one digit")
@@ -226,10 +227,10 @@ def _cmd_weights(cfg: RunConfig, args) -> int:
 def _cmd_normality(cfg: RunConfig, args) -> int:
     if args.normality_op != "check":
         raise InvalidSpecError(f"unknown normality operation {args.normality_op!r}")
-    digits = _load_digit_input(args, cfg.cap)
+    digits = _load_digit_input(args)
     mu = parse_weighting(args.mu)
     eps = _parse_fraction(args.eps, "eps")
-    verdict = check_eps_k_normal(digits, eps, args.k, mu, cap=cfg.cap)
+    verdict = check_eps_k_normal(digits, eps, args.k, mu)
     _emit_json(verdict.to_json(), cfg.out)
     return 0 if verdict.passed else 1
 
@@ -242,10 +243,10 @@ def _cmd_moments(cfg: RunConfig, args) -> int:
     if args.const_base is not None:
         Q = BasicSequence.constant(args.const_base)
     else:
-        Q = BasicSequence.from_spec(_load_spec(args, cfg.cap))
+        Q = BasicSequence.from_spec(_load_spec(args))
     rows = []
     for n in cfg.checkpoints:
-        value = q_moment(Q, n, args.k, cap=cfg.cap)
+        value = q_moment(Q, n, args.k)
         rows.append({"n": n, "k": args.k, "moment": str(value), "moment_decimal": float(value)})
     if cfg.fmt == "csv":
         _emit_csv(
@@ -261,11 +262,11 @@ def _cmd_moments(cfg: RunConfig, args) -> int:
 def _cmd_orbit(cfg: RunConfig, args) -> int:
     if cfg.checkpoints is None:
         raise InvalidSpecError("--checkpoints is required for orbit (shift counts n)")
-    spec = _load_spec(args, cfg.cap)
+    spec = _load_spec(args)
     exp = CantorExpansion.from_spec(spec)
     rows = []
     for n in cfg.checkpoints:
-        iv = orbit_point(exp, n, tail=cfg.tail, cap=cfg.cap)
+        iv = orbit_point(exp, n, tail=cfg.tail)
         j = spec.t0_index(n) if n < spec.total_length else None
         rows.append(
             {
@@ -329,7 +330,7 @@ def _cmd_discrepancy(cfg: RunConfig, args) -> int:
     wanted = [b.strip() for b in (args.bounds or "").split(",") if b.strip()]
     for name in wanted:
         if name == "kn1":
-            bound = kn1_bound(sorted(zs))
+            bound = kn1_bound(sorted_points(zs))
         elif name == "kn2":
             if not args.families:
                 raise InvalidSpecError("--families FILE is required for the kn2 bound")
@@ -349,13 +350,13 @@ def _cmd_discrepancy(cfg: RunConfig, args) -> int:
 def _cmd_verify(cfg: RunConfig, args) -> int:
     if args.all:
         budget = parse_budget(args.budget) if args.budget else None
-        certs, skipped = run_all(budget_seconds=budget, cap=cfg.cap)
+        certs, skipped = run_all(budget_seconds=budget)
         payload = {"certificates": [c.to_json() for c in certs], "skipped": skipped}
     else:
         if not args.claim:
             raise InvalidSpecError("pass --claim NAME or --all")
         grid = parse_grid(args.grid) if args.grid else None
-        certs = run_claim(args.claim, grid, cap=cfg.cap)
+        certs = run_claim(args.claim, grid)
         payload = certs[0].to_json() if len(certs) == 1 else [c.to_json() for c in certs]
     _emit_json(payload, cfg.out)
     if cfg.out:
@@ -374,7 +375,7 @@ def _cmd_report(cfg: RunConfig, args) -> int:
         raise InvalidSpecError("report is a combined document; only json format is supported")
     if cfg.checkpoints is None or cfg.checkpoints[0] < 1:
         raise InvalidSpecError("--checkpoints with positions >= 1 is required for report")
-    spec = _load_spec(args, cfg.cap)
+    spec = _load_spec(args)
     exp = CantorExpansion.from_spec(spec)
     block = _parse_int_list(args.block, "block")
     if not block:
@@ -386,7 +387,7 @@ def _cmd_report(cfg: RunConfig, args) -> int:
     orbits = []
     for n in cfg.checkpoints:
         if n + cfg.tail <= spec.total_length:
-            iv = orbit_point(exp, n, tail=cfg.tail, cap=cfg.cap)
+            iv = orbit_point(exp, n, tail=cfg.tail)
             orbits.append({"n": n, "lo": str(iv.lo), "hi": str(iv.hi)})
         else:
             orbits.append({"n": n, "lo": None, "hi": None})
@@ -434,8 +435,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--cap",
         type=int,
-        help="size cap on digits materialized and runs or blocks enumerated "
-        "(default 10^8 or CNL_SIZE_CAP)",
+        help="size cap on digits materialized, runs or blocks enumerated and "
+        "positions looped over, on every path (default CNL_SIZE_CAP, else 10^8)",
     )
     p.add_argument("--tail", type=int, default=64, help="enclosure tail length M (default 64)")
     p.add_argument("--checkpoints", help="comma-separated strictly increasing positions")
@@ -537,13 +538,13 @@ def main(argv=None) -> int:
             _parse_int_list(args.checkpoints, "checkpoints") if args.checkpoints else None
         )
         cfg = RunConfig(
-            cap=args.cap,
             tail=args.tail,
             checkpoints=checkpoints,
             fmt=args.fmt,
             out=args.out,
         )
-        return _DISPATCH[args.subcommand](cfg, args)
+        with size_cap(args.cap) if args.cap is not None else contextlib.nullcontext():
+            return _DISPATCH[args.subcommand](cfg, args)
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -42,7 +42,7 @@ def _check_bw(b: int, w: int) -> None:
         raise ValueError(f"w must be an integer >= 1, got {w}")
 
 
-def build_P(b: int, w: int, cap: int | None = None) -> Block:
+def build_P(b: int, w: int) -> Block:
     """Weighted enumeration block over base b+1, length ``w * 2**(b*w)``.
 
     Lists all base-(b+1) blocks of length w lexicographically, repeating a
@@ -51,19 +51,19 @@ def build_P(b: int, w: int, cap: int | None = None) -> Block:
     """
     _check_bw(b, w)
     total = w * (1 << (b * w))
-    check_cap(total, cap)  # refuse before enumerating the runs
-    return Block(b + 1, concat(build_P_runs(b, w, cap=cap), cap=cap).digits)
+    check_cap(total)  # refuse before enumerating the runs
+    return Block(b + 1, concat(build_P_runs(b, w)).digits)
 
 
-def build_P_runs(b: int, w: int, cap: int | None = None) -> ConcatSpec:
+def build_P_runs(b: int, w: int) -> ConcatSpec:
     """build_P(b, w) as (copies, block) runs, without building its digits.
 
-    The cap bounds the ``(b+1)**w`` runs enumerated, not the
+    The ``(b+1)**w`` runs enumerated count against the size cap, not the
     ``w * 2**(b*w)`` digits they describe.
     """
     _check_bw(b, w)
     runs = (b + 1) ** w
-    check_cap(runs, cap, what="enumerated runs")
+    check_cap(runs, what="enumerated runs")
     return ConcatSpec(tuple((copies, block) for block, copies in build_P_copies(b, w)))
 
 
@@ -83,11 +83,11 @@ def build_P_copies(b: int, w: int) -> Iterator[tuple[Block, int]]:
         yield Block(b + 1, tup), rep ** tup.count(b)
 
 
-def build_C(b: int, w: int, cap: int | None = None) -> Block:
+def build_C(b: int, w: int) -> Block:
     """Plain enumeration block: every base-b block of length w once, in order."""
     _check_bw(b, w)
     total = w * b**w
-    check_cap(total, cap)
+    check_cap(total)
     # block number (i_0, ..., i_{w-1}) in lexicographic order has digit j = i_j
     grid = np.empty((b,) * w + (w,), dtype=np.min_scalar_type(b - 1))
     for j in range(w):
@@ -210,16 +210,16 @@ class ConstructionSpec:
         for seg, take in self.prefix_parts(n_max):
             yield seg.base, take
 
-    def digits_prefix(self, n_max: int, cap: int | None = None) -> DigitString:
+    def digits_prefix(self, n_max: int) -> DigitString:
         """Materialize the first n_max digits (size-capped)."""
-        limit = check_cap(n_max, cap)
+        check_cap(n_max)
         parts = []
         for seg, take in self.prefix_parts(n_max):
             full, rem = divmod(take, len(seg.block))
             parts.append((full, seg.block))
             if rem:
                 parts.append((1, seg.block[:rem]))
-        return concat(parts, cap=limit) if parts else DigitString(())
+        return concat(parts) if parts else DigitString(())
 
     def to_json(self) -> dict:
         segments = []
@@ -236,7 +236,7 @@ class ConstructionSpec:
         return out
 
     @classmethod
-    def from_json(cls, obj: dict, cap: int | None = None) -> "ConstructionSpec":
+    def from_json(cls, obj: dict) -> "ConstructionSpec":
         try:
             raw_segments = obj["segments"]
         except (TypeError, KeyError) as exc:
@@ -257,7 +257,7 @@ class ConstructionSpec:
                     gb, gw = int(block_obj["b"]), int(block_obj["w"])
                 except (TypeError, KeyError, ValueError) as exc:
                     raise InvalidSpecError(f"segment {idx}: generator {gen} needs integer 'b' and 'w'") from exc
-                block = (build_P if gen == "P" else build_C)(gb, gw, cap=cap)
+                block = (build_P if gen == "P" else build_C)(gb, gw)
                 generator: tuple | None = (gen, gb, gw)
             elif gen == "explicit":
                 digits = block_obj.get("digits")
@@ -276,15 +276,14 @@ class ConstructionSpec:
             fh.write("\n")
 
     @classmethod
-    def load(cls, path, cap: int | None = None) -> "ConstructionSpec":
+    def load(cls, path) -> "ConstructionSpec":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh), cap=cap)
+            return cls.from_json(json.load(fh))
 
 
-def assemble(spec: ConstructionSpec, n_max: int, cap: int | None = None) -> tuple[list[int], DigitString]:
+def assemble(spec: ConstructionSpec, n_max: int) -> tuple[list[int], DigitString]:
     """Materialize the first n_max base entries and digits of a spec."""
-    limit = check_cap(n_max, cap)
-    digits = spec.digits_prefix(n_max, cap=limit)
+    digits = spec.digits_prefix(n_max)
     q: list[int] = []
     for base, run in spec.q_runs(n_max):
         q.extend([base] * run)
@@ -308,7 +307,6 @@ def qnex_spec(
     i_max: int = 10,
     w_fn: Callable[[int], int] | None = None,
     l_fn: Callable[[int], int] | None = None,
-    cap: int | None = None,
 ) -> ConstructionSpec:
     """Scaled Q-normal-but-orbit-collapsing family.
 
@@ -332,7 +330,7 @@ def qnex_spec(
     segments = [SegmentSpec(0, filler, 2) for _ in range(1, i_min)]
     for i in range(i_min, i_max + 1):
         w = w_fn(i)
-        block = build_P(i, w, cap=cap)
+        block = build_P(i, w)
         segments.append(SegmentSpec(l_fn(i), block, 2**i, generator=("P", i, w)))
     return ConstructionSpec(tuple(segments), family="qnex-scaled")
 
@@ -349,7 +347,6 @@ def qde_spec(
     i_max: int = 12,
     w_fn: Callable[[int], int] | None = None,
     l_fn: Callable[[int], int] | None = None,
-    cap: int | None = None,
 ) -> ConstructionSpec:
     """Scaled family that is normal in both senses.
 
@@ -370,7 +367,7 @@ def qde_spec(
         segments.append(SegmentSpec(0, filler, i))
     for i in range(i_min, i_max + 1):
         w = w_fn(i)
-        block = build_C(i, w, cap=cap)
+        block = build_C(i, w)
         segments.append(SegmentSpec(l_fn(i), block, i, generator=("C", i, w)))
     return ConstructionSpec(tuple(segments), family="qde-scaled")
 

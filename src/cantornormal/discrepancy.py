@@ -22,7 +22,7 @@ their points to runs of equal values and call the kernel.
 from __future__ import annotations
 
 import operator
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,13 +41,14 @@ def unit_sequence(zs) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _key_shift(max_q: int) -> int:
-    """Shift s with 2**s > max_q**2: then (p << s) // q is strictly monotone.
+def _sort_key(max_q: int) -> Callable[[tuple[int, ...]], int]:
+    """Integer sort key (p << s) // q of a value given as (p, q, ...) in lowest terms.
 
-    Distinct reduced values p/q < p'/q' differ by at least 1/(q q'), which
-    is more than 2**-s, so a multiple of 2**-s separates them.
+    2**s > max_q**2: distinct reduced values p/q < p'/q' differ by at least
+    1/(q q'), which is more than 2**-s, so a multiple of 2**-s separates them.
     """
-    return 2 * max_q.bit_length()
+    s = 2 * max_q.bit_length()
+    return lambda t: (t[0] << s) // t[1]
 
 
 def _ratio(v) -> tuple[int, int]:
@@ -96,8 +97,7 @@ def star_discrepancy_from_counts(value_counts, n: int) -> Fraction:
         table.append((p, q, c))
     if total > n:
         raise ValueError(f"counts sum to {total}, more than n = {n}")
-    s = _key_shift(max_q)
-    table.sort(key=lambda t: (t[0] << s) // t[1])
+    table.sort(key=_sort_key(max_q))
 
     # candidates are num / (den * n); start from the right-end gap
     best_num, best_den = n - total, 1
@@ -113,22 +113,30 @@ def star_discrepancy_from_counts(value_counts, n: int) -> Fraction:
     return Fraction(best_num, best_den * n)
 
 
+def _keyed_order(zs: tuple[Fraction, ...], presorted: bool = False) -> tuple[list[int], Iterable[int]]:
+    """Sort keys of nonempty points, and the indices in stable key order (as given if ``presorted``)."""
+    key = _sort_key(max(z.denominator for z in zs))
+    keys = [key(z.as_integer_ratio()) for z in zs]
+    return keys, range(len(zs)) if presorted else sorted(range(len(zs)), key=keys.__getitem__)
+
+
+def sorted_points(zs) -> list[Fraction]:
+    """Points in [0, 1) validated and sorted ascending on exact integer keys."""
+    zs = unit_sequence(zs)
+    return [zs[i] for i in _keyed_order(zs)[1]] if zs else []
+
+
 def _value_runs(zs: tuple[Fraction, ...], presorted: bool) -> list[tuple[Fraction, int]]:
     """(value, count) runs of equal points, ascending.
 
     With ``presorted`` the points must already ascend, which is checked on
     the integer keys; otherwise they are sorted by those keys.
     """
-    s = _key_shift(max(z.denominator for z in zs))
-
-    def key(z):
-        p, q = z.as_integer_ratio()
-        return (p << s) // q
-
+    keys, order = _keyed_order(zs, presorted)
     runs = []
     first, count, prev = None, 0, -1
-    for z in zs if presorted else sorted(zs, key=key):
-        k = key(z)
+    for i in order:
+        k = keys[i]
         if k == prev:
             count += 1
             continue
@@ -136,7 +144,7 @@ def _value_runs(zs: tuple[Fraction, ...], presorted: bool) -> list[tuple[Fractio
             raise ValueError("displacement bound needs the sequence sorted ascending")
         if count:
             runs.append((first, count))
-        first, count, prev = z, 1, k
+        first, count, prev = zs[i], 1, k
     runs.append((first, count))
     return runs
 

@@ -19,13 +19,13 @@ class InvalidSpecError(CantorError, ValueError):
 class SizeLimitError(CantorError):
     """An operation would materialize or enumerate more than the size cap allows."""
 
-    def __init__(self, required: int, cap: int, what: str = "digits"):
+    def __init__(self, required: int, limit: int, what: str = "digits"):
         self.required = required
-        self.cap = cap
+        self.limit = limit
         self.what = what
         super().__init__(
-            f"operation needs {required} {what} but the size cap is {cap}; "
-            f"pass a larger cap or set CNL_SIZE_CAP"
+            f"operation needs {required} {what} but the size cap is {limit}; "
+            f"raise it with --cap, CNL_SIZE_CAP or limits.size_cap"
         )
 
 

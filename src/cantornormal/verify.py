@@ -169,20 +169,18 @@ def verify_lemma_pbw(
     )
 
 
-def verify_bounds_ng_nl(
-    b: int, w: int, k_max: int, tally_fn=tally_blocks, cap: int | None = None
-) -> Certificate:
+def verify_bounds_ng_nl(b: int, w: int, k_max: int, tally_fn=tally_blocks) -> Certificate:
     """Occurrence sandwich inside build_P(b, w), for every block length <= k_max.
 
     Lower bound: whole-copy occurrences alone.  Upper bound: whole-copy
     occurrences at the generous per-position rate plus all possible
     straddling positions.  ``tally_fn`` counts the windows of build_P's
-    (copies, block) runs; the cap bounds the runs enumerated.
+    (copies, block) runs; the runs enumerated count against the size cap.
     """
     if not (isinstance(k_max, int) and 1 <= k_max <= w):
         raise InvalidSpecError(f"k_max must satisfy 1 <= k_max <= w, got {k_max}")
     params = {"b": b, "w": w, "k_max": k_max}
-    text = build_P_runs(b, w, cap=cap)
+    text = build_P_runs(b, w)
     rep = (1 << b) - b
     checked = 0
     with _Timer() as t:
@@ -266,13 +264,13 @@ def verify_lemma_1021(b_range=range(6, 11), w_range=range(2, 13)) -> Certificate
     )
 
 
-def verify_eknu(b: int, w: int, k: int, mu_factory=nu, cap: int | None = None) -> Certificate:
+def verify_eknu(b: int, w: int, k: int, mu_factory=nu) -> Certificate:
     """build_P(b, w) passes the (k/w, k, mu)-normality band check.
 
     Hypothesis guard: b >= 6 and k <= w/2 (the tolerance is eps = k/w).
     The check counts windows over build_P's (copies, block) runs and never
-    builds its ``w * 2**(b*w)`` digits; the cap bounds the ``(b+1)**w`` runs
-    enumerated and the ``(b+1)**k`` blocks compared.
+    builds its ``w * 2**(b*w)`` digits; the ``(b+1)**w`` runs enumerated and
+    the ``(b+1)**k`` blocks compared count against the size cap.
     """
     if not (isinstance(b, int) and b >= 6):
         raise InvalidSpecError(f"hypothesis requires b >= 6, got {b}")
@@ -281,8 +279,8 @@ def verify_eknu(b: int, w: int, k: int, mu_factory=nu, cap: int | None = None) -
     params = {"b": b, "w": w, "k": k}
     eps = Fraction(k, w)
     with _Timer() as t:
-        runs = build_P_runs(b, w, cap=cap)
-        verdict = check_eps_k_normal(runs, eps, k, mu_factory(b), cap=cap)
+        runs = build_P_runs(b, w)
+        verdict = check_eps_k_normal(runs, eps, k, mu_factory(b))
     checked = sum((b + 1) ** m for m in range(1, k + 1))
     if verdict.passed:
         return Certificate(
@@ -654,11 +652,6 @@ CLAIMS: dict[str, tuple] = {
     "salat-counterexample": (verify_salat_counterexample, "plain"),
 }
 
-# claims whose verifier enumerates or materializes under the size cap
-CAPPED_CLAIMS = frozenset(
-    claim for claim, (fn, _) in CLAIMS.items() if "cap" in inspect.signature(fn).parameters
-)
-
 # what `--all` runs when no grid is given
 DEFAULT_JOBS: tuple[tuple[str, dict], ...] = (
     ("lemma-amount", {}),
@@ -677,30 +670,19 @@ DEFAULT_JOBS: tuple[tuple[str, dict], ...] = (
 )
 
 
-def _with_cap(claim: str, kwargs: dict, cap: int | None) -> dict:
-    """kwargs plus the size cap, for the claims that take one."""
-    if cap is None or claim not in CAPPED_CLAIMS:
-        return kwargs
-    return {**kwargs, "cap": cap}
-
-
-def run_claim(
-    claim: str, grid: dict | None = None, cap: int | None = None, **kwargs
-) -> list[Certificate]:
+def run_claim(claim: str, grid: dict | None = None, **kwargs) -> list[Certificate]:
     """Run one claim over a parameter grid, returning its certificates.
 
     ``grid`` maps parameter names to lists of integers (from CLI syntax
     like ``b=2..6,w=1..3``).  Range-style claims receive the lists whole;
     point-style claims get one run per Cartesian-product point.  A name the
-    verifier does not take is an InvalidSpecError.  ``cap`` reaches the
-    claims in CAPPED_CLAIMS.
+    verifier does not take is an InvalidSpecError.
     """
     if claim not in CLAIMS:
         raise InvalidSpecError(
             f"unknown claim {claim!r}; choose from {', '.join(sorted(CLAIMS))}"
         )
     fn, kind = CLAIMS[claim]
-    kwargs = _with_cap(claim, kwargs, cap)
     grid = dict(grid or {})
     # grids carry integers: a range-style claim takes its *_range lists
     # (named without the suffix), the others their integer parameters
@@ -739,14 +721,11 @@ def run_claim(
     return [fn(**call_kwargs)]
 
 
-def run_all(
-    budget_seconds: float | None = None, cap: int | None = None
-) -> tuple[list[Certificate], list[str]]:
+def run_all(budget_seconds: float | None = None) -> tuple[list[Certificate], list[str]]:
     """Run the default verification jobs, stopping when the budget runs out.
 
     Returns (certificates, skipped job labels).  Jobs are ordered cheap
-    first so a tight budget still covers most claims.  ``cap`` reaches the
-    claims in CAPPED_CLAIMS.
+    first so a tight budget still covers most claims.
     """
     t0 = time.perf_counter()
     certs: list[Certificate] = []
@@ -757,5 +736,5 @@ def run_all(
             skipped.append(label)
             continue
         fn, _ = CLAIMS[claim]
-        certs.append(fn(**_with_cap(claim, kw, cap)))
+        certs.append(fn(**kw))
     return certs, skipped

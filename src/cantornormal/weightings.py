@@ -139,7 +139,7 @@ def check_consistency(mu: Weighting, k: int, block) -> bool:
     return base_mass == extended
 
 
-def check_pb_uniform(mu: Weighting, p: int, b: int, k_max: int, cap: int | None = None) -> bool:
+def check_pb_uniform(mu: Weighting, p: int, b: int, k_max: int) -> bool:
     """Is ``mu`` (p, b)-uniform up to block length ``k_max``?
 
     True iff every block over digits 0..p-1 of each length k <= k_max has
@@ -152,7 +152,7 @@ def check_pb_uniform(mu: Weighting, p: int, b: int, k_max: int, cap: int | None 
     if not isinstance(k_max, int) or k_max < 1:
         raise ValueError(f"k_max must be an integer >= 1, got {k_max}")
     for k in range(1, k_max + 1):
-        check_cap(p**k, cap, what="enumerated blocks")
+        check_cap(p**k, what="enumerated blocks")
         target = Fraction(1, b**k)
         for tup in itertools.product(range(p), repeat=k):
             if mu.weight(tup) != target:
@@ -203,7 +203,7 @@ class NormalityVerdict:
         return out
 
 
-def check_eps_k_normal(y, eps, k: int, mu: Weighting, cap: int | None = None) -> NormalityVerdict:
+def check_eps_k_normal(y, eps, k: int, mu: Weighting) -> NormalityVerdict:
     """Check that every short block occurs in ``y`` about as often as ``mu`` says.
 
     Passes iff for every length m <= k and every block B over digits
@@ -216,7 +216,7 @@ def check_eps_k_normal(y, eps, k: int, mu: Weighting, cap: int | None = None) ->
     as a witness.  ``y`` may be a ConcatSpec: its length is the sum of
     multiplicity times block length, its top digit comes from the distinct
     blocks, and its windows are counted without building its digits.  The
-    cap bounds the alphabet**k blocks enumerated.
+    alphabet**k blocks enumerated count against the size cap.
     """
     eps = Fraction(eps)
     if not (0 < eps < 1):
@@ -231,7 +231,7 @@ def check_eps_k_normal(y, eps, k: int, mu: Weighting, cap: int | None = None) ->
     if n == 0:
         raise ValueError("normality check needs a nonempty digit string")
     alphabet = max(mu.support_bound, max_digit(text)) + 1
-    check_cap(alphabet**k, cap, what="enumerated blocks")
+    check_cap(alphabet**k, what="enumerated blocks")
     for m in range(1, k + 1):
         tallies = tally_blocks(text, m, alphabet_size=alphabet) if n >= m else {}
         for tup in itertools.product(range(alphabet), repeat=m):

@@ -22,6 +22,7 @@ from cantornormal.blocks import (
     write_digit_file,
 )
 from cantornormal.errors import NeedsMoreDigitsError, SizeLimitError
+from cantornormal.limits import size_cap
 
 from oracles import slow_count, slow_straddle, slow_tally
 
@@ -112,9 +113,10 @@ def test_concat_spec_length_and_lazy_digits():
 
 def test_concat_honours_size_cap():
     spec = ConcatSpec(((5, Block(2, (0, 1))),))
-    assert len(concat(spec, cap=10)) == 10
-    with pytest.raises(SizeLimitError):
-        concat(spec, cap=9)
+    with size_cap(10):
+        assert len(concat(spec)) == 10
+    with size_cap(9), pytest.raises(SizeLimitError):
+        concat(spec)
     with pytest.raises(SizeLimitError):
         concat(((10**12, Block(2, (0, 1))),))
     # past 2**63 digits: len() cannot say, the length and the cap still can
@@ -219,8 +221,8 @@ def test_enumerate_blocks_lexicographic():
 
 
 def test_enumerate_blocks_cap():
-    with pytest.raises(SizeLimitError):
-        list(enumerate_blocks(10, 4, cap=100))
+    with size_cap(100), pytest.raises(SizeLimitError):
+        list(enumerate_blocks(10, 4))
 
 
 def test_count_straddling_frozen():

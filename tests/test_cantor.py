@@ -34,6 +34,7 @@ from cantornormal.errors import (
     NeedsMoreDigitsError,
     SizeLimitError,
 )
+from cantornormal.limits import size_cap
 
 from oracles import slow_q_moment
 
@@ -113,8 +114,8 @@ def test_digits_prefix_and_cap():
     Q = BasicSequence.constant(10)
     exp = CantorExpansion.from_digits(Q, (9, 0, 9))
     assert exp.digits_prefix(2).as_tuple() == (9, 0)
-    with pytest.raises(SizeLimitError):
-        exp.digits_prefix(3, cap=2)
+    with size_cap(2), pytest.raises(SizeLimitError):
+        exp.digits_prefix(3)
 
 
 def test_rational_interval():
@@ -234,12 +235,13 @@ def test_q_moment_validation():
 
 def test_q_moment_position_loop_honours_size_cap():
     Q = BasicSequence.from_spec(qde_spec(i_max=4))
-    assert q_moment(Q, 50, 2, cap=50) == slow_q_moment(Q.prefix(51), 2)
-    with pytest.raises(SizeLimitError):
-        q_moment(Q, 51, 2, cap=50)
-    # the closed forms loop over no positions, so the cap leaves them alone
-    assert q_moment(Q, 51, 1, cap=50) == slow_q_moment(Q.prefix(51), 1)
-    assert q_moment(BasicSequence.constant(2), 10**9, 2, cap=50) == Fraction(10**9, 4)
+    with size_cap(50):
+        assert q_moment(Q, 50, 2) == slow_q_moment(Q.prefix(51), 2)
+        with pytest.raises(SizeLimitError):
+            q_moment(Q, 51, 2)
+        # the closed forms loop over no positions, so the cap leaves them alone
+        assert q_moment(Q, 51, 1) == slow_q_moment(Q.prefix(51), 1)
+        assert q_moment(BasicSequence.constant(2), 10**9, 2) == Fraction(10**9, 4)
 
 
 def test_normality_ratio_frozen():
@@ -288,9 +290,10 @@ def test_orbit_point_validation():
 
 def test_orbit_point_tail_honours_size_cap():
     exp = CantorExpansion.from_digits(BasicSequence.explicit([2, 3, 4]), (1, 2, 3))
-    assert orbit_point(exp, 0, tail=3, cap=3).lo == Fraction(1, 2) + Fraction(2, 6) + Fraction(3, 24)
-    with pytest.raises(SizeLimitError):
-        orbit_point(exp, 0, tail=4, cap=3)
+    with size_cap(3):
+        assert orbit_point(exp, 0, tail=3).lo == Fraction(1, 2) + Fraction(2, 6) + Fraction(3, 24)
+        with pytest.raises(SizeLimitError):
+            orbit_point(exp, 0, tail=4)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from cantornormal.cantor import CantorExpansion, orbit_point
 from cantornormal.cli import main, parse_budget, parse_grid
 from cantornormal.constructions import ConstructionSpec, SegmentSpec, qde_spec
 from cantornormal.errors import InvalidSpecError
+from cantornormal.limits import DEFAULT_SIZE_CAP, resolve_cap
 from cantornormal.verify import CLAIMS, Certificate
 
 
@@ -128,6 +129,53 @@ def test_env_cap_is_honored(monkeypatch, capsys, spec_file):
     assert main(["construct", "--spec", spec_file, "--n-max", "10"]) == 3
     monkeypatch.setenv("CNL_SIZE_CAP", "50")
     assert main(["construct", "--spec", spec_file, "--n-max", "10"]) == 0
+
+
+def test_non_positive_cap_flag_exits_2(capsys, spec_file):
+    assert main(["construct", "--spec", spec_file, "--n-max", "10", "--cap", "0"]) == 2
+    assert "size cap must be a positive integer" in capsys.readouterr().err
+
+
+def test_cap_flag_does_not_outlive_its_call(monkeypatch, capsys, spec_file):
+    monkeypatch.delenv("CNL_SIZE_CAP", raising=False)
+    argv = ["construct", "--spec", spec_file, "--n-max", "10"]
+    assert main(argv + ["--cap", "5"]) == 3
+    assert resolve_cap() == DEFAULT_SIZE_CAP
+    assert main(argv) == 0
+
+
+# One invocation per subcommand that does capped work, and one per claim:
+# ``--cap N`` and ``CNL_SIZE_CAP=N`` must give the same exit code.  The tiny
+# cap stops the spec-file report in normality_ratio's prefix and the scaled
+# claims in their family builders; the generous one lets everything finish.
+_POINT_GRIDS = {"eknu": "b=6,w=2,k=1", "bounds-ng-nl": "b=2,w=2,k_max=2"}
+CAP_PARITY_ARGV = {
+    "construct": ["construct", "--spec", "SPEC", "--n-max", "10"],
+    "count": ["count", "--family", "qde-scaled", "--n-max", "1000", "--block", "1,2"],
+    "normality": ["normality", "check", "--spec", "SPEC", "--n-max", "10",
+                  "--eps", "1/2", "--k", "1", "--mu", "uniform:4"],
+    "moments": ["moments", "--spec", "SPEC", "--k", "2", "--checkpoints", "9"],
+    "orbit": ["orbit", "--spec", "SPEC", "--checkpoints", "1", "--tail", "8"],
+    "report": ["report", "--spec", "SPEC", "--block", "1,3", "--checkpoints", "9"],
+    **{
+        f"verify-{claim}": ["verify", "--claim", claim]
+        + (["--grid", _POINT_GRIDS[claim]] if claim in _POINT_GRIDS else [])
+        for claim in sorted(CLAIMS)
+    },
+}
+
+
+@pytest.mark.parametrize("cap", [5, 10**7], ids=["tiny", "generous"])
+@pytest.mark.parametrize("name", sorted(CAP_PARITY_ARGV))
+def test_cap_flag_and_env_agree(monkeypatch, capsys, spec_file, name, cap):
+    argv = [spec_file if a == "SPEC" else a for a in CAP_PARITY_ARGV[name]]
+    monkeypatch.delenv("CNL_SIZE_CAP", raising=False)
+    by_flag = main(argv + ["--cap", str(cap)])
+    monkeypatch.setenv("CNL_SIZE_CAP", str(cap))
+    by_env = main(argv)
+    capsys.readouterr()
+    assert by_flag == by_env
+    assert by_env in ((0, 1, 3) if cap == 5 else (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +586,8 @@ def test_console_script_entry_point():
 
 def test_run_config_validation():
     with pytest.raises(InvalidSpecError):
-        cli.RunConfig(0, 64, None, "json", None)
+        cli.RunConfig(0, None, "json", None)
     with pytest.raises(InvalidSpecError):
-        cli.RunConfig(None, 0, None, "json", None)
+        cli.RunConfig(64, (), "json", None)
     with pytest.raises(InvalidSpecError):
-        cli.RunConfig(None, 64, (), "json", None)
-    with pytest.raises(InvalidSpecError):
-        cli.RunConfig(None, 64, None, "yaml", None)
+        cli.RunConfig(64, None, "yaml", None)

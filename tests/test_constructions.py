@@ -36,6 +36,7 @@ from cantornormal.errors import (
     NeedsMoreSegmentsError,
     SizeLimitError,
 )
+from cantornormal.limits import size_cap
 from cantornormal.weightings import nu, uniform
 
 from oracles import chunk_runs
@@ -105,8 +106,8 @@ def test_build_P_validation_and_cap():
         build_P(1, 1)
     with pytest.raises(ValueError):
         build_P(2, 0)
-    with pytest.raises(SizeLimitError):
-        build_P(6, 4, cap=10**5)
+    with size_cap(10**5), pytest.raises(SizeLimitError):
+        build_P(6, 4)
 
 
 @pytest.mark.parametrize("b,w", [(2, 2), (3, 2), (6, 1)])
@@ -122,8 +123,8 @@ def test_build_P_runs_cap_counts_runs_not_digits():
     assert len(runs) == 6 * 2**36
     with pytest.raises(SizeLimitError):
         concat(runs)
-    with pytest.raises(SizeLimitError):
-        build_P_runs(6, 4, cap=2400)
+    with size_cap(2400), pytest.raises(SizeLimitError):
+        build_P_runs(6, 4)
     with pytest.raises(ValueError):
         build_P_runs(1, 2)
 
@@ -158,8 +159,8 @@ def test_build_C_digit_frequencies(b, w):
 
 
 def test_build_C_cap():
-    with pytest.raises(SizeLimitError):
-        build_C(10, 7, cap=10**6)
+    with size_cap(10**6), pytest.raises(SizeLimitError):
+        build_C(10, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +293,9 @@ def test_spec_from_json_validation():
 
 
 def test_assemble_respects_cap():
-    with pytest.raises(SizeLimitError):
-        assemble(qde_spec(), 10**6, cap=10**5)
+    spec = qde_spec()
+    with size_cap(10**5), pytest.raises(SizeLimitError):
+        assemble(spec, 10**6)
 
 
 # ---------------------------------------------------------------------------

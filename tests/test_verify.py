@@ -22,6 +22,7 @@ from cantornormal.constructions import (
     salat_counterexample_spec,
 )
 from cantornormal.errors import InvalidSpecError, SizeLimitError
+from cantornormal.limits import size_cap
 from cantornormal.verify import (
     CLAIMS,
     DEFAULT_JOBS,
@@ -175,16 +176,16 @@ def test_eknu_reaches_past_the_digit_cap():
 
 
 def test_eknu_cap_bounds_enumerated_runs():
-    with pytest.raises(SizeLimitError):
-        verify_eknu(6, 4, 2, cap=100)  # 7**4 runs
+    with size_cap(100), pytest.raises(SizeLimitError):
+        verify_eknu(6, 4, 2)  # 7**4 runs
 
 
 def test_bounds_ng_nl_full_width_window():
     cert = verify_bounds_ng_nl(6, 4, 2)
     assert cert.passed
     assert cert.checked == 7 + 49
-    with pytest.raises(SizeLimitError):
-        verify_bounds_ng_nl(6, 4, 2, cap=100)
+    with size_cap(100), pytest.raises(SizeLimitError):
+        verify_bounds_ng_nl(6, 4, 2)
 
 
 def test_eknu_guards():

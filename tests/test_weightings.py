@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cantornormal.blocks import ConcatSpec, DigitString, concat
 from cantornormal.constructions import build_P_runs
 from cantornormal.errors import SizeLimitError
+from cantornormal.limits import size_cap
 from cantornormal.weightings import (
     Weighting,
     check_consistency,
@@ -116,8 +117,8 @@ def test_pb_uniform_frozen():
 def test_pb_uniform_validation_and_cap():
     with pytest.raises(ValueError):
         check_pb_uniform(nu(2), 0, 4, k_max=1)
-    with pytest.raises(SizeLimitError):
-        check_pb_uniform(uniform(10), 10, 10, k_max=8, cap=1000)
+    with size_cap(1000), pytest.raises(SizeLimitError):
+        check_pb_uniform(uniform(10), 10, 10, k_max=8)
 
 
 def test_eps_k_normal_accepts_balanced_string():
@@ -158,8 +159,8 @@ def test_eps_k_normal_validation():
         check_eps_k_normal((0, 1), Fraction(1, 2), 0, uniform(2))
     with pytest.raises(ValueError):
         check_eps_k_normal((), Fraction(1, 2), 1, uniform(2))
-    with pytest.raises(SizeLimitError):
-        check_eps_k_normal((0, 1), Fraction(1, 2), 12, uniform(2), cap=100)
+    with size_cap(100), pytest.raises(SizeLimitError):
+        check_eps_k_normal((0, 1), Fraction(1, 2), 12, uniform(2))
 
 
 _runs = st.lists(
