@@ -17,6 +17,7 @@ from .blocks import (
     concat,
     count_occurrences,
     count_prefix_occurrences,
+    count_run_occurrences,
     count_straddling,
     count_top_digit,
     enumerate_blocks,

@@ -12,8 +12,9 @@ only place that looks at the input's type; every kernel below has one numpy
 path for all dtypes, and digits leave the array as Python ints.
 
 A ``ConcatSpec`` (copies of a few distinct blocks) is never materialized
-implicitly: ``tally_blocks`` counts its windows from the distinct blocks,
-and only ``concat`` builds its digits, under the size cap.
+implicitly: ``tally_blocks`` and ``count_run_occurrences`` count its
+windows from the distinct blocks, and only ``concat`` builds its digits,
+under the size cap.
 """
 from __future__ import annotations
 
@@ -217,20 +218,60 @@ def _windows(seq: np.ndarray, k: int) -> Iterator[np.ndarray]:
         yield seq[lo : lo + _TALLY_CHUNK + k - 1]
 
 
+def _match_mask(pat: list[int], seq: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the starts 0..n-1 of ``seq`` at which ``pat`` occurs."""
+    hit = seq[:n] == pat[0]
+    for j in range(1, len(pat)):
+        hit &= seq[j : j + n] == pat[j]
+    return hit
+
+
+def _pattern(block) -> list[int]:
+    pat = digit_data(block).tolist()
+    if not pat:
+        raise ValueError("occurrence counting needs a nonempty block")
+    return pat
+
+
 def count_occurrences(block, text) -> int:
     """Number of (overlapping) occurrences of ``block`` inside ``text``."""
-    pat = digit_data(block).tolist()
-    hay = digit_data(text)
+    pat = _pattern(block)
     k = len(pat)
-    if k == 0:
-        raise ValueError("occurrence counting needs a nonempty block")
     count = 0
-    for part in _windows(hay, k):
-        n = len(part) - k + 1
-        hit = part[:n] == pat[0]
-        for j in range(1, k):
-            hit &= part[j : j + n] == pat[j]
-        count += int(np.count_nonzero(hit))
+    for part in _windows(digit_data(text), k):
+        count += int(np.count_nonzero(_match_mask(pat, part, len(part) - k + 1)))
+    return count
+
+
+def count_run_occurrences(block, spec: ConcatSpec) -> int:
+    """Occurrences of ``block`` in m1*B1 m2*B2 ... from the distinct blocks alone.
+
+    The walk of ``_tally_runs`` with one vectorized pass per part: a match
+    at offset p of a length-L block stays inside its part of m copies for
+    m - (p+k-1)//L of them, and the at most k - 1 windows that leave the
+    part are matched on its last k - 1 digits followed by the next k - 1
+    digits of the text.  Counts are exact Python ints.
+    """
+    if not isinstance(spec, ConcatSpec):
+        raise TypeError("count_run_occurrences counts a ConcatSpec; use count_occurrences on digits")
+    pat = _pattern(block)
+    k = len(pat)
+    count = 0
+    follow = np.empty(0, dtype=np.uint8)  # the first k-1 digits after the current part
+    for m, blk in reversed(spec.parts):
+        size = len(blk)
+        if m == 0 or size == 0:
+            continue
+        # one copy, then the k - 1 digits that follow it while the copies repeat
+        ext = np.resize(blk.digits, size + k - 1)
+        seams = (np.flatnonzero(_match_mask(pat, ext, size)) + k - 1) // size
+        for crossed, hits in enumerate(np.bincount(seams).tolist()):
+            count += hits * max(0, m - crossed)
+        edge = min(k - 1, m * size)
+        local = np.concatenate((ext[-edge % size :][:edge], follow))
+        if len(local) >= k:
+            count += int(np.count_nonzero(_match_mask(pat, local, len(local) - k + 1)))
+        follow = np.concatenate((ext[:edge], follow))[: k - 1]
     return count
 
 

@@ -17,7 +17,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blocks import DigitString, count_prefix_occurrences, digit_data, tally_blocks
+from .blocks import DigitString, count_prefix_occurrences, count_run_occurrences, digit_data, tally_blocks
 from .constructions import ConstructionSpec
 from .errors import InvalidSpecError, NeedsMoreDigitsError
 from .limits import check_cap
@@ -202,8 +202,10 @@ def q_moment(Q: BasicSequence, n: int, k: int) -> Fraction:
 
     This is the expected count of any fixed length-k block in the first n
     positions under ideal behavior; block counts are compared against it.
-    Needs base entries through position n + k - 1.  The per-position loop
-    (k >= 2 on a non-constant base) counts n against the size cap.
+    Needs base entries through position n + k - 1.  A constant base and a
+    construction spec are summed in closed form, so n may reach the spec's
+    full length; any other base sequence is read once per position, and
+    those n positions count against the size cap.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n}")
@@ -211,12 +213,8 @@ def q_moment(Q: BasicSequence, n: int, k: int) -> Fraction:
         raise ValueError(f"k must be an integer >= 1, got {k}")
     if Q.const is not None:
         return Fraction(n, Q.const**k)
-    if Q.spec is not None and k == 1:
-        # segment-constant bases: sum runs of identical 1/q terms
-        total = Fraction(0)
-        for base, run in Q.spec.q_runs(n):
-            total += Fraction(run, base)
-        return total
+    if Q.spec is not None:
+        return _runs_q_moment(Q.spec.q_runs(n + k - 1), n, k)
     check_cap(n, what="positions")
     # rolling window of the product q_j ... q_{j+k-1}
     window = 1
@@ -230,16 +228,57 @@ def q_moment(Q: BasicSequence, n: int, k: int) -> Fraction:
     return total
 
 
+def _runs_q_moment(runs: Iterable[tuple[int, int]], n: int, k: int) -> Fraction:
+    """q_moment over (base, length) runs covering positions 1..n+k-1 exactly.
+
+    Runs of equal base are merged first.  Every window that starts in a run
+    of base b and fits inside it has product b**k, so those add
+    (length - k + 1) / b**k at once.  The at most k - 1 windows that start
+    in a run and leave it are summed one by one over the bases after it;
+    they are positions visited singly, so they count against the size cap.
+    """
+    merged: list[list[int]] = []
+    for base, length in runs:
+        if merged and merged[-1][0] == base:
+            merged[-1][1] += length
+        else:
+            merged.append([base, length])
+    check_cap(min(n, len(merged) * (k - 1)), what="positions")
+    total = Fraction(0)
+    for i, (base, length) in enumerate(merged):
+        if length >= k:
+            total += Fraction(length - k + 1, base**k)
+        # heads[m]: product of the first m bases after this run, as far as they reach
+        heads = [1]
+        for after, after_len in merged[i + 1 :]:
+            if len(heads) >= k:
+                break
+            for _ in range(min(after_len, k - len(heads))):
+                heads.append(heads[-1] * after)
+        # the window with its last t digits in this run takes k - t bases after it
+        for t in range(max(1, k - len(heads) + 1), min(k - 1, length) + 1):
+            total += Fraction(1, base**t * heads[k - t])
+    return total
+
+
 def normality_ratio(exp: CantorExpansion, block, n: int) -> Fraction:
     """Observed-over-expected count of ``block`` in the first n digits.
 
     Ratio N(B, prefix) / q_moment(Q, n, k); tends to 1 along n exactly
-    when the expansion treats B as often as the base sequence allows.
+    when the expansion treats B as often as the base sequence allows.  On
+    an expansion with a spec the count runs over
+    ``spec.prefix_runs(n + k - 1)``, one vectorized pass per segment block
+    and never building the prefix, so n may reach the construction's full
+    length.  Any other expansion builds its prefix, under the size cap.
     """
-    k = len(digit_data(block))
-    prefix = exp.digits_prefix(n + k - 1)
-    count = count_prefix_occurrences(block, prefix, n)
-    return Fraction(count) / q_moment(exp.Q, n, k)
+    pat = digit_data(block)
+    k = len(pat)
+    moment = q_moment(exp.Q, n, k)  # refuses n < 1 and an empty block first
+    if exp.spec is not None:
+        count = count_run_occurrences(pat, exp.spec.prefix_runs(n + k - 1))
+    else:
+        count = count_prefix_occurrences(pat, exp.digits_prefix(n + k - 1), n)
+    return Fraction(count) / moment
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 from bisect import bisect_left
+from collections import OrderedDict
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,17 +43,36 @@ def _check_bw(b: int, w: int) -> None:
         raise ValueError(f"w must be an integer >= 1, got {w}")
 
 
+# Digit arrays of the enumeration blocks built so far, least recently used
+# first.  They are read-only, so every Block made from one shares it.
+_ENUMERATIONS: OrderedDict[tuple, np.ndarray] = OrderedDict()
+_ENUMERATIONS_BYTES = 16 << 20
+
+
+def _enumeration_digits(key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
+    """The cached digit array under ``key``, built by ``build()`` on a miss."""
+    digits = _ENUMERATIONS.pop(key, None)
+    if digits is None:
+        digits = build()
+        digits.setflags(write=False)
+    _ENUMERATIONS[key] = digits
+    while sum(a.nbytes for a in _ENUMERATIONS.values()) > _ENUMERATIONS_BYTES:
+        _ENUMERATIONS.popitem(last=False)
+    return digits
+
+
 def build_P(b: int, w: int) -> Block:
     """Weighted enumeration block over base b+1, length ``w * 2**(b*w)``.
 
     Lists all base-(b+1) blocks of length w lexicographically, repeating a
     block with t top digits ``(2**b - b)**t`` times: ``concat`` of
-    ``build_P_runs(b, w)``.
+    ``build_P_runs(b, w)``.  The digits are built once per process and
+    shared by every Block returned; the size cap is checked on every call.
     """
     _check_bw(b, w)
     total = w * (1 << (b * w))
     check_cap(total)  # refuse before enumerating the runs
-    return Block(b + 1, concat(build_P_runs(b, w)).digits)
+    return Block(b + 1, _enumeration_digits(("P", b, w), lambda: concat(build_P_runs(b, w)).digits))
 
 
 def build_P_runs(b: int, w: int) -> ConcatSpec:
@@ -61,9 +81,6 @@ def build_P_runs(b: int, w: int) -> ConcatSpec:
     The ``(b+1)**w`` runs enumerated count against the size cap, not the
     ``w * 2**(b*w)`` digits they describe.
     """
-    _check_bw(b, w)
-    runs = (b + 1) ** w
-    check_cap(runs, what="enumerated runs")
     return ConcatSpec(tuple((copies, block) for block, copies in build_P_copies(b, w)))
 
 
@@ -77,22 +94,35 @@ def repetition_count(b: int, w: int, block: Block) -> int:
 
 
 def build_P_copies(b: int, w: int) -> Iterator[tuple[Block, int]]:
-    """Yield (block, copies) pairs making up build_P(b, w), in order."""
+    """(block, copies) pairs making up build_P(b, w), in order.
+
+    The ``(b+1)**w`` blocks count against the size cap, checked before the
+    first is made.
+    """
+    _check_bw(b, w)
+    check_cap((b + 1) ** w, what="enumerated runs")
     rep = (1 << b) - b
-    for tup in itertools.product(range(b + 1), repeat=w):
-        yield Block(b + 1, tup), rep ** tup.count(b)
+    return ((Block(b + 1, tup), rep ** tup.count(b)) for tup in itertools.product(range(b + 1), repeat=w))
 
 
 def build_C(b: int, w: int) -> Block:
-    """Plain enumeration block: every base-b block of length w once, in order."""
+    """Plain enumeration block: every base-b block of length w once, in order.
+
+    Built once per process like ``build_P``; the size cap is checked on
+    every call.
+    """
     _check_bw(b, w)
     total = w * b**w
     check_cap(total)
+    return Block(b, _enumeration_digits(("C", b, w), lambda: _build_C_digits(b, w)))
+
+
+def _build_C_digits(b: int, w: int) -> np.ndarray:
     # block number (i_0, ..., i_{w-1}) in lexicographic order has digit j = i_j
     grid = np.empty((b,) * w + (w,), dtype=np.min_scalar_type(b - 1))
     for j in range(w):
         grid[..., j] = np.arange(b).reshape((b,) + (1,) * (w - 1 - j))
-    return Block(b, grid.reshape(-1))
+    return grid.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -210,16 +240,23 @@ class ConstructionSpec:
         for seg, take in self.prefix_parts(n_max):
             yield seg.base, take
 
-    def digits_prefix(self, n_max: int) -> DigitString:
-        """Materialize the first n_max digits (size-capped)."""
-        check_cap(n_max)
+    def prefix_runs(self, n_max: int) -> ConcatSpec:
+        """The first n_max >= 1 digits as (copies, block) runs, not built.
+
+        Each segment taken gives its whole copies, then its cut copy.
+        """
         parts = []
         for seg, take in self.prefix_parts(n_max):
             full, rem = divmod(take, len(seg.block))
             parts.append((full, seg.block))
             if rem:
                 parts.append((1, seg.block[:rem]))
-        return concat(parts) if parts else DigitString(())
+        return ConcatSpec(tuple(parts))
+
+    def digits_prefix(self, n_max: int) -> DigitString:
+        """Materialize the first n_max digits (size-capped)."""
+        check_cap(n_max)
+        return concat(self.prefix_runs(n_max)) if n_max else DigitString(())
 
     def to_json(self) -> dict:
         segments = []
@@ -377,10 +414,12 @@ def salat_counterexample_spec(n_max: int) -> tuple[list[int], DigitString]:
 
     Row m contributes digits 1, 2, ..., m with base entry m+1 throughout;
     rows are emitted in order and truncated at n_max entries.  The digit 0
-    never occurs, yet the scaled digits d/(m+1) equidistribute.
+    never occurs, yet the scaled digits d/(m+1) equidistribute.  The n_max
+    positions count against the size cap.
     """
     if not isinstance(n_max, int) or n_max < 1:
         raise ValueError(f"n_max must be an integer >= 1, got {n_max}")
+    check_cap(n_max, what="positions")
     q: list[int] = []
     digits: list[int] = []
     m = 1

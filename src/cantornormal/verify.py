@@ -675,8 +675,9 @@ def run_claim(claim: str, grid: dict | None = None, **kwargs) -> list[Certificat
 
     ``grid`` maps parameter names to lists of integers (from CLI syntax
     like ``b=2..6,w=1..3``).  Range-style claims receive the lists whole;
-    point-style claims get one run per Cartesian-product point.  A name the
-    verifier does not take is an InvalidSpecError.
+    point-style claims get one run per Cartesian-product point, and every
+    parameter they require must be given.  A name the verifier does not
+    take, or a required one left out, is an InvalidSpecError.
     """
     if claim not in CLAIMS:
         raise InvalidSpecError(
@@ -702,8 +703,13 @@ def run_claim(claim: str, grid: dict | None = None, **kwargs) -> list[Certificat
             call_kwargs[f"{key}_range"] = list(values)
         return [fn(**call_kwargs)]
     if kind == "point":
-        if not grid:
-            return [fn(**kwargs)]
+        required = [p.name for p in params if p.default is p.empty]
+        missing = [name for name in required if name not in grid and name not in kwargs]
+        if missing:
+            raise InvalidSpecError(
+                f"claim {claim} needs grid values for {', '.join(missing)}; "
+                f"pass --grid {','.join(f'{name}=N' for name in required)}"
+            )
         names = sorted(grid)
         certs = []
         for combo in itertools.product(*(grid[name] for name in names)):

@@ -12,6 +12,7 @@ from cantornormal.blocks import (
     concat,
     count_occurrences,
     count_prefix_occurrences,
+    count_run_occurrences,
     count_straddling,
     count_top_digit,
     digit_data,
@@ -304,6 +305,33 @@ def test_concat_matches_lazy_digits(spec):
 @settings(max_examples=300)
 def test_tally_blocks_over_runs_matches_window_scan(spec, length):
     assert tally_blocks(spec, length) == slow_tally(concat(spec), length)
+
+
+@given(concat_specs, st.data())
+@settings(max_examples=300)
+def test_count_run_occurrences_matches_window_scan(spec, data):
+    text = concat(spec).as_tuple()
+    # a window of the text half the time, so that most patterns occur
+    k = data.draw(st.integers(1, 5))
+    if len(text) >= k and data.draw(st.booleans()):
+        start = data.draw(st.integers(0, len(text) - k))
+        pat = text[start : start + k]
+    else:
+        pat = tuple(data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)))
+    assert count_run_occurrences(pat, spec) == slow_count(pat, text)
+
+
+def test_count_run_occurrences_frozen():
+    spec = ConcatSpec(((3, Block(2, (0, 1))), (1, Block(2, (1,))), (2, Block(2, (1,)))))
+    assert count_run_occurrences((1, 1), spec) == 3
+    assert count_run_occurrences((0, 1, 0), spec) == 2
+    assert count_run_occurrences((0, 1, 1, 1, 1), spec) == 1
+    # 10**30 copies are counted, not built
+    assert count_run_occurrences((1, 0), ConcatSpec(((10**30, Block(2, (0, 1))),))) == 10**30 - 1
+    with pytest.raises(TypeError):
+        count_run_occurrences((0,), Block(2, (0, 1)))
+    with pytest.raises(ValueError):
+        count_run_occurrences((), spec)
 
 
 def test_tally_blocks_over_runs_frozen():

@@ -23,10 +23,12 @@ from cantornormal.cantor import (
     value_to_digits,
 )
 from cantornormal.blocks import Block
+from cantornormal.blocks import count_prefix_occurrences, count_run_occurrences
 from cantornormal.constructions import (
     ConstructionSpec,
     SegmentSpec,
     qde_spec,
+    qnex_spec,
     salat_counterexample_spec,
 )
 from cantornormal.errors import (
@@ -36,7 +38,7 @@ from cantornormal.errors import (
 )
 from cantornormal.limits import size_cap
 
-from oracles import slow_q_moment
+from oracles import slow_count, slow_q_moment
 
 # rational points of [0, 1) with small denominators
 rationals = st.integers(2, 50).flatmap(
@@ -234,14 +236,81 @@ def test_q_moment_validation():
 
 
 def test_q_moment_position_loop_honours_size_cap():
-    Q = BasicSequence.from_spec(qde_spec(i_max=4))
+    spec_Q = BasicSequence.from_spec(qde_spec(i_max=4))
+    qs = spec_Q.prefix(60)
+    # an explicit list has no closed form: it is read position by position
+    Q = BasicSequence.explicit(qs)
     with size_cap(50):
-        assert q_moment(Q, 50, 2) == slow_q_moment(Q.prefix(51), 2)
+        assert q_moment(Q, 50, 2) == slow_q_moment(qs[:51], 2)
         with pytest.raises(SizeLimitError):
             q_moment(Q, 51, 2)
+        with pytest.raises(SizeLimitError):
+            q_moment(Q, 51, 1)
         # the closed forms loop over no positions, so the cap leaves them alone
-        assert q_moment(Q, 51, 1) == slow_q_moment(Q.prefix(51), 1)
+        assert q_moment(spec_Q, 50, 2) == slow_q_moment(qs[:51], 2)
+        assert q_moment(spec_Q, 51, 2) == slow_q_moment(qs[:52], 2)
+        assert q_moment(spec_Q, 51, 1) == slow_q_moment(qs[:51], 1)
         assert q_moment(BasicSequence.constant(2), 10**9, 2) == Fraction(10**9, 4)
+    # a spec's windows across a base change are the only terms summed one by one
+    with size_cap(1), pytest.raises(SizeLimitError):
+        q_moment(spec_Q, 100, 2)
+
+
+# Segments with bases from a small range (so equal adjacent bases are common),
+# multiplicity 0 and blocks of 1 digit (so runs are often shorter than k).
+@st.composite
+def small_specs(draw):
+    segments = []
+    for _ in range(draw(st.integers(1, 6))):
+        base = draw(st.integers(2, 4))
+        block = draw(st.lists(st.integers(0, base - 1), min_size=1, max_size=4))
+        segments.append(SegmentSpec(draw(st.integers(0, 3)), Block(base, block), base))
+    if not any(seg.multiplicity for seg in segments):
+        segments.append(SegmentSpec(1, Block(2, (1,)), 2))
+    return ConstructionSpec(tuple(segments))
+
+
+@given(small_specs(), st.integers(1, 4))
+@settings(max_examples=150)
+def test_q_moment_closed_form_matches_direct_sum(spec, k):
+    Q = BasicSequence.from_spec(spec)
+    qs = Q.prefix(spec.total_length)
+    for n in range(1, spec.total_length - k + 2):
+        assert q_moment(Q, n, k) == slow_q_moment(qs[: n + k - 1], k)
+    with pytest.raises(NeedsMoreDigitsError):
+        q_moment(Q, max(1, spec.total_length - k + 2), k)
+
+
+@given(small_specs(), st.data())
+@settings(max_examples=150)
+def test_normality_ratio_over_runs_matches_built_prefix(spec, data):
+    exp = CantorExpansion.from_spec(spec)
+    digits = spec.digits_prefix(spec.total_length).as_tuple()
+    k = data.draw(st.integers(1, min(4, spec.total_length)))
+    block = tuple(data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)))
+    qs = exp.Q.prefix(spec.total_length)
+    for n in range(1, spec.total_length - k + 2):
+        count = slow_count(block, digits[: n + k - 1])
+        assert normality_ratio(exp, block, n) == Fraction(count) / slow_q_moment(qs[: n + k - 1], k)
+    with pytest.raises(NeedsMoreDigitsError):
+        normality_ratio(exp, block, spec.total_length - k + 2)
+
+
+def test_normality_ratio_reaches_the_end_of_qnex():
+    spec = qnex_spec()
+    exp = CantorExpansion.from_spec(spec)
+    n = spec.total_length - 1
+    assert n == 2_345_622_568_959
+    # a prefix of n digits is never built, so a tiny cap does not stop the count
+    with size_cap(1000):
+        count = count_run_occurrences((0, 1), spec.prefix_runs(n + 1))
+        ratio = normality_ratio(exp, (0, 1), n)
+    assert count == 2_793_472
+    assert ratio == Fraction(count) / q_moment(exp.Q, n, 2)
+    assert float(ratio) == pytest.approx(1.0000000000583784, abs=1e-15)
+    m = 5 * 10**6
+    prefix = spec.digits_prefix(m + 1)
+    assert count_run_occurrences((0, 1), spec.prefix_runs(m + 1)) == count_prefix_occurrences((0, 1), prefix, m)
 
 
 def test_normality_ratio_frozen():

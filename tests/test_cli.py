@@ -146,8 +146,10 @@ def test_cap_flag_does_not_outlive_its_call(monkeypatch, capsys, spec_file):
 
 # One invocation per subcommand that does capped work, and one per claim:
 # ``--cap N`` and ``CNL_SIZE_CAP=N`` must give the same exit code.  The tiny
-# cap stops the spec-file report in normality_ratio's prefix and the scaled
-# claims in their family builders; the generous one lets everything finish.
+# cap stops the built prefixes of construct, count and normality, the scaled
+# claims in their family builders and the claims that enumerate blocks or
+# positions; moments and report on a spec build no prefix and loop over no
+# positions, so they finish under it.  The generous one lets everything finish.
 _POINT_GRIDS = {"eknu": "b=6,w=2,k=1", "bounds-ng-nl": "b=2,w=2,k_max=2"}
 CAP_PARITY_ARGV = {
     "construct": ["construct", "--spec", "SPEC", "--n-max", "10"],
@@ -278,13 +280,27 @@ def test_orbit_matches_library(capsys, spec_file):
 
 
 def test_per_position_loops_honour_cap(capsys, spec_file):
-    # moments at k = 2 on a spec loop once per position, orbit once per tail digit
+    # moments on a spec are a closed form over base runs: no cap stops them.
+    # qnex-scaled at n = 2e8 spans 2**25 bases 64, then bases 128.
     argv = ["moments", "--family", "qnex-scaled", "--k", "2", "--checkpoints", "200000000"]
-    assert main(argv) == 3
-    assert main(["moments", "--spec", spec_file, "--k", "2", "--checkpoints", "9", "--cap", "8"]) == 3
-    assert main(["moments", "--spec", spec_file, "--k", "2", "--checkpoints", "8", "--cap", "8"]) == 0
+    code, payload = run_json(capsys, argv)
+    inside = Fraction(2**25 - 1, 64**2) + Fraction(200000001 - 2**25 - 1, 128**2)
+    assert code == 0
+    assert payload["rows"][0]["moment"] == str(inside + Fraction(1, 64 * 128)) == "150331647/8192"
+    # bases 2,2,2,2,4,...: three windows 2*2, one 2*4, then 4*4 (four at n = 8)
+    argv = ["moments", "--spec", spec_file, "--k", "2", "--checkpoints", "8,9", "--cap", "8"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    assert [r["moment"] for r in payload["rows"]] == ["9/8", "19/16"]
+    # an orbit enclosure still reads its tail digits one by one
     assert main(["orbit", "--spec", spec_file, "--checkpoints", "1", "--tail", "5", "--cap", "4"]) == 3
     assert "size cap" in capsys.readouterr().err
+
+
+def test_moments_past_the_spec_end_exits_2(capsys, spec_file):
+    # n + k - 1 = 11 base entries, the spec has 10
+    assert main(["moments", "--spec", spec_file, "--k", "2", "--checkpoints", "10"]) == 2
+    assert "up to position 11" in capsys.readouterr().err
 
 
 def test_orbit_csv_header(capsys, spec_file):
@@ -472,6 +488,28 @@ def test_verify_cap_spares_claims_without_enumeration(capsys):
 
 def test_verify_without_claim_exits_2(capsys):
     assert main(["verify"]) == 2
+
+
+@pytest.mark.parametrize("claim,keys", [("eknu", "b, w, k"), ("bounds-ng-nl", "b, w, k_max")])
+def test_verify_point_claim_without_grid_exits_2(capsys, claim, keys):
+    assert main(["verify", "--claim", claim]) == 2
+    err = capsys.readouterr().err
+    assert f"needs grid values for {keys}" in err
+    assert "internal error" not in err
+    assert main(["verify", "--claim", claim, "--grid", "b=6"]) == 2
+    assert "needs grid values for " + keys.removeprefix("b, ") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--claim", "lemma-amount", "--grid", "b=2,w=3"],  # 27 blocks
+    ["verify", "--claim", "salat-counterexample"],  # 20100 positions
+])
+def test_verify_enumerating_claims_honour_cap(monkeypatch, capsys, argv):
+    monkeypatch.delenv("CNL_SIZE_CAP", raising=False)
+    assert main(argv + ["--cap", "5"]) == 3
+    monkeypatch.setenv("CNL_SIZE_CAP", "5")
+    assert main(argv) == 3
+    assert "size cap is 5" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cantornormal import constructions
 from cantornormal.blocks import Block, concat, count_occurrences
 from cantornormal.cantor import BasicSequence
 from cantornormal.constructions import (
@@ -78,6 +80,17 @@ def test_build_P_chunk_structure(b, w):
 @pytest.mark.parametrize("b,w", [(2, 1), (2, 2), (2, 3), (3, 2), (4, 2), (6, 1)])
 def test_build_P_length_identity(b, w):
     assert len(build_P(b, w)) == w * 2 ** (b * w)
+
+
+def test_build_P_copies_checks_before_enumerating(monkeypatch):
+    # the (b+1)**w blocks are checked against the cap before the first is made
+    with size_cap(26), pytest.raises(SizeLimitError):
+        build_P_copies(2, 3)
+    monkeypatch.setenv("CNL_SIZE_CAP", "26")
+    with pytest.raises(SizeLimitError):
+        build_P_copies(2, 3)
+    with pytest.raises(ValueError):
+        build_P_copies(2, 0)
 
 
 def test_build_P_copies_agree_with_block():
@@ -161,6 +174,40 @@ def test_build_C_digit_frequencies(b, w):
 def test_build_C_cap():
     with size_cap(10**6), pytest.raises(SizeLimitError):
         build_C(10, 7)
+
+
+@pytest.mark.parametrize("builder", [build_P, build_C])
+def test_enumeration_digits_are_built_once_and_shared(builder):
+    first, second = builder(3, 2), builder(3, 2)
+    assert first == second
+    assert first.digits is second.digits
+    assert not first.digits.flags.writeable
+    with pytest.raises(ValueError):
+        first.digits[0] = 1
+
+
+def test_enumeration_cache_never_bypasses_the_cap():
+    qnex_spec()  # every block of the family is now built and kept
+    build_C(3, 2)
+    with size_cap(5):
+        with pytest.raises(SizeLimitError):
+            qnex_spec()
+        with pytest.raises(SizeLimitError):
+            build_C(3, 2)
+    with pytest.raises(ValueError):
+        build_P(1, 2)
+    # blocks built before keep their digits after a refused call
+    spec = qnex_spec()
+    assert spec.segments[5].block == build_P(6, 2)
+
+
+def test_enumeration_cache_is_bounded_in_bytes(monkeypatch):
+    monkeypatch.setattr(constructions, "_ENUMERATIONS", OrderedDict())
+    monkeypatch.setattr(constructions, "_ENUMERATIONS_BYTES", 2 * 18)
+    a, b = build_C(3, 2), build_C(2, 3)  # 18 and 24 one-byte digits
+    assert build_C(2, 3).digits is b.digits
+    assert build_C(3, 2).digits is not a.digits  # evicted, least recently used
+    assert build_C(3, 2) == a
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +420,8 @@ def test_salat_staircase_frozen():
     assert q2[-1] == 5
     with pytest.raises(ValueError):
         salat_counterexample_spec(0)
+    with size_cap(9), pytest.raises(SizeLimitError):
+        salat_counterexample_spec(10)
 
 
 @given(st.integers(1, 300))

@@ -374,6 +374,13 @@ def test_run_claim_point_style():
     assert {c.params["b"] for c in certs} == {2, 3}
 
 
+def test_run_claim_point_style_needs_every_required_parameter():
+    with pytest.raises(InvalidSpecError, match="needs grid values for b, w, k;"):
+        run_claim("eknu")
+    with pytest.raises(InvalidSpecError, match="needs grid values for k_max"):
+        run_claim("bounds-ng-nl", grid={"b": [2], "w": [2]})
+
+
 def test_run_claim_plain_style():
     certs = run_claim("salat-counterexample", grid={"m_rows": [30]})
     assert len(certs) == 1 and certs[0].passed
