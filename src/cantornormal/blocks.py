@@ -12,13 +12,14 @@ only place that looks at the input's type; every kernel below has one numpy
 path for all dtypes, and digits leave the array as Python ints.
 
 A ``ConcatSpec`` (copies of a few distinct blocks) is never materialized
-implicitly: ``tally_blocks`` and ``count_run_occurrences`` count its
-windows from the distinct blocks, and only ``concat`` builds its digits,
-under the size cap.
+implicitly: ``tally_blocks`` counts its windows from its packed run tables
+and ``count_run_occurrences`` from its parts, and only ``concat`` builds
+its digits, under the size cap.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import struct
 from collections import defaultdict
@@ -77,10 +78,10 @@ def digit_data(x) -> np.ndarray:
 def max_digit(x) -> int:
     """Largest digit of a nonempty digit sequence or of a ConcatSpec.
 
-    A ConcatSpec is read from the distinct blocks of its nonzero parts.
+    A ConcatSpec is read from its run tables, which hold only runs with digits.
     """
     if isinstance(x, ConcatSpec):
-        x = np.concatenate([b.digits for m, b in x.parts if m])
+        return max(int(table.max()) for _, table in x.groups)
     return int(digit_data(x).max())
 
 
@@ -147,20 +148,27 @@ class Block(_Digits):
         return cls(base=int(obj["base"]), digits=obj["digits"])
 
 
-@dataclass(frozen=True)
-class ConcatSpec:
-    """Concatenation recipe: ordered (multiplicity, block) parts.
+def _count_type(length: int):
+    """Exact dtype for copy counts and window counts of a text of ``length`` digits."""
+    return np.int64 if length < 1 << 63 else object
 
-    Multiplicities are >= 0 and at least one must be positive.
+
+class ConcatSpec:
+    """Concatenation recipe: ordered runs of copies of a block.
+
+    A spec is made from (multiplicity, block) ``parts``, or by
+    ``ConcatSpec.from_table`` from a packed table of equal-length blocks,
+    and builds the other form on first use.  ``groups`` holds the runs
+    packed: one (copies vector, runs x length digit table) pair per stretch
+    of consecutive runs whose blocks have one length, runs with no digits
+    left out.  Multiplicities are >= 0 and at least one must be positive.
     ``length`` (and ``len`` while it fits an index) is the number of digits
     described, and iteration yields them lazily; neither materializes the
     concatenation.
     """
 
-    parts: tuple[tuple[int, Block], ...]
-
-    def __post_init__(self):
-        parts = tuple((int(m), b) for m, b in self.parts)
+    def __init__(self, parts):
+        parts = tuple((int(m), b) for m, b in parts)
         for m, b in parts:
             if m < 0:
                 raise InvalidSpecError(f"multiplicity must be >= 0, got {m}")
@@ -168,19 +176,66 @@ class ConcatSpec:
                 raise InvalidSpecError("concat parts must pair an int with a Block")
         if not any(m > 0 for m, _ in parts):
             raise InvalidSpecError("at least one multiplicity must be positive")
-        object.__setattr__(self, "parts", parts)
+        self.parts = parts
+        self.length = sum(m * len(b) for m, b in parts)
 
-    @property
-    def length(self) -> int:
-        """Number of digits described, as an unbounded int."""
-        return sum(m * len(b) for m, b in self.parts)
+    @classmethod
+    def from_table(cls, copies, table: np.ndarray, base: int | None = None) -> "ConcatSpec":
+        """``copies[i]`` copies of row i of a 2-D unsigned digit table, in row order.
+
+        Rows with no copies are left out.  No Block is built here: ``parts``
+        makes one per row on first use, over ``base`` when one is given,
+        else a DigitString.
+        """
+        if not isinstance(table, np.ndarray) or table.ndim != 2 or table.dtype.kind != "u" or not table.shape[1]:
+            raise InvalidSpecError("a run table is a 2-D unsigned digit array with at least one column")
+        copies = np.asarray(copies)
+        if copies.shape != table.shape[:1] or copies.dtype.kind not in "iuO":
+            raise InvalidSpecError("a run table needs one integer copy count per row")
+        if (copies < 0).any():
+            raise InvalidSpecError(f"multiplicity must be >= 0, got {copies.min()}")
+        if base is not None and len(table) and (top := int(table.max())) >= base:
+            raise ValueError(f"digit {top} out of range for base {base}")
+        used = copies > 0
+        if not used.any():
+            raise InvalidSpecError("at least one multiplicity must be positive")
+        copies, table = copies[used], table[used]
+        if copies.dtype != object and int(copies.max()) * len(copies) >= 1 << 63:
+            copies = copies.astype(object)
+        spec = cls.__new__(cls)
+        spec.length = int(copies.sum()) * table.shape[1]
+        table.setflags(write=False)
+        spec.groups = ((copies.astype(_count_type(spec.length)), table),)
+        spec._base = base
+        return spec
+
+    @functools.cached_property
+    def parts(self) -> tuple[tuple[int, Block | DigitString], ...]:
+        make = DigitString if self._base is None else functools.partial(Block, self._base)
+        return tuple(
+            (m, make(row)) for copies, table in self.groups for m, row in zip(copies.tolist(), table)
+        )
+
+    @functools.cached_property
+    def groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        count_type = _count_type(self.length)
+        runs = [(m, b.digits) for m, b in self.parts if m and len(b)]
+        out = []
+        for _, group in itertools.groupby(runs, key=lambda run: len(run[1])):
+            copies, rows = zip(*group)
+            table = np.stack(rows)
+            table.setflags(write=False)
+            out.append((np.array(copies, dtype=count_type), table))
+        return tuple(out)
 
     def __len__(self) -> int:
         return self.length
 
     def __iter__(self) -> Iterator[int]:
         return itertools.chain.from_iterable(
-            itertools.chain.from_iterable(itertools.repeat(b.as_tuple(), m)) for m, b in self.parts
+            itertools.chain.from_iterable(itertools.repeat(row, m))
+            for copies, table in self.groups
+            for m, row in zip(copies.tolist(), table.tolist())
         )
 
 
@@ -195,19 +250,20 @@ def concat(spec) -> DigitString:
         spec = ConcatSpec(tuple(spec))
     total = spec.length
     check_cap(total)
-    parts = [(m, b.digits) for m, b in spec.parts if m and len(b)]
-    out = np.empty(total, dtype=np.result_type(np.uint8, *(raw.dtype for _, raw in parts)))
+    out = np.empty(total, dtype=np.result_type(np.uint8, *(table.dtype for _, table in spec.groups)))
     pos = 0
-    for m, raw in parts:
-        # the m copies are the rows of an (m, len) view; the rows filled so
-        # far are copied onward, so a part takes about log2(m) array copies
-        rows = out[pos : pos + m * len(raw)].reshape(m, len(raw))
-        rows[0] = raw
-        done = 1
-        while done < m:
-            rows[done : 2 * done] = rows[: min(done, m - done)]
-            done *= 2
-        pos += m * len(raw)
+    for copies, table in spec.groups:
+        size = table.shape[1]
+        for m, raw in zip(copies.tolist(), table):
+            # the m copies are the rows of an (m, size) view; the rows filled
+            # so far are copied onward, so a run takes about log2(m) array copies
+            rows = out[pos : pos + m * size].reshape(m, size)
+            rows[0] = raw
+            done = 1
+            while done < m:
+                rows[done : 2 * done] = rows[: min(done, m - done)]
+                done *= 2
+            pos += m * size
     out.setflags(write=False)
     return DigitString(out)
 
@@ -246,11 +302,11 @@ def count_occurrences(block, text) -> int:
 def count_run_occurrences(block, spec: ConcatSpec) -> int:
     """Occurrences of ``block`` in m1*B1 m2*B2 ... from the distinct blocks alone.
 
-    The walk of ``_tally_runs`` with one vectorized pass per part: a match
-    at offset p of a length-L block stays inside its part of m copies for
-    m - (p+k-1)//L of them, and the at most k - 1 windows that leave the
-    part are matched on its last k - 1 digits followed by the next k - 1
-    digits of the text.  Counts are exact Python ints.
+    One vectorized pass per part, walking the parts from the last: a
+    match at offset p of a length-L block stays inside its part of m
+    copies for m - (p+k-1)//L of them, and the at most k - 1 windows that
+    leave the part are matched on its last k - 1 digits followed by the
+    next k - 1 digits of the text.  Counts are exact Python ints.
     """
     if not isinstance(spec, ConcatSpec):
         raise TypeError("count_run_occurrences counts a ConcatSpec; use count_occurrences on digits")
@@ -336,83 +392,132 @@ def tally_blocks(text, length: int, alphabet_size: int | None = None) -> dict[tu
 
     Returns a dict keyed by digit tuples; absent keys mean count zero.
     ``text`` is a digit sequence or a ConcatSpec.  A ConcatSpec is counted
-    from its blocks without building its digits, so the work grows with the
-    total length of its parts' blocks, not with the length described.  A
-    digit sequence is counted by one vectorized pass per chunk at every
-    window length; ``alphabet_size`` may only widen the alphabet its window
-    codes are formed in.  Counts are exact integers either way.
+    from its run tables without building its digits, so the work grows
+    with the number and length of its distinct runs, not with the length
+    described.  A digit sequence is counted by one vectorized pass per
+    chunk.  ``alphabet_size`` may only widen the alphabet the window codes
+    are formed in.  Counts are exact integers either way.
     """
     if not isinstance(length, int) or length < 1:
         raise ValueError(f"window length must be an integer >= 1, got {length}")
     if isinstance(text, ConcatSpec):
-        return _tally_runs(text, length)
+        return _tally_runs(text, length, alphabet_size)
     return _tally_flat(digit_data(text), length, alphabet_size)
 
 
-def _tally_flat(seq: np.ndarray, k: int, alphabet_size: int | None = None) -> dict[tuple[int, ...], int]:
-    """tally_blocks over one packed digit array.
+def _window_codes(digits: np.ndarray, k: int, alpha: int, code_type) -> np.ndarray:
+    """Base-``alpha`` codes of the length-k windows along the last axis of ``digits``."""
+    n = digits.shape[-1] - k + 1
+    codes = digits[..., :n].astype(code_type)
+    for j in range(1, k):
+        codes *= alpha
+        # digits are below alpha, so casting them to the code type is exact
+        np.add(codes, digits[..., j : j + n], out=codes, casting="unsafe")
+    return codes
 
-    Each window is coded as a base-``alpha`` number (int64 while every code
-    fits, Python ints in an object array past that).  Codes are counted with
-    a dense ``bincount`` table while alpha**k is no longer than the chunk,
-    else by sorting them with ``unique``; keys are decoded back to digits.
+
+def _add_counts(totals: dict[int, int], codes: np.ndarray, weights: np.ndarray | None, size: int) -> None:
+    """Add to ``totals`` how often each code occurs, or its summed ``weights``.
+
+    Codes lie below ``size``.  They are counted in a dense table while
+    ``size`` is no longer than the codes, else by sorting them with
+    ``unique``; weights are summed with ``np.add.at`` in their own exact
+    dtype.
     """
-    if len(seq) < k:
-        return {}
-    alpha = max(max_digit(seq) + 1, alphabet_size or 0)
-    size = alpha**k
-    code_type = np.int64 if size <= 1 << 63 else object
-    totals: dict[int, int] = defaultdict(int)
-    for part in _windows(seq, k):
-        n = len(part) - k + 1
-        codes = part[:n].astype(code_type)
-        for j in range(1, k):
-            codes *= alpha
-            # digits are below alpha, so casting them to the code type is exact
-            np.add(codes, part[j : j + n], out=codes, casting="unsafe")
-        if size <= max(n, 1 << 16):
+    if size <= max(len(codes), 1 << 16):
+        if weights is None:
             table = np.bincount(codes)
-            found = np.flatnonzero(table)
-            counts = table[found]
         else:
-            found, counts = np.unique(codes, return_counts=True)
-        for code, c in zip(found.tolist(), counts.tolist()):
-            totals[code] += c
+            table = np.zeros(size, dtype=weights.dtype)
+            np.add.at(table, codes, weights)
+        found = np.flatnonzero(table)
+        sums = table[found]
+    elif weights is None:
+        found, sums = np.unique(codes, return_counts=True)
+    else:
+        found, inverse = np.unique(codes, return_inverse=True)
+        sums = np.zeros(len(found), dtype=weights.dtype)
+        np.add.at(sums, inverse, weights)
+    for code, c in zip(found.tolist(), sums.tolist()):
+        totals[code] += c
+
+
+def _decode(totals: dict[int, int], alpha: int, k: int, code_type) -> dict[tuple[int, ...], int]:
+    """Window counts keyed by digit tuples, from counts keyed by base-``alpha`` codes."""
     codes = np.array(list(totals), dtype=code_type)
     places = [(codes // alpha ** (k - 1 - j) % alpha).tolist() for j in range(k)]
     return dict(zip(zip(*places), totals.values()))
 
 
-def _tally_runs(spec: ConcatSpec, k: int) -> dict[tuple[int, ...], int]:
-    """Window counts of m1*B1 m2*B2 ... from the distinct blocks alone.
+def _code_type(alpha: int, k: int):
+    """int64 while every length-k window code over ``alpha`` digits fits, else object."""
+    return np.int64 if alpha**k <= 1 << 63 else object
 
-    Every window is counted at the part it starts in.  In a part of m
-    copies of a length-L block, the window starting at offset p of copy j
-    stays inside the part iff j*L + p + k <= m*L: that holds for
-    m - (p+k-1)//L copies, i.e. all m when the window fits inside one copy,
-    m - 1 when it crosses one seam between copies, and so on.  The at most
-    k - 1 windows that start in a part and leave it are read off the
-    part's last k - 1 digits and the next k - 1 digits of the text, each
-    counted once.  Counts are exact Python ints.
+
+def _tally_flat(seq: np.ndarray, k: int, alphabet_size: int | None = None) -> dict[tuple[int, ...], int]:
+    """tally_blocks over one packed digit array, one numpy pass per chunk."""
+    if len(seq) < k:
+        return {}
+    alpha = max(max_digit(seq) + 1, alphabet_size or 0)
+    code_type = _code_type(alpha, k)
+    totals: dict[int, int] = defaultdict(int)
+    for part in _windows(seq, k):
+        _add_counts(totals, _window_codes(part, k, alpha, code_type), None, alpha**k)
+    return _decode(totals, alpha, k, code_type)
+
+
+def _tally_runs(spec: ConcatSpec, k: int, alphabet_size: int | None = None) -> dict[tuple[int, ...], int]:
+    """tally_blocks over a ConcatSpec, from its run tables alone.
+
+    Every window is counted at the run it starts in.  In a run of c copies
+    of a length-L block, the window at offset p of a copy stays inside the
+    run for c - (p+k-1)//L of the copies: all c when it fits in one copy,
+    c - 1 when it crosses one seam between copies, and so on (none when
+    that is <= 0).  Those windows are coded for a chunk of a table's rows
+    at once, on each row followed by its own first k - 1 digits, and summed
+    with those copy counts as weights.
+
+    The at most k - 1 windows that start in a run and leave it are counted
+    once each on a seam text: every run in order, cut to its first and its
+    last k - 1 digits when it has more than 2(k - 1).  The first k - 1
+    digits after a run's end never reach a cut, so each such window reads
+    the same digits there as in the full text.  Weights are int64 while the
+    spec's length fits, Python ints otherwise.
     """
-    counts: dict[tuple[int, ...], int] = defaultdict(int)
-    follow: tuple[int, ...] = ()  # the first k-1 digits after the current part
-    for m, blk in reversed(spec.parts):
-        size = len(blk)
-        if m == 0 or size == 0:
-            continue
-        # copies enough that every window starting in the first is a slice
-        raw = blk.as_tuple() * (k // size + 2)
-        for p in range(size):
-            copies = m - (p + k - 1) // size
-            if copies > 0:
-                counts[raw[p : p + k]] += copies
-        edge = min(k - 1, m * size)
-        local = raw[-edge % size :][:edge] + follow
-        for j in range(len(local) - k + 1):
-            counts[local[j : j + k]] += 1
-        follow = (raw[:edge] + follow)[: k - 1]
-    return dict(counts)
+    if spec.length < k:
+        return {}
+    alpha = max(max_digit(spec) + 1, alphabet_size or 0)
+    code_type = _code_type(alpha, k)
+    totals: dict[int, int] = defaultdict(int)
+    seam, starts = [], []
+    cols = np.arange(2 * (k - 1))
+    for copies, table in spec.groups:
+        size = table.shape[1]
+        extended = np.arange(size + k - 1) % size
+        crossed = (np.arange(size) + k - 1) // size  # copy seams the window at each offset crosses
+        # a run of 2(k-1) digits or more keeps its first k - 1 digits and its
+        # last k - 1, which sit at columns (i - 2(k-1)) mod size for
+        # i = k-1..2k-3 since its length is a multiple of size
+        edges = (cols - np.where(cols < k - 1, 0, 2 * (k - 1))) % size
+        # each window of a chunk holds a code, a weight and their selected
+        # copies, so a chunk takes a quarter of the flat path's windows
+        step = max(1, (_TALLY_CHUNK >> 2) // (size + k - 1))
+        for lo in range(0, len(table), step):
+            rows, counts = table[lo : lo + step], copies[lo : lo + step]
+            weights = counts[:, None] - crossed
+            inside = weights > 0
+            codes = _window_codes(rows[:, extended], k, alpha, code_type)
+            _add_counts(totals, codes[inside], weights[inside], alpha**k)
+            span = np.minimum(counts * size, 2 * (k - 1)).astype(np.int64)[:, None]
+            kept = cols < span
+            seam.append(np.where(span == 2 * (k - 1), rows[:, edges], rows[:, cols % size])[kept])
+            starts.append((cols >= span - np.minimum(span, k - 1))[kept])
+    if k > 1:
+        text, starts = np.concatenate(seam), np.concatenate(starts)
+        for lo, part in zip(itertools.count(0, _TALLY_CHUNK), _windows(text, k)):
+            codes = _window_codes(part, k, alpha, code_type)
+            _add_counts(totals, codes[starts[lo : lo + len(codes)]], None, alpha**k)
+    return _decode(totals, alpha, k, code_type)
 
 
 # ---------------------------------------------------------------------------

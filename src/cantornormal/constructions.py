@@ -19,7 +19,6 @@ Two enumeration blocks do the heavy lifting:
 """
 from __future__ import annotations
 
-import itertools
 import json
 from bisect import bisect_left
 from collections import OrderedDict
@@ -76,12 +75,20 @@ def build_P(b: int, w: int) -> Block:
 
 
 def build_P_runs(b: int, w: int) -> ConcatSpec:
-    """build_P(b, w) as (copies, block) runs, without building its digits.
+    """build_P(b, w) as a packed run table, without building its digits.
 
-    The ``(b+1)**w`` runs enumerated count against the size cap, not the
-    ``w * 2**(b*w)`` digits they describe.
+    The runs are the ``(b+1)**w`` base-(b+1) blocks of length w in
+    lexicographic order, held as one (runs x w) digit table made with
+    ``build_C``'s index arithmetic; a run with t top digits has
+    ``(2**b - b)**t`` copies.  The runs count against the size cap, checked
+    before the table is made, not the ``w * 2**(b*w)`` digits they describe.
     """
-    return ConcatSpec(tuple((copies, block) for block, copies in build_P_copies(b, w)))
+    _check_bw(b, w)
+    check_cap((b + 1) ** w, what="enumerated runs")
+    table = _enumeration_table(b + 1, w)
+    rep = (1 << b) - b
+    powers = np.array([rep**t for t in range(w + 1)])  # int64 while they fit
+    return ConcatSpec.from_table(powers[np.count_nonzero(table == b, axis=1)], table, base=b + 1)
 
 
 def repetition_count(b: int, w: int, block: Block) -> int:
@@ -96,13 +103,10 @@ def repetition_count(b: int, w: int, block: Block) -> int:
 def build_P_copies(b: int, w: int) -> Iterator[tuple[Block, int]]:
     """(block, copies) pairs making up build_P(b, w), in order.
 
-    The ``(b+1)**w`` blocks count against the size cap, checked before the
-    first is made.
+    The rows of ``build_P_runs``; the ``(b+1)**w`` blocks count against the
+    size cap, checked before the first is made.
     """
-    _check_bw(b, w)
-    check_cap((b + 1) ** w, what="enumerated runs")
-    rep = (1 << b) - b
-    return ((Block(b + 1, tup), rep ** tup.count(b)) for tup in itertools.product(range(b + 1), repeat=w))
+    return ((block, copies) for copies, block in build_P_runs(b, w).parts)
 
 
 def build_C(b: int, w: int) -> Block:
@@ -114,15 +118,16 @@ def build_C(b: int, w: int) -> Block:
     _check_bw(b, w)
     total = w * b**w
     check_cap(total)
-    return Block(b, _enumeration_digits(("C", b, w), lambda: _build_C_digits(b, w)))
+    return Block(b, _enumeration_digits(("C", b, w), lambda: _enumeration_table(b, w).reshape(-1)))
 
 
-def _build_C_digits(b: int, w: int) -> np.ndarray:
+def _enumeration_table(b: int, w: int) -> np.ndarray:
+    """Every base-b block of length w, one per row, in lexicographic order."""
     # block number (i_0, ..., i_{w-1}) in lexicographic order has digit j = i_j
     grid = np.empty((b,) * w + (w,), dtype=np.min_scalar_type(b - 1))
     for j in range(w):
         grid[..., j] = np.arange(b).reshape((b,) + (1,) * (w - 1 - j))
-    return grid.reshape(-1)
+    return grid.reshape(-1, w)
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,19 @@ one-sided limit, and the bounds (sorted-grid, concatenation, scaled-block)
 are evaluated in rational arithmetic so that an inequality either holds
 or visibly fails.
 
-One integer kernel computes D*: ``star_discrepancy_from_counts`` sweeps
-the distinct values in ascending order (Kuipers & Niederreiter, Ch. 2,
-Thm 1.4).  Each value p/q is ordered by the integer key (p << s) // q,
-with 2**s above the square of every denominator, so distinct values get
-distinct keys; each sweep candidate is an integer over q * n, and the
-running maximum is compared by cross-multiplication.  Only the result
-is built as a Fraction.  ``star_discrepancy`` and ``kn1_bound`` reduce
-their points to runs of equal values and call the kernel.
+One integer sweep computes D*: ``star_discrepancy_from_triples`` walks
+(p, q, count) triples in ascending order of p/q (Kuipers & Niederreiter,
+Ch. 2, Thm 1.4).  Each value p/q is ordered by the integer key
+(p << s) // q, with 2**s above the square of every denominator, so
+distinct values get distinct keys; each sweep candidate is an integer
+over q * n, and the running maximum is compared by cross-multiplication.
+Only the result is built as a Fraction.
+
+There are two ways in.  ``star_discrepancy_from_counts`` checks a value
+-> count table and reduces each value to its (p, q) pair;
+``star_discrepancy`` and ``kn1_bound`` hand it runs of equal points.  A
+caller that already holds valid integer triples, such as the staircase
+check in ``verify``, passes them to the sweep directly.
 """
 from __future__ import annotations
 
@@ -42,10 +47,11 @@ def unit_sequence(zs) -> tuple[Fraction, ...]:
 
 
 def _sort_key(max_q: int) -> Callable[[tuple[int, ...]], int]:
-    """Integer sort key (p << s) // q of a value given as (p, q, ...) in lowest terms.
+    """Integer sort key (p << s) // q of a value given as (p, q, ...) with 0 < q <= max_q.
 
-    2**s > max_q**2: distinct reduced values p/q < p'/q' differ by at least
-    1/(q q'), which is more than 2**-s, so a multiple of 2**-s separates them.
+    2**s > max_q**2: distinct values p/q < p'/q' differ by at least
+    1/(q q'), which is more than 2**-s, so a multiple of 2**-s separates
+    them; equal values get equal keys whatever their terms.
     """
     s = 2 * max_q.bit_length()
     return lambda t: (t[0] << s) // t[1]
@@ -67,12 +73,41 @@ def _count(c) -> int:
 
 
 def star_discrepancy_from_counts(value_counts, n: int) -> Fraction:
-    """D* of n points from a value -> multiplicity table.
+    """D* of n points from a value -> multiplicity table, checked.
 
     ``value_counts`` is a mapping, or an iterable of (value, count) pairs
     with distinct values; it is read once.  Values are ints or Fractions
     (anything else goes through ``Fraction``) in [0, 1); counts are
-    integers >= 0 that sum to at most n.  Mass left out of the table lies above every value.
+    integers >= 0 that sum to at most n.  Mass left out of the table lies
+    above every value.  Each value is checked and reduced to a (p, q) pair,
+    then the table goes through ``star_discrepancy_from_triples``.
+    """
+    if operator.index(n) <= 0:
+        raise ValueError(f"need a positive point count, got {n}")
+    items = value_counts.items() if isinstance(value_counts, Mapping) else value_counts
+    table = []  # (p, q, count) per value, p/q in lowest terms
+    total = 0
+    for v, c in items:
+        p, q = _ratio(v)
+        if not 0 <= p < q:
+            raise ValueError(f"value {v} outside [0, 1)")
+        c = _count(c)
+        total += c
+        table.append((p, q, c))
+    if total > n:
+        raise ValueError(f"counts sum to {total}, more than n = {n}")
+    return star_discrepancy_from_triples(table, n)
+
+
+def star_discrepancy_from_triples(triples: list[tuple[int, int, int]], n: int) -> Fraction:
+    """D* of n points given as (p, q, count) triples: count points at p/q.
+
+    The one D* sweep; the triples are not checked.  The caller guarantees
+    integers 0 <= p < q, counts >= 0 summing to at most n, and n >= 1;
+    ``star_discrepancy_from_counts`` is the checked way in.  p/q need not
+    be in lowest terms and a value may repeat: equal values get equal sort
+    keys, and a value split over several triples yields the same maximum.
+    The list is sorted in place.
 
     Over distinct sorted values v_1 < ... < v_r with cumulative counts
     c_1 <= ... <= c_r, the sup is max over t of
@@ -80,29 +115,11 @@ def star_discrepancy_from_counts(value_counts, n: int) -> Fraction:
     (= 0 when all mass is counted).  Left limits at each v_t and the
     endpoint gamma = 1 are covered by those terms.
     """
-    if operator.index(n) <= 0:
-        raise ValueError(f"need a positive point count, got {n}")
-    items = value_counts.items() if isinstance(value_counts, Mapping) else value_counts
-    table = []  # (p, q, count) per value, p/q in lowest terms
-    total = 0
-    max_q = 1
-    for v, c in items:
-        p, q = _ratio(v)
-        if not 0 <= p < q:
-            raise ValueError(f"value {v} outside [0, 1)")
-        c = _count(c)
-        total += c
-        if q > max_q:
-            max_q = q
-        table.append((p, q, c))
-    if total > n:
-        raise ValueError(f"counts sum to {total}, more than n = {n}")
-    table.sort(key=_sort_key(max_q))
-
-    # candidates are num / (den * n); start from the right-end gap
-    best_num, best_den = n - total, 1
+    triples.sort(key=_sort_key(max(map(operator.itemgetter(1), triples), default=1)))
+    # candidates are num / (den * n)
+    best_num, best_den = 0, 1
     cum = 0
-    for p, q, c in table:
+    for p, q, c in triples:
         pn = p * n
         below = pn - cum * q  # v - A just left of v
         cum += c
@@ -110,6 +127,8 @@ def star_discrepancy_from_counts(value_counts, n: int) -> Fraction:
         d = below if below > at else at
         if d * best_den > best_num * q:
             best_num, best_den = d, q
+    if (n - cum) * best_den > best_num:  # the right-end gap 1 - c_r/n
+        best_num, best_den = n - cum, 1
     return Fraction(best_num, best_den * n)
 
 

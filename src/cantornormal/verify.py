@@ -23,6 +23,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from . import constructions as _constructions
 from .blocks import tally_blocks
 from .cantor import CantorExpansion, orbit_point, scaled_value_counts
@@ -42,6 +44,7 @@ from .discrepancy import (
     epsbar,
     star_discrepancy,
     star_discrepancy_from_counts,
+    star_discrepancy_from_triples,
 )
 from .errors import InvalidSpecError, NeedsMoreDigitsError
 from .weightings import check_eps_k_normal, nu
@@ -180,10 +183,10 @@ def verify_bounds_ng_nl(b: int, w: int, k_max: int, tally_fn=tally_blocks) -> Ce
     if not (isinstance(k_max, int) and 1 <= k_max <= w):
         raise InvalidSpecError(f"k_max must satisfy 1 <= k_max <= w, got {k_max}")
     params = {"b": b, "w": w, "k_max": k_max}
-    text = build_P_runs(b, w)
     rep = (1 << b) - b
     checked = 0
     with _Timer() as t:
+        text = build_P_runs(b, w)
         for k in range(1, k_max + 1):
             counts = tally_fn(text, k, alphabet_size=b + 1)
             tail = (k - 1) * (b + 1) ** w
@@ -545,6 +548,12 @@ def verify_salat_counterexample(m_rows: int = 200) -> Certificate:
     zero count of digit 0, strictly decreasing mean reciprocal base across
     rows, decreasing discrepancy across sampled rows, and discrepancy at
     row 200 at most 1/20 when the run reaches that row.
+
+    Every base and digit the generator returns is checked and read; the
+    scaled digits are reduced to integer (p, q) pairs by one vectorized gcd
+    and counted as integer codes (in object arrays when the codes would pass
+    int64), and each sampled row's D* comes from the integer sweep over
+    those (p, q, count) triples.  No Fraction is made per position.
     """
     if not (isinstance(m_rows, int) and m_rows >= 2):
         raise InvalidSpecError(f"need at least 2 rows, got {m_rows}")
@@ -558,42 +567,40 @@ def verify_salat_counterexample(m_rows: int = 200) -> Certificate:
             raise InvalidSpecError(
                 f"expected {n_total} positions, got {len(raw)} digits and {len(q)} base entries"
             )
-        zero_count = sum(1 for d in raw if d == 0)
         # everything below reads the returned digits and bases, never the
         # row formula, so a tampered generator is caught
+        for pos, (d, base) in enumerate(zip(raw, q)):
+            if not (isinstance(base, int) and base >= 2 and 0 <= d < base):
+                raise InvalidSpecError(f"position {pos + 1}: digit {d} invalid for base {base}")
+        zero_count = raw.count(0)
+        # each position's scaled digit in lowest terms p/q, coded as q * stride + p
+        stride = max(q) + 1
+        bases = np.array(q, dtype=np.int64 if stride * stride <= 1 << 63 else object)
+        scaled = digits.digits.astype(bases.dtype)  # exact: every digit is below its base
+        gcds = np.gcd(scaled, bases)
+        codes = bases // gcds * stride + scaled // gcds
         recip_sum = Fraction(0)
         hyp_values: list[Fraction] = []
         hyp_decreasing = True
         first_increase = None
         pos = 0
-        counts: dict[Fraction, int] = {}
         d_samples: list[tuple[int, Fraction]] = []
         normalizer_samples: list[tuple[int, Fraction]] = []
         for m in range(1, m_rows + 1):
-            run_base, run_len = None, 0
-            for _ in range(m):
-                base = q[pos]
-                if not (isinstance(base, int) and base >= 2 and 0 <= raw[pos] < base):
-                    raise InvalidSpecError(
-                        f"position {pos + 1}: digit {raw[pos]} invalid for base {base}"
-                    )
-                v = Fraction(raw[pos], base)
-                counts[v] = counts.get(v, 0) + 1
-                # 1/base is added once per run of equal bases
-                if base != run_base:
-                    if run_len:
-                        recip_sum += Fraction(run_len, run_base)
-                    run_base, run_len = base, 0
-                run_len += 1
-                pos += 1
-            recip_sum += Fraction(run_len, run_base)
+            row = q[pos : pos + m]
+            pos += m
+            # 1/base is added once per run of equal bases
+            for base, run in itertools.groupby(row):
+                recip_sum += Fraction(sum(1 for _ in run), base)
             h = recip_sum / pos
             if hyp_values and h >= hyp_values[-1] and first_increase is None:
                 hyp_decreasing = False
                 first_increase = m
             hyp_values.append(h)
             if m in sample_rows:
-                d_samples.append((m, star_discrepancy_from_counts(counts, pos)))
+                found, counts = np.unique(codes[:pos], return_counts=True)
+                triples = list(zip((found % stride).tolist(), (found // stride).tolist(), counts.tolist()))
+                d_samples.append((m, star_discrepancy_from_triples(triples, pos)))
                 normalizer_samples.append((m, recip_sum))
         checked = m_rows
     d_values = [d for _, d in d_samples]

@@ -1,5 +1,6 @@
 """Digit strings, occurrence counting, and the binary digit file format."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from cantornormal.blocks import (
     tally_blocks,
     write_digit_file,
 )
-from cantornormal.errors import NeedsMoreDigitsError, SizeLimitError
+from cantornormal.errors import InvalidSpecError, NeedsMoreDigitsError, SizeLimitError
 from cantornormal.limits import size_cap
 
 from oracles import slow_count, slow_straddle, slow_tally
@@ -340,6 +341,68 @@ def test_tally_blocks_over_runs_frozen():
     assert tally_blocks(spec, 2) == {(0, 1): 3, (1, 0): 2, (1, 1): 3}
     assert tally_blocks(spec, 9) == {(0, 1, 0, 1, 0, 1, 1, 1, 1): 1}
     assert tally_blocks(spec, 10) == {}
+
+
+# Runs for the run counter: copies 0 and 1 common, block lengths 1..4 so
+# that equal-length neighbours share a table and unequal ones split it,
+# digits past 255 and past 2**64 in some blocks.
+_run_digits = st.one_of(st.integers(0, 2), st.integers(250, 300), st.just(2**64 + 3))
+_run_pool = st.lists(st.lists(_run_digits, min_size=1, max_size=4), min_size=1, max_size=4)
+run_specs = _run_pool.flatmap(
+    lambda pool: st.lists(
+        st.tuples(st.sampled_from([0, 1, 1, 2, 3, 7]), st.sampled_from([DigitString(b) for b in pool])),
+        min_size=1,
+        max_size=7,
+    ).filter(lambda parts: any(m for m, _ in parts))
+).map(lambda parts: ConcatSpec(tuple(parts)))
+
+
+@given(run_specs, st.data())
+@settings(max_examples=300)
+def test_run_counter_matches_window_scan(spec, data):
+    longest = max(len(b) for _, b in spec.parts)
+    # k = 1, k equal to a block length, and k past every block length
+    k = data.draw(st.integers(1, longest + 3))
+    text = [d for m, b in spec.parts for d in b.as_tuple() * m]
+    assert tally_blocks(spec, k) == slow_tally(text, k)
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_run_table_matches_window_scan(data):
+    width = data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(st.lists(st.integers(0, 300), min_size=width, max_size=width), min_size=1, max_size=6))
+    copies = data.draw(st.lists(st.sampled_from([0, 1, 2, 5]), min_size=len(rows), max_size=len(rows)).filter(any))
+    spec = ConcatSpec.from_table(np.array(copies), np.array(rows, dtype=np.uint16), base=301)
+    text = [d for c, row in zip(copies, rows) for d in row * c]
+    assert spec.length == len(text)
+    assert concat(spec).as_tuple() == tuple(spec) == tuple(text)
+    assert [(m, b.as_tuple()) for m, b in spec.parts] == [(c, tuple(r)) for c, r in zip(copies, rows) if c]
+    for k in (1, width, width + 1, width + 3):
+        assert tally_blocks(spec, k) == slow_tally(text, k)
+
+
+def test_run_groups_split_on_block_length():
+    parts = ((2, Block(3, (0, 1))), (0, Block(3, (2, 2))), (1, Block(3, (1, 0))), (3, DigitString((5,))))
+    spec = ConcatSpec(parts + ((4, DigitString(())),))
+    assert [(c.tolist(), t.tolist()) for c, t in spec.groups] == [([2, 1], [[0, 1], [1, 0]]), ([3], [[5]])]
+    # past 2**63 digits the copy counts are Python ints
+    (copies, _), = ConcatSpec(((10**30, Block(2, (0, 1))),)).groups
+    assert copies.dtype == object and copies.tolist() == [10**30]
+
+
+def test_run_table_validation():
+    table = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+    with pytest.raises(InvalidSpecError):
+        ConcatSpec.from_table([0, 0], table)
+    with pytest.raises(InvalidSpecError):
+        ConcatSpec.from_table([1, -1], table)
+    with pytest.raises(InvalidSpecError):
+        ConcatSpec.from_table([1], table)
+    with pytest.raises(InvalidSpecError):
+        ConcatSpec.from_table([1, 1], table.astype(np.int64))
+    with pytest.raises(ValueError, match="digit 1 out of range for base 1"):
+        ConcatSpec.from_table([1, 1], table, base=1)
 
 
 def test_tally_blocks_alphabet_size_zeros_are_absent():

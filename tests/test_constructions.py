@@ -131,6 +131,21 @@ def test_build_P_runs_describe_build_P(b, w):
     assert concat(runs).as_tuple() == build_P(b, w).as_tuple()
 
 
+@pytest.mark.parametrize("b,w", [(2, 1), (2, 2), (2, 3), (3, 2), (6, 1)])
+def test_build_P_run_table_is_the_enumeration(b, w):
+    # one packed table: every base-(b+1) block of length w in order, with
+    # (2**b - b)**(top digits) copies, written out literally
+    literal = [(list(tup), ((1 << b) - b) ** tup.count(b)) for tup in itertools.product(range(b + 1), repeat=w)]
+    (copies, table), = build_P_runs(b, w).groups
+    assert table.shape == ((b + 1) ** w, w)
+    assert list(zip(table.tolist(), copies.tolist())) == literal
+    pairs = list(build_P_copies(b, w))
+    assert [(list(blk), c) for blk, c in pairs] == literal
+    assert all(blk.base == b + 1 for blk, _ in pairs)
+    flat = [d for row, c in literal for d in row * c]
+    assert concat(build_P_runs(b, w)).as_tuple() == concat([(c, blk) for blk, c in pairs]).as_tuple() == tuple(flat)
+
+
 def test_build_P_runs_cap_counts_runs_not_digits():
     runs = build_P_runs(6, 6)  # 7**6 runs describing ~4.1e11 digits
     assert len(runs) == 6 * 2**36

@@ -21,6 +21,7 @@ from cantornormal.discrepancy import (
     scaled_digits,
     star_discrepancy,
     star_discrepancy_from_counts,
+    star_discrepancy_from_triples,
     unit_sequence,
 )
 
@@ -179,6 +180,23 @@ def test_every_dstar_entry_point_matches_sweep(zs):
     counts = Counter(zs)  # keeps first-seen order: Farey pairs stay descending
     assert star_discrepancy_from_counts(counts, len(zs)) == d
     assert star_discrepancy_from_counts(list(counts.items()), len(zs)) == d
+
+
+# (p, q, count) triples, neither reduced nor distinct: 2/4 next to 1/2
+triples = st.lists(
+    st.tuples(st.integers(1, 12), st.integers(1, 4), st.integers(0, 3)).flatmap(
+        lambda t: st.integers(0, t[0] - 1).map(lambda p: (p * t[1], t[0] * t[1], t[2]))
+    ),
+    min_size=1,
+    max_size=12,
+).filter(lambda ts: any(c for _, _, c in ts))
+
+
+@given(triples)
+@settings(max_examples=300)
+def test_triple_sweep_matches_sweep_on_points(ts):
+    points = [Fraction(p, q) for p, q, c in ts for _ in range(c)]
+    assert star_discrepancy_from_triples(list(ts), len(points)) == sweep_dstar(points)
 
 
 @given(farey_pairs(), st.lists(_fractions(1, 12), max_size=4))

@@ -6,10 +6,15 @@ must produce a failed certificate with a concrete counterexample, never an
 exception and never a false pass.
 """
 
+import hashlib
+import json
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from cantornormal import cli
 from cantornormal import constructions as constructions_module
 from cantornormal import verify as verify_module
 from cantornormal.blocks import Block, tally_blocks
@@ -17,6 +22,7 @@ from cantornormal.constructions import (
     ConstructionSpec,
     SegmentSpec,
     build_C,
+    build_P_runs,
     qde_spec,
     qnex_spec,
     salat_counterexample_spec,
@@ -40,6 +46,8 @@ from cantornormal.verify import (
     verify_t0_scaled,
 )
 from cantornormal.weightings import uniform
+
+from oracles import sweep_dstar
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +141,16 @@ def test_bounds_ng_nl_catches_inflated_tally():
     assert cert.counterexample["observed"] > cert.counterexample["upper"]
 
 
+def test_bounds_ng_nl_runtime_includes_the_build(monkeypatch):
+    def slow_runs(b, w):
+        time.sleep(0.05)
+        return build_P_runs(b, w)
+
+    monkeypatch.setattr(verify_module, "build_P_runs", slow_runs)
+    cert = verify_bounds_ng_nl(2, 2, 1)
+    assert cert.passed and cert.runtime_seconds >= 0.05
+
+
 def test_bounds_ng_nl_guards():
     with pytest.raises(InvalidSpecError):
         verify_bounds_ng_nl(2, 2, 3)
@@ -173,6 +191,21 @@ def test_eknu_reaches_past_the_digit_cap():
     cert = verify_eknu(8, 4, 2)
     assert cert.passed
     assert cert.details["length"] == 4 * 2**32
+
+
+def test_eknu_at_b6_w6_k3_is_byte_identical():
+    # 7**6 runs describing 6 * 2**36 digits; the digest is the one the
+    # per-offset run walk produced before the packed run table
+    cert = verify_eknu(6, 6, 3)
+    assert cert.passed
+    assert cert.canonical_bytes() == (
+        b'{"checked":399,"claim":"eknu","counterexample":null,'
+        b'"details":{"eps":"1/2","length":412316860416},'
+        b'"params":{"b":6,"k":3,"w":6},"passed":true}\n'
+    )
+    assert hashlib.sha256(cert.canonical_bytes()).hexdigest() == (
+        "e809a05c9d3a977b63b2a76eea058c3b0bf4c27b7edcbd342496ec1eb82b3df0"
+    )
 
 
 def test_eknu_cap_bounds_enumerated_runs():
@@ -338,6 +371,70 @@ def test_salat_counterexample_rejects_invalid_generator_output(monkeypatch):
         verify_salat_counterexample(m_rows=10)
 
 
+def _salat_reference(q, digits, m_rows):
+    """The certificate details written out per position in Fractions."""
+    values = [Fraction(d, base) for d, base in zip(digits, q)]
+    ends = [m * (m + 1) // 2 for m in range(1, m_rows + 1)]
+    row_ends = set(ends)
+    samples = sorted({m for m in (50, 100, 150, 200) if m <= m_rows} | {m_rows})
+    normalizer, running = [], Fraction(0)
+    for pos, base in enumerate(q, start=1):
+        running += Fraction(1, base)
+        if pos in row_ends:
+            normalizer.append(running)
+    return {
+        "n_total": ends[-1],
+        "zero_count": list(digits).count(0),
+        "hypothesis_first_last": [normalizer[0] / ends[0], normalizer[-1] / ends[-1]],
+        "d_star_samples": [[m, sweep_dstar(values[: ends[m - 1]])] for m in samples],
+        "normalizer_samples": [[m, normalizer[m - 1]] for m in samples],
+    }
+
+
+@pytest.mark.parametrize("m_rows", [2, 3, 60, 201])
+def test_salat_counterexample_details_match_per_position_reference(m_rows):
+    cert = verify_salat_counterexample(m_rows=m_rows)
+    q, digits = salat_counterexample_spec(m_rows * (m_rows + 1) // 2)
+    assert cert.details == _salat_reference(q, digits, m_rows)
+
+
+def _tampered_bases(monkeypatch, changes):
+    def tampered(n_total):
+        q, digits = salat_counterexample_spec(n_total)
+        q = list(q)
+        for pos, base in changes.items():
+            q[pos - 1] = base
+        return q, digits
+
+    monkeypatch.setattr(constructions_module, "salat_counterexample_spec", tampered)
+
+
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        ({4: 1}, "position 4: digit 1 invalid for base 1"),
+        ({1: 2.0}, "position 1: digit 1 invalid for base 2.0"),
+        # the first bad position is named, whatever is wrong later
+        ({9: 1, 3: 2.0}, "position 3: digit 2 invalid for base 2.0"),
+    ],
+)
+def test_salat_counterexample_refuses_bad_bases(monkeypatch, changes, message):
+    _tampered_bases(monkeypatch, changes)
+    with pytest.raises(InvalidSpecError, match=f"^{message}$"):
+        verify_salat_counterexample(m_rows=10)
+
+
+def test_salat_counterexample_reads_bases_past_int64_exactly(monkeypatch):
+    # position 6 holds digit 3 (row 3); a base of 2**70 keeps it valid
+    _tampered_bases(monkeypatch, {6: 2**70})
+    cert = verify_salat_counterexample(m_rows=4)
+    q, digits = constructions_module.salat_counterexample_spec(10)
+    assert q[5] == 2**70
+    assert cert.details == _salat_reference(q, digits, 4)
+    # rows 1..4 add 1/2, 2/3, 2/4 + 1/2**70 and 4/5
+    assert cert.details["normalizer_samples"] == [[4, Fraction(37, 15) + Fraction(1, 2**70)]]
+
+
 def test_salat_counterexample_guards():
     with pytest.raises(InvalidSpecError):
         verify_salat_counterexample(m_rows=1)
@@ -403,3 +500,16 @@ def test_run_all_unbudgeted_prefix_runs_cheap_jobs():
     assert certs, "at least the cheap lemma jobs should fit a 2 s budget"
     assert all(c.passed for c in certs)
     assert certs[0].claim == "lemma-amount"
+
+
+def test_verify_all_output_is_byte_identical(tmp_path):
+    # the digests the benchmark checks, read from its expected-output file
+    expected = json.loads((Path(__file__).parent.parent / "benchmarks" / "expected_verify_all.json").read_text())
+    out = tmp_path / "all.json"
+    assert cli.main(["verify", "--all", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected["out_sha256"]
+    certs = json.loads(out.read_bytes())["certificates"]
+    assert len(certs) == len(expected["certificates"]) == len(DEFAULT_JOBS)
+    for raw, want in zip(certs, expected["certificates"]):
+        cert = Certificate(**raw)
+        assert hashlib.sha256(cert.canonical_bytes()).hexdigest() == want["sha256"], want["label"]
