@@ -18,7 +18,6 @@ from .blocks import (
     count_occurrences,
     count_prefix_occurrences,
     count_run_occurrences,
-    count_straddling,
     count_top_digit,
     enumerate_blocks,
     max_digit,

@@ -372,21 +372,6 @@ def enumerate_blocks(base: int, length: int) -> Iterator[Block]:
         yield Block(base, tup)
 
 
-def count_straddling(block, left, right) -> int:
-    """Occurrences of ``block`` split across the boundary ``left | right``.
-
-    Every window of the last len(block)-1 digits of ``left`` followed by the
-    first len(block)-1 digits of ``right`` crosses the boundary, so those
-    are counted.  A length-1 block can never straddle.
-    """
-    pat = digit_data(block)
-    if len(pat) == 0:
-        raise ValueError("straddle counting needs a nonempty block")
-    tail, head = digit_data(left), digit_data(right)
-    seam = np.concatenate((tail[max(0, len(tail) - len(pat) + 1) :], head[: len(pat) - 1]))
-    return count_occurrences(pat, seam)
-
-
 def tally_blocks(text, length: int, alphabet_size: int | None = None) -> dict[tuple[int, ...], int]:
     """Exact counts of every length-``length`` window occurring in ``text``.
 

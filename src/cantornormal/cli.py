@@ -348,6 +348,10 @@ def _cmd_discrepancy(cfg: RunConfig, args) -> int:
 
 
 def _cmd_verify(cfg: RunConfig, args) -> int:
+    if args.all and (args.claim is not None or args.grid is not None):
+        raise InvalidSpecError("--all runs the default jobs; it takes no --claim or --grid")
+    if args.budget is not None and not args.all:
+        raise InvalidSpecError("--budget applies only to --all")
     if args.all:
         budget = parse_budget(args.budget) if args.budget else None
         certs, skipped = run_all(budget_seconds=budget)

@@ -19,19 +19,6 @@ def slow_count(pattern, text):
     return sum(1 for i in range(len(hay) - k + 1) if hay[i : i + k] == pat)
 
 
-def slow_straddle(pattern, left, right):
-    """Occurrences inside left+right that start in left and end in right."""
-    pat = tuple(pattern)
-    hay = tuple(left) + tuple(right)
-    k = len(pat)
-    cut = len(left)
-    total = 0
-    for i in range(len(hay) - k + 1):
-        if i < cut and i + k > cut and hay[i : i + k] == pat:
-            total += 1
-    return total
-
-
 def slow_tally(text, length):
     """Every length-``length`` window and how often it appears."""
     hay = tuple(text)

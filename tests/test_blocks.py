@@ -14,7 +14,6 @@ from cantornormal.blocks import (
     count_occurrences,
     count_prefix_occurrences,
     count_run_occurrences,
-    count_straddling,
     count_top_digit,
     digit_data,
     enumerate_blocks,
@@ -26,7 +25,7 @@ from cantornormal.blocks import (
 from cantornormal.errors import InvalidSpecError, NeedsMoreDigitsError, SizeLimitError
 from cantornormal.limits import size_cap
 
-from oracles import slow_count, slow_straddle, slow_tally
+from oracles import slow_count, slow_tally
 
 digit_lists = st.lists(st.integers(0, 6), min_size=0, max_size=40)
 patterns = st.lists(st.integers(0, 6), min_size=1, max_size=5)
@@ -225,34 +224,6 @@ def test_enumerate_blocks_lexicographic():
 def test_enumerate_blocks_cap():
     with size_cap(100), pytest.raises(SizeLimitError):
         list(enumerate_blocks(10, 4))
-
-
-def test_count_straddling_frozen():
-    # 01|10: (1,1) straddles once, (0,1) does not
-    assert count_straddling((1, 1), (0, 1), (1, 0)) == 1
-    assert count_straddling((0, 1), (0, 1), (1, 0)) == 0
-    # length-1 blocks never straddle
-    assert count_straddling((0,), (0, 0), (0, 0)) == 0
-
-
-@given(patterns, digit_lists, digit_lists)
-def test_count_straddling_matches_boundary_scan(pat, left, right):
-    assert count_straddling(pat, left, right) == slow_straddle(pat, left, right)
-
-
-@given(
-    st.lists(st.integers(0, 3), min_size=1, max_size=3),
-    st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=8), min_size=1, max_size=5),
-)
-def test_occurrences_decompose_into_blocks_plus_straddles(pat, parts):
-    # every part is at least as long as the pattern, so each occurrence
-    # lies inside one part or straddles one adjacent boundary
-    text = [d for part in parts for d in part]
-    inner = sum(count_occurrences(pat, part) for part in parts)
-    across = sum(
-        count_straddling(pat, parts[i], parts[i + 1]) for i in range(len(parts) - 1)
-    )
-    assert count_occurrences(pat, text) == inner + across
 
 
 def test_tally_blocks_frozen():

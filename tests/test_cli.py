@@ -466,6 +466,35 @@ def test_internal_error_exits_4_with_traceback(monkeypatch, capsys):
     assert "Traceback" in err and "a fault inside the verifier" in err and "internal error" in err
 
 
+def test_verify_sidecar_times_a_swapped_in_claim(monkeypatch, tmp_path, capsys):
+    # the runner stamps the time even on a verifier that never reads a clock
+    def passes(**kwargs):
+        return Certificate(claim="zz-pass", params=kwargs, passed=True, checked=1)
+
+    monkeypatch.setitem(CLAIMS, "zz-pass", (passes, "plain"))
+    out = str(tmp_path / "c.json")
+    assert main(["verify", "--claim", "zz-pass", "--out", out]) == 0
+    meta = json.loads(open(out + ".meta.json").read())
+    assert [job["claim"] for job in meta["runtimes"]] == ["zz-pass"]
+    assert isinstance(meta["runtimes"][0]["runtime_seconds"], float)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--all", "--claim", "lemma-1021", "--budget", "0s"],
+        ["--all", "--grid", "b=2"],
+        ["--claim", "lemma-1021", "--budget", "1s"],
+    ],
+)
+def test_verify_conflicting_flags_exit_2(tmp_path, capsys, extra):
+    out = tmp_path / "c.json"
+    assert main(["verify", *extra, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--all" in err and "internal error" not in err
+    assert not out.exists()
+
+
 def test_verify_all_with_zero_budget(capsys):
     code, payload = run_json(capsys, ["verify", "--all", "--budget", "0s"])
     assert code == 0

@@ -78,11 +78,24 @@ def test_certificate_json_excludes_runtime_and_stringifies_fractions():
 
 
 def test_certificates_are_byte_identical_across_runs():
-    a = verify_lemma_amount(b_range=(2, 3), w_range=(1, 2))
-    b = verify_lemma_amount(b_range=(2, 3), w_range=(1, 2))
-    assert a.runtime_seconds != b.runtime_seconds or True  # runtimes may differ
+    grid = {"b": [2, 3], "w": [1, 2]}
+    [a] = run_claim("lemma-amount", grid)
+    [b] = run_claim("lemma-amount", grid)
+    # the runtimes differ between the runs; the canonical bytes may not
+    assert isinstance(a.runtime_seconds, float) and isinstance(b.runtime_seconds, float)
     assert a.canonical_bytes() == b.canonical_bytes()
     assert a.canonical_bytes().endswith(b"\n")
+
+
+def test_runner_and_direct_call_give_the_same_bytes():
+    direct = verify_lemma_amount(b_range=[2, 3], w_range=[1, 2])
+    [run] = run_claim("lemma-amount", {"b": [2, 3], "w": [1, 2]})
+    assert direct.runtime_seconds is None  # verifiers never read the clock
+    assert run.canonical_bytes() == direct.canonical_bytes()
+    [point] = run_claim("eknu", {"b": [6], "w": [2], "k": [1]})
+    assert point.canonical_bytes() == verify_eknu(6, 2, 1).canonical_bytes()
+    [plain] = run_claim("salat-counterexample", {"m_rows": [30]})
+    assert plain.canonical_bytes() == verify_salat_counterexample(30).canonical_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +160,19 @@ def test_bounds_ng_nl_runtime_includes_the_build(monkeypatch):
         return build_P_runs(b, w)
 
     monkeypatch.setattr(verify_module, "build_P_runs", slow_runs)
-    cert = verify_bounds_ng_nl(2, 2, 1)
+    [cert] = run_claim("bounds-ng-nl", {"b": [2], "w": [2], "k_max": [1]})
+    assert cert.passed and cert.runtime_seconds >= 0.05
+
+
+def test_runtime_includes_the_default_spec_build(monkeypatch):
+    # the default spec is built before any checkpoint is visited; the
+    # runner's one timer around the whole call must count it
+    def slow_spec():
+        time.sleep(0.05)
+        return qnex_spec()
+
+    monkeypatch.setattr(verify_module, "qnex_spec", slow_spec)
+    [cert] = run_claim("t0-scaled")
     assert cert.passed and cert.runtime_seconds >= 0.05
 
 
@@ -499,6 +524,7 @@ def test_run_all_unbudgeted_prefix_runs_cheap_jobs():
     certs, skipped = run_all(budget_seconds=2.0)
     assert certs, "at least the cheap lemma jobs should fit a 2 s budget"
     assert all(c.passed for c in certs)
+    assert all(isinstance(c.runtime_seconds, float) for c in certs)
     assert certs[0].claim == "lemma-amount"
 
 
