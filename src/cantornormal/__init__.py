@@ -30,12 +30,10 @@ from .cantor import (
     CantorExpansion,
     RationalInterval,
     digits_to_value,
-    divergence_diagnostics,
     normality_ratio,
     orbit_point,
     q_moment,
     salat_hypothesis,
-    salat_sequence,
     scaled_value_counts,
     value_to_digits,
 )

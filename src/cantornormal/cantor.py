@@ -126,6 +126,20 @@ class CantorExpansion:
             raise NeedsMoreDigitsError(n, self.horizon)
         return self._digit_fn(n)
 
+    def window(self, start: int, m: int) -> Iterable[tuple[int, Sequence[int]]]:
+        """Positions start+1 .. start+m as (base, digits) pieces, in order.
+
+        Every digit of a piece sits over the piece's base.  A spec-backed
+        expansion reads ``spec.window``: one piece per segment crossed.  Any
+        other expansion gives one-position pieces read through ``Q.q`` and
+        ``digit``.  Past the horizon both refuse the first base entry missing.
+        """
+        if self.spec is None:
+            return ((self.Q.q(pos), (self.digit(pos),)) for pos in range(start + 1, start + m + 1))
+        if start + m > self.horizon:
+            raise NeedsMoreDigitsError(max(start, self.horizon) + 1, self.horizon, what="base entries")
+        return self.spec.window(start, m)
+
     def digits_prefix(self, n: int) -> DigitString:
         if self.spec is not None:
             return self.spec.digits_prefix(n)
@@ -281,33 +295,16 @@ def normality_ratio(exp: CantorExpansion, block, n: int) -> Fraction:
     return Fraction(count) / moment
 
 
-@dataclass(frozen=True)
-class DivergenceRow:
-    n: int
-    moment: Fraction
-
-
-def divergence_diagnostics(Q: BasicSequence, k: int, checkpoints: Iterable[int]) -> tuple[DivergenceRow, ...]:
-    """Exact q_moment values at increasing checkpoints.
-
-    Normality of order k is only meaningful when the normalizer diverges;
-    the table shows the finite-horizon trajectory and asserts nothing
-    about the limit.
-    """
-    rows = []
-    for n in sorted(set(checkpoints)):
-        rows.append(DivergenceRow(n, q_moment(Q, n, k)))
-    return tuple(rows)
-
-
 def orbit_point(exp: CantorExpansion, n: int, tail: int = 64) -> RationalInterval:
     """Enclose T_n(x) = (q_1 ... q_n) * x mod 1 from digits alone.
 
     The shifted value equals the tail series sum_{m>=1}
     E_{n+m} / (q_{n+1} ... q_{n+m}); truncating after ``tail`` terms gives
     a lower endpoint, and one unit in the last place covers the rest.
-    Needs digits through position n + tail; the ``tail`` positions read
-    count against the size cap.
+    Needs digits through position n + tail, read as ``exp.window(n, tail)``
+    pieces: on a spec one slice per segment crossed, else one position at
+    a time.  Each piece is folded by Horner's rule over its one base.  The
+    ``tail`` positions count against the size cap; n does not.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be an integer >= 0, got {n}")
@@ -316,41 +313,32 @@ def orbit_point(exp: CantorExpansion, n: int, tail: int = 64) -> RationalInterva
     check_cap(tail, what="positions")
     num = 0
     den = 1
-    for m in range(n + 1, n + tail + 1):
-        q = exp.Q.q(m)
-        num = num * q + exp.digit(m)
-        den *= q
+    for q, digits in exp.window(n, tail):
+        for d in digits:
+            num = num * q + d
+        den *= q ** len(digits)
     return RationalInterval(Fraction(num, den), Fraction(num + 1, den))
-
-
-def salat_sequence(exp: CantorExpansion, n: int) -> tuple[Fraction, ...]:
-    """Scaled digits E_m / q_m for m = 1..n, each in [0, 1).
-
-    The n positions count against the size cap.
-    """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be an integer >= 0, got {n}")
-    check_cap(n, what="positions")
-    return tuple(Fraction(exp.digit(m), exp.Q.q(m)) for m in range(1, n + 1))
 
 
 def scaled_value_counts(spec: ConstructionSpec, n: int) -> dict[Fraction, int]:
     """Multiplicity table of the scaled digits E_m/q_m over positions m <= n.
 
-    Works segment by segment in closed form (a segment's whole block copies
-    tallied once, then its cut copy), so n may be astronomically large as
-    long as the construction itself reaches it.
+    Works segment by segment in closed form: a segment's whole copies add
+    its block's digit tally (``SegmentSpec.digit_tally``, tallied once per
+    segment) times their number, and only the cut copy is tallied here.
+    No digit is read per position and nothing counts against the size cap,
+    so n may be astronomically large as long as the construction reaches it.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n}")
     counts: dict[Fraction, int] = {}
     for seg, take in spec.prefix_parts(n):
         full, rem = divmod(take, len(seg.block))
-        raw = seg.block.digits
-        for part, copies in ((raw, full), (raw[:rem], 1)):
-            if not (copies and len(part)):
-                continue
-            for (d,), c in tally_blocks(part, 1, alphabet_size=seg.base).items():
+        parts = [(full, seg.digit_tally)] if full else []
+        if rem:
+            parts.append((1, tally_blocks(seg.block[:rem], 1, alphabet_size=seg.base).items()))
+        for copies, tally in parts:
+            for (d,), c in tally:
                 v = Fraction(d, seg.base)
                 counts[v] = counts.get(v, 0) + copies * c
     return counts

@@ -487,6 +487,28 @@ def verify_mqd_scaled(
     )
 
 
+def _checked_salat_bases(q: list, digits) -> np.ndarray:
+    """The base entries as one exact integer array, each checked against its digit.
+
+    Every entry must be an int >= 2 above its digit, else the first
+    position where one is not is named.  The array is int64 while the
+    codes q * (max base + 1) + p fit it and the digits cast to it exactly,
+    else object.
+    """
+    ints = set(map(type, q)) == {int}
+    stride = max(q) + 1 if ints else 0
+    fits = 0 < stride and stride * stride <= 1 << 63 and digits.digits.dtype.itemsize <= 4
+    bases = np.array(q, dtype=np.int64 if fits else object)
+    if not ints:
+        # an entry that is no int reads as base 0, so it fails the range check
+        bases = np.where(np.fromiter(map(isinstance, q, itertools.repeat(int)), bool, len(q)), bases, 0)
+    bad = (bases < 2) | (digits.digits >= bases)
+    if bad.any():
+        pos = int(bad.argmax())
+        raise InvalidSpecError(f"position {pos + 1}: digit {digits[pos]} invalid for base {q[pos]}")
+    return bases
+
+
 def verify_salat_counterexample(m_rows: int = 200) -> Certificate:
     """One notion of normality without the other, on the staircase witness.
 
@@ -509,36 +531,35 @@ def verify_salat_counterexample(m_rows: int = 200) -> Certificate:
     n_total = m_rows * (m_rows + 1) // 2
     sample_rows = sorted({m for m in (50, 100, 150, 200) if m <= m_rows} | {m_rows})
     q, digits = _constructions.salat_counterexample_spec(n_total)
-    raw = digits.as_tuple()
-    if len(raw) != n_total or len(q) != n_total:
+    if len(digits) != n_total or len(q) != n_total:
         raise InvalidSpecError(
-            f"expected {n_total} positions, got {len(raw)} digits and {len(q)} base entries"
+            f"expected {n_total} positions, got {len(digits)} digits and {len(q)} base entries"
         )
     # everything below reads the returned digits and bases, never the
     # row formula, so a tampered generator is caught
-    for pos, (d, base) in enumerate(zip(raw, q)):
-        if not (isinstance(base, int) and base >= 2 and 0 <= d < base):
-            raise InvalidSpecError(f"position {pos + 1}: digit {d} invalid for base {base}")
-    zero_count = raw.count(0)
+    bases = _checked_salat_bases(q, digits)
+    zero_count = int(np.count_nonzero(digits.digits == 0))
     # each position's scaled digit in lowest terms p/q, coded as q * stride + p
-    stride = max(q) + 1
-    bases = np.array(q, dtype=np.int64 if stride * stride <= 1 << 63 else object)
+    stride = int(bases.max()) + 1
     scaled = digits.digits.astype(bases.dtype)  # exact: every digit is below its base
     gcds = np.gcd(scaled, bases)
     codes = bases // gcds * stride + scaled // gcds
+    # runs of equal bases cut at every row end, so each run lies in one row
+    row_ends = np.cumsum(np.arange(1, m_rows + 1))
+    run_ends = np.union1d(np.flatnonzero(bases[1:] != bases[:-1]) + 1, row_ends)
+    runs = zip(run_ends.tolist(), np.diff(run_ends, prepend=0).tolist(), bases[run_ends - 1].tolist())
     recip_sum = Fraction(0)
     hyp_values: list[Fraction] = []
     hyp_decreasing = True
     first_increase = None
-    pos = 0
     d_samples: list[tuple[int, Fraction]] = []
     normalizer_samples: list[tuple[int, Fraction]] = []
-    for m in range(1, m_rows + 1):
-        row = q[pos : pos + m]
-        pos += m
-        # 1/base is added once per run of equal bases
-        for base, run in itertools.groupby(row):
-            recip_sum += Fraction(sum(1 for _ in run), base)
+    for m, pos in enumerate(row_ends.tolist(), start=1):
+        # 1/base is added once per run, up to the run that ends this row
+        for end, length, base in runs:
+            recip_sum += Fraction(length, base)
+            if end == pos:
+                break
         h = recip_sum / pos
         if hyp_values and h >= hyp_values[-1] and first_increase is None:
             hyp_decreasing = False

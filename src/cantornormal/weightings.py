@@ -14,14 +14,17 @@ All verdicts are computed in exact rational arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from .blocks import ConcatSpec, digit_data, max_digit, tally_blocks
 from .limits import check_cap
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -78,15 +81,33 @@ class Weighting:
         assert self.table is not None
         return self.table[j] if j < len(self.table) else _ZERO
 
+    @cached_property
+    def _table_numerators(self) -> tuple[int, tuple[int, ...]]:
+        """A table's common denominator and each digit's integer numerator over it."""
+        assert self.table is not None
+        den = math.lcm(*(x.denominator for x in self.table))
+        return den, tuple(x.numerator * (den // x.denominator) for x in self.table)
+
     def weight(self, block) -> Fraction:
-        """Mass of a block: the product of its digit masses (1 for empty)."""
-        total = _ONE
-        for d in digit_data(block).tolist():
-            w = self.digit_weight(d)
-            if w == 0:
-                return _ZERO
-            total *= w
-        return total
+        """Mass of a block: the product of its digit masses (1 for empty).
+
+        Each digit mass is an integer numerator over one common denominator,
+        so the mass is an integer product over that denominator to the
+        block length; one Fraction is made per block, none per digit.
+        """
+        digits = digit_data(block)
+        if len(digits) and int(digits.max()) > self.support_bound:
+            return _ZERO
+        if self.kind == "table":
+            den, nums = self._table_numerators
+            num = math.prod(map(nums.__getitem__, digits.tolist()))
+        elif self.kind == "nu":
+            # numerator 1 below the top digit b, 2**b - b at it
+            den = 2**self.b
+            num = (den - self.b) ** int(np.count_nonzero(digits == self.b))
+        else:
+            den, num = self.b, 1
+        return Fraction(num, den ** len(digits))
 
     def to_token(self) -> str:
         if self.kind == "table":

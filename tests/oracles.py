@@ -64,6 +64,21 @@ def slow_q_moment(qs, k):
     return total
 
 
+def literal_orbit(qs, ds, n, tail):
+    """Enclosure (lo, hi) of T_n(x) from the digits at positions n+1..n+tail.
+
+    lo sums E_m / (q_{n+1} ... q_m) term by term in Fractions; hi adds the
+    last term's unit, 1 / (q_{n+1} ... q_{n+tail}).
+    """
+    assert 0 <= n and 1 <= tail and n + tail <= len(qs) == len(ds)
+    lo = Fraction(0)
+    unit = Fraction(1)
+    for q, d in zip(qs[n : n + tail], ds[n : n + tail]):
+        unit /= q
+        lo += d * unit
+    return lo, lo + unit
+
+
 def chunk_runs(digits, w):
     """Run-length encode consecutive length-w chunks of a digit string."""
     seq = tuple(digits)

@@ -1,6 +1,7 @@
 """Mixed-radix expansions: conversions, moments, orbits, scaled digits."""
 
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -13,12 +14,10 @@ from cantornormal.cantor import (
     CantorExpansion,
     RationalInterval,
     digits_to_value,
-    divergence_diagnostics,
     normality_ratio,
     orbit_point,
     q_moment,
     salat_hypothesis,
-    salat_sequence,
     scaled_value_counts,
     value_to_digits,
 )
@@ -38,7 +37,7 @@ from cantornormal.errors import (
 )
 from cantornormal.limits import size_cap
 
-from oracles import slow_count, slow_q_moment
+from oracles import literal_orbit, slow_count, slow_q_moment
 
 # rational points of [0, 1) with small denominators
 rationals = st.integers(2, 50).flatmap(
@@ -321,12 +320,6 @@ def test_normality_ratio_frozen():
     assert normality_ratio(exp, (1, 1), 8) == 0
 
 
-def test_divergence_diagnostics_sorted_and_exact():
-    rows = divergence_diagnostics(BasicSequence.constant(2), 1, [8, 2, 4, 2])
-    assert [r.n for r in rows] == [2, 4, 8]
-    assert [r.moment for r in rows] == [1, 2, 4]
-
-
 # ---------------------------------------------------------------------------
 # Orbits.
 # ---------------------------------------------------------------------------
@@ -375,26 +368,6 @@ def staircase_expansion(n_total):
     return CantorExpansion.from_digits(BasicSequence.explicit(q), digits)
 
 
-def test_salat_sequence_frozen():
-    exp = staircase_expansion(6)
-    assert salat_sequence(exp, 6) == (
-        Fraction(1, 2),
-        Fraction(1, 3),
-        Fraction(2, 3),
-        Fraction(1, 4),
-        Fraction(2, 4),
-        Fraction(3, 4),
-    )
-
-
-def test_salat_sequence_honours_size_cap(monkeypatch):
-    monkeypatch.setenv("CNL_SIZE_CAP", "2")
-    exp = CantorExpansion(BasicSequence.constant(3), lambda n: 2)
-    assert salat_sequence(exp, 2) == (Fraction(2, 3), Fraction(2, 3))
-    with pytest.raises(SizeLimitError):
-        salat_sequence(exp, 10**12)
-
-
 def test_salat_hypothesis_frozen():
     exp = staircase_expansion(6)
     assert salat_hypothesis(exp.Q, 1) == Fraction(1, 2)
@@ -412,11 +385,20 @@ def test_salat_hypothesis_spec_path_matches_direct():
         assert salat_hypothesis(Q, n) == direct
 
 
+def literal_expansion(segs):
+    """Base entries and digits of segments, written out position by position."""
+    qs, ds = [], []
+    for seg in segs:
+        qs += [seg.base] * seg.length
+        ds += list(seg.block) * seg.multiplicity
+    return qs, ds
+
+
 def test_scaled_value_counts_matches_brute_force():
     spec = qde_spec(i_max=4)
-    exp = CantorExpansion.from_spec(spec)
+    qs, ds = literal_expansion(spec.segments)
     for n in (1, 63, 64, 65, 100, 550, 551, spec.total_length):
-        brute = Counter(salat_sequence(exp, n))
+        brute = Counter(map(Fraction, ds[:n], qs[:n]))
         assert scaled_value_counts(spec, n) == brute
         assert sum(scaled_value_counts(spec, n).values()) == n
 
@@ -441,11 +423,12 @@ segments = st.lists(
 @settings(max_examples=150)
 def test_prefix_readers_match_literal_expansion(segs):
     spec = ConstructionSpec(tuple(segs))
-    qs, ds = [], []
-    for seg in segs:
-        qs += [seg.base] * seg.length
-        ds += list(seg.block) * seg.multiplicity
+    qs, ds = literal_expansion(segs)
     Q = BasicSequence.from_spec(spec)
+    exp = CantorExpansion.from_spec(spec)
+    ends = [0]
+    for seg in segs:
+        ends.append(ends[-1] + seg.length)
     # every n, so each cut inside a copy is visited
     for n in range(len(qs) + 1):
         assert spec.digits_prefix(n).as_tuple() == tuple(ds[:n])
@@ -455,10 +438,32 @@ def test_prefix_readers_match_literal_expansion(segs):
         assert Q.product(n) == math.prod(qs[:n])
         if n:
             assert scaled_value_counts(spec, n) == Counter(map(Fraction, ds[:n], qs[:n]))
+        # tails from one digit up to the end, crossing copy and segment seams
+        for tail in sorted({1, 2, 3, 7, len(qs) - n} - {0}):
+            if n + tail <= len(qs):
+                iv = orbit_point(exp, n, tail)
+                assert (iv.lo, iv.hi) == literal_orbit(qs, ds, n, tail)
+                # one piece per segment crossed, segments with no digits skipped
+                pieces = spec.window(n, tail)
+                assert [b for b, digits in pieces for _ in digits] == qs[n : n + tail]
+                assert [d for _, digits in pieces for d in digits] == ds[n : n + tail]
+                crossed = [i for i in range(1, len(ends)) if max(ends[i - 1], n) < min(ends[i], n + tail)]
+                assert len(pieces) == len(crossed)
     with pytest.raises(NeedsMoreDigitsError):
         spec.digits_prefix(len(qs) + 1)
     with pytest.raises(NeedsMoreDigitsError):
         Q.product(len(qs) + 1)
+    # past the horizon the first missing base entry is named
+    for n, missing in ((0, len(qs) + 1), (len(qs), len(qs) + 1), (len(qs) + 2, len(qs) + 3)):
+        message = f"needs base entries up to position {missing} (only {len(qs)} available)"
+        with pytest.raises(NeedsMoreDigitsError, match=rf"^{re.escape(message)}$"):
+            orbit_point(exp, n, len(qs) - n + 1 if n <= len(qs) else 1)
+    # the tail counts against the size cap, wherever it starts
+    if len(qs) >= 2:
+        with size_cap(len(qs) - 1):
+            assert orbit_point(exp, 1, len(qs) - 1) == RationalInterval(*literal_orbit(qs, ds, 1, len(qs) - 1))
+            with pytest.raises(SizeLimitError):
+                orbit_point(exp, 0, len(qs))
 
 
 def test_scaled_value_counts_validation():

@@ -56,6 +56,36 @@ def test_weight_is_multiplicative(b, digits):
     assert mu.weight(digits) == expected
 
 
+def _literal_digit_mass(mu, d):
+    """A digit's mass written out from the weighting's definition."""
+    if mu.kind == "uniform":
+        return Fraction(1, mu.b) if d < mu.b else Fraction(0)
+    if mu.kind == "nu":
+        if d < mu.b:
+            return Fraction(1, 2**mu.b)
+        return Fraction(2**mu.b - mu.b, 2**mu.b) if d == mu.b else Fraction(0)
+    return mu.table[d] if d < len(mu.table) else Fraction(0)
+
+
+small_fractions = st.builds(Fraction, st.integers(0, 7), st.integers(1, 12))
+weightings = st.one_of(
+    st.builds(uniform, st.integers(2, 6) | st.just(300)),
+    st.builds(nu, st.integers(2, 6) | st.just(300)),
+    # raw tables: unnormalized, with zero masses inside
+    st.lists(small_fractions, min_size=1, max_size=6).map(lambda t: Weighting("table", len(t), tuple(t))),
+)
+
+
+@given(weightings, st.lists(st.integers(0, 8) | st.sampled_from([299, 300, 301, 2**64]), max_size=5))
+def test_weight_is_the_product_of_literal_digit_masses(mu, digits):
+    expected = Fraction(1)
+    for d in digits:
+        expected *= _literal_digit_mass(mu, d)
+    assert mu.weight(digits) == expected
+    if digits:
+        assert mu.weight(DigitString(digits)) == expected
+
+
 def test_weight_outside_support_is_zero():
     assert uniform(2).weight((0, 5)) == 0
     assert uniform(2).weight(()) == 1
