@@ -3,7 +3,7 @@
 Modules:
     blocks          digit strings, overlapping counts, tallies, digit files
     weightings      digit-mass weightings and block-frequency normality
-    constructions   segmented constructions, enumeration blocks, diagnostics
+    constructions   segmented constructions, enumeration blocks
     cantor          expansions, value/digit conversion, moments, orbits
     discrepancy     exact star discrepancy and its upper bounds
     verify          claim certificates
@@ -19,7 +19,6 @@ from .blocks import (
     count_prefix_occurrences,
     count_run_occurrences,
     count_top_digit,
-    enumerate_blocks,
     max_digit,
     read_digit_file,
     tally_blocks,
@@ -38,23 +37,15 @@ from .cantor import (
     value_to_digits,
 )
 from .constructions import (
-    BffSpec,
     ConstructionSpec,
-    DiagnosticsTable,
-    MffSpec,
     SegmentSpec,
     assemble,
-    bff_good_diagnostics,
     build_C,
     build_P,
     build_P_copies,
     build_P_runs,
-    mff_nice_diagnostics,
     qde_default_eps,
-    qde_frame,
     qde_spec,
-    qnex_default_eps,
-    qnex_frame,
     qnex_spec,
     repetition_count,
     salat_counterexample_spec,
@@ -100,12 +91,10 @@ from .weightings import (
     NormalityVerdict,
     NormalityWitness,
     Weighting,
-    check_consistency,
     check_eps_k_normal,
     check_pb_uniform,
     nu,
     parse_weighting,
-    table_weighting,
     uniform,
 )
 

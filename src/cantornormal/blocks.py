@@ -1,4 +1,4 @@
-"""Digit blocks and digit strings: construction, counting, enumeration, file IO.
+"""Digit blocks and digit strings: construction, counting, file IO.
 
 A block is a finite string of digits drawn from ``{0, ..., base-1}``; a digit
 string is a finite string of non-negative integers with no base attached.
@@ -139,13 +139,6 @@ class Block(_Digits):
 
     def _fields(self) -> tuple:
         return (self.base,)
-
-    def to_json(self) -> dict:
-        return {"digits": self.digits.tolist(), "base": self.base}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Block":
-        return cls(base=int(obj["base"]), digits=obj["digits"])
 
 
 def _count_type(length: int):
@@ -360,19 +353,7 @@ def count_top_digit(block, b: int) -> int:
     return int(np.count_nonzero(raw == b))
 
 
-def enumerate_blocks(base: int, length: int) -> Iterator[Block]:
-    """Yield every base-``base`` block of ``length`` digits in lexicographic order."""
-    if not isinstance(base, int) or base < 2:
-        raise ValueError(f"base must be an integer >= 2, got {base}")
-    if not isinstance(length, int) or length < 0:
-        raise ValueError(f"length must be an integer >= 0, got {length}")
-    total = base**length
-    check_cap(total, what="enumerated blocks")
-    for tup in itertools.product(range(base), repeat=length):
-        yield Block(base, tup)
-
-
-def tally_blocks(text, length: int, alphabet_size: int | None = None) -> dict[tuple[int, ...], int]:
+def tally_blocks(text, length: int) -> dict[tuple[int, ...], int]:
     """Exact counts of every length-``length`` window occurring in ``text``.
 
     Returns a dict keyed by digit tuples; absent keys mean count zero.
@@ -380,14 +361,13 @@ def tally_blocks(text, length: int, alphabet_size: int | None = None) -> dict[tu
     from its run tables without building its digits, so the work grows
     with the number and length of its distinct runs, not with the length
     described.  A digit sequence is counted by one vectorized pass per
-    chunk.  ``alphabet_size`` may only widen the alphabet the window codes
-    are formed in.  Counts are exact integers either way.
+    chunk.  Counts are exact integers either way.
     """
     if not isinstance(length, int) or length < 1:
         raise ValueError(f"window length must be an integer >= 1, got {length}")
     if isinstance(text, ConcatSpec):
-        return _tally_runs(text, length, alphabet_size)
-    return _tally_flat(digit_data(text), length, alphabet_size)
+        return _tally_runs(text, length)
+    return _tally_flat(digit_data(text), length)
 
 
 def _window_codes(digits: np.ndarray, k: int, alpha: int, code_type) -> np.ndarray:
@@ -439,11 +419,11 @@ def _code_type(alpha: int, k: int):
     return np.int64 if alpha**k <= 1 << 63 else object
 
 
-def _tally_flat(seq: np.ndarray, k: int, alphabet_size: int | None = None) -> dict[tuple[int, ...], int]:
+def _tally_flat(seq: np.ndarray, k: int) -> dict[tuple[int, ...], int]:
     """tally_blocks over one packed digit array, one numpy pass per chunk."""
     if len(seq) < k:
         return {}
-    alpha = max(max_digit(seq) + 1, alphabet_size or 0)
+    alpha = max_digit(seq) + 1
     code_type = _code_type(alpha, k)
     totals: dict[int, int] = defaultdict(int)
     for part in _windows(seq, k):
@@ -451,7 +431,7 @@ def _tally_flat(seq: np.ndarray, k: int, alphabet_size: int | None = None) -> di
     return _decode(totals, alpha, k, code_type)
 
 
-def _tally_runs(spec: ConcatSpec, k: int, alphabet_size: int | None = None) -> dict[tuple[int, ...], int]:
+def _tally_runs(spec: ConcatSpec, k: int) -> dict[tuple[int, ...], int]:
     """tally_blocks over a ConcatSpec, from its run tables alone.
 
     Every window is counted at the run it starts in.  In a run of c copies
@@ -471,7 +451,7 @@ def _tally_runs(spec: ConcatSpec, k: int, alphabet_size: int | None = None) -> d
     """
     if spec.length < k:
         return {}
-    alpha = max(max_digit(spec) + 1, alphabet_size or 0)
+    alpha = max_digit(spec) + 1
     code_type = _code_type(alpha, k)
     totals: dict[int, int] = defaultdict(int)
     seam, starts = [], []
@@ -521,24 +501,30 @@ def write_digit_file(path, digits, count: int | None = None) -> int:
     """Write digits to ``path`` in the length-prefixed binary format.
 
     ``digits`` may be a Block/DigitString/sequence, or any iterable when
-    ``count`` is given.  Returns the number of digits written.
+    ``count`` is given.  A ``count`` that differs from the length of a
+    sized input is a ValueError, raised before the file is opened; a
+    sizeless iterable must yield at least ``count`` digits, of which the
+    first ``count`` are written.  Returns the number of digits written.
     """
+    try:
+        size = len(digits)  # type: ignore[arg-type]
+    except TypeError:
+        size = None
     if count is None:
-        try:
-            count = len(digits)  # type: ignore[arg-type]
-        except TypeError as exc:
-            raise ValueError("count is required for sizeless digit iterables") from exc
+        if size is None:
+            raise ValueError("count is required for sizeless digit iterables")
+        count = size
     count = int(count)
     if count < 0:
         raise ValueError(f"digit count must be >= 0, got {count}")
+    if size is not None and size != count:
+        raise ValueError(f"count {count} does not match {size} digits")
     if isinstance(digits, (Block, DigitString, np.ndarray)):
         digits = digit_data(digits)
     with open(path, "wb") as fh:
         fh.write(struct.pack("<Q", count))
         if isinstance(digits, np.ndarray) and (len(digits) == 0 or max_digit(digits) < 0x80):
             # every digit < 128 encodes as itself
-            if len(digits) != count:
-                raise ValueError(f"count {count} does not match {len(digits)} digits")
             fh.write(digits.astype(np.uint8).tobytes())
             return count
         buf = bytearray()

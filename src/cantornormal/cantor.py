@@ -12,7 +12,6 @@ of x under repeated multiply-by-q_n-mod-1 is enclosed the same way.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,17 +74,6 @@ class BasicSequence:
 
     def prefix(self, n: int) -> list[int]:
         return [self.q(m) for m in range(1, n + 1)]
-
-    def product(self, n: int) -> int:
-        """q_1 * q_2 * ... * q_n (empty product for n = 0)."""
-        if self.const is not None:
-            return self.const**n
-        if self.spec is not None:
-            return math.prod(base**run for base, run in self.spec.q_runs(n))
-        out = 1
-        for m in range(1, n + 1):
-            out *= self.q(m)
-        return out
 
 
 class CantorExpansion:
@@ -336,7 +324,7 @@ def scaled_value_counts(spec: ConstructionSpec, n: int) -> dict[Fraction, int]:
         full, rem = divmod(take, len(seg.block))
         parts = [(full, seg.digit_tally)] if full else []
         if rem:
-            parts.append((1, tally_blocks(seg.block[:rem], 1, alphabet_size=seg.base).items()))
+            parts.append((1, tally_blocks(seg.block[:rem], 1).items()))
         for copies, tally in parts:
             for (d,), c in tally:
                 v = Fraction(d, seg.base)

@@ -1,4 +1,4 @@
-"""Segmented digit-sequence constructions and their growth diagnostics.
+"""Segmented digit-sequence constructions.
 
 A construction spec is an ordered list of segments ``(l_i, x_i, b_i)``: the
 digit sequence is ``l_1`` copies of block ``x_1``, then ``l_2`` copies of
@@ -23,16 +23,15 @@ import json
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .blocks import Block, ConcatSpec, DigitString, concat, count_top_digit, digit_data, max_digit, tally_blocks
+from .blocks import Block, ConcatSpec, DigitString, concat, count_top_digit, max_digit, tally_blocks
 from .errors import InvalidSpecError, NeedsMoreSegmentsError
 from .limits import check_cap
-from .weightings import Weighting, check_pb_uniform
 
 
 def _check_bw(b: int, w: int) -> None:
@@ -157,7 +156,7 @@ class SegmentSpec:
     @cached_property
     def digit_tally(self) -> tuple[tuple[tuple[int], int], ...]:
         """One copy's ((digit,), count) pairs as ``tally_blocks`` gives them, tallied once."""
-        return tuple(tally_blocks(self.block, 1, alphabet_size=self.base).items())
+        return tuple(tally_blocks(self.block, 1).items())
 
 
 @dataclass(frozen=True)
@@ -186,11 +185,6 @@ class ConstructionSpec:
     @property
     def total_length(self) -> int:
         return self.boundaries[-1]
-
-    @cached_property
-    def block_lengths_non_decreasing(self) -> bool:
-        lens = [len(s.block) for s in self.segments]
-        return all(a <= b for a, b in zip(lens, lens[1:]))
 
     def _check_position(self, n: int) -> None:
         if not isinstance(n, int) or n < 1:
@@ -318,20 +312,23 @@ class ConstructionSpec:
             raise InvalidSpecError("construction JSON needs a 'segments' list") from exc
         if not isinstance(raw_segments, list) or not raw_segments:
             raise InvalidSpecError("'segments' must be a nonempty list")
+        family = obj.get("family")
+        if "family" in obj and not isinstance(family, str):
+            raise InvalidSpecError(f"'family' must be a string, got {family!r}")
+        # integers must be JSON integers: no floats, strings or booleans
         segments = []
         for idx, raw in enumerate(raw_segments):
             try:
-                mult = int(raw["l"])
-                base = int(raw["base"])
-                block_obj = raw["block"]
+                mult, base, block_obj = raw["l"], raw["base"], raw["block"]
                 gen = block_obj["gen"]
-            except (TypeError, KeyError, ValueError) as exc:
+            except (TypeError, KeyError) as exc:
                 raise InvalidSpecError(f"segment {idx}: malformed entry") from exc
+            if type(mult) is not int or type(base) is not int:
+                raise InvalidSpecError(f"segment {idx}: 'l' and 'base' must be integers, got {mult!r} and {base!r}")
             if gen in ("P", "C"):
-                try:
-                    gb, gw = int(block_obj["b"]), int(block_obj["w"])
-                except (TypeError, KeyError, ValueError) as exc:
-                    raise InvalidSpecError(f"segment {idx}: generator {gen} needs integer 'b' and 'w'") from exc
+                gb, gw = block_obj.get("b"), block_obj.get("w")
+                if type(gb) is not int or type(gw) is not int:
+                    raise InvalidSpecError(f"segment {idx}: generator {gen} needs integer 'b' and 'w'")
                 block = (build_P if gen == "P" else build_C)(gb, gw)
                 generator: tuple | None = (gen, gb, gw)
             elif gen == "explicit":
@@ -343,7 +340,7 @@ class ConstructionSpec:
             else:
                 raise InvalidSpecError(f"segment {idx}: unknown generator {gen!r}")
             segments.append(SegmentSpec(mult, block, base, generator=generator))
-        return cls(tuple(segments), family=obj.get("family"))
+        return cls(tuple(segments), family=family)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -368,13 +365,6 @@ def assemble(spec: ConstructionSpec, n_max: int) -> tuple[list[int], DigitString
 # ---------------------------------------------------------------------------
 # Scaled construction families.
 # ---------------------------------------------------------------------------
-
-
-def qnex_default_eps(i: int) -> Fraction:
-    """Default tolerance schedule for the Q-normal family."""
-    if i <= 5:
-        return Fraction(10 - i, 10)
-    return Fraction(1, i)
 
 
 def qnex_spec(
@@ -467,271 +457,3 @@ def salat_counterexample_spec(n_max: int) -> tuple[list[int], DigitString]:
         q.extend([m + 1] * take)
         m += 1
     return q, DigitString(tuple(digits))
-
-
-# ---------------------------------------------------------------------------
-# Growth-condition diagnostics (finite-horizon ratio tables, never verdicts:
-# little-o conditions are not decidable from finitely many terms).
-# ---------------------------------------------------------------------------
-
-
-def _as_length(x) -> int:
-    if isinstance(x, int):
-        if x < 1:
-            raise ValueError(f"block lengths must be >= 1, got {x}")
-        return x
-    return len(digit_data(x))
-
-
-def _non_decreasing(xs) -> bool:
-    return all(a <= b for a, b in zip(xs, xs[1:]))
-
-
-def _strictly_decreasing(xs) -> bool:
-    return all(a > b for a, b in zip(xs, xs[1:]))
-
-
-@dataclass(frozen=True)
-class BffSpec:
-    """Finite window of a block-frequency construction frame.
-
-    Sequences are indexed i = start, start+1, ...; multiplicities l and
-    parameters b, p, k must be non-decreasing, tolerances eps strictly
-    decreasing in (0, 1), and each weighting (p_i, b_i)-uniform (checked
-    at small block lengths).
-    """
-
-    start: int
-    l: tuple[int, ...]
-    b: tuple[int, ...]
-    p: tuple[int, ...]
-    eps: tuple[Fraction, ...]
-    k: tuple[int, ...]
-    mu: tuple[Weighting, ...]
-
-    def __post_init__(self):
-        n = len(self.l)
-        if n == 0:
-            raise InvalidSpecError("frame needs at least one index")
-        for name in ("b", "p", "eps", "k", "mu"):
-            if len(getattr(self, name)) != n:
-                raise InvalidSpecError(f"sequence {name} has wrong length")
-        object.__setattr__(self, "eps", tuple(Fraction(e) for e in self.eps))
-        if any(x < 0 for x in self.l) or not _non_decreasing(self.l):
-            raise InvalidSpecError("multiplicities must be >= 0 and non-decreasing")
-        if any(x < 2 for x in self.b) or not _non_decreasing(self.b):
-            raise InvalidSpecError("bases must be >= 2 and non-decreasing")
-        if any(x < 1 for x in self.p) or not _non_decreasing(self.p):
-            raise InvalidSpecError("p parameters must be >= 1 and non-decreasing")
-        if any(x < 0 for x in self.k) or not _non_decreasing(self.k):
-            raise InvalidSpecError("k parameters must be >= 0 and non-decreasing")
-        if not all(0 < e < 1 for e in self.eps) or not _strictly_decreasing(self.eps):
-            raise InvalidSpecError("tolerances must lie in (0,1) and strictly decrease")
-        for i, (mu_i, p_i, b_i) in enumerate(zip(self.mu, self.p, self.b)):
-            if not check_pb_uniform(mu_i, p_i, b_i, k_max=2):
-                raise InvalidSpecError(f"weighting at index {self.start + i} is not (p, b)-uniform")
-
-    @property
-    def indices(self) -> range:
-        return range(self.start, self.start + len(self.l))
-
-    def pos(self, i: int) -> int:
-        if i not in self.indices:
-            raise ValueError(f"index {i} outside frame range {self.indices}")
-        return i - self.start
-
-
-@dataclass(frozen=True)
-class MffSpec:
-    """Finite window of a plain (multiplicity, base, tolerance) frame."""
-
-    start: int
-    l: tuple[int, ...]
-    b: tuple[int, ...]
-    eps: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        n = len(self.l)
-        if n == 0:
-            raise InvalidSpecError("frame needs at least one index")
-        if len(self.b) != n or len(self.eps) != n:
-            raise InvalidSpecError("sequence lengths disagree")
-        object.__setattr__(self, "eps", tuple(Fraction(e) for e in self.eps))
-        if any(x < 0 for x in self.l) or not _non_decreasing(self.l):
-            raise InvalidSpecError("multiplicities must be >= 0 and non-decreasing")
-        if any(x < 2 for x in self.b) or not _non_decreasing(self.b):
-            raise InvalidSpecError("bases must be >= 2 and non-decreasing")
-        if not all(0 < e < 1 for e in self.eps) or not _strictly_decreasing(self.eps):
-            raise InvalidSpecError("tolerances must lie in (0,1) and strictly decrease")
-
-    @property
-    def indices(self) -> range:
-        return range(self.start, self.start + len(self.l))
-
-    def pos(self, i: int) -> int:
-        if i not in self.indices:
-            raise ValueError(f"index {i} outside frame range {self.indices}")
-        return i - self.start
-
-
-@dataclass(frozen=True)
-class DiagnosticsRow:
-    i: int
-    ratios: tuple[Fraction | None, ...]
-
-
-@dataclass(frozen=True)
-class DiagnosticsTable:
-    """Exact ratio trajectories with per-column monotone-trend flags.
-
-    ``trends[name]`` is True/False for strictly-decreasing over the defined
-    entries, or None when fewer than two entries are defined.  No verdicts:
-    a finite table cannot certify a limit.
-    """
-
-    names: tuple[str, ...]
-    rows: tuple[DiagnosticsRow, ...]
-    trends: dict[str, bool | None]
-
-    def column(self, name: str) -> list[Fraction | None]:
-        j = self.names.index(name)
-        return [row.ratios[j] for row in self.rows]
-
-    def to_json(self) -> dict:
-        return {
-            "names": list(self.names),
-            "rows": [
-                {
-                    "i": row.i,
-                    **{
-                        name: (None if r is None else str(r))
-                        for name, r in zip(self.names, row.ratios)
-                    },
-                }
-                for row in self.rows
-            ],
-            "trends": dict(self.trends),
-        }
-
-
-def _make_table(names: tuple[str, ...], rows: list[DiagnosticsRow]) -> DiagnosticsTable:
-    trends: dict[str, bool | None] = {}
-    for j, name in enumerate(names):
-        defined = [row.ratios[j] for row in rows if row.ratios[j] is not None]
-        trends[name] = _strictly_decreasing(defined) if len(defined) >= 2 else None
-    return DiagnosticsTable(names, tuple(rows), trends)
-
-
-def bff_good_diagnostics(frame: BffSpec, lengths, k: int, i_range=None) -> DiagnosticsTable:
-    """Exact ratio table for the three sufficiency conditions of the frame.
-
-    ``lengths`` aligns block lengths (ints, or Blocks to take len of) with
-    the frame's index range; ``k`` >= 0 is the block length the conditions
-    are probed at (k = 0 is allowed: the ratios stay well-defined even
-    though length-0 normality itself is never evaluated).  Ratios:
-
-        r1 = b_i**k / ((eps_{i-1} - eps_i) * len_i)        -> small means good
-        r2 = (l_{i-1}*len_{i-1}) / (l_i*len_i) * i * b_i**k
-        r3 = (len_{i+1} / (l_i*len_i)) * b_i**k
-
-    An entry is None when its neighbors fall outside the frame or a
-    denominator vanishes.
-    """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"k must be an integer >= 0, got {k}")
-    lens = tuple(_as_length(x) for x in lengths)
-    if len(lens) != len(frame.l):
-        raise ValueError("lengths must align with the frame's index range")
-    idx = list(frame.indices) if i_range is None else list(i_range)
-    rows = []
-    for i in idx:
-        t = frame.pos(i)
-        bk = frame.b[t] ** k
-        r1 = r2 = r3 = None
-        if t >= 1:
-            gap = frame.eps[t - 1] - frame.eps[t]
-            if gap > 0:
-                r1 = Fraction(bk) / (gap * lens[t])
-            if frame.l[t] * lens[t] > 0:
-                r2 = Fraction(frame.l[t - 1] * lens[t - 1], frame.l[t] * lens[t]) * i * bk
-        if t + 1 < len(lens) and frame.l[t] > 0:
-            r3 = Fraction(lens[t + 1], frame.l[t] * lens[t]) * bk
-        rows.append(DiagnosticsRow(i, (r1, r2, r3)))
-    return _make_table(("r1", "r2", "r3"), rows)
-
-
-def mff_nice_diagnostics(frame: MffSpec, lengths, i_range=None) -> DiagnosticsTable:
-    """Exact ratio table for the two sufficiency conditions of a plain frame.
-
-        n1 = (l_{i-1}*len_{i-1}) / (l_i*len_i) * i          (wants o(1/i) * i)
-        n2 = len_{i+1} / (l_i*len_i)                         (wants o(1))
-    """
-    lens = tuple(_as_length(x) for x in lengths)
-    if len(lens) != len(frame.l):
-        raise ValueError("lengths must align with the frame's index range")
-    idx = list(frame.indices) if i_range is None else list(i_range)
-    rows = []
-    for i in idx:
-        t = frame.pos(i)
-        n1 = n2 = None
-        if t >= 1 and frame.l[t] * lens[t] > 0:
-            n1 = Fraction(frame.l[t - 1] * lens[t - 1], frame.l[t] * lens[t]) * i
-        if t + 1 < len(lens) and frame.l[t] > 0:
-            n2 = Fraction(lens[t + 1], frame.l[t] * lens[t])
-        rows.append(DiagnosticsRow(i, (n1, n2)))
-    return _make_table(("n1", "n2"), rows)
-
-
-def qnex_frame(
-    i_min: int = 6,
-    i_max: int = 10,
-    w_fn: Callable[[int], int] | None = None,
-    l_fn: Callable[[int], int] | None = None,
-    eps_fn: Callable[[int], Fraction] | None = None,
-) -> tuple[BffSpec, tuple[int, ...]]:
-    """Frame and block lengths matching qnex_spec's parameters, for diagnostics."""
-    from .weightings import nu, uniform  # local to avoid import cycle at module load
-
-    if i_min < 6:
-        raise InvalidSpecError(f"i_min must be >= 6, got {i_min}")
-    w_fn = w_fn or (lambda i: 2)
-    l_fn = l_fn or (lambda i: 2 ** (2 * i))
-    eps_fn = eps_fn or qnex_default_eps
-    l, b, p, eps, kk, mu, lens = [], [], [], [], [], [], []
-    for i in range(1, i_max + 1):
-        if i < i_min:
-            l.append(0), b.append(2), p.append(2), kk.append(1), mu.append(uniform(2))
-            lens.append(2)
-        else:
-            l.append(l_fn(i)), b.append(2**i), p.append(i), kk.append(i), mu.append(nu(i))
-            lens.append(w_fn(i) * 2 ** (i * w_fn(i)))
-        eps.append(eps_fn(i))
-    return (
-        BffSpec(1, tuple(l), tuple(b), tuple(p), tuple(eps), tuple(kk), tuple(mu)),
-        tuple(lens),
-    )
-
-
-def qde_frame(
-    i_min: int = 2,
-    i_max: int = 12,
-    w_fn: Callable[[int], int] | None = None,
-    l_fn: Callable[[int], int] | None = None,
-    eps_fn: Callable[[int], Fraction] | None = None,
-) -> tuple[MffSpec, tuple[int, ...]]:
-    """Frame and block lengths matching qde_spec's parameters, for diagnostics."""
-    if i_min < 2:
-        raise InvalidSpecError(f"i_min must be >= 2, got {i_min}")
-    w_fn = w_fn or (lambda i: 2)
-    l_fn = l_fn or (lambda i: i**3)
-    eps_fn = eps_fn or qde_default_eps
-    l, b, eps, lens = [], [], [], []
-    for i in range(1, i_max + 1):
-        if i == 1:
-            l.append(0), b.append(2), lens.append(2)
-        elif i < i_min:
-            l.append(0), b.append(i), lens.append(2)
-        else:
-            l.append(l_fn(i)), b.append(i), lens.append(w_fn(i) * i ** w_fn(i))
-        eps.append(eps_fn(i))
-    return MffSpec(1, tuple(l), tuple(b), tuple(eps)), tuple(lens)

@@ -104,7 +104,10 @@ class Certificate:
 
 def verify_lemma_amount(b_range=(2, 3, 4), w_range=(1, 2, 3), mu_factory=nu) -> Certificate:
     """Repetition identity: copies of each block inside build_P equal the
-    block's weighted share 2**(b*w) * mu(block), exactly, for every block."""
+    block's weighted share 2**(b*w) * mu(block), exactly, for every block.
+
+    An empty grid checks nothing and fails.
+    """
     params = {"b_range": list(b_range), "w_range": list(w_range)}
     checked = 0
     for b in b_range:
@@ -128,13 +131,18 @@ def verify_lemma_amount(b_range=(2, 3, 4), w_range=(1, 2, 3), mu_factory=nu) -> 
                             "expected": expected,
                         },
                     )
-    return Certificate("lemma-amount", params, True, checked)
+    empty = None if checked else {"reason": "the grid is empty, nothing was checked"}
+    return Certificate("lemma-amount", params, checked > 0, checked, counterexample=empty)
 
 
 def verify_lemma_pbw(
     b_range=(2, 3, 4, 5, 6), w_range=(1, 2, 3), max_len: int = 10**6, builder=build_P
 ) -> Certificate:
-    """Enumeration length: len(build_P(b, w)) == w * 2**(b*w)."""
+    """Enumeration length: len(build_P(b, w)) == w * 2**(b*w).
+
+    Lengths over ``max_len`` are skipped and reported; a grid whose every
+    length is skipped checks nothing and fails.
+    """
     params = {"b_range": list(b_range), "w_range": list(w_range), "max_len": max_len}
     checked = 0
     skipped = []
@@ -155,7 +163,8 @@ def verify_lemma_pbw(
                     counterexample={"b": b, "w": w, "expected": expected, "observed": got},
                     details={"skipped": skipped},
                 )
-    return Certificate("lemma-pbw", params, True, checked, details={"skipped": skipped})
+    empty = None if checked else {"reason": "no length within max_len, nothing was checked"}
+    return Certificate("lemma-pbw", params, checked > 0, checked, counterexample=empty, details={"skipped": skipped})
 
 
 def verify_bounds_ng_nl(b: int, w: int, k_max: int, tally_fn=tally_blocks) -> Certificate:
@@ -173,7 +182,7 @@ def verify_bounds_ng_nl(b: int, w: int, k_max: int, tally_fn=tally_blocks) -> Ce
     checked = 0
     text = build_P_runs(b, w)
     for k in range(1, k_max + 1):
-        counts = tally_fn(text, k, alphabet_size=b + 1)
+        counts = tally_fn(text, k)
         tail = (k - 1) * (b + 1) ** w
         for blk in itertools.product(range(b + 1), repeat=k):
             g = blk.count(b)
@@ -210,7 +219,8 @@ def _growth_rhs(b: int, w: int, k: int, m: int) -> int:
 def verify_lemma_1021(b_range=range(6, 11), w_range=range(2, 13)) -> Certificate:
     """Growth margin: (m-1)*(b+1)**w <= k * 2**(b*(w-m)) for m <= k <= w/2, b >= 6.
 
-    Out-of-hypothesis bases (b < 6) are skipped and reported, not judged.
+    Out-of-hypothesis bases (b < 6) are skipped and reported, not judged;
+    a grid that leaves no (b, w, k, m) to check fails.
     """
     params = {"b_range": list(b_range), "w_range": list(w_range)}
     checked = 0
@@ -239,7 +249,8 @@ def verify_lemma_1021(b_range=range(6, 11), w_range=range(2, 13)) -> Certificate
                             },
                             details={"skipped_b": skipped},
                         )
-    return Certificate("lemma-1021", params, True, checked, details={"skipped_b": skipped})
+    empty = None if checked else {"reason": "no b >= 6 with w >= 2 in the grid, nothing was checked"}
+    return Certificate("lemma-1021", params, checked > 0, checked, counterexample=empty, details={"skipped_b": skipped})
 
 
 def verify_eknu(b: int, w: int, k: int, mu_factory=nu) -> Certificate:

@@ -14,10 +14,8 @@ All verdicts are computed in exact rational arithmetic.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -31,62 +29,22 @@ _ZERO = Fraction(0)
 class Weighting:
     """Digit weighting with multiplicative extension to blocks.
 
-    ``kind`` is one of ``"uniform"``, ``"nu"``, ``"table"``.  For the table
-    kind, ``table[j]`` is the mass of digit ``j`` (digits past the table get
-    mass zero); tables are allowed to be unnormalized so that consistency
-    checks have something to catch.
+    ``kind`` is ``"uniform"`` or ``"nu"``.
     """
 
     kind: str
     b: int
-    table: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "nu", "table"):
+        if self.kind not in ("uniform", "nu"):
             raise ValueError(f"unknown weighting kind {self.kind!r}")
-        if self.kind in ("uniform", "nu") and (not isinstance(self.b, int) or self.b < 2):
+        if not isinstance(self.b, int) or self.b < 2:
             raise ValueError(f"weighting base must be an integer >= 2, got {self.b}")
-        if self.kind == "table":
-            if not self.table:
-                raise ValueError("table weighting needs a nonempty table")
-            tab = tuple(Fraction(x) for x in self.table)
-            if any(x < 0 for x in tab):
-                raise ValueError("table weights must be non-negative")
-            object.__setattr__(self, "table", tab)
 
     @property
     def support_bound(self) -> int:
         """Largest digit carrying nonzero mass."""
-        if self.kind == "uniform":
-            return self.b - 1
-        if self.kind == "nu":
-            return self.b
-        assert self.table is not None
-        for j in range(len(self.table) - 1, -1, -1):
-            if self.table[j] != 0:
-                return j
-        return 0
-
-    def digit_weight(self, j: int) -> Fraction:
-        if j < 0:
-            raise ValueError(f"digits are non-negative, got {j}")
-        if self.kind == "uniform":
-            return Fraction(1, self.b) if j < self.b else _ZERO
-        if self.kind == "nu":
-            if j < self.b:
-                return Fraction(1, 2**self.b)
-            if j == self.b:
-                return Fraction(2**self.b - self.b, 2**self.b)
-            return _ZERO
-        assert self.table is not None
-        return self.table[j] if j < len(self.table) else _ZERO
-
-    @cached_property
-    def _table_numerators(self) -> tuple[int, tuple[int, ...]]:
-        """A table's common denominator and each digit's integer numerator over it."""
-        assert self.table is not None
-        den = math.lcm(*(x.denominator for x in self.table))
-        return den, tuple(x.numerator * (den // x.denominator) for x in self.table)
+        return self.b - 1 if self.kind == "uniform" else self.b
 
     def weight(self, block) -> Fraction:
         """Mass of a block: the product of its digit masses (1 for empty).
@@ -98,21 +56,13 @@ class Weighting:
         digits = digit_data(block)
         if len(digits) and int(digits.max()) > self.support_bound:
             return _ZERO
-        if self.kind == "table":
-            den, nums = self._table_numerators
-            num = math.prod(map(nums.__getitem__, digits.tolist()))
-        elif self.kind == "nu":
+        if self.kind == "nu":
             # numerator 1 below the top digit b, 2**b - b at it
             den = 2**self.b
             num = (den - self.b) ** int(np.count_nonzero(digits == self.b))
         else:
             den, num = self.b, 1
         return Fraction(num, den ** len(digits))
-
-    def to_token(self) -> str:
-        if self.kind == "table":
-            raise ValueError("table weightings have no CLI token")
-        return f"{self.kind}:{self.b}"
 
 
 def uniform(b: int) -> Weighting:
@@ -125,14 +75,6 @@ def nu(b: int) -> Weighting:
     return Weighting(kind="nu", b=b)
 
 
-def table_weighting(weights) -> Weighting:
-    """Explicit digit-mass table, validated to sum to exactly 1."""
-    tab = tuple(Fraction(x) for x in weights)
-    if sum(tab, _ZERO) != 1:
-        raise ValueError(f"table masses must sum to 1, got {sum(tab, _ZERO)}")
-    return Weighting(kind="table", b=len(tab), table=tab)
-
-
 def parse_weighting(token: str) -> Weighting:
     """Parse a CLI token like ``uniform:10`` or ``nu:6``."""
     try:
@@ -140,24 +82,6 @@ def parse_weighting(token: str) -> Weighting:
         return {"uniform": uniform, "nu": nu}[kind](int(b))
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad weighting token {token!r}; expected uniform:B or nu:B") from exc
-
-
-def check_consistency(mu: Weighting, k: int, block) -> bool:
-    """Does the block's mass equal the total mass of its one-digit extensions?
-
-    Checks mu(B) == sum_j mu(B + (j,)) with j running over the support.
-    For a properly normalized weighting this is an identity; a corrupted
-    digit table breaks it on any block of nonzero mass.
-    """
-    digits = tuple(digit_data(block).tolist())
-    if len(digits) != k:
-        raise ValueError(f"block has length {len(digits)}, expected k={k}")
-    base_mass = mu.weight(digits)
-    extended = sum(
-        (mu.weight(digits + (j,)) for j in range(mu.support_bound + 1)),
-        _ZERO,
-    )
-    return base_mass == extended
 
 
 def check_pb_uniform(mu: Weighting, p: int, b: int, k_max: int) -> bool:
@@ -254,7 +178,7 @@ def check_eps_k_normal(y, eps, k: int, mu: Weighting) -> NormalityVerdict:
     alphabet = max(mu.support_bound, max_digit(text)) + 1
     check_cap(alphabet**k, what="enumerated blocks")
     for m in range(1, k + 1):
-        tallies = tally_blocks(text, m, alphabet_size=alphabet) if n >= m else {}
+        tallies = tally_blocks(text, m) if n >= m else {}
         for tup in itertools.product(range(alphabet), repeat=m):
             mass = mu.weight(tup)
             lower = mass * n * (1 - eps)

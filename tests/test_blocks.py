@@ -16,7 +16,6 @@ from cantornormal.blocks import (
     count_run_occurrences,
     count_top_digit,
     digit_data,
-    enumerate_blocks,
     max_digit,
     read_digit_file,
     tally_blocks,
@@ -47,13 +46,6 @@ def test_block_validation():
     assert blk[1] == 1
 
 
-def test_block_json_round_trip():
-    blk = Block(300, (0, 299, 5))
-    again = Block.from_json(blk.to_json())
-    assert again == blk
-    assert again.to_json() == {"digits": [0, 299, 5], "base": 300}
-
-
 def test_digitstring_equal_across_inputs():
     from_tuple = DigitString((3, 1, 4))
     from_bytes = DigitString(bytes([3, 1, 4]))
@@ -71,7 +63,7 @@ def test_digits_leave_the_array_as_python_ints():
         assert all(type(d) is int for d in (ds[0], ds[-1], *ds, *ds.as_tuple()))
         assert all(type(d) is int for d in ds[1:])
     blk = Block(big + 1, (0, big, 5))
-    assert all(type(d) is int for d in blk.to_json()["digits"])
+    assert all(type(d) is int for d in list(blk))
     spec = ConcatSpec(((2, Block(301, (0, 300))), (1, DigitString((big,)))))
     assert all(type(d) is int for d in spec)
     for text in (spec, concat(spec), (7, 200, 7, 200)):
@@ -209,21 +201,6 @@ def test_count_top_digit():
     assert count_top_digit((), 5) == 0
     with pytest.raises(ValueError):
         count_top_digit((3,), 2)
-
-
-def test_enumerate_blocks_lexicographic():
-    blks = list(enumerate_blocks(3, 2))
-    assert len(blks) == 9
-    assert blks[0].as_tuple() == (0, 0)
-    assert blks[-1].as_tuple() == (2, 2)
-    tuples = [b.as_tuple() for b in blks]
-    assert tuples == sorted(tuples)
-    assert all(b.base == 3 for b in blks)
-
-
-def test_enumerate_blocks_cap():
-    with size_cap(100), pytest.raises(SizeLimitError):
-        list(enumerate_blocks(10, 4))
 
 
 def test_tally_blocks_frozen():
@@ -376,11 +353,6 @@ def test_run_table_validation():
         ConcatSpec.from_table([1, 1], table, base=1)
 
 
-def test_tally_blocks_alphabet_size_zeros_are_absent():
-    out = tally_blocks(bytes([0, 0, 1]), 1, alphabet_size=5)
-    assert out == {(0,): 2, (1,): 1}
-
-
 # ---------------------------------------------------------------------------
 # Binary digit files.
 # ---------------------------------------------------------------------------
@@ -421,8 +393,21 @@ def test_digit_file_iterable_needs_count(tmp_path):
 
 def test_digit_file_count_mismatch(tmp_path):
     path = tmp_path / "d.bin"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="yielded 2 digits, expected 5"):
         write_digit_file(path, iter([1, 2]), count=5)
+
+
+@pytest.mark.parametrize(
+    "digits",
+    [DigitString([1, 2, 3]), DigitString([200, 2, 3]), [1, 2, 3], [200, 2, 3]],
+    ids=["small-string", "wide-string", "small-list", "wide-list"],
+)
+def test_digit_file_sized_count_mismatch_raises(tmp_path, digits):
+    # the byte-per-digit path (small DigitString) and the LEB128 path refuse alike
+    path = tmp_path / "d.bin"
+    with pytest.raises(ValueError, match="count 2 does not match 3 digits"):
+        write_digit_file(path, digits, count=2)
+    assert not path.exists()
 
 
 def test_digit_file_truncation_detected(tmp_path):

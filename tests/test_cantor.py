@@ -82,18 +82,6 @@ def test_basic_sequence_horizon():
         e.q(3)
 
 
-def test_product_matches_math_prod():
-    e = BasicSequence.explicit([2, 3, 4, 5])
-    for n in range(5):
-        assert e.product(n) == math.prod([2, 3, 4, 5][:n])
-    assert BasicSequence.constant(3).product(4) == 81
-    spec = qde_spec(i_max=4)
-    s = BasicSequence.from_spec(spec)
-    qs = s.prefix(100)
-    assert s.product(100) == math.prod(qs)
-    assert s.product(0) == 1
-
-
 # ---------------------------------------------------------------------------
 # Expansions and intervals.
 # ---------------------------------------------------------------------------
@@ -424,7 +412,6 @@ segments = st.lists(
 def test_prefix_readers_match_literal_expansion(segs):
     spec = ConstructionSpec(tuple(segs))
     qs, ds = literal_expansion(segs)
-    Q = BasicSequence.from_spec(spec)
     exp = CantorExpansion.from_spec(spec)
     ends = [0]
     for seg in segs:
@@ -435,7 +422,6 @@ def test_prefix_readers_match_literal_expansion(segs):
         runs = list(spec.q_runs(n))
         assert all(run > 0 for _, run in runs)
         assert [b for b, run in runs for _ in range(run)] == qs[:n]
-        assert Q.product(n) == math.prod(qs[:n])
         if n:
             assert scaled_value_counts(spec, n) == Counter(map(Fraction, ds[:n], qs[:n]))
         # tails from one digit up to the end, crossing copy and segment seams
@@ -451,8 +437,6 @@ def test_prefix_readers_match_literal_expansion(segs):
                 assert len(pieces) == len(crossed)
     with pytest.raises(NeedsMoreDigitsError):
         spec.digits_prefix(len(qs) + 1)
-    with pytest.raises(NeedsMoreDigitsError):
-        Q.product(len(qs) + 1)
     # past the horizon the first missing base entry is named
     for n, missing in ((0, len(qs) + 1), (len(qs), len(qs) + 1), (len(qs) + 2, len(qs) + 3)):
         message = f"needs base entries up to position {missing} (only {len(qs)} available)"

@@ -443,6 +443,17 @@ def test_verify_failing_claim_exits_1(monkeypatch, capsys):
     assert payload["passed"] is False
 
 
+@pytest.mark.parametrize(
+    "claim, grid", [("lemma-1021", "b=2..5"), ("lemma-pbw", "b=6,w=4")]
+)
+def test_verify_range_claim_that_checks_nothing_exits_1(capsys, claim, grid):
+    # every base is outside the hypothesis, or every length over max_len
+    code, payload = run_json(capsys, ["verify", "--claim", claim, "--grid", grid])
+    assert code == 1
+    assert payload["passed"] is False and payload["checked"] == 0
+    assert "nothing was checked" in payload["counterexample"]["reason"]
+
+
 def test_verify_bad_grid_exits_2(capsys):
     assert main(["verify", "--claim", "lemma-amount", "--grid", "b=..2"]) == 2
 
@@ -615,6 +626,49 @@ def test_malformed_spec_file_exits_2(tmp_path, capsys):
     for block in ({"gen": "P", "b": 2}, {"gen": "explicit", "digits": [0, [1]]}):
         bad.write_text(json.dumps({"segments": [{"l": 1, "base": 3, "block": block}]}))
         assert main(["construct", "--spec", str(bad), "--n-max", "1"]) == 2
+
+
+GOOD_SEGMENT = {"l": 2, "base": 3, "block": {"gen": "P", "b": 2, "w": 1}}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"l": 2.9},
+        {"l": True},
+        {"base": "3"},
+        {"base": 3.0},
+        {"block": {"gen": "P", "b": 2.5, "w": 1}},
+        {"block": {"gen": "C", "b": 3, "w": True}},
+        {"block": {"gen": "P", "b": "2", "w": 1}},
+    ],
+)
+def test_spec_file_values_are_not_coerced(tmp_path, capsys, change):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"segments": [GOOD_SEGMENT, GOOD_SEGMENT | change]}))
+    assert main(["construct", "--spec", str(bad), "--n-max", "1"]) == 2
+    assert "segment 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", [7, None, ["qde-scaled"]])
+def test_spec_file_family_must_be_a_string(tmp_path, capsys, family):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"segments": [GOOD_SEGMENT], "family": family}))
+    assert main(["construct", "--spec", str(bad), "--n-max", "1"]) == 2
+    assert "'family' must be a string" in capsys.readouterr().err
+
+
+def test_valid_spec_file_round_trips(tmp_path, capsys):
+    path, again = tmp_path / "good.json", tmp_path / "again.json"
+    path.write_text(json.dumps({"segments": [GOOD_SEGMENT], "family": "mine"}))
+    code, payload = run_json(capsys, ["construct", "--spec", str(path), "--n-max", "8", "--spec-out", str(again)])
+    assert code == 0
+    assert payload["digits"] == [0, 1, 2, 2, 0, 1, 2, 2]
+    spec = ConstructionSpec.load(str(path))
+    assert spec.family == "mine"
+    assert ConstructionSpec.load(str(again)) == spec
+    spec.save(str(again))
+    assert ConstructionSpec.load(str(again)) == spec
 
 
 def test_missing_input_file_exits_2(tmp_path, capsys):

@@ -1,7 +1,6 @@
-"""Block enumerations, segment constructions, and growth diagnostics."""
+"""Block enumerations and segment constructions."""
 
 import itertools
-import math
 from collections import OrderedDict
 from fractions import Fraction
 
@@ -11,24 +10,16 @@ from hypothesis import strategies as st
 
 from cantornormal import constructions
 from cantornormal.blocks import Block, concat, count_occurrences
-from cantornormal.cantor import BasicSequence
 from cantornormal.constructions import (
-    BffSpec,
     ConstructionSpec,
-    MffSpec,
     SegmentSpec,
     assemble,
-    bff_good_diagnostics,
     build_C,
     build_P,
     build_P_copies,
     build_P_runs,
-    mff_nice_diagnostics,
     qde_default_eps,
-    qde_frame,
     qde_spec,
-    qnex_default_eps,
-    qnex_frame,
     qnex_spec,
     repetition_count,
     salat_counterexample_spec,
@@ -39,7 +30,6 @@ from cantornormal.errors import (
     SizeLimitError,
 )
 from cantornormal.limits import size_cap
-from cantornormal.weightings import nu, uniform
 
 from oracles import chunk_runs
 
@@ -256,7 +246,6 @@ def test_boundaries_and_total_length():
     spec = small_spec()
     assert spec.boundaries == (0, 0, 4, 10)
     assert spec.total_length == 10
-    assert spec.block_lengths_non_decreasing
 
 
 def test_assemble_frozen():
@@ -314,10 +303,6 @@ def test_q_runs_and_product():
     spec = small_spec()
     assert list(spec.q_runs(10)) == [(2, 4), (4, 6)]
     assert list(spec.q_runs(5)) == [(2, 4), (4, 1)]
-    q, _ = assemble(spec, 10)
-    Q = BasicSequence.from_spec(spec)
-    for n in range(0, 11):
-        assert Q.product(n) == math.prod(q[:n])
 
 
 def test_spec_json_round_trip(tmp_path):
@@ -419,8 +404,6 @@ def test_qde_spec_frozen_shape():
 
 
 def test_default_eps_schedules():
-    assert qnex_default_eps(3) == Fraction(7, 10)
-    assert qnex_default_eps(6) == Fraction(1, 6)
     assert qde_default_eps(1) == Fraction(3, 5)
     assert qde_default_eps(4) == Fraction(1, 4)
 
@@ -446,128 +429,3 @@ def test_salat_never_emits_zero_and_digits_fit(n):
     assert len(q) == len(digits) == n
     assert all(d >= 1 for d in digits)
     assert all(d < b for d, b in zip(digits, q))
-
-
-# ---------------------------------------------------------------------------
-# Growth-condition frames and diagnostics.
-# ---------------------------------------------------------------------------
-
-
-def test_bff_spec_validation():
-    good = dict(
-        start=1,
-        l=(1, 2),
-        b=(2, 4),
-        p=(2, 2),
-        eps=(Fraction(1, 2), Fraction(1, 4)),
-        k=(1, 1),
-        mu=(uniform(2), nu(2)),
-    )
-    BffSpec(**good)
-    with pytest.raises(InvalidSpecError):
-        BffSpec(**{**good, "eps": (Fraction(1, 4), Fraction(1, 2))})  # rising eps
-    with pytest.raises(InvalidSpecError):
-        BffSpec(**{**good, "l": (2, 1)})  # decreasing multiplicity
-    with pytest.raises(InvalidSpecError):
-        BffSpec(**{**good, "mu": (uniform(2), uniform(3))})  # not (2,4)-uniform
-    with pytest.raises(InvalidSpecError):
-        BffSpec(**{**good, "b": (2,)})  # length mismatch
-
-
-def test_mff_spec_validation():
-    MffSpec(1, (1, 2), (2, 3), (Fraction(1, 2), Fraction(1, 3)))
-    with pytest.raises(InvalidSpecError):
-        MffSpec(1, (1, 2), (3, 2), (Fraction(1, 2), Fraction(1, 3)))
-    with pytest.raises(InvalidSpecError):
-        MffSpec(1, (), (), ())
-
-
-def test_frame_pos_and_indices():
-    fr = MffSpec(4, (1, 2), (2, 3), (Fraction(1, 2), Fraction(1, 3)))
-    assert list(fr.indices) == [4, 5]
-    assert fr.pos(5) == 1
-    with pytest.raises(ValueError):
-        fr.pos(6)
-
-
-def test_mff_diagnostics_hand_computed():
-    fr = MffSpec(1, (1, 2, 4), (2, 3, 4), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)))
-    tab = mff_nice_diagnostics(fr, (10, 20, 40))
-    assert tab.names == ("n1", "n2")
-    assert [r.ratios for r in tab.rows] == [
-        (None, Fraction(2)),
-        (Fraction(1, 2), Fraction(1)),
-        (Fraction(3, 4), None),
-    ]
-    # n1 rises over its defined entries, n2 falls
-    assert tab.trends == {"n1": False, "n2": True}
-    assert tab.column("n2") == [Fraction(2), Fraction(1), None]
-
-
-def test_bff_diagnostics_hand_computed():
-    fr = BffSpec(
-        1,
-        (1, 2),
-        (2, 4),
-        (2, 2),
-        (Fraction(1, 2), Fraction(1, 4)),
-        (1, 1),
-        (uniform(2), nu(2)),
-    )
-    tab = bff_good_diagnostics(fr, (10, 100), k=2)
-    assert [r.ratios for r in tab.rows] == [
-        (None, None, Fraction(40)),
-        (Fraction(16, 25), Fraction(8, 5), None),
-    ]
-    # single defined entry per column: no trend to report
-    assert tab.trends == {"r1": None, "r2": None, "r3": None}
-
-
-def test_bff_diagnostics_validation():
-    fr, lens = qnex_frame(i_max=7)
-    with pytest.raises(ValueError):
-        bff_good_diagnostics(fr, lens[:-1], k=1)
-    with pytest.raises(ValueError):
-        bff_good_diagnostics(fr, lens, k=-1)
-    # k = 0 stays defined
-    tab = bff_good_diagnostics(fr, lens, k=0, i_range=range(7, 8))
-    assert tab.rows[0].ratios[0] is not None
-
-
-def test_scaled_frame_trends_are_reported_honestly():
-    # the desk-scale parameters trade away the asymptotic margins; the
-    # tables must say so rather than smooth it over
-    fr, lens = qnex_frame()
-    tab = bff_good_diagnostics(fr, lens, k=1, i_range=range(7, 11))
-    assert tab.trends == {"r1": True, "r2": False, "r3": True}
-    assert tab.column("r2") == [Fraction(56), Fraction(128), Fraction(288), Fraction(640)]
-    assert tab.column("r3") == [Fraction(1, 32), Fraction(1, 64), Fraction(1, 128), None]
-
-    fr2, lens2 = qde_frame()
-    tab2 = mff_nice_diagnostics(fr2, lens2, i_range=range(3, 13))
-    assert tab2.trends == {"n1": False, "n2": True}
-    assert tab2.column("n1")[0] == Fraction(32, 81)
-    assert tab2.column("n2")[0] == Fraction(16, 243)
-
-
-def test_full_scale_frame_trends_decrease():
-    # with the unscaled parameters every ratio column falls monotonically;
-    # lengths stay symbolic integers, nothing is materialized
-    fr, lens = qnex_frame(w_fn=lambda i: i * i, l_fn=lambda i: 2 ** (4 * i * i))
-    tab = bff_good_diagnostics(fr, lens, k=2, i_range=range(7, 11))
-    assert tab.trends == {"r1": True, "r2": True, "r3": True}
-    assert tab.column("r2")[0] == Fraction(36, 7 * 2**165)
-
-    fr2, lens2 = qde_frame(w_fn=lambda i: i * i, l_fn=lambda i: i ** (3 * i))
-    tab2 = mff_nice_diagnostics(fr2, lens2, i_range=range(3, 13))
-    assert tab2.trends == {"n1": True, "n2": True}
-    # hand check of one entry: next length over current segment size
-    assert mff_nice_diagnostics(fr2, lens2, i_range=range(2, 3)).column("n2")[0] == Fraction(177147, 4096)
-
-
-def test_diagnostics_json():
-    fr = MffSpec(1, (1, 2), (2, 3), (Fraction(1, 2), Fraction(1, 3)))
-    out = mff_nice_diagnostics(fr, (4, 8)).to_json()
-    assert out["names"] == ["n1", "n2"]
-    assert out["rows"][1]["n1"] == "1/2"
-    assert out["rows"][0]["n1"] is None

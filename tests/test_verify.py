@@ -143,8 +143,8 @@ def test_bounds_ng_nl_passes():
 
 
 def test_bounds_ng_nl_catches_inflated_tally():
-    def inflated(text, k, alphabet_size=None):
-        out = dict(tally_blocks(text, k, alphabet_size=alphabet_size))
+    def inflated(text, k):
+        out = dict(tally_blocks(text, k))
         key = next(iter(sorted(out)))
         out[key] += 10**9
         return out
@@ -188,6 +188,26 @@ def test_lemma_1021_passes_and_skips_small_bases():
     assert cert.passed
     assert cert.details["skipped_b"] == [4, 5]
     assert cert.checked > 0
+
+
+@pytest.mark.parametrize(
+    "verifier, kwargs, skipped",
+    [
+        (verify_lemma_amount, {"b_range": ()}, None),
+        (verify_lemma_amount, {"w_range": []}, None),
+        (verify_lemma_pbw, {"b_range": (6,), "w_range": (4,)}, ("skipped", [{"b": 6, "w": 4, "length": 4 * 2**24}])),
+        (verify_lemma_1021, {"b_range": range(2, 6)}, ("skipped_b", [2, 3, 4, 5])),
+        (verify_lemma_1021, {"w_range": (1,)}, ("skipped_b", [])),
+    ],
+)
+def test_range_claims_that_check_nothing_fail(verifier, kwargs, skipped):
+    cert = verifier(**kwargs)
+    assert not cert.passed
+    assert cert.checked == 0
+    assert "nothing was checked" in cert.counterexample["reason"]
+    if skipped is not None:
+        key, value = skipped
+        assert cert.details[key] == value
 
 
 def test_lemma_1021_catches_broken_inequality(monkeypatch):

@@ -1,4 +1,4 @@
-"""Digit weightings: masses, consistency, uniformity, block-frequency checks."""
+"""Digit weightings: masses, uniformity, block-frequency checks."""
 
 from fractions import Fraction
 
@@ -12,39 +12,36 @@ from cantornormal.errors import SizeLimitError
 from cantornormal.limits import size_cap
 from cantornormal.weightings import (
     Weighting,
-    check_consistency,
     check_eps_k_normal,
     check_pb_uniform,
     nu,
     parse_weighting,
-    table_weighting,
     uniform,
 )
 
 
 def test_uniform_masses():
     mu = uniform(3)
-    assert mu.digit_weight(0) == Fraction(1, 3)
-    assert mu.digit_weight(2) == Fraction(1, 3)
-    assert mu.digit_weight(3) == 0
+    assert mu.weight((0,)) == Fraction(1, 3)
+    assert mu.weight((2,)) == Fraction(1, 3)
+    assert mu.weight((3,)) == 0
     assert mu.support_bound == 2
 
 
 def test_nu_masses_frozen():
     mu = nu(2)
-    assert mu.digit_weight(0) == Fraction(1, 4)
-    assert mu.digit_weight(1) == Fraction(1, 4)
-    assert mu.digit_weight(2) == Fraction(1, 2)
-    assert mu.digit_weight(3) == 0
+    assert mu.weight((0,)) == Fraction(1, 4)
+    assert mu.weight((1,)) == Fraction(1, 4)
     assert mu.weight((2,)) == Fraction(1, 2)
+    assert mu.weight((3,)) == 0
     assert mu.support_bound == 2
-    assert nu(6).digit_weight(6) == Fraction(58, 64)
+    assert nu(6).weight((6,)) == Fraction(58, 64)
 
 
 @given(st.integers(2, 8))
 def test_nu_masses_sum_to_one(b):
     mu = nu(b)
-    assert sum(mu.digit_weight(j) for j in range(b + 1)) == 1
+    assert sum(mu.weight((j,)) for j in range(b + 1)) == 1
 
 
 @given(st.integers(2, 6), st.lists(st.integers(0, 6), min_size=0, max_size=6))
@@ -52,7 +49,7 @@ def test_weight_is_multiplicative(b, digits):
     mu = nu(b)
     expected = Fraction(1)
     for d in digits:
-        expected *= mu.digit_weight(d)
+        expected *= mu.weight((d,))
     assert mu.weight(digits) == expected
 
 
@@ -60,19 +57,14 @@ def _literal_digit_mass(mu, d):
     """A digit's mass written out from the weighting's definition."""
     if mu.kind == "uniform":
         return Fraction(1, mu.b) if d < mu.b else Fraction(0)
-    if mu.kind == "nu":
-        if d < mu.b:
-            return Fraction(1, 2**mu.b)
-        return Fraction(2**mu.b - mu.b, 2**mu.b) if d == mu.b else Fraction(0)
-    return mu.table[d] if d < len(mu.table) else Fraction(0)
+    if d < mu.b:
+        return Fraction(1, 2**mu.b)
+    return Fraction(2**mu.b - mu.b, 2**mu.b) if d == mu.b else Fraction(0)
 
 
-small_fractions = st.builds(Fraction, st.integers(0, 7), st.integers(1, 12))
 weightings = st.one_of(
     st.builds(uniform, st.integers(2, 6) | st.just(300)),
     st.builds(nu, st.integers(2, 6) | st.just(300)),
-    # raw tables: unnormalized, with zero masses inside
-    st.lists(small_fractions, min_size=1, max_size=6).map(lambda t: Weighting("table", len(t), tuple(t))),
 )
 
 
@@ -92,24 +84,12 @@ def test_weight_outside_support_is_zero():
 
 
 def test_token_round_trip():
-    assert parse_weighting("uniform:10").to_token() == "uniform:10"
+    assert parse_weighting("uniform:10") == uniform(10)
     assert parse_weighting("nu:6") == nu(6)
     with pytest.raises(ValueError):
         parse_weighting("gaussian:3")
     with pytest.raises(ValueError):
         parse_weighting("uniform:x")
-    with pytest.raises(ValueError):
-        table_weighting((Fraction(1, 2), Fraction(1, 2))).to_token()
-
-
-def test_table_weighting_must_normalize():
-    with pytest.raises(ValueError):
-        table_weighting((Fraction(1, 2), Fraction(1, 3)))
-    with pytest.raises(ValueError):
-        table_weighting((Fraction(3, 2), Fraction(-1, 2)))
-    mu = table_weighting((Fraction(1, 4), 0, Fraction(3, 4)))
-    assert mu.support_bound == 2
-    assert mu.digit_weight(1) == 0
 
 
 def test_weighting_kind_validation():
@@ -117,20 +97,6 @@ def test_weighting_kind_validation():
         Weighting(kind="zipf", b=2)
     with pytest.raises(ValueError):
         Weighting(kind="uniform", b=1)
-
-
-@given(st.integers(2, 6), st.lists(st.integers(0, 6), min_size=0, max_size=4))
-def test_consistency_holds_for_normalized_weightings(b, digits):
-    for mu in (uniform(b), nu(b)):
-        assert check_consistency(mu, len(digits), digits)
-
-
-def test_consistency_catches_unnormalized_table():
-    # raw constructor skips the normalization check on purpose
-    bad = Weighting(kind="table", b=3, table=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)))
-    assert not check_consistency(bad, 1, (0,))
-    with pytest.raises(ValueError):
-        check_consistency(bad, 2, (0,))  # block length must equal k
 
 
 def test_pb_uniform_frozen():
