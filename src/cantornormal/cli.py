@@ -6,6 +6,11 @@ certificate or verdict is still emitted); 2 usage or validation error;
 3 size limit exceeded; 4 internal error, a fault in the library rather
 than in the input, reported with its traceback on stderr.
 
+Each subcommand takes only the options its handler reads, and its input
+sources (``--spec``, ``--family``, and ``--in`` or ``--const-base`` where
+taken) exclude one another: any other option, or a second source, is a
+usage error (exit 2).
+
 ``--cap N`` is entered once, as ``limits.size_cap(N)`` around the whole
 subcommand, so it reaches every path that ``CNL_SIZE_CAP`` reaches.
 
@@ -25,7 +30,6 @@ import json
 import re
 import sys
 import traceback
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .blocks import count_occurrences, count_prefix_occurrences, read_digit_file, write_digit_file
@@ -53,30 +57,6 @@ from .verify import CLAIMS, epsbar_rows, run_all, run_claim
 from .weightings import check_eps_k_normal, parse_weighting
 
 _FAMILIES = {"qde-scaled": qde_spec, "qnex-scaled": qnex_spec}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run-wide options shared by the subcommands."""
-
-    tail: int
-    checkpoints: tuple[int, ...] | None
-    fmt: str
-    out: str | None
-
-    def __post_init__(self):
-        if self.tail < 1:
-            raise InvalidSpecError(f"tail length must be >= 1, got {self.tail}")
-        if self.fmt not in ("json", "csv"):
-            raise InvalidSpecError(f"format must be json or csv, got {self.fmt!r}")
-        if self.checkpoints is not None:
-            cps = self.checkpoints
-            if not cps:
-                raise InvalidSpecError("checkpoint list is empty")
-            if any(b <= a for a, b in zip(cps, cps[1:])):
-                raise InvalidSpecError("checkpoints must be strictly increasing")
-            if cps[0] < 0:
-                raise InvalidSpecError("checkpoints must be >= 0")
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -128,24 +108,38 @@ def parse_budget(text: str) -> float:
 
 
 def _load_spec(args) -> ConstructionSpec:
-    if getattr(args, "spec", None):
+    if args.spec:
         return ConstructionSpec.load(args.spec)
-    family = getattr(args, "family", None)
-    if family:
-        return _FAMILIES[family]()
+    if args.family:
+        return _FAMILIES[args.family]()
     raise InvalidSpecError("pass --spec FILE or --family NAME")
 
 
 def _load_digit_input(args):
     """Digits for count/normality: a binary file or a spec prefix."""
-    if getattr(args, "infile", None):
+    if args.infile:
+        if args.n_max is not None:
+            raise InvalidSpecError("--n-max takes digits from a spec; --in reads the whole file")
         return read_digit_file(args.infile)
-    if getattr(args, "spec", None) or getattr(args, "family", None):
-        n_max = getattr(args, "n_max", None)
-        if n_max is None:
+    if args.spec or args.family:
+        if args.n_max is None:
             raise InvalidSpecError("--n-max is required when reading digits from a spec")
-        return _load_spec(args).digits_prefix(n_max)
+        return _load_spec(args).digits_prefix(args.n_max)
     raise InvalidSpecError("pass --in FILE, or --spec/--family with --n-max")
+
+
+def _checkpoints(args, lo: int) -> tuple[int, ...]:
+    """The required ``--checkpoints``: strictly increasing positions, each >= lo."""
+    if not args.checkpoints:
+        raise InvalidSpecError(f"--checkpoints is required for {args.subcommand}")
+    cps = _parse_int_list(args.checkpoints, "checkpoints")
+    if not cps:
+        raise InvalidSpecError("checkpoint list is empty")
+    if any(b <= a for a, b in zip(cps, cps[1:])):
+        raise InvalidSpecError("checkpoints must be strictly increasing")
+    if cps[0] < lo:
+        raise InvalidSpecError(f"{args.subcommand} checkpoints must be >= {lo}")
+    return cps
 
 
 def _emit_text(text: str, out: str | None) -> None:
@@ -173,25 +167,25 @@ def _emit_csv(header: list[str], rows: list[list], out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_construct(cfg: RunConfig, args) -> int:
+def _cmd_construct(args) -> int:
     spec = _load_spec(args)
     if args.spec_out:
         spec.save(args.spec_out)
     q, digits = assemble(spec, args.n_max)
     if args.digits_out:
         write_digit_file(args.digits_out, digits)
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         rows = [[n + 1, q[n], digits[n]] for n in range(len(digits))]
-        _emit_csv(["n", "q", "digit"], rows, cfg.out)
+        _emit_csv(["n", "q", "digit"], rows, args.out)
     else:
         _emit_json(
             {"n_max": args.n_max, "q": list(q), "digits": list(digits.as_tuple())},
-            cfg.out,
+            args.out,
         )
     return 0
 
 
-def _cmd_count(cfg: RunConfig, args) -> int:
+def _cmd_count(args) -> int:
     digits = _load_digit_input(args)
     block = _parse_int_list(args.block, "block")
     if not block:
@@ -202,13 +196,11 @@ def _cmd_count(cfg: RunConfig, args) -> int:
     else:
         count = count_occurrences(block, digits)
         payload = {"block": list(block), "count": count, "length": len(digits)}
-    _emit_json(payload, cfg.out)
+    _emit_json(payload, args.out)
     return 0
 
 
-def _cmd_weights(cfg: RunConfig, args) -> int:
-    if args.weights_op != "eval":
-        raise InvalidSpecError(f"unknown weights operation {args.weights_op!r}")
+def _cmd_weights(args) -> int:
     mu = parse_weighting(args.mu)
     block = _parse_int_list(args.block, "block")
     weight = mu.weight(block)
@@ -219,54 +211,48 @@ def _cmd_weights(cfg: RunConfig, args) -> int:
             "weight": str(weight),
             "weight_decimal": float(weight),
         },
-        cfg.out,
+        args.out,
     )
     return 0
 
 
-def _cmd_normality(cfg: RunConfig, args) -> int:
-    if args.normality_op != "check":
-        raise InvalidSpecError(f"unknown normality operation {args.normality_op!r}")
+def _cmd_normality(args) -> int:
     digits = _load_digit_input(args)
     mu = parse_weighting(args.mu)
     eps = _parse_fraction(args.eps, "eps")
     verdict = check_eps_k_normal(digits, eps, args.k, mu)
-    _emit_json(verdict.to_json(), cfg.out)
+    _emit_json(verdict.to_json(), args.out)
     return 0 if verdict.passed else 1
 
 
-def _cmd_moments(cfg: RunConfig, args) -> int:
-    if cfg.checkpoints is None:
-        raise InvalidSpecError("--checkpoints is required for moments")
-    if cfg.checkpoints[0] < 1:
-        raise InvalidSpecError("moment checkpoints must be >= 1")
+def _cmd_moments(args) -> int:
+    checkpoints = _checkpoints(args, 1)
     if args.const_base is not None:
         Q = BasicSequence.constant(args.const_base)
     else:
         Q = BasicSequence.from_spec(_load_spec(args))
     rows = []
-    for n in cfg.checkpoints:
+    for n in checkpoints:
         value = q_moment(Q, n, args.k)
         rows.append({"n": n, "k": args.k, "moment": str(value), "moment_decimal": float(value)})
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         _emit_csv(
             ["n", "k", "moment", "moment_decimal"],
             [[r["n"], r["k"], r["moment"], r["moment_decimal"]] for r in rows],
-            cfg.out,
+            args.out,
         )
     else:
-        _emit_json({"rows": rows}, cfg.out)
+        _emit_json({"rows": rows}, args.out)
     return 0
 
 
-def _cmd_orbit(cfg: RunConfig, args) -> int:
-    if cfg.checkpoints is None:
-        raise InvalidSpecError("--checkpoints is required for orbit (shift counts n)")
+def _cmd_orbit(args) -> int:
+    checkpoints = _checkpoints(args, 0)
     spec = _load_spec(args)
     exp = CantorExpansion.from_spec(spec)
     rows = []
-    for n in cfg.checkpoints:
-        iv = orbit_point(exp, n, tail=cfg.tail)
+    for n in checkpoints:
+        iv = orbit_point(exp, n, tail=args.tail)
         j = spec.t0_index(n) if n < spec.total_length else None
         rows.append(
             {
@@ -278,14 +264,14 @@ def _cmd_orbit(cfg: RunConfig, args) -> int:
                 "hi_decimal": float(iv.hi),
             }
         )
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         _emit_csv(
             ["n", "j", "lo", "hi", "lo_decimal", "hi_decimal"],
             [[r["n"], r["j"], r["lo"], r["hi"], r["lo_decimal"], r["hi_decimal"]] for r in rows],
-            cfg.out,
+            args.out,
         )
     else:
-        _emit_json({"tail": cfg.tail, "rows": rows}, cfg.out)
+        _emit_json({"tail": args.tail, "rows": rows}, args.out)
     return 0
 
 
@@ -317,7 +303,7 @@ def _read_families(path: str) -> list[tuple[int, int, Fraction]]:
     return [(c, ln, _parse_fraction(str(e), "family eps")) for c, ln, e in fams]
 
 
-def _cmd_discrepancy(cfg: RunConfig, args) -> int:
+def _cmd_discrepancy(args) -> int:
     zs = unit_sequence(_read_sequence_file(args.infile))
     d_star = star_discrepancy(zs)
     payload: dict = {
@@ -343,11 +329,11 @@ def _cmd_discrepancy(cfg: RunConfig, args) -> int:
             raise InvalidSpecError(f"unknown bound {name!r}; choose from kn1, kn2, e1l")
         payload["bounds"][name] = str(bound)
         payload["within"][name] = d_star <= bound
-    _emit_json(payload, cfg.out)
+    _emit_json(payload, args.out)
     return 0 if all(payload["within"].values()) else 1
 
 
-def _cmd_verify(cfg: RunConfig, args) -> int:
+def _cmd_verify(args) -> int:
     if args.all and (args.claim is not None or args.grid is not None):
         raise InvalidSpecError("--all runs the default jobs; it takes no --claim or --grid")
     if args.budget is not None and not args.all:
@@ -362,46 +348,43 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
         grid = parse_grid(args.grid) if args.grid else None
         certs = run_claim(args.claim, grid)
         payload = certs[0].to_json() if len(certs) == 1 else [c.to_json() for c in certs]
-    _emit_json(payload, cfg.out)
-    if cfg.out:
+    _emit_json(payload, args.out)
+    if args.out:
         runtimes = [
             {"claim": c.claim, "params": c.to_json()["params"], "runtime_seconds": c.runtime_seconds}
             for c in certs
         ]
-        with open(cfg.out + ".meta.json", "w", encoding="utf-8") as fh:
+        with open(args.out + ".meta.json", "w", encoding="utf-8") as fh:
             json.dump({"runtimes": runtimes}, fh, indent=2)
             fh.write("\n")
     return 0 if all(c.passed for c in certs) else 1
 
 
-def _cmd_report(cfg: RunConfig, args) -> int:
-    if cfg.fmt != "json":
-        raise InvalidSpecError("report is a combined document; only json format is supported")
-    if cfg.checkpoints is None or cfg.checkpoints[0] < 1:
-        raise InvalidSpecError("--checkpoints with positions >= 1 is required for report")
+def _cmd_report(args) -> int:
+    checkpoints = _checkpoints(args, 1)
     spec = _load_spec(args)
     exp = CantorExpansion.from_spec(spec)
     block = _parse_int_list(args.block, "block")
     if not block:
         raise InvalidSpecError("block must have at least one digit")
     ratios = []
-    for n in cfg.checkpoints:
+    for n in checkpoints:
         ratio = normality_ratio(exp, block, n)
         ratios.append({"n": n, "ratio": str(ratio), "ratio_decimal": float(ratio)})
     orbits = []
-    for n in cfg.checkpoints:
-        if n + cfg.tail <= spec.total_length:
-            iv = orbit_point(exp, n, tail=cfg.tail)
+    for n in checkpoints:
+        if n + args.tail <= spec.total_length:
+            iv = orbit_point(exp, n, tail=args.tail)
             orbits.append({"n": n, "lo": str(iv.lo), "hi": str(iv.hi)})
         else:
             orbits.append({"n": n, "lo": None, "hi": None})
     d_traj = []
-    for n in cfg.checkpoints:
+    for n in checkpoints:
         d = star_discrepancy_from_counts(scaled_value_counts(spec, n), n)
         d_traj.append({"n": n, "d_star": str(d), "d_star_decimal": float(d)})
     bars = []
     if spec.family == "qde-scaled":
-        for n, i, hyp, bar in epsbar_rows(spec, cfg.checkpoints):
+        for n, i, hyp, bar in epsbar_rows(spec, checkpoints):
             row: dict = {"n": n, "i": i, "epsbar": None if bar is None else str(bar)}
             if bar is not None:
                 row["epsbar_decimal"] = float(bar)
@@ -416,7 +399,7 @@ def _cmd_report(cfg: RunConfig, args) -> int:
         "d_star_trajectory": d_traj,
         "epsbar_trajectory": bars,
     }
-    _emit_json(payload, cfg.out)
+    _emit_json(payload, args.out)
     return 0
 
 
@@ -425,26 +408,35 @@ def _cmd_report(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_spec_args(p: argparse.ArgumentParser, family_ok: bool = True) -> None:
-    p.add_argument("--spec", metavar="FILE", help="construction spec JSON file")
-    if family_ok:
-        p.add_argument(
-            "--family",
-            choices=sorted(_FAMILIES),
-            help="use a built-in construction family with default parameters",
-        )
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--cap",
-        type=int,
-        help="size cap on digits materialized, runs or blocks enumerated and "
-        "positions looped over, on every path (default CNL_SIZE_CAP, else 10^8)",
+def _add_sources(p: argparse.ArgumentParser):
+    """Add --spec and --family as exclusive input sources; return their group
+    so that a subcommand's other source can join it."""
+    sources = p.add_mutually_exclusive_group()
+    sources.add_argument("--spec", metavar="FILE", help="construction spec JSON file")
+    sources.add_argument(
+        "--family",
+        choices=sorted(_FAMILIES),
+        help="use a built-in construction family with default parameters",
     )
-    p.add_argument("--tail", type=int, default=64, help="enclosure tail length M (default 64)")
-    p.add_argument("--checkpoints", help="comma-separated strictly increasing positions")
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+    return sources
+
+
+# the run-wide options; a subcommand takes only those its handler reads
+_RUN_FLAGS = {
+    "--cap": {
+        "type": int,
+        "help": "size cap on digits materialized, runs or blocks enumerated and "
+        "positions looped over, on every path (default CNL_SIZE_CAP, else 10^8)",
+    },
+    "--tail": {"type": int, "default": 64, "help": "enclosure tail length M (default 64)"},
+    "--checkpoints": {"help": "comma-separated strictly increasing positions"},
+    "--format": {"dest": "fmt", "choices": ("json", "csv"), "default": "json"},
+}
+
+
+def _add_run_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        p.add_argument(flag, **_RUN_FLAGS[flag])
     p.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
 
 
@@ -457,45 +449,44 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("construct", help="materialize a construction prefix")
-    _add_spec_args(p)
+    _add_sources(p)
     p.add_argument("--n-max", type=int, required=True, help="how many positions to emit")
     p.add_argument("--digits-out", metavar="FILE", help="also write digits in the binary format")
     p.add_argument("--spec-out", metavar="FILE", help="also write the spec JSON used")
-    _add_common(p)
+    _add_run_flags(p, "--cap", "--format")
 
     p = sub.add_parser("count", help="count overlapping occurrences of a block")
     p.add_argument("--block", required=True, help="comma-separated digits, e.g. 1,2")
-    p.add_argument("--in", dest="infile", metavar="FILE", help="binary digit file")
-    _add_spec_args(p)
+    _add_sources(p).add_argument("--in", dest="infile", metavar="FILE", help="binary digit file")
     p.add_argument("--n-max", type=int, help="digits to take from the spec")
     p.add_argument("--prefix", type=int, help="count only occurrences starting in the first N positions")
-    _add_common(p)
+    _add_run_flags(p, "--cap")
 
     p = sub.add_parser("weights", help="digit weighting operations")
     p.add_argument("weights_op", choices=("eval",))
     p.add_argument("--mu", required=True, help="weighting token: uniform:B or nu:B")
     p.add_argument("--block", required=True, help="comma-separated digits")
-    _add_common(p)
+    _add_run_flags(p)
 
     p = sub.add_parser("normality", help="block-frequency normality checks")
     p.add_argument("normality_op", choices=("check",))
-    p.add_argument("--in", dest="infile", metavar="FILE", help="binary digit file")
-    _add_spec_args(p)
+    _add_sources(p).add_argument("--in", dest="infile", metavar="FILE", help="binary digit file")
     p.add_argument("--n-max", type=int, help="digits to take from the spec")
     p.add_argument("--eps", required=True, help="tolerance, e.g. 1/2")
     p.add_argument("--k", type=int, required=True, help="maximum block length checked")
     p.add_argument("--mu", required=True, help="weighting token: uniform:B or nu:B")
-    _add_common(p)
+    _add_run_flags(p, "--cap")
 
     p = sub.add_parser("moments", help="expected block-count normalizers at checkpoints")
-    _add_spec_args(p)
-    p.add_argument("--const-base", type=int, help="use a constant base sequence instead of a spec")
+    _add_sources(p).add_argument(
+        "--const-base", type=int, help="use a constant base sequence instead of a spec"
+    )
     p.add_argument("--k", type=int, default=1, help="block length (default 1)")
-    _add_common(p)
+    _add_run_flags(p, "--cap", "--checkpoints", "--format")
 
     p = sub.add_parser("orbit", help="exact enclosures of shifted values")
-    _add_spec_args(p)
-    _add_common(p)
+    _add_sources(p)
+    _add_run_flags(p, "--cap", "--tail", "--checkpoints", "--format")
 
     p = sub.add_parser("discrepancy", help="exact star discrepancy of a point file")
     p.add_argument("--in", dest="infile", required=True, metavar="FILE",
@@ -504,19 +495,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", metavar="FILE", help="JSON [[copies,length,eps],...] for kn2")
     p.add_argument("--e1l-base", type=int, help="digit base for the e1l bound")
     p.add_argument("--e1l-eps", help="frequency tolerance for the e1l bound")
-    _add_common(p)
+    _add_run_flags(p)
 
     p = sub.add_parser("verify", help="run claim verifications, emit certificates")
     p.add_argument("--claim", choices=sorted(CLAIMS), help="claim id")
     p.add_argument("--grid", help="parameter grid, e.g. b=2..6,w=1..3")
     p.add_argument("--all", action="store_true", help="run the default verification jobs")
     p.add_argument("--budget", help="time budget for --all, e.g. 10min")
-    _add_common(p)
+    _add_run_flags(p, "--cap")
 
     p = sub.add_parser("report", help="combined document for a construction")
-    _add_spec_args(p)
+    _add_sources(p)
     p.add_argument("--block", default="0", help="block for normality ratios (default: 0)")
-    _add_common(p)
+    _add_run_flags(p, "--cap", "--tail", "--checkpoints")
 
     return parser
 
@@ -537,18 +528,11 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # weights and discrepancy reach no size check, so they take no --cap
+    cap = getattr(args, "cap", None)
     try:
-        checkpoints = (
-            _parse_int_list(args.checkpoints, "checkpoints") if args.checkpoints else None
-        )
-        cfg = RunConfig(
-            tail=args.tail,
-            checkpoints=checkpoints,
-            fmt=args.fmt,
-            out=args.out,
-        )
-        with size_cap(args.cap) if args.cap is not None else contextlib.nullcontext():
-            return _DISPATCH[args.subcommand](cfg, args)
+        with size_cap(cap) if cap is not None else contextlib.nullcontext():
+            return _DISPATCH[args.subcommand](args)
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

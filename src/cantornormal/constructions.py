@@ -159,6 +159,28 @@ class SegmentSpec:
         return tuple(tally_blocks(self.block, 1).items())
 
 
+def _segment_from_json(raw) -> SegmentSpec:
+    """One entry of a spec's 'segments' list; integers must be JSON integers."""
+    try:
+        mult, base, block_obj = raw["l"], raw["base"], raw["block"]
+        gen = block_obj["gen"]
+    except (TypeError, KeyError) as exc:
+        raise InvalidSpecError("malformed entry") from exc
+    if type(mult) is not int or type(base) is not int:
+        raise InvalidSpecError(f"'l' and 'base' must be integers, got {mult!r} and {base!r}")
+    if gen in ("P", "C"):
+        gb, gw = block_obj.get("b"), block_obj.get("w")
+        if type(gb) is not int or type(gw) is not int:
+            raise InvalidSpecError(f"generator {gen} needs integer 'b' and 'w'")
+        return SegmentSpec(mult, (build_P if gen == "P" else build_C)(gb, gw), base, generator=(gen, gb, gw))
+    if gen == "explicit":
+        digits = block_obj.get("digits")
+        if not (isinstance(digits, list) and all(type(d) is int for d in digits)):
+            raise InvalidSpecError("explicit block needs a 'digits' list of integers")
+        return SegmentSpec(mult, Block(base, digits), base)
+    raise InvalidSpecError(f"unknown generator {gen!r}")
+
+
 @dataclass(frozen=True)
 class ConstructionSpec:
     """Ordered segments defining a base sequence and digit sequence jointly."""
@@ -315,31 +337,13 @@ class ConstructionSpec:
         family = obj.get("family")
         if "family" in obj and not isinstance(family, str):
             raise InvalidSpecError(f"'family' must be a string, got {family!r}")
-        # integers must be JSON integers: no floats, strings or booleans
         segments = []
         for idx, raw in enumerate(raw_segments):
+            # every error names the entry, the block builders' own included
             try:
-                mult, base, block_obj = raw["l"], raw["base"], raw["block"]
-                gen = block_obj["gen"]
-            except (TypeError, KeyError) as exc:
-                raise InvalidSpecError(f"segment {idx}: malformed entry") from exc
-            if type(mult) is not int or type(base) is not int:
-                raise InvalidSpecError(f"segment {idx}: 'l' and 'base' must be integers, got {mult!r} and {base!r}")
-            if gen in ("P", "C"):
-                gb, gw = block_obj.get("b"), block_obj.get("w")
-                if type(gb) is not int or type(gw) is not int:
-                    raise InvalidSpecError(f"segment {idx}: generator {gen} needs integer 'b' and 'w'")
-                block = (build_P if gen == "P" else build_C)(gb, gw)
-                generator: tuple | None = (gen, gb, gw)
-            elif gen == "explicit":
-                digits = block_obj.get("digits")
-                if not (isinstance(digits, list) and all(type(d) is int for d in digits)):
-                    raise InvalidSpecError(f"segment {idx}: explicit block needs a 'digits' list of integers")
-                block = Block(base, digits)
-                generator = None
-            else:
-                raise InvalidSpecError(f"segment {idx}: unknown generator {gen!r}")
-            segments.append(SegmentSpec(mult, block, base, generator=generator))
+                segments.append(_segment_from_json(raw))
+            except ValueError as exc:
+                raise InvalidSpecError(f"segment {idx}: {exc}") from exc
         return cls(tuple(segments), family=family)
 
     def save(self, path) -> None:

@@ -102,42 +102,31 @@ class Certificate:
         )
 
 
-def verify_lemma_amount(b_range=(2, 3, 4), w_range=(1, 2, 3), mu_factory=nu) -> Certificate:
+def verify_lemma_amount(b_range=(2, 3, 4), w_range=(1, 2, 3)) -> Certificate:
     """Repetition identity: copies of each block inside build_P equal the
-    block's weighted share 2**(b*w) * mu(block), exactly, for every block.
+    block's weighted share 2**(b*w) * nu(b)(block), exactly, for every block.
 
     An empty grid checks nothing and fails.
     """
     params = {"b_range": list(b_range), "w_range": list(w_range)}
     checked = 0
-    for b in b_range:
-        mu = mu_factory(b)
-        for w in w_range:
-            scale = 1 << (b * w)
-            for block, copies in build_P_copies(b, w):
-                expected = scale * mu.weight(block)
-                checked += 1
-                if expected != copies:
-                    return Certificate(
-                        claim="lemma-amount",
-                        params=params,
-                        passed=False,
-                        checked=checked,
-                        counterexample={
-                            "b": b,
-                            "w": w,
-                            "block": list(block),
-                            "copies": copies,
-                            "expected": expected,
-                        },
-                    )
-    empty = None if checked else {"reason": "the grid is empty, nothing was checked"}
-    return Certificate("lemma-amount", params, checked > 0, checked, counterexample=empty)
+    counterexample = None
+    for b, w in itertools.product(b_range, w_range):
+        mu, scale = nu(b), 1 << (b * w)
+        for block, copies in build_P_copies(b, w):
+            expected = scale * mu.weight(block)
+            checked += 1
+            if expected != copies:
+                counterexample = {"b": b, "w": w, "block": list(block), "copies": copies, "expected": expected}
+                break
+        if counterexample is not None:
+            break
+    if not checked:
+        counterexample = {"reason": "the grid is empty, nothing was checked"}
+    return Certificate("lemma-amount", params, counterexample is None, checked, counterexample)
 
 
-def verify_lemma_pbw(
-    b_range=(2, 3, 4, 5, 6), w_range=(1, 2, 3), max_len: int = 10**6, builder=build_P
-) -> Certificate:
+def verify_lemma_pbw(b_range=(2, 3, 4, 5, 6), w_range=(1, 2, 3), max_len: int = 10**6) -> Certificate:
     """Enumeration length: len(build_P(b, w)) == w * 2**(b*w).
 
     Lengths over ``max_len`` are skipped and reported; a grid whose every
@@ -146,33 +135,28 @@ def verify_lemma_pbw(
     params = {"b_range": list(b_range), "w_range": list(w_range), "max_len": max_len}
     checked = 0
     skipped = []
-    for b in b_range:
-        for w in w_range:
-            expected = w * (1 << (b * w))
-            if expected > max_len:
-                skipped.append({"b": b, "w": w, "length": expected})
-                continue
-            got = len(builder(b, w))
-            checked += 1
-            if got != expected:
-                return Certificate(
-                    claim="lemma-pbw",
-                    params=params,
-                    passed=False,
-                    checked=checked,
-                    counterexample={"b": b, "w": w, "expected": expected, "observed": got},
-                    details={"skipped": skipped},
-                )
-    empty = None if checked else {"reason": "no length within max_len, nothing was checked"}
-    return Certificate("lemma-pbw", params, checked > 0, checked, counterexample=empty, details={"skipped": skipped})
+    counterexample = None
+    for b, w in itertools.product(b_range, w_range):
+        expected = w * (1 << (b * w))
+        if expected > max_len:
+            skipped.append({"b": b, "w": w, "length": expected})
+            continue
+        got = len(build_P(b, w))
+        checked += 1
+        if got != expected:
+            counterexample = {"b": b, "w": w, "expected": expected, "observed": got}
+            break
+    if not checked:
+        counterexample = {"reason": "no length within max_len, nothing was checked"}
+    return Certificate("lemma-pbw", params, counterexample is None, checked, counterexample, {"skipped": skipped})
 
 
-def verify_bounds_ng_nl(b: int, w: int, k_max: int, tally_fn=tally_blocks) -> Certificate:
+def verify_bounds_ng_nl(b: int, w: int, k_max: int) -> Certificate:
     """Occurrence sandwich inside build_P(b, w), for every block length <= k_max.
 
     Lower bound: whole-copy occurrences alone.  Upper bound: whole-copy
     occurrences at the generous per-position rate plus all possible
-    straddling positions.  ``tally_fn`` counts the windows of build_P's
+    straddling positions.  ``tally_blocks`` counts the windows of build_P's
     (copies, block) runs; the runs enumerated count against the size cap.
     """
     if not (isinstance(k_max, int) and 1 <= k_max <= w):
@@ -180,9 +164,10 @@ def verify_bounds_ng_nl(b: int, w: int, k_max: int, tally_fn=tally_blocks) -> Ce
     params = {"b": b, "w": w, "k_max": k_max}
     rep = (1 << b) - b
     checked = 0
+    counterexample = None
     text = build_P_runs(b, w)
     for k in range(1, k_max + 1):
-        counts = tally_fn(text, k)
+        counts = tally_blocks(text, k)
         tail = (k - 1) * (b + 1) ** w
         for blk in itertools.product(range(b + 1), repeat=k):
             g = blk.count(b)
@@ -192,19 +177,11 @@ def verify_bounds_ng_nl(b: int, w: int, k_max: int, tally_fn=tally_blocks) -> Ce
             observed = counts.get(blk, 0)
             checked += 1
             if not lower <= observed <= upper:
-                return Certificate(
-                    claim="bounds-ng-nl",
-                    params=params,
-                    passed=False,
-                    checked=checked,
-                    counterexample={
-                        "block": list(blk),
-                        "lower": lower,
-                        "observed": observed,
-                        "upper": upper,
-                    },
-                )
-    return Certificate("bounds-ng-nl", params, True, checked)
+                counterexample = {"block": list(blk), "lower": lower, "observed": observed, "upper": upper}
+                break
+        if counterexample is not None:
+            break
+    return Certificate("bounds-ng-nl", params, counterexample is None, checked, counterexample)
 
 
 # module-level so tests can inject a broken inequality side
@@ -225,36 +202,27 @@ def verify_lemma_1021(b_range=range(6, 11), w_range=range(2, 13)) -> Certificate
     params = {"b_range": list(b_range), "w_range": list(w_range)}
     checked = 0
     skipped = []
+    counterexample = None
     for b in b_range:
         if b < 6:
             skipped.append(b)
             continue
-        for w in w_range:
-            for k in range(1, w // 2 + 1):
-                for m in range(1, k + 1):
-                    checked += 1
-                    if _growth_lhs(b, w, m) > _growth_rhs(b, w, k, m):
-                        return Certificate(
-                            claim="lemma-1021",
-                            params=params,
-                            passed=False,
-                            checked=checked,
-                            counterexample={
-                                "b": b,
-                                "w": w,
-                                "k": k,
-                                "m": m,
-                                "lhs": _growth_lhs(b, w, m),
-                                "rhs": _growth_rhs(b, w, k, m),
-                            },
-                            details={"skipped_b": skipped},
-                        )
-    empty = None if checked else {"reason": "no b >= 6 with w >= 2 in the grid, nothing was checked"}
-    return Certificate("lemma-1021", params, checked > 0, checked, counterexample=empty, details={"skipped_b": skipped})
+        triples = ((w, k, m) for w in w_range for k in range(1, w // 2 + 1) for m in range(1, k + 1))
+        for w, k, m in triples:
+            checked += 1
+            lhs, rhs = _growth_lhs(b, w, m), _growth_rhs(b, w, k, m)
+            if lhs > rhs:
+                counterexample = {"b": b, "w": w, "k": k, "m": m, "lhs": lhs, "rhs": rhs}
+                break
+        if counterexample is not None:
+            break
+    if not checked:
+        counterexample = {"reason": "no b >= 6 with w >= 2 in the grid, nothing was checked"}
+    return Certificate("lemma-1021", params, counterexample is None, checked, counterexample, {"skipped_b": skipped})
 
 
-def verify_eknu(b: int, w: int, k: int, mu_factory=nu) -> Certificate:
-    """build_P(b, w) passes the (k/w, k, mu)-normality band check.
+def verify_eknu(b: int, w: int, k: int) -> Certificate:
+    """build_P(b, w) passes the (k/w, k, nu(b))-normality band check.
 
     Hypothesis guard: b >= 6 and k <= w/2 (the tolerance is eps = k/w).
     The check counts windows over build_P's (copies, block) runs and never
@@ -267,7 +235,7 @@ def verify_eknu(b: int, w: int, k: int, mu_factory=nu) -> Certificate:
         raise InvalidSpecError(f"hypothesis requires 1 <= k <= w/2, got k={k}, w={w}")
     params = {"b": b, "w": w, "k": k}
     eps = Fraction(k, w)
-    verdict = check_eps_k_normal(build_P_runs(b, w), eps, k, mu_factory(b))
+    verdict = check_eps_k_normal(build_P_runs(b, w), eps, k, nu(b))
     w_ = verdict.witness
     counterexample = None
     if w_ is not None:
@@ -412,17 +380,16 @@ def _qde_segment_eps_primes(spec: ConstructionSpec, eps_fn) -> list[Fraction]:
     return out
 
 
-def epsbar_rows(spec: ConstructionSpec, positions, eps_fn=None) -> list[tuple]:
+def epsbar_rows(spec: ConstructionSpec, positions) -> list[tuple]:
     """The interpolated prefix bound epsbar_i at each position n.
 
     Returns one (n, i, hyp, bar) per position: i counts the segments fully
     included in the first n positions; hyp reports the bound's
     preconditions, or is None when no segment is fully included or none
     follows; bar is epsbar_i where they hold, else None.  Segment budgets
-    are ``e1l_bound`` at tolerances ``eps_fn(s)`` (default
-    ``qde_default_eps``).
+    are ``e1l_bound`` at tolerances ``qde_default_eps(s)``.
     """
-    eps_primes = _qde_segment_eps_primes(spec, eps_fn or qde_default_eps)
+    eps_primes = _qde_segment_eps_primes(spec, qde_default_eps)
     seg_meta = [(seg.multiplicity, len(seg.block)) for seg in spec.segments]
     rows = []
     for n in positions:
@@ -437,9 +404,7 @@ def epsbar_rows(spec: ConstructionSpec, positions, eps_fn=None) -> list[tuple]:
     return rows
 
 
-def verify_mqd_scaled(
-    spec: ConstructionSpec | None = None, checkpoints=40, eps_fn=None
-) -> Certificate:
+def verify_mqd_scaled(spec: ConstructionSpec | None = None, checkpoints=40) -> Certificate:
     """Prefix discrepancy control on the both-senses-normal family.
 
     At each checkpoint n, with i the count of fully included segments, the
@@ -462,7 +427,7 @@ def verify_mqd_scaled(
     rows = []
     asserted = 0
     counterexample = None
-    for n, i, hyp, bar in epsbar_rows(spec, positions, eps_fn):
+    for n, i, hyp, bar in epsbar_rows(spec, positions):
         d_star = star_discrepancy_from_counts(scaled_value_counts(spec, n), n)
         row: dict = {"n": n, "i": i, "d_star": d_star, "asserted": bar is not None}
         if bar is not None:

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 import pytest
 
-from cantornormal import cli
 from cantornormal.blocks import Block, read_digit_file, write_digit_file
 from cantornormal.cantor import CantorExpansion, orbit_point
 from cantornormal.cli import main, parse_budget, parse_grid
@@ -209,6 +208,13 @@ def test_count_from_spec_needs_n_max(capsys, spec_file):
 
 def test_count_without_input_exits_2(capsys):
     assert main(["count", "--block", "1"]) == 2
+
+
+def test_count_from_file_refuses_n_max(tmp_path, capsys):
+    path = str(tmp_path / "digits.bin")
+    write_digit_file(path, SMALL_DIGITS)
+    assert main(["count", "--in", path, "--n-max", "5", "--block", "1"]) == 2
+    assert "--n-max" in capsys.readouterr().err
 
 
 def test_weights_eval_frozen(capsys):
@@ -610,7 +616,10 @@ def test_report_qde_epsbar_trajectory(capsys):
 
 
 def test_report_rejects_csv(capsys, spec_file):
-    assert main(["report", "--spec", spec_file, "--checkpoints", "2", "--format", "csv"]) == 2
+    # report is one combined JSON document: it takes no --format
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--spec", spec_file, "--checkpoints", "2", "--format", "csv"])
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +657,20 @@ def test_spec_file_values_are_not_coerced(tmp_path, capsys, change):
     bad.write_text(json.dumps({"segments": [GOOD_SEGMENT, GOOD_SEGMENT | change]}))
     assert main(["construct", "--spec", str(bad), "--n-max", "1"]) == 2
     assert "segment 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        ({"gen": "explicit", "digits": [5]}, "segment 1: digit 5 out of range for base 3"),
+        ({"gen": "P", "b": 1, "w": 1}, "segment 1: b must be an integer >= 2, got 1"),
+    ],
+)
+def test_spec_file_block_errors_name_the_segment(tmp_path, capsys, block, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"segments": [GOOD_SEGMENT, {"l": 1, "base": 3, "block": block}]}))
+    assert main(["construct", "--spec", str(bad), "--n-max", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("family", [7, None, ["qde-scaled"]])
@@ -705,10 +728,46 @@ def test_console_script_entry_point():
     assert "construct" in proc.stdout
 
 
-def test_run_config_validation():
-    with pytest.raises(InvalidSpecError):
-        cli.RunConfig(0, None, "json", None)
-    with pytest.raises(InvalidSpecError):
-        cli.RunConfig(64, (), "json", None)
-    with pytest.raises(InvalidSpecError):
-        cli.RunConfig(64, None, "yaml", None)
+def test_run_option_values_are_checked(capsys, spec_file):
+    assert main(["orbit", "--spec", spec_file, "--checkpoints", "1", "--tail", "0"]) == 2
+    assert "tail must be an integer >= 1" in capsys.readouterr().err
+    assert main(["orbit", "--spec", spec_file, "--checkpoints", ","]) == 2
+    assert "checkpoint list is empty" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["orbit", "--spec", spec_file, "--checkpoints", "1", "--format", "yaml"])
+    assert exc.value.code == 2
+
+
+# Each subcommand takes only the options its handler reads, and one input
+# source: anything else is a usage error, not an option silently dropped.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--in", "F", "--block", "1", "--format", "csv"],
+        ["weights", "eval", "--mu", "nu:2", "--block", "2", "--tail", "5"],
+        ["verify", "--claim", "lemma-1021", "--checkpoints", "1"],
+        ["discrepancy", "--in", "F", "--cap", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unread_option_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--const-base", "2", "--family", "qde-scaled", "--checkpoints", "2"],
+        ["count", "--in", "F", "--family", "qde-scaled", "--n-max", "5", "--block", "1"],
+        ["report", "--spec", "F", "--family", "qde-scaled", "--checkpoints", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_second_input_source_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --family: not allowed with argument" in capsys.readouterr().err

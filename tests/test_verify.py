@@ -1,12 +1,13 @@
 """Verification certificates: honest passes, injected failures, determinism.
 
-Every claim gets at least one negative control: a seam (factory argument,
-module attribute, or family-tagged spec) is tampered with and the verifier
-must produce a failed certificate with a concrete counterexample, never an
-exception and never a false pass.
+Every claim gets at least one negative control: a seam (a module attribute
+or a family-tagged spec) is tampered with and the verifier must produce a
+failed certificate with a concrete counterexample, never an exception and
+never a false pass.
 """
 
 import hashlib
+import inspect
 import json
 import time
 from fractions import Fraction
@@ -109,8 +110,9 @@ def test_lemma_amount_passes():
     assert cert.checked == sum((b + 1) ** w for b in (2, 3, 4) for w in (1, 2, 3))
 
 
-def test_lemma_amount_catches_wrong_weighting():
-    cert = verify_lemma_amount(b_range=(2,), w_range=(1,), mu_factory=lambda b: uniform(b + 1))
+def test_lemma_amount_catches_wrong_weighting(monkeypatch):
+    monkeypatch.setattr(verify_module, "nu", lambda b: uniform(b + 1))
+    cert = verify_lemma_amount(b_range=(2,), w_range=(1,))
     assert not cert.passed
     ce = cert.counterexample
     assert ce["copies"] != ce["expected"]
@@ -130,8 +132,9 @@ def test_lemma_pbw_skips_oversized_cases():
     assert cert.details["skipped"] == [{"b": 6, "w": 4, "length": 4 * 2**24}]
 
 
-def test_lemma_pbw_catches_wrong_builder():
-    cert = verify_lemma_pbw(b_range=(2,), w_range=(2,), builder=lambda b, w: build_C(b + 1, w))
+def test_lemma_pbw_catches_wrong_builder(monkeypatch):
+    monkeypatch.setattr(verify_module, "build_P", lambda b, w: build_C(b + 1, w))
+    cert = verify_lemma_pbw(b_range=(2,), w_range=(2,))
     assert not cert.passed
     assert cert.counterexample == {"b": 2, "w": 2, "expected": 32, "observed": 18}
 
@@ -142,16 +145,29 @@ def test_bounds_ng_nl_passes():
     assert cert.checked == 3 + 9  # all 1-blocks and 2-blocks over base 3
 
 
-def test_bounds_ng_nl_catches_inflated_tally():
+def test_bounds_ng_nl_catches_inflated_tally(monkeypatch):
     def inflated(text, k):
         out = dict(tally_blocks(text, k))
         key = next(iter(sorted(out)))
         out[key] += 10**9
         return out
 
-    cert = verify_bounds_ng_nl(2, 2, 1, tally_fn=inflated)
+    monkeypatch.setattr(verify_module, "tally_blocks", inflated)
+    cert = verify_bounds_ng_nl(2, 2, 1)
     assert not cert.passed
     assert cert.counterexample["observed"] > cert.counterexample["upper"]
+
+
+def test_no_verifier_binds_a_callable_default():
+    # a function bound as a default escapes whatever later replaces the
+    # module global it came from: a test's fake or the benchmark's tracer
+    bound = [
+        f"{claim}({p.name}=...)"
+        for claim, (fn, _) in CLAIMS.items()
+        for p in inspect.signature(fn).parameters.values()
+        if p.default is not p.empty and callable(p.default)
+    ]
+    assert bound == []
 
 
 def test_bounds_ng_nl_runtime_includes_the_build(monkeypatch):
@@ -225,8 +241,9 @@ def test_eknu_passes_smallest_case():
     assert cert.details["length"] == 2 * 2**12
 
 
-def test_eknu_catches_wrong_weighting():
-    cert = verify_eknu(6, 2, 1, mu_factory=uniform)
+def test_eknu_catches_wrong_weighting(monkeypatch):
+    monkeypatch.setattr(verify_module, "nu", uniform)
+    cert = verify_eknu(6, 2, 1)
     assert not cert.passed
     assert "block" in cert.counterexample
 
