@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import operator
 import struct
 from collections import defaultdict
 from collections.abc import Iterator
@@ -39,8 +40,10 @@ def _pack_digits(digits, base: int | None = None) -> np.ndarray:
     """The packed form of a digit sequence, validated.
 
     Accepts bytes, bytearray, an unsigned numpy array (shared when it is
-    read-only, else copied) or any iterable of integers.  Digits must be
-    non-negative, and below ``base`` when one is given.
+    read-only, else copied) or any iterable of integers.  Each entry is read
+    with ``operator.index``, so a float or a string is refused, never
+    truncated.  Digits must be non-negative, and below ``base`` when one is
+    given.
     """
     top = None
     if isinstance(digits, np.ndarray) and digits.dtype.kind == "u":
@@ -48,7 +51,16 @@ def _pack_digits(digits, base: int | None = None) -> np.ndarray:
     elif isinstance(digits, (bytes, bytearray)):
         arr = np.frombuffer(bytes(digits), dtype=np.uint8)
     else:
-        vals = list(map(int, digits))
+        entries = digits if isinstance(digits, (list, tuple)) else list(digits)
+        try:
+            vals = list(map(operator.index, entries))
+        except TypeError:
+            for pos, d in enumerate(entries):
+                try:
+                    operator.index(d)
+                except TypeError:
+                    raise ValueError(f"digits must be integers, got {d!r} at index {pos}") from None
+            raise
         low, top = (min(vals), max(vals)) if vals else (0, 0)
         if low < 0:
             raise ValueError(f"digits must be non-negative, got {low}")

@@ -9,15 +9,21 @@ represents the real
 All arithmetic is exact (int and Fraction): a finite digit prefix pins x
 into a closed rational interval of width 1/(q_1*...*q_n), and the orbit
 of x under repeated multiply-by-q_n-mod-1 is enclosed the same way.
+
+A base sequence is held as runs of equal entries and an expansion as a
+construction spec (copies of blocks, each segment over one base), so
+moments, block counts and orbit tails are read run by run or segment by
+segment, never position by position.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
-from .blocks import DigitString, count_prefix_occurrences, count_run_occurrences, digit_data, tally_blocks
-from .constructions import ConstructionSpec
+from .blocks import Block, DigitString, count_run_occurrences, digit_data, tally_blocks
+from .constructions import ConstructionSpec, SegmentSpec
 from .errors import InvalidSpecError, NeedsMoreDigitsError
 from .limits import check_cap
 
@@ -29,24 +35,22 @@ def _validate_base(q: int, n: int) -> int:
 
 
 class BasicSequence:
-    """A base sequence q_1, q_2, ... with entries >= 2.
+    """A base sequence q_1, q_2, ... with entries >= 2, held as runs of equal entries.
 
-    Backed by a constant, an explicit finite list, a construction spec, or
-    an arbitrary rule.  Finite backings expose a ``horizon`` (the largest
-    valid position); unbounded backings have ``horizon`` None.
+    ``runs`` holds (base, length) pairs in order.  A run of length None
+    never ends; only a constant sequence, one such run, has one, and its
+    ``horizon`` (the largest valid position) is None.  Any other sequence
+    ends at its last run.  The constructors check every entry.
     """
 
-    def __init__(self, fn: Callable[[int], int], horizon: int | None = None,
-                 const: int | None = None, spec: ConstructionSpec | None = None):
-        self._fn = fn
-        self.horizon = horizon
-        self.const = const
-        self.spec = spec
+    def __init__(self, runs: Iterable[tuple[int, int | None]]):
+        self.runs = tuple(runs)
+        endless = bool(self.runs) and self.runs[-1][1] is None
+        self.horizon = None if endless else sum(length for _, length in self.runs)
 
     @classmethod
     def constant(cls, q: int) -> "BasicSequence":
-        _validate_base(q, 1)
-        return cls(lambda n: q, horizon=None, const=q)
+        return cls(((_validate_base(q, 1), None),))
 
     @classmethod
     def explicit(cls, qs: Sequence[int]) -> "BasicSequence":
@@ -55,84 +59,78 @@ class BasicSequence:
             raise InvalidSpecError("explicit base sequence must be nonempty")
         for n, q in enumerate(qs, start=1):
             _validate_base(q, n)
-
-        def fn(n: int, _qs=qs) -> int:
-            return _qs[n - 1]
-
-        return cls(fn, horizon=len(qs))
+        return cls((q, len(list(run))) for q, run in groupby(qs))
 
     @classmethod
     def from_spec(cls, spec: ConstructionSpec) -> "BasicSequence":
-        return cls(spec.q_at, horizon=spec.total_length, spec=spec)
+        return cls(spec.q_runs(spec.total_length))
+
+    def q_runs(self, n_max: int) -> list[tuple[int, int]]:
+        """(base, run length) pairs covering the first n_max positions."""
+        if self.horizon is not None and n_max > self.horizon:
+            raise NeedsMoreDigitsError(n_max, self.horizon, what="base entries")
+        out = []
+        for base, length in self.runs:
+            if n_max == 0:
+                break
+            take = n_max if length is None else min(n_max, length)
+            out.append((base, take))
+            n_max -= take
+        return out
 
     def q(self, n: int) -> int:
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"positions are 1-based integers, got {n}")
-        if self.horizon is not None and n > self.horizon:
-            raise NeedsMoreDigitsError(n, self.horizon, what="base entries")
-        return _validate_base(self._fn(n), n)
-
-    def prefix(self, n: int) -> list[int]:
-        return [self.q(m) for m in range(1, n + 1)]
+        return self.q_runs(n)[-1][0]
 
 
 class CantorExpansion:
-    """A digit sequence paired with its base sequence."""
+    """A digit sequence over a base sequence, held as a construction spec.
 
-    def __init__(self, Q: BasicSequence, digit_fn: Callable[[int], int],
-                 horizon: int | None = None, spec: ConstructionSpec | None = None):
-        self.Q = Q
-        self._digit_fn = digit_fn
-        horizons = [h for h in (horizon, Q.horizon) if h is not None]
-        self.horizon = min(horizons) if horizons else None
+    ``spec`` gives the digits segment by segment, each segment over one
+    base; ``Q`` is the base sequence the expansion was built against, equal
+    to the spec's bases through ``horizon``, the number of digits.
+    """
+
+    def __init__(self, spec: ConstructionSpec, Q: BasicSequence):
         self.spec = spec
+        self.Q = Q
+        self.horizon = spec.total_length
 
     @classmethod
     def from_digits(cls, Q: BasicSequence, digits) -> "CantorExpansion":
-        ds = tuple(digits)
-        for n, d in enumerate(ds, start=1):
-            q = Q.q(n)
-            if not 0 <= d <= q - 1:
-                raise InvalidSpecError(
-                    f"digit {d} at position {n} outside allowed range 0..{q - 1}"
-                )
+        """``digits`` over Q, cut at Q's runs into one-copy segments.
 
-        def fn(n: int, _ds=ds) -> int:
-            return _ds[n - 1]
-
-        return cls(Q, fn, horizon=len(ds))
+        Each digit must be an integer in 0..q_n - 1; the first that is not
+        is named.  No digits give horizon 0, held as one zero-copy filler
+        segment as the scaled families use.
+        """
+        ds = DigitString(digits)
+        segments = []
+        start = 0
+        for base, length in Q.q_runs(len(ds)):
+            piece = ds.digits[start : start + length]
+            over = piece >= base
+            if over.any():
+                n = start + int(over.argmax()) + 1
+                raise InvalidSpecError(f"digit {ds[n - 1]} at position {n} outside allowed range 0..{base - 1}")
+            segments.append(SegmentSpec(1, Block(base, piece), base))
+            start += length
+        return cls(ConstructionSpec(tuple(segments) or (SegmentSpec(0, Block(2, (0, 1)), 2),)), Q)
 
     @classmethod
     def from_spec(cls, spec: ConstructionSpec) -> "CantorExpansion":
-        return cls(BasicSequence.from_spec(spec), spec.digit_at,
-                   horizon=spec.total_length, spec=spec)
+        return cls(spec, BasicSequence.from_spec(spec))
 
-    def digit(self, n: int) -> int:
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"positions are 1-based integers, got {n}")
-        if self.horizon is not None and n > self.horizon:
-            raise NeedsMoreDigitsError(n, self.horizon)
-        return self._digit_fn(n)
+    def window(self, start: int, m: int) -> list[tuple[int, list[int]]]:
+        """Positions start+1 .. start+m as (base, digits) pieces, one per segment crossed.
 
-    def window(self, start: int, m: int) -> Iterable[tuple[int, Sequence[int]]]:
-        """Positions start+1 .. start+m as (base, digits) pieces, in order.
-
-        Every digit of a piece sits over the piece's base.  A spec-backed
-        expansion reads ``spec.window``: one piece per segment crossed.  Any
-        other expansion gives one-position pieces read through ``Q.q`` and
-        ``digit``.  Past the horizon both refuse the first base entry missing.
+        Reads ``spec.window``; past the horizon it refuses the first base
+        entry missing.
         """
-        if self.spec is None:
-            return ((self.Q.q(pos), (self.digit(pos),)) for pos in range(start + 1, start + m + 1))
         if start + m > self.horizon:
             raise NeedsMoreDigitsError(max(start, self.horizon) + 1, self.horizon, what="base entries")
         return self.spec.window(start, m)
-
-    def digits_prefix(self, n: int) -> DigitString:
-        if self.spec is not None:
-            return self.spec.digits_prefix(n)
-        check_cap(n)
-        return DigitString([self.digit(m) for m in range(1, n + 1)])
 
 
 @dataclass(frozen=True)
@@ -163,11 +161,10 @@ def digits_to_value(exp: CantorExpansion, n: int | None = None) -> RationalInter
     The partial sum is a lower bound; adding one full unit in the last
     place (the width 1/(q_1...q_n)) bounds every admissible tail from
     above, since the tail sum of maximal digits telescopes to exactly
-    that width.  The n positions read count against the size cap.
+    that width.  n defaults to every digit of the expansion.  The n
+    positions read count against the size cap.
     """
     if n is None:
-        if exp.horizon is None:
-            raise ValueError("unbounded expansion: pass an explicit digit count n")
         n = exp.horizon
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be an integer >= 0, got {n}")
@@ -191,11 +188,12 @@ def value_to_digits(x, Q: BasicSequence, n: int) -> DigitString:
     check_cap(n, what="positions")
     out = []
     r = x
-    for m in range(1, n + 1):
-        r *= Q.q(m)
-        d = int(r)
-        out.append(d)
-        r -= d
+    for q, run in Q.q_runs(n):
+        for _ in range(run):
+            r *= q
+            d = int(r)
+            out.append(d)
+            r -= d
     return DigitString(out)
 
 
@@ -204,30 +202,15 @@ def q_moment(Q: BasicSequence, n: int, k: int) -> Fraction:
 
     This is the expected count of any fixed length-k block in the first n
     positions under ideal behavior; block counts are compared against it.
-    Needs base entries through position n + k - 1.  A constant base and a
-    construction spec are summed in closed form, so n may reach the spec's
-    full length; any other base sequence is read once per position, and
-    those n positions count against the size cap.
+    Needs base entries through position n + k - 1.  Summed in closed form
+    over Q's runs (``_runs_q_moment``), so n may reach the full length of
+    a construction, or any length on a constant base.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n}")
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k}")
-    if Q.const is not None:
-        return Fraction(n, Q.const**k)
-    if Q.spec is not None:
-        return _runs_q_moment(Q.spec.q_runs(n + k - 1), n, k)
-    check_cap(n, what="positions")
-    # rolling window of the product q_j ... q_{j+k-1}
-    window = 1
-    for m in range(1, k + 1):
-        window *= Q.q(m)
-    total = Fraction(1, window)
-    for j in range(2, n + 1):
-        window //= Q.q(j - 1)
-        window *= Q.q(j + k - 1)
-        total += Fraction(1, window)
-    return total
+    return _runs_q_moment(Q.q_runs(n + k - 1), n, k)
 
 
 def _runs_q_moment(runs: Iterable[tuple[int, int]], n: int, k: int) -> Fraction:
@@ -252,9 +235,7 @@ def _runs_q_moment(runs: Iterable[tuple[int, int]], n: int, k: int) -> Fraction:
             total += Fraction(length - k + 1, base**k)
         # heads[m]: product of the first m bases after this run, as far as they reach
         heads = [1]
-        for after, after_len in merged[i + 1 :]:
-            if len(heads) >= k:
-                break
+        for after, after_len in merged[i + 1 : i + k]:
             for _ in range(min(after_len, k - len(heads))):
                 heads.append(heads[-1] * after)
         # the window with its last t digits in this run takes k - t bases after it
@@ -267,19 +248,15 @@ def normality_ratio(exp: CantorExpansion, block, n: int) -> Fraction:
     """Observed-over-expected count of ``block`` in the first n digits.
 
     Ratio N(B, prefix) / q_moment(Q, n, k); tends to 1 along n exactly
-    when the expansion treats B as often as the base sequence allows.  On
-    an expansion with a spec the count runs over
-    ``spec.prefix_runs(n + k - 1)``, one vectorized pass per segment block
-    and never building the prefix, so n may reach the construction's full
-    length.  Any other expansion builds its prefix, under the size cap.
+    when the expansion treats B as often as the base sequence allows.  The
+    count runs over ``spec.prefix_runs(n + k - 1)``, one vectorized pass
+    per segment block and never building the prefix, so n may reach the
+    construction's full length.
     """
     pat = digit_data(block)
     k = len(pat)
     moment = q_moment(exp.Q, n, k)  # refuses n < 1 and an empty block first
-    if exp.spec is not None:
-        count = count_run_occurrences(pat, exp.spec.prefix_runs(n + k - 1))
-    else:
-        count = count_prefix_occurrences(pat, exp.digits_prefix(n + k - 1), n)
+    count = count_run_occurrences(pat, exp.spec.prefix_runs(n + k - 1))
     return Fraction(count) / moment
 
 
@@ -290,9 +267,9 @@ def orbit_point(exp: CantorExpansion, n: int, tail: int = 64) -> RationalInterva
     E_{n+m} / (q_{n+1} ... q_{n+m}); truncating after ``tail`` terms gives
     a lower endpoint, and one unit in the last place covers the rest.
     Needs digits through position n + tail, read as ``exp.window(n, tail)``
-    pieces: on a spec one slice per segment crossed, else one position at
-    a time.  Each piece is folded by Horner's rule over its one base.  The
-    ``tail`` positions count against the size cap; n does not.
+    pieces, one slice per segment crossed.  Each piece is folded by
+    Horner's rule over its one base.  The ``tail`` positions count against
+    the size cap; n does not.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be an integer >= 0, got {n}")
@@ -312,7 +289,7 @@ def scaled_value_counts(spec: ConstructionSpec, n: int) -> dict[Fraction, int]:
     """Multiplicity table of the scaled digits E_m/q_m over positions m <= n.
 
     Works segment by segment in closed form: a segment's whole copies add
-    its block's digit tally (``SegmentSpec.digit_tally``, tallied once per
+    its block's scaled tally (``SegmentSpec.scaled_tally``, built once per
     segment) times their number, and only the cut copy is tallied here.
     No digit is read per position and nothing counts against the size cap,
     so n may be astronomically large as long as the construction reaches it.
@@ -322,12 +299,12 @@ def scaled_value_counts(spec: ConstructionSpec, n: int) -> dict[Fraction, int]:
     counts: dict[Fraction, int] = {}
     for seg, take in spec.prefix_parts(n):
         full, rem = divmod(take, len(seg.block))
-        parts = [(full, seg.digit_tally)] if full else []
+        parts = [(full, seg.scaled_tally)] if full else []
         if rem:
-            parts.append((1, tally_blocks(seg.block[:rem], 1).items()))
+            cut = tally_blocks(seg.block[:rem], 1).items()
+            parts.append((1, [(Fraction(d, seg.base), c) for (d,), c in cut]))
         for copies, tally in parts:
-            for (d,), c in tally:
-                v = Fraction(d, seg.base)
+            for v, c in tally:
                 counts[v] = counts.get(v, 0) + copies * c
     return counts
 

@@ -154,9 +154,9 @@ class SegmentSpec:
         return self.multiplicity * len(self.block)
 
     @cached_property
-    def digit_tally(self) -> tuple[tuple[tuple[int], int], ...]:
-        """One copy's ((digit,), count) pairs as ``tally_blocks`` gives them, tallied once."""
-        return tuple(tally_blocks(self.block, 1).items())
+    def scaled_tally(self) -> tuple[tuple[Fraction, int], ...]:
+        """One copy's (digit/base, count) pairs, in ``tally_blocks`` order, built once."""
+        return tuple((Fraction(d, self.base), c) for (d,), c in tally_blocks(self.block, 1).items())
 
 
 def _segment_from_json(raw) -> SegmentSpec:

@@ -1,5 +1,7 @@
 """Digit strings, occurrence counting, and the binary digit file format."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from cantornormal.blocks import (
     tally_blocks,
     write_digit_file,
 )
+from cantornormal.cantor import BasicSequence, CantorExpansion
 from cantornormal.errors import InvalidSpecError, NeedsMoreDigitsError, SizeLimitError
 from cantornormal.limits import size_cap
 
@@ -44,6 +47,21 @@ def test_block_validation():
     assert blk.as_tuple() == (0, 1, 2)
     assert list(blk) == [0, 1, 2]
     assert blk[1] == 1
+
+
+@pytest.mark.parametrize(
+    "make, bad",
+    [
+        (lambda: Block(3, (1.5, 2.9)), "1.5 at index 0"),
+        (lambda: DigitString(["2", 1.7]), "'2' at index 0"),
+        (lambda: tally_blocks([0, 0.5, 1.2, 0.9], 1), "0.5 at index 1"),
+        (lambda: CantorExpansion.from_digits(BasicSequence.constant(2), (1.5, 0)), "1.5 at index 0"),
+    ],
+    ids=["Block", "DigitString", "tally_blocks", "from_digits"],
+)
+def test_non_integer_digits_are_refused_not_truncated(make, bad):
+    with pytest.raises(ValueError, match=f"^digits must be integers, got {re.escape(bad)}$"):
+        make()
 
 
 def test_digitstring_equal_across_inputs():

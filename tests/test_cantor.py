@@ -54,11 +54,11 @@ base_lists = st.lists(st.integers(2, 10), min_size=14, max_size=20)
 def test_basic_sequence_backings():
     c = BasicSequence.constant(5)
     assert c.q(1) == c.q(10**9) == 5
-    e = BasicSequence.explicit([2, 3, 4])
-    assert e.prefix(3) == [2, 3, 4]
-    assert e.horizon == 3
-    r = BasicSequence(lambda n: n + 1, horizon=None)
-    assert r.q(9) == 10
+    assert c.horizon is None
+    e = BasicSequence.explicit([2, 3, 3, 4])
+    assert [e.q(n) for n in (1, 2, 3, 4)] == [2, 3, 3, 4]
+    assert e.runs == ((2, 1), (3, 2), (4, 1))
+    assert e.horizon == 4
 
 
 def test_basic_sequence_validation():
@@ -68,10 +68,6 @@ def test_basic_sequence_validation():
         BasicSequence.explicit([2, 1, 3])
     with pytest.raises(InvalidSpecError):
         BasicSequence.explicit([])
-    # rule-backed entries are validated at access time
-    bad = BasicSequence(lambda n: 1)
-    with pytest.raises(InvalidSpecError):
-        bad.q(1)
     with pytest.raises(ValueError):
         BasicSequence.constant(2).q(0)
 
@@ -90,21 +86,21 @@ def test_basic_sequence_horizon():
 def test_from_digits_validates_range():
     Q = BasicSequence.explicit([2, 3, 4])
     exp = CantorExpansion.from_digits(Q, (1, 2, 3))
-    assert [exp.digit(n) for n in (1, 2, 3)] == [1, 2, 3]
+    assert [exp.spec.digit_at(n) for n in (1, 2, 3)] == [1, 2, 3]
     with pytest.raises(InvalidSpecError):
         CantorExpansion.from_digits(Q, (2, 0, 0))  # 2 > q_1 - 1
     with pytest.raises(NeedsMoreDigitsError):
-        exp.digit(4)
+        exp.spec.digit_at(4)
     with pytest.raises(ValueError):
-        exp.digit(0)
+        exp.spec.digit_at(0)
 
 
 def test_digits_prefix_and_cap():
     Q = BasicSequence.constant(10)
     exp = CantorExpansion.from_digits(Q, (9, 0, 9))
-    assert exp.digits_prefix(2).as_tuple() == (9, 0)
+    assert exp.spec.digits_prefix(2).as_tuple() == (9, 0)
     with size_cap(2), pytest.raises(SizeLimitError):
-        exp.digits_prefix(3)
+        exp.spec.digits_prefix(3)
 
 
 def test_rational_interval():
@@ -130,18 +126,13 @@ def test_digits_to_value_frozen():
     assert digits_to_value(exp, 0) == RationalInterval(Fraction(0), Fraction(1))
 
 
-def test_digits_to_value_needs_n_when_unbounded():
-    exp = CantorExpansion(BasicSequence.constant(2), lambda n: 0)
-    with pytest.raises(ValueError):
-        digits_to_value(exp)
-    assert digits_to_value(exp, 3).lo == 0
-
-
 def test_digits_to_value_honours_size_cap(monkeypatch):
     monkeypatch.setenv("CNL_SIZE_CAP", "3")
-    exp = CantorExpansion(BasicSequence.constant(2), lambda n: 1)
+    exp = CantorExpansion.from_digits(BasicSequence.constant(2), (1, 1, 1, 1))
     assert digits_to_value(exp, 3).lo == Fraction(7, 8)
-    # refused before the loop starts, however far the expansion reaches
+    with pytest.raises(SizeLimitError):
+        digits_to_value(exp)  # all four digits
+    # refused before the horizon is checked, however far n reaches
     with pytest.raises(SizeLimitError):
         digits_to_value(exp, 10**12)
 
@@ -207,7 +198,7 @@ def test_q_moment_matches_direct_sum(qs, k):
 def test_q_moment_spec_paths_agree():
     spec = qde_spec(i_max=4)
     Q = BasicSequence.from_spec(spec)
-    qs = Q.prefix(120)
+    qs, _ = literal_expansion(spec.segments)
     for n, k in [(50, 1), (100, 1), (30, 2), (64, 3)]:
         assert q_moment(Q, n, k) == slow_q_moment(qs[: n + k - 1], k)
 
@@ -223,24 +214,25 @@ def test_q_moment_validation():
 
 
 def test_q_moment_position_loop_honours_size_cap():
-    spec_Q = BasicSequence.from_spec(qde_spec(i_max=4))
-    qs = spec_Q.prefix(60)
-    # an explicit list has no closed form: it is read position by position
+    spec = qde_spec(i_max=4)
+    spec_Q = BasicSequence.from_spec(spec)
+    qs = literal_expansion(spec.segments)[0][:120]  # base 2 through position 64, then 3
+    # an explicit list is held as runs and summed in closed form like a spec
     Q = BasicSequence.explicit(qs)
     with size_cap(50):
         assert q_moment(Q, 50, 2) == slow_q_moment(qs[:51], 2)
-        with pytest.raises(SizeLimitError):
-            q_moment(Q, 51, 2)
-        with pytest.raises(SizeLimitError):
-            q_moment(Q, 51, 1)
         # the closed forms loop over no positions, so the cap leaves them alone
+        for seq in (Q, spec_Q):
+            assert q_moment(seq, 51, 2) == slow_q_moment(qs[:52], 2)
+            assert q_moment(seq, 51, 1) == slow_q_moment(qs[:51], 1)
         assert q_moment(spec_Q, 50, 2) == slow_q_moment(qs[:51], 2)
-        assert q_moment(spec_Q, 51, 2) == slow_q_moment(qs[:52], 2)
-        assert q_moment(spec_Q, 51, 1) == slow_q_moment(qs[:51], 1)
         assert q_moment(BasicSequence.constant(2), 10**9, 2) == Fraction(10**9, 4)
-    # a spec's windows across a base change are the only terms summed one by one
-    with size_cap(1), pytest.raises(SizeLimitError):
-        q_moment(spec_Q, 100, 2)
+    # windows across a base change are the only terms summed one by one
+    with size_cap(1):
+        with pytest.raises(SizeLimitError):
+            q_moment(spec_Q, 100, 2)
+        with pytest.raises(SizeLimitError):
+            q_moment(Q, 100, 2)
 
 
 # Segments with bases from a small range (so equal adjacent bases are common),
@@ -261,7 +253,7 @@ def small_specs(draw):
 @settings(max_examples=150)
 def test_q_moment_closed_form_matches_direct_sum(spec, k):
     Q = BasicSequence.from_spec(spec)
-    qs = Q.prefix(spec.total_length)
+    qs, _ = literal_expansion(spec.segments)
     for n in range(1, spec.total_length - k + 2):
         assert q_moment(Q, n, k) == slow_q_moment(qs[: n + k - 1], k)
     with pytest.raises(NeedsMoreDigitsError):
@@ -275,7 +267,7 @@ def test_normality_ratio_over_runs_matches_built_prefix(spec, data):
     digits = spec.digits_prefix(spec.total_length).as_tuple()
     k = data.draw(st.integers(1, min(4, spec.total_length)))
     block = tuple(data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)))
-    qs = exp.Q.prefix(spec.total_length)
+    qs, _ = literal_expansion(spec.segments)
     for n in range(1, spec.total_length - k + 2):
         count = slow_count(block, digits[: n + k - 1])
         assert normality_ratio(exp, block, n) == Fraction(count) / slow_q_moment(qs[: n + k - 1], k)
@@ -298,6 +290,42 @@ def test_normality_ratio_reaches_the_end_of_qnex():
     m = 5 * 10**6
     prefix = spec.digits_prefix(m + 1)
     assert count_run_occurrences((0, 1), spec.prefix_runs(m + 1)) == count_prefix_occurrences((0, 1), prefix, m)
+
+
+# explicit bases from 2..4, so runs of equal bases form and break
+@st.composite
+def explicit_expansions(draw):
+    qs = draw(st.lists(st.integers(2, 4), min_size=1, max_size=16))
+    ds = [draw(st.integers(0, q - 1)) for q in qs]
+    return qs, ds
+
+
+@given(explicit_expansions(), st.data())
+@settings(max_examples=150)
+def test_explicit_expansion_readers_match_oracles(qd, data):
+    qs, ds = qd
+    exp = CantorExpansion.from_digits(BasicSequence.explicit(qs), ds)
+    assert exp.horizon == len(qs)
+    k = data.draw(st.integers(1, min(3, len(qs))))
+    block = data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+    for n in range(1, len(qs) - k + 2):
+        moment = slow_q_moment(qs[: n + k - 1], k)
+        assert q_moment(exp.Q, n, k) == moment
+        assert normality_ratio(exp, block, n) == Fraction(slow_count(block, ds[: n + k - 1])) / moment
+    with pytest.raises(NeedsMoreDigitsError):
+        normality_ratio(exp, block, len(qs) - k + 2)
+    for n in range(len(qs)):
+        for tail in range(1, len(qs) - n + 1):
+            iv = orbit_point(exp, n, tail)
+            assert (iv.lo, iv.hi) == literal_orbit(qs, ds, n, tail)
+
+
+def test_expansion_without_digits_has_horizon_zero():
+    exp = CantorExpansion.from_digits(BasicSequence.explicit([3, 2]), ())
+    assert exp.horizon == 0
+    assert digits_to_value(exp) == RationalInterval(Fraction(0), Fraction(1))
+    with pytest.raises(NeedsMoreDigitsError):
+        orbit_point(exp, 0, tail=1)
 
 
 def test_normality_ratio_frozen():
@@ -367,7 +395,7 @@ def test_salat_hypothesis_frozen():
 def test_salat_hypothesis_spec_path_matches_direct():
     spec = qde_spec(i_max=5)
     Q = BasicSequence.from_spec(spec)
-    qs = Q.prefix(200)
+    qs, _ = literal_expansion(spec.segments)
     for n in (1, 63, 64, 65, 199, 200):
         direct = sum(Fraction(1, q) for q in qs[:n]) / n
         assert salat_hypothesis(Q, n) == direct

@@ -4,11 +4,13 @@ Logic paths run in-process through cli.main for speed; true usage errors
 (argparse exits) and module execution go through a subprocess.
 """
 
+import importlib
 import json
 import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -726,6 +728,18 @@ def test_console_script_entry_point():
     proc = subprocess.run(["cnl", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "construct" in proc.stdout
+
+
+def test_console_script_target_resolves_without_install(capsys):
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["cnl"]
+    module_name, _, attr = target.partition(":")
+    entry = getattr(importlib.import_module(module_name), attr)
+    with pytest.raises(SystemExit) as exc:
+        entry(["--help"])
+    assert exc.value.code == 0
+    assert "construct" in capsys.readouterr().out
 
 
 def test_run_option_values_are_checked(capsys, spec_file):
