@@ -17,14 +17,14 @@ segment, never position by position.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
 from .blocks import Block, DigitString, count_run_occurrences, digit_data, tally_blocks
 from .constructions import ConstructionSpec, SegmentSpec
-from .errors import InvalidSpecError, NeedsMoreDigitsError
+from .errors import InvalidSpecError, NeedsMoreDigitsError, NeedsMoreSegmentsError
 from .limits import check_cap
 
 
@@ -285,28 +285,61 @@ def orbit_point(exp: CantorExpansion, n: int, tail: int = 64) -> RationalInterva
     return RationalInterval(Fraction(num, den), Fraction(num + 1, den))
 
 
+def scaled_prefix_counts(spec: ConstructionSpec, positions: Iterable[int]) -> Iterator[dict[Fraction, int]]:
+    """Multiplicity tables of the scaled digits E_m/q_m over m <= n, for each n in ``positions``.
+
+    One walk over the segments: each segment that ends by a position is
+    added to a running table once, its scaled tally
+    (``SegmentSpec.scaled_tally``, built once per segment) times its
+    multiplicity.  Each position's table copies the running one and adds
+    only its cut segment: the whole copies times the scaled tally, plus the
+    cut copy's own tally.  Segments with no digits add nothing, so no key
+    has count 0.  No digit is read per position and nothing counts against
+    the size cap, so positions may be astronomically large as long as the
+    construction reaches them.  Positions must not descend; each is
+    checked as it is reached.
+    """
+    bounds = spec.boundaries
+    running: dict[Fraction, int] = {}
+    s = 0  # segments 1..s are in the running table
+    prev = 1
+    for n in positions:
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {n}")
+        if n < prev:
+            raise ValueError(f"positions must ascend, got {n} after {prev}")
+        if n > spec.total_length:
+            raise NeedsMoreSegmentsError(n, spec.total_length)
+        prev = n
+        while s < len(spec.segments) and bounds[s + 1] <= n:
+            seg = spec.segments[s]
+            if seg.multiplicity:
+                _add_tally(running, seg.multiplicity, seg.scaled_tally)
+            s += 1
+        counts = dict(running)
+        if take := n - bounds[s]:
+            seg = spec.segments[s]
+            full, rem = divmod(take, len(seg.block))
+            if full:
+                _add_tally(counts, full, seg.scaled_tally)
+            if rem:
+                cut = tally_blocks(seg.block[:rem], 1).items()
+                _add_tally(counts, 1, [(Fraction(d, seg.base), c) for (d,), c in cut])
+        yield counts
+
+
+def _add_tally(counts: dict[Fraction, int], copies: int, tally) -> None:
+    for v, c in tally:
+        counts[v] = counts.get(v, 0) + copies * c
+
+
 def scaled_value_counts(spec: ConstructionSpec, n: int) -> dict[Fraction, int]:
     """Multiplicity table of the scaled digits E_m/q_m over positions m <= n.
 
-    Works segment by segment in closed form: a segment's whole copies add
-    its block's scaled tally (``SegmentSpec.scaled_tally``, built once per
-    segment) times their number, and only the cut copy is tallied here.
-    No digit is read per position and nothing counts against the size cap,
-    so n may be astronomically large as long as the construction reaches it.
+    The one-position case of ``scaled_prefix_counts``: closed form per
+    segment, no digit read per position, nothing against the size cap.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n}")
-    counts: dict[Fraction, int] = {}
-    for seg, take in spec.prefix_parts(n):
-        full, rem = divmod(take, len(seg.block))
-        parts = [(full, seg.scaled_tally)] if full else []
-        if rem:
-            cut = tally_blocks(seg.block[:rem], 1).items()
-            parts.append((1, [(Fraction(d, seg.base), c) for (d,), c in cut]))
-        for copies, tally in parts:
-            for v, c in tally:
-                counts[v] = counts.get(v, 0) + copies * c
-    return counts
+    return next(scaled_prefix_counts(spec, (n,)))
 
 
 def salat_hypothesis(Q: BasicSequence, n: int) -> Fraction:

@@ -340,13 +340,15 @@ def _cmd_verify(args) -> int:
         raise InvalidSpecError("--budget applies only to --all")
     if args.all:
         budget = parse_budget(args.budget) if args.budget else None
-        certs, skipped = run_all(budget_seconds=budget)
+        certs, skipped, overruns = run_all(budget_seconds=budget)
         payload = {"certificates": [c.to_json() for c in certs], "skipped": skipped}
+        meta = {"overruns": overruns}
     else:
         if not args.claim:
             raise InvalidSpecError("pass --claim NAME or --all")
         grid = parse_grid(args.grid) if args.grid else None
         certs = run_claim(args.claim, grid)
+        meta = {}
         payload = certs[0].to_json() if len(certs) == 1 else [c.to_json() for c in certs]
     _emit_json(payload, args.out)
     if args.out:
@@ -355,7 +357,7 @@ def _cmd_verify(args) -> int:
             for c in certs
         ]
         with open(args.out + ".meta.json", "w", encoding="utf-8") as fh:
-            json.dump({"runtimes": runtimes}, fh, indent=2)
+            json.dump({"runtimes": runtimes} | meta, fh, indent=2)
             fh.write("\n")
     return 0 if all(c.passed for c in certs) else 1
 

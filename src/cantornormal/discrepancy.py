@@ -10,19 +10,26 @@ one-sided limit, and the bounds (sorted-grid, concatenation, scaled-block)
 are evaluated in rational arithmetic so that an inequality either holds
 or visibly fails.
 
-One integer sweep computes D*: ``star_discrepancy_from_triples`` walks
-(p, q, count) triples in ascending order of p/q (Kuipers & Niederreiter,
-Ch. 2, Thm 1.4).  Each value p/q is ordered by the integer key
-(p << s) // q, with 2**s above the square of every denominator, so
-distinct values get distinct keys; each sweep candidate is an integer
-over q * n, and the running maximum is compared by cross-multiplication.
-Only the result is built as a Fraction.
+One integer sweep computes D*: walk the distinct values p/q in ascending
+order with their cumulative counts (Kuipers & Niederreiter, Ch. 2,
+Thm 1.4).  Each value p/q is ordered by the integer key (p << s) // q,
+with 2**s above the square of every denominator, so distinct values get
+distinct keys; each sweep candidate is an integer over q * n, and maxima
+are compared by cross-multiplication.  Only the result is built as a
+Fraction.  The sweep has two forms:
 
-There are two ways in.  ``star_discrepancy_from_counts`` checks a value
--> count table and reduces each value to its (p, q) pair;
-``star_discrepancy`` and ``kn1_bound`` hand it runs of equal points.  A
-caller that already holds valid integer triples, such as the staircase
-check in ``verify``, passes them to the sweep directly.
+- ``star_discrepancy_from_triples`` is the scalar sweep over a table of
+  (p, q, count) triples.  Its way in is ``star_discrepancy_from_counts``,
+  which checks a value -> count table and reduces each value to a (p, q)
+  pair; ``star_discrepancy`` and ``kn1_bound`` hand that runs of equal
+  points.
+- ``star_discrepancy_of_prefixes`` is the array sweep over nested prefixes
+  of one integer-coded sequence, such as the staircase check in
+  ``verify``: the distinct values are ranked once, and each prefix is one
+  ``np.bincount`` and a few whole-array operations.  Its arrays are int64
+  while ``sweep_dtype`` says every term fits, else Python ints in object
+  arrays.  Point sets stay on the scalar sweep: their large denominators
+  would force object arrays.
 """
 from __future__ import annotations
 
@@ -30,6 +37,8 @@ import operator
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .blocks import digit_data, max_digit
 
@@ -130,6 +139,74 @@ def star_discrepancy_from_triples(triples: list[tuple[int, int, int]], n: int) -
     if (n - cum) * best_den > best_num:  # the right-end gap 1 - c_r/n
         best_num, best_den = n - cum, 1
     return Fraction(best_num, best_den * n)
+
+
+def sweep_dtype(max_q: int, n: int):
+    """int64 if the array sweep over n points with denominators <= max_q fits it, else object.
+
+    The largest terms are the sort keys (p << s) // q, below max_q << s,
+    and the sweep products p * n and count * q, at most n * max_q.  The
+    codes q * (max_q + 1) + p lie below the keys' bound.
+    """
+    s = 2 * max_q.bit_length()
+    return np.int64 if max(max_q << s, n * max_q) < 1 << 63 else object
+
+
+def star_discrepancy_of_prefixes(p: np.ndarray, q: np.ndarray, ends: Sequence[int]) -> list[Fraction]:
+    """Exact D* of the points p[:e] / q[:e] for each prefix end e in ``ends``.
+
+    ``p`` and ``q`` are integer arrays of one length (int64 or object)
+    with 0 <= p < q at every position; they are not checked, and p/q need
+    not be in lowest terms.  ``ends`` lie within 1..len(p) and must not
+    descend.
+
+    The distinct (p, q) pairs are ranked once: one ``np.unique`` over the
+    codes q * (max q + 1) + p, then one argsort of their keys (p << s) // q.
+    Each prefix adds the ranks of its new positions to a running
+    ``np.bincount`` and runs the sweep of ``star_discrepancy_from_triples``
+    as ``cumsum``/``maximum`` arrays over every ranked value.  A value
+    absent from the prefix yields |A([0, v))/n - v|, a value of the sup
+    itself, and a value split over unreduced pairs yields the same maximum,
+    so the result is exact.  The largest candidate d per denominator comes
+    from ``np.maximum.reduceat``; only those few are compared by
+    cross-multiplication.  Every point is counted, so the right-end gap
+    1 - A([0, 1))/n is 0.  The work runs in ``sweep_dtype``.
+    """
+    ends = list(ends)
+    if not ends or ends[0] < 1 or ends[-1] > len(p) or any(a > b for a, b in zip(ends, ends[1:])):
+        raise ValueError(f"prefix ends must ascend within 1..{len(p)}, got {ends}")
+    max_q = int(q.max())
+    dtype = sweep_dtype(max_q, len(p)) if object not in (p.dtype, q.dtype) else object
+    p, q = p.astype(dtype, copy=False), q.astype(dtype, copy=False)
+    stride = max_q + 1
+    found, inverse = np.unique(q * stride + p, return_inverse=True)
+    fp, fq = found % stride, found // stride
+    order = np.argsort((fp << 2 * max_q.bit_length()) // fq, kind="stable")
+    vp, vq = fp[order], fq[order]  # the distinct values, ascending
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    ranks = rank[inverse.ravel()]
+    # the values grouped by denominator, for the largest d per denominator
+    by_q = np.argsort(vq, kind="stable")
+    grouped = vq[by_q]
+    starts = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
+    dens = grouped[starts].tolist()
+    counts = np.zeros(len(order), dtype=np.int64)
+    out = []
+    prev = 0
+    for n in ends:
+        counts += np.bincount(ranks[prev:n], minlength=len(order))
+        prev = n
+        cum = np.cumsum(counts)
+        pn = vp * n
+        # candidates over q * n: v - A just left of v, and A over [0, v] - v
+        d = np.maximum(pn - (cum - counts) * vq, cum * vq - pn)
+        best_num, best_den = 0, 1
+        for num, den in zip(np.maximum.reduceat(d[by_q], starts).tolist(), dens):
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
+        out.append(Fraction(best_num, best_den * n))
+    return out
 
 
 def _keyed_order(zs: tuple[Fraction, ...], presorted: bool = False) -> tuple[list[int], Iterable[int]]:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import constructions as _constructions
 from .blocks import tally_blocks
-from .cantor import CantorExpansion, orbit_point, scaled_value_counts
+from .cantor import CantorExpansion, orbit_point, scaled_prefix_counts
 from .constructions import (
     ConstructionSpec,
     build_P,
@@ -46,7 +46,8 @@ from .discrepancy import (
     epsbar,
     star_discrepancy,
     star_discrepancy_from_counts,
-    star_discrepancy_from_triples,
+    star_discrepancy_of_prefixes,
+    sweep_dtype,
 )
 from .errors import InvalidSpecError, NeedsMoreDigitsError
 from .weightings import check_eps_k_normal, nu
@@ -413,6 +414,8 @@ def verify_mqd_scaled(spec: ConstructionSpec | None = None, checkpoints=40) -> C
     epsbar_i.  Checkpoints before the preconditions first hold are reported
     unasserted.  At least one checkpoint must be asserted.  ``checkpoints``
     is a budget of positions spread across the segments, or the positions.
+    Every checkpoint's scaled-digit table and the final one come from one
+    ``scaled_prefix_counts`` walk over the segments.
     """
     if spec is None:
         spec = qde_spec()
@@ -427,8 +430,10 @@ def verify_mqd_scaled(spec: ConstructionSpec | None = None, checkpoints=40) -> C
     rows = []
     asserted = 0
     counterexample = None
-    for n, i, hyp, bar in epsbar_rows(spec, positions):
-        d_star = star_discrepancy_from_counts(scaled_value_counts(spec, n), n)
+    # zip stops at the last checkpoint and leaves the final table in ``tables``
+    tables = scaled_prefix_counts(spec, [*positions, spec.total_length])
+    for (n, i, hyp, bar), counts in zip(epsbar_rows(spec, positions), tables):
+        d_star = star_discrepancy_from_counts(counts, n)
         row: dict = {"n": n, "i": i, "d_star": d_star, "asserted": bar is not None}
         if bar is not None:
             row["epsbar"] = bar
@@ -440,8 +445,7 @@ def verify_mqd_scaled(spec: ConstructionSpec | None = None, checkpoints=40) -> C
         else:
             row["unmet"] = ["no-fully-included-segment"]
         rows.append(row)
-    final_counts = scaled_value_counts(spec, spec.total_length)
-    final_d = star_discrepancy_from_counts(final_counts, spec.total_length)
+    final_d = star_discrepancy_from_counts(next(tables), spec.total_length)
     bars = [r["epsbar"] for r in rows if r.get("asserted")]
     trend = all(a >= b for a, b in zip(bars, bars[1:])) if len(bars) >= 2 else None
     details = {
@@ -468,12 +472,11 @@ def _checked_salat_bases(q: list, digits) -> np.ndarray:
 
     Every entry must be an int >= 2 above its digit, else the first
     position where one is not is named.  The array is int64 while the
-    codes q * (max base + 1) + p fit it and the digits cast to it exactly,
-    else object.
+    prefix D* sweep fits it (``sweep_dtype``) and the digits cast to it
+    exactly, else object.
     """
     ints = set(map(type, q)) == {int}
-    stride = max(q) + 1 if ints else 0
-    fits = 0 < stride and stride * stride <= 1 << 63 and digits.digits.dtype.itemsize <= 4
+    fits = ints and sweep_dtype(max(q), len(q)) is np.int64 and digits.digits.dtype.itemsize <= 4
     bases = np.array(q, dtype=np.int64 if fits else object)
     if not ints:
         # an entry that is no int reads as base 0, so it fails the range check
@@ -496,10 +499,11 @@ def verify_salat_counterexample(m_rows: int = 200) -> Certificate:
     row 200 at most 1/20 when the run reaches that row.
 
     Every base and digit the generator returns is checked and read; the
-    scaled digits are reduced to integer (p, q) pairs by one vectorized gcd
-    and counted as integer codes (in object arrays when the codes would pass
-    int64), and each sampled row's D* comes from the integer sweep over
-    those (p, q, count) triples.  No Fraction is made per position.
+    scaled digits are reduced to integer (p, q) pairs by one vectorized gcd,
+    and every sampled row's D* comes from one ``star_discrepancy_of_prefixes``
+    call over those pairs: the distinct values are ranked once and each row
+    is one bincount and array sweep (in object arrays when the terms would
+    pass int64).  No Fraction is made per position or per distinct value.
     """
     if not (isinstance(m_rows, int) and m_rows >= 2):
         raise InvalidSpecError(f"need at least 2 rows, got {m_rows}")
@@ -515,11 +519,9 @@ def verify_salat_counterexample(m_rows: int = 200) -> Certificate:
     # row formula, so a tampered generator is caught
     bases = _checked_salat_bases(q, digits)
     zero_count = int(np.count_nonzero(digits.digits == 0))
-    # each position's scaled digit in lowest terms p/q, coded as q * stride + p
-    stride = int(bases.max()) + 1
+    # each position's scaled digit in lowest terms p/q
     scaled = digits.digits.astype(bases.dtype)  # exact: every digit is below its base
     gcds = np.gcd(scaled, bases)
-    codes = bases // gcds * stride + scaled // gcds
     # runs of equal bases cut at every row end, so each run lies in one row
     row_ends = np.cumsum(np.arange(1, m_rows + 1))
     run_ends = np.union1d(np.flatnonzero(bases[1:] != bases[:-1]) + 1, row_ends)
@@ -528,7 +530,6 @@ def verify_salat_counterexample(m_rows: int = 200) -> Certificate:
     hyp_values: list[Fraction] = []
     hyp_decreasing = True
     first_increase = None
-    d_samples: list[tuple[int, Fraction]] = []
     normalizer_samples: list[tuple[int, Fraction]] = []
     for m, pos in enumerate(row_ends.tolist(), start=1):
         # 1/base is added once per run, up to the run that ends this row
@@ -542,11 +543,11 @@ def verify_salat_counterexample(m_rows: int = 200) -> Certificate:
             first_increase = m
         hyp_values.append(h)
         if m in sample_rows:
-            found, counts = np.unique(codes[:pos], return_counts=True)
-            triples = list(zip((found % stride).tolist(), (found // stride).tolist(), counts.tolist()))
-            d_samples.append((m, star_discrepancy_from_triples(triples, pos)))
             normalizer_samples.append((m, recip_sum))
-    d_values = [d for _, d in d_samples]
+    d_values = star_discrepancy_of_prefixes(
+        scaled // gcds, bases // gcds, [int(row_ends[m - 1]) for m in sample_rows]
+    )
+    d_samples = list(zip(sample_rows, d_values))
     d_decreasing = all(a > b for a, b in zip(d_values, d_values[1:]))
     final_ok = True
     row200 = next((d for m, d in d_samples if m == 200), None)
@@ -683,20 +684,26 @@ def run_claim(claim: str, grid: dict | None = None, **kwargs) -> list[Certificat
     return [_timed(fn, call) for call in calls]
 
 
-def run_all(budget_seconds: float | None = None) -> tuple[list[Certificate], list[str]]:
+def run_all(budget_seconds: float | None = None) -> tuple[list[Certificate], list[str], list[str]]:
     """Run the default verification jobs, stopping when the budget runs out.
 
-    Returns (certificates, skipped job labels).  Jobs are ordered cheap
-    first so a tight budget still covers most claims.  Each job's verifier
-    is looked up in CLAIMS as it starts and timed like run_claim's.
+    Returns (certificates, skipped job labels, overrun job labels).  The
+    budget is checked only between jobs, so a job that starts in time may
+    finish after the budget has run out; it is kept and named as an
+    overrun.  Jobs are ordered cheap first so a tight budget still covers
+    most claims.  Each job's verifier is looked up in CLAIMS as it starts
+    and timed like run_claim's.
     """
     t0 = time.perf_counter()
     certs: list[Certificate] = []
     skipped: list[str] = []
+    overruns: list[str] = []
     for claim, kw in DEFAULT_JOBS:
         label = claim if not kw else f"{claim} {kw}"
         if budget_seconds is not None and time.perf_counter() - t0 > budget_seconds:
             skipped.append(label)
             continue
         certs.append(_timed(CLAIMS[claim][0], kw))
-    return certs, skipped
+        if budget_seconds is not None and time.perf_counter() - t0 > budget_seconds:
+            overruns.append(label)
+    return certs, skipped, overruns

@@ -1,6 +1,7 @@
 """Mixed-radix expansions: conversions, moments, orbits, scaled digits."""
 
 import math
+import random
 import re
 from collections import Counter
 from fractions import Fraction
@@ -18,6 +19,7 @@ from cantornormal.cantor import (
     orbit_point,
     q_moment,
     salat_hypothesis,
+    scaled_prefix_counts,
     scaled_value_counts,
     value_to_digits,
 )
@@ -476,6 +478,55 @@ def test_prefix_readers_match_literal_expansion(segs):
             assert orbit_point(exp, 1, len(qs) - 1) == RationalInterval(*literal_orbit(qs, ds, 1, len(qs) - 1))
             with pytest.raises(SizeLimitError):
                 orbit_point(exp, 0, len(qs))
+
+
+@pytest.mark.parametrize("family", [qde_spec, qnex_spec])
+def test_scaled_prefix_counts_match_one_position_tables(family):
+    spec = family()
+    total = spec.total_length
+    rng = random.Random(15)
+    positions = {1, total} | {b + d for b in spec.boundaries for d in (-1, 0, 1) if 1 <= b + d <= total}
+    positions |= {rng.randrange(1, total + 1) for _ in range(30)}
+    positions = sorted(positions)
+    tables = list(scaled_prefix_counts(spec, positions))
+    assert tables == [scaled_value_counts(spec, n) for n in positions]
+    assert [sum(t.values()) for t in tables] == positions
+
+
+@given(segments)
+@settings(max_examples=100)
+def test_scaled_prefix_counts_match_literal_expansion(segs):
+    spec = ConstructionSpec(tuple(segs))
+    qs, ds = literal_expansion(segs)
+    positions = range(1, len(qs) + 1)
+    if positions:
+        expected = [Counter(map(Fraction, ds[:n], qs[:n])) for n in positions]
+        assert list(scaled_prefix_counts(spec, positions)) == expected
+
+
+def test_scaled_prefix_counts_skip_empty_segments():
+    spec = ConstructionSpec(
+        (
+            SegmentSpec(2, Block(3, (0, 1, 2)), 3),
+            SegmentSpec(0, Block(5, (4,)), 5),
+            SegmentSpec(3, Block(4, (1, 3)), 4),
+        )
+    )
+    qs, ds = literal_expansion(spec.segments)
+    positions = [1, 5, 6, 6, 7, 12]  # 6 ends the first segment and is given twice
+    tables = list(scaled_prefix_counts(spec, positions))
+    assert tables == [Counter(map(Fraction, ds[:n], qs[:n])) for n in positions]
+    assert all(Fraction(4, 5) not in t and 0 not in t.values() for t in tables)
+
+
+def test_scaled_prefix_counts_validation():
+    spec = qde_spec(i_max=3)
+    with pytest.raises(ValueError, match="must ascend"):
+        list(scaled_prefix_counts(spec, [5, 3]))
+    with pytest.raises(ValueError):
+        list(scaled_prefix_counts(spec, [0, 3]))
+    with pytest.raises(NeedsMoreDigitsError):
+        list(scaled_prefix_counts(spec, [3, spec.total_length + 1]))
 
 
 def test_scaled_value_counts_validation():

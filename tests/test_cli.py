@@ -9,6 +9,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -518,6 +519,27 @@ def test_verify_all_with_zero_budget(capsys):
     code, payload = run_json(capsys, ["verify", "--all", "--budget", "0s"])
     assert code == 0
     assert len(payload["certificates"]) + len(payload["skipped"]) == 13
+
+
+def test_verify_all_sidecar_names_budget_overruns(monkeypatch, tmp_path, capsys):
+    # the first job outlasts the budget: it is kept, named as an overrun, and
+    # every later job is skipped
+    def slow(**kwargs):
+        time.sleep(0.2)
+        return Certificate(claim="lemma-amount", params=kwargs, passed=True, checked=1)
+
+    monkeypatch.setitem(CLAIMS, "lemma-amount", (slow, "range"))
+    out = tmp_path / "all.json"
+    assert main(["verify", "--all", "--budget", "0.05s", "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "all.json.meta.json").read_text())
+    assert meta["overruns"] == ["lemma-amount"]
+    assert [job["claim"] for job in meta["runtimes"]] == ["lemma-amount"]
+    assert set(meta["runtimes"][0]) == {"claim", "params", "runtime_seconds"}
+    assert len(json.loads(out.read_text())["skipped"]) == 12
+    # a budget that holds names no overrun
+    assert main(["verify", "--all", "--budget", "1h", "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "all.json.meta.json").read_text())
+    assert meta["overruns"] == [] and len(meta["runtimes"]) == 13
 
 
 def test_verify_cap_reaches_the_run_enumeration(capsys):

@@ -4,6 +4,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,8 @@ from cantornormal.discrepancy import (
     star_discrepancy,
     star_discrepancy_from_counts,
     star_discrepancy_from_triples,
+    star_discrepancy_of_prefixes,
+    sweep_dtype,
     unit_sequence,
 )
 
@@ -197,6 +200,48 @@ triples = st.lists(
 def test_triple_sweep_matches_sweep_on_points(ts):
     points = [Fraction(p, q) for p, q, c in ts for _ in range(c)]
     assert star_discrepancy_from_triples(list(ts), len(points)) == sweep_dstar(points)
+
+
+# (p, q) per position with q <= 12, not reduced: 2/4 may follow 1/2
+coded_points = st.lists(
+    st.integers(1, 12).flatmap(lambda q: st.tuples(st.integers(0, q - 1), st.just(q))),
+    min_size=1,
+    max_size=30,
+)
+
+
+@given(coded_points, st.sampled_from([1, 5, 2**30]), st.sampled_from([np.int64, object]), st.data())
+@settings(max_examples=300)
+def test_prefix_sweep_matches_sweep_on_each_prefix(pairs, scale, dtype, data):
+    # scale 2**30 puts the keys past int64, so int64 input is swept as object
+    ends = sorted(data.draw(st.sets(st.integers(1, len(pairs)))) | {1})
+    p = np.array([a * scale for a, _ in pairs], dtype=dtype)
+    q = np.array([b * scale for _, b in pairs], dtype=dtype)
+    points = [Fraction(a, b) for a, b in pairs]
+    assert star_discrepancy_of_prefixes(p, q, ends) == [sweep_dstar(points[:e]) for e in ends]
+
+
+def test_prefix_sweep_on_prefixes_that_miss_values():
+    # 1/3 and 2/3 are ranked from the start but absent from the first prefixes
+    p, q = np.array([1, 1, 1, 1, 2]), np.array([2, 2, 2, 3, 3])
+    points = [Fraction(1, 2)] * 3 + [Fraction(1, 3), Fraction(2, 3)]
+    ends = [1, 2, 3, 4, 5]
+    assert star_discrepancy_of_prefixes(p, q, ends) == [sweep_dstar(points[:e]) for e in ends]
+    assert star_discrepancy_of_prefixes(p, q, [1, 1]) == [Fraction(1, 2)] * 2
+
+
+def test_sweep_dtype_is_int64_while_every_term_fits():
+    assert sweep_dtype(201, 20100) is np.int64
+    assert sweep_dtype(2**21 - 1, 10) is np.int64
+    assert sweep_dtype(2**21, 10) is object
+    assert sweep_dtype(3, 2**62) is object
+
+
+@pytest.mark.parametrize("ends", [[], [0], [3, 2], [1, 6]])
+def test_prefix_sweep_refuses_bad_ends(ends):
+    p, q = np.array([0, 1, 1, 2, 0]), np.array([2, 2, 3, 3, 5])
+    with pytest.raises(ValueError, match="prefix ends"):
+        star_discrepancy_of_prefixes(p, q, ends)
 
 
 @given(farey_pairs(), st.lists(_fractions(1, 12), max_size=4))

@@ -34,6 +34,7 @@ from cantornormal.verify import (
     CLAIMS,
     DEFAULT_JOBS,
     Certificate,
+    _checked_salat_bases,
     run_all,
     run_claim,
     verify_bounds_ng_nl,
@@ -497,6 +498,19 @@ def test_salat_counterexample_reads_bases_past_int64_exactly(monkeypatch):
     assert cert.details["normalizer_samples"] == [[4, Fraction(37, 15) + Fraction(1, 2**70)]]
 
 
+def test_salat_counterexample_object_dtype_matches_reference(monkeypatch):
+    # bases times 2**40 put the sweep keys past int64, so every array is object
+    def scaled_up(n_total):
+        q, digits = salat_counterexample_spec(n_total)
+        return [base << 40 for base in q], digits
+
+    monkeypatch.setattr(constructions_module, "salat_counterexample_spec", scaled_up)
+    q, digits = scaled_up(30 * 31 // 2)
+    assert _checked_salat_bases(q, digits).dtype == object
+    cert = verify_salat_counterexample(m_rows=30)
+    assert cert.details == _salat_reference(q, digits, 30)
+
+
 def test_salat_counterexample_guards():
     with pytest.raises(InvalidSpecError):
         verify_salat_counterexample(m_rows=1)
@@ -548,9 +562,10 @@ def test_run_claim_plain_style():
 
 
 def test_run_all_respects_budget():
-    certs, skipped = run_all(budget_seconds=0.0)
+    certs, skipped, overruns = run_all(budget_seconds=0.0)
     # a zero budget is exhausted immediately; every label must still appear
     assert len(certs) + len(skipped) == len(DEFAULT_JOBS)
+    assert len(overruns) == len(certs)
     assert len(skipped) >= len(DEFAULT_JOBS) - 1
     assert all(isinstance(label, str) and label for label in skipped)
 
@@ -558,8 +573,10 @@ def test_run_all_respects_budget():
 def test_run_all_unbudgeted_prefix_runs_cheap_jobs():
     # cover the run path without paying for the expensive tail: a budget
     # that comfortably fits the first two jobs but not the whole list
-    certs, skipped = run_all(budget_seconds=2.0)
+    certs, skipped, overruns = run_all(budget_seconds=2.0)
     assert certs, "at least the cheap lemma jobs should fit a 2 s budget"
+    # the budget is checked between jobs, so only the last job run can overrun it
+    assert len(overruns) <= 1 and all(label.startswith(certs[-1].claim) for label in overruns)
     assert all(c.passed for c in certs)
     assert all(isinstance(c.runtime_seconds, float) for c in certs)
     assert certs[0].claim == "lemma-amount"
