@@ -11,7 +11,6 @@ Modules:
 """
 
 from .blocks import (
-    Block,
     ConcatSpec,
     DigitString,
     concat,

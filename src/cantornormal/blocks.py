@@ -1,8 +1,10 @@
-"""Digit blocks and digit strings: construction, counting, file IO.
+"""Digit strings: construction, counting, file IO.
 
-A block is a finite string of digits drawn from ``{0, ..., base-1}``; a digit
-string is a finite string of non-negative integers with no base attached.
-Occurrence counting is always overlapping, with 1-based start positions.
+A digit string is a finite string of non-negative integers with no base
+attached; a digit meets its base only in a construction segment
+(``constructions.SegmentSpec``), the one place digits are checked against
+one.  Occurrence counting is always overlapping, with 1-based start
+positions.
 
 Digits are arbitrary-precision integers at the API boundary.  Internally a
 digit sequence is one read-only numpy array whose dtype is the smallest
@@ -18,7 +20,6 @@ its digits, under the size cap.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import operator
@@ -36,16 +37,18 @@ from .limits import check_cap
 _TALLY_CHUNK = 1 << 22
 
 
-def _pack_digits(digits, base: int | None = None) -> np.ndarray:
+def _pack_digits(digits) -> np.ndarray:
     """The packed form of a digit sequence, validated.
 
-    Accepts bytes, bytearray, an unsigned numpy array (shared when it is
-    read-only, else copied) or any iterable of integers.  Each entry is read
-    with ``operator.index``, so a float or a string is refused, never
-    truncated.  Digits must be non-negative, and below ``base`` when one is
-    given.
+    Accepts a DigitString (its array is shared), bytes, bytearray, an
+    unsigned numpy array (shared when it is read-only, else copied) or any
+    iterable of integers.  Each entry is read with ``operator.index``, so a
+    float or a string is refused, never truncated.  Digits must be
+    non-negative; no base is attached, so ``SegmentSpec`` is where digits
+    meet one.
     """
-    top = None
+    if isinstance(digits, DigitString):
+        return digits.digits
     if isinstance(digits, np.ndarray) and digits.dtype.kind == "u":
         arr = digits.copy() if digits.flags.writeable else digits
     elif isinstance(digits, (bytes, bytearray)):
@@ -66,22 +69,15 @@ def _pack_digits(digits, base: int | None = None) -> np.ndarray:
             raise ValueError(f"digits must be non-negative, got {low}")
         arr = np.array(vals, dtype=np.min_scalar_type(top))
     arr.setflags(write=False)
-    if base is not None and len(arr):
-        if top is None:
-            top = int(arr.max())
-        if top >= base:
-            raise ValueError(f"digit {top} out of range for base {base}")
     return arr
 
 
 def digit_data(x) -> np.ndarray:
-    """Packed digit array behind a Block/DigitString/plain sequence.
+    """Packed digit array behind a DigitString or plain digit sequence.
 
     A ConcatSpec is refused: its digits are built only by ``concat``, which
     honours the size cap.
     """
-    if isinstance(x, (Block, DigitString)):
-        return x.digits
     if isinstance(x, ConcatSpec):
         raise TypeError("a ConcatSpec is not materialized implicitly; use concat(spec)")
     return _pack_digits(x)
@@ -97,8 +93,19 @@ def max_digit(x) -> int:
     return int(digit_data(x).max())
 
 
-class _Digits:
-    """Read access shared by DigitString and Block over the packed array."""
+@dataclass(frozen=True, eq=False)
+class DigitString:
+    """Immutable string of non-negative integer digits, no base attached.
+
+    Equal digit strings compare and hash equal whatever input they were
+    packed from; indexing gives Python ints and slicing gives a
+    DigitString that shares the packed array.
+    """
+
+    digits: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "digits", _pack_digits(self.digits))
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -108,49 +115,19 @@ class _Digits:
 
     def __getitem__(self, idx):
         if isinstance(idx, slice):
-            return dataclasses.replace(self, digits=self.digits[idx])
+            return DigitString(self.digits[idx])
         return self.digits.item(idx)
 
     def as_tuple(self) -> tuple[int, ...]:
         return tuple(self.digits.tolist())
 
-    def _fields(self) -> tuple:
-        """Fields other than the digits, compared and hashed with them."""
-        return ()
-
     def __eq__(self, other):
-        if type(other) is not type(self):
+        if not isinstance(other, DigitString):
             return NotImplemented
-        return self._fields() == other._fields() and np.array_equal(self.digits, other.digits)
+        return np.array_equal(self.digits, other.digits)
 
     def __hash__(self) -> int:
-        return hash((self._fields(), self.as_tuple()))
-
-
-@dataclass(frozen=True, eq=False)
-class DigitString(_Digits):
-    """Immutable string of non-negative integer digits, no base attached."""
-
-    digits: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "digits", _pack_digits(self.digits))
-
-
-@dataclass(frozen=True, eq=False)
-class Block(_Digits):
-    """A digit string over ``{0, ..., base-1}`` for a fixed base >= 2."""
-
-    base: int
-    digits: np.ndarray
-
-    def __post_init__(self):
-        if not isinstance(self.base, int) or self.base < 2:
-            raise ValueError(f"block base must be an integer >= 2, got {self.base}")
-        object.__setattr__(self, "digits", _pack_digits(self.digits, self.base))
-
-    def _fields(self) -> tuple:
-        return (self.base,)
+        return hash(self.as_tuple())
 
 
 def _count_type(length: int):
@@ -173,24 +150,28 @@ class ConcatSpec:
     """
 
     def __init__(self, parts):
-        parts = tuple((int(m), b) for m, b in parts)
-        for m, b in parts:
+        checked = []
+        for idx, (m, b) in enumerate(parts):
+            try:
+                m = operator.index(m)
+            except TypeError:
+                raise InvalidSpecError(f"part {idx}: multiplicity must be an integer, got {m!r}") from None
             if m < 0:
-                raise InvalidSpecError(f"multiplicity must be >= 0, got {m}")
-            if not isinstance(b, (Block, DigitString)):
-                raise InvalidSpecError("concat parts must pair an int with a Block")
-        if not any(m > 0 for m, _ in parts):
+                raise InvalidSpecError(f"part {idx}: multiplicity must be >= 0, got {m}")
+            if not isinstance(b, DigitString):
+                raise InvalidSpecError(f"part {idx}: concat parts must pair an int with a DigitString")
+            checked.append((m, b))
+        if not any(m > 0 for m, _ in checked):
             raise InvalidSpecError("at least one multiplicity must be positive")
-        self.parts = parts
-        self.length = sum(m * len(b) for m, b in parts)
+        self.parts = tuple(checked)
+        self.length = sum(m * len(b) for m, b in checked)
 
     @classmethod
-    def from_table(cls, copies, table: np.ndarray, base: int | None = None) -> "ConcatSpec":
+    def from_table(cls, copies, table: np.ndarray) -> "ConcatSpec":
         """``copies[i]`` copies of row i of a 2-D unsigned digit table, in row order.
 
-        Rows with no copies are left out.  No Block is built here: ``parts``
-        makes one per row on first use, over ``base`` when one is given,
-        else a DigitString.
+        Rows with no copies are left out.  No DigitString is built here:
+        ``parts`` makes one per row on first use.
         """
         if not isinstance(table, np.ndarray) or table.ndim != 2 or table.dtype.kind != "u" or not table.shape[1]:
             raise InvalidSpecError("a run table is a 2-D unsigned digit array with at least one column")
@@ -199,8 +180,6 @@ class ConcatSpec:
             raise InvalidSpecError("a run table needs one integer copy count per row")
         if (copies < 0).any():
             raise InvalidSpecError(f"multiplicity must be >= 0, got {copies.min()}")
-        if base is not None and len(table) and (top := int(table.max())) >= base:
-            raise ValueError(f"digit {top} out of range for base {base}")
         used = copies > 0
         if not used.any():
             raise InvalidSpecError("at least one multiplicity must be positive")
@@ -211,14 +190,12 @@ class ConcatSpec:
         spec.length = int(copies.sum()) * table.shape[1]
         table.setflags(write=False)
         spec.groups = ((copies.astype(_count_type(spec.length)), table),)
-        spec._base = base
         return spec
 
     @functools.cached_property
-    def parts(self) -> tuple[tuple[int, Block | DigitString], ...]:
-        make = DigitString if self._base is None else functools.partial(Block, self._base)
+    def parts(self) -> tuple[tuple[int, DigitString], ...]:
         return tuple(
-            (m, make(row)) for copies, table in self.groups for m, row in zip(copies.tolist(), table)
+            (m, DigitString(row)) for copies, table in self.groups for m, row in zip(copies.tolist(), table)
         )
 
     @functools.cached_property
@@ -512,7 +489,7 @@ def _leb128_encode(value: int, out: bytearray) -> None:
 def write_digit_file(path, digits, count: int | None = None) -> int:
     """Write digits to ``path`` in the length-prefixed binary format.
 
-    ``digits`` may be a Block/DigitString/sequence, or any iterable when
+    ``digits`` may be a DigitString or digit sequence, or any iterable when
     ``count`` is given.  A ``count`` that differs from the length of a
     sized input is a ValueError, raised before the file is opened; a
     sizeless iterable must yield at least ``count`` digits, of which the
@@ -531,7 +508,7 @@ def write_digit_file(path, digits, count: int | None = None) -> int:
         raise ValueError(f"digit count must be >= 0, got {count}")
     if size is not None and size != count:
         raise ValueError(f"count {count} does not match {size} digits")
-    if isinstance(digits, (Block, DigitString, np.ndarray)):
+    if isinstance(digits, (DigitString, np.ndarray)):
         digits = digit_data(digits)
     with open(path, "wb") as fh:
         fh.write(struct.pack("<Q", count))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
-from .blocks import Block, DigitString, count_run_occurrences, digit_data, tally_blocks
+from .blocks import DigitString, count_run_occurrences, digit_data, tally_blocks
 from .constructions import ConstructionSpec, SegmentSpec
 from .errors import InvalidSpecError, NeedsMoreDigitsError, NeedsMoreSegmentsError
 from .limits import check_cap
@@ -101,22 +101,28 @@ class CantorExpansion:
     def from_digits(cls, Q: BasicSequence, digits) -> "CantorExpansion":
         """``digits`` over Q, cut at Q's runs into one-copy segments.
 
-        Each digit must be an integer in 0..q_n - 1; the first that is not
-        is named.  No digits give horizon 0, held as one zero-copy filler
-        segment as the scaled families use.
+        Each digit must be an integer in 0..q_n - 1.  ``SegmentSpec`` checks
+        each run's digits against its base; when it refuses one, the first
+        position out of range is named.  No digits give horizon 0, held as
+        one zero-copy filler segment as the scaled families use.
         """
         ds = DigitString(digits)
         segments = []
         start = 0
         for base, length in Q.q_runs(len(ds)):
-            piece = ds.digits[start : start + length]
-            over = piece >= base
-            if over.any():
+            piece = ds[start : start + length]
+            try:
+                segments.append(SegmentSpec(1, piece, base))
+            except InvalidSpecError:
+                over = piece.digits >= base
+                if not over.any():
+                    raise
                 n = start + int(over.argmax()) + 1
-                raise InvalidSpecError(f"digit {ds[n - 1]} at position {n} outside allowed range 0..{base - 1}")
-            segments.append(SegmentSpec(1, Block(base, piece), base))
+                raise InvalidSpecError(
+                    f"digit {ds[n - 1]} at position {n} outside allowed range 0..{base - 1}"
+                ) from None
             start += length
-        return cls(ConstructionSpec(tuple(segments) or (SegmentSpec(0, Block(2, (0, 1)), 2),)), Q)
+        return cls(ConstructionSpec(tuple(segments) or (SegmentSpec(0, (0, 1), 2),)), Q)
 
     @classmethod
     def from_spec(cls, spec: ConstructionSpec) -> "CantorExpansion":

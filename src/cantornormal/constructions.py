@@ -26,10 +26,11 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import isqrt
 
 import numpy as np
 
-from .blocks import Block, ConcatSpec, DigitString, concat, count_top_digit, max_digit, tally_blocks
+from .blocks import ConcatSpec, DigitString, concat, count_top_digit, digit_data, tally_blocks
 from .errors import InvalidSpecError, NeedsMoreSegmentsError
 from .limits import check_cap
 
@@ -42,7 +43,7 @@ def _check_bw(b: int, w: int) -> None:
 
 
 # Digit arrays of the enumeration blocks built so far, least recently used
-# first.  They are read-only, so every Block made from one shares it.
+# first.  They are read-only, so every DigitString made from one shares it.
 _ENUMERATIONS: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _ENUMERATIONS_BYTES = 16 << 20
 
@@ -59,18 +60,20 @@ def _enumeration_digits(key: tuple, build: Callable[[], np.ndarray]) -> np.ndarr
     return digits
 
 
-def build_P(b: int, w: int) -> Block:
-    """Weighted enumeration block over base b+1, length ``w * 2**(b*w)``.
+def build_P(b: int, w: int) -> DigitString:
+    """Weighted enumeration block of digits 0..b, length ``w * 2**(b*w)``.
 
     Lists all base-(b+1) blocks of length w lexicographically, repeating a
     block with t top digits ``(2**b - b)**t`` times: ``concat`` of
     ``build_P_runs(b, w)``.  The digits are built once per process and
-    shared by every Block returned; the size cap is checked on every call.
+    shared by every DigitString returned; the size cap is checked on every
+    call.  The block carries no base: a segment gives it one, and the qnex
+    family reads it over base ``2**b``.
     """
     _check_bw(b, w)
     total = w * (1 << (b * w))
     check_cap(total)  # refuse before enumerating the runs
-    return Block(b + 1, _enumeration_digits(("P", b, w), lambda: concat(build_P_runs(b, w)).digits))
+    return DigitString(_enumeration_digits(("P", b, w), lambda: concat(build_P_runs(b, w)).digits))
 
 
 def build_P_runs(b: int, w: int) -> ConcatSpec:
@@ -87,19 +90,22 @@ def build_P_runs(b: int, w: int) -> ConcatSpec:
     table = _enumeration_table(b + 1, w)
     rep = (1 << b) - b
     powers = np.array([rep**t for t in range(w + 1)])  # int64 while they fit
-    return ConcatSpec.from_table(powers[np.count_nonzero(table == b, axis=1)], table, base=b + 1)
+    return ConcatSpec.from_table(powers[np.count_nonzero(table == b, axis=1)], table)
 
 
-def repetition_count(b: int, w: int, block: Block) -> int:
-    """How many copies of ``block`` appear consecutively inside build_P(b, w)."""
-    if not isinstance(block, Block) or block.base != b + 1:
-        raise ValueError(f"expected a base-{b + 1} block")
-    if len(block) != w:
-        raise ValueError(f"expected a length-{w} block, got length {len(block)}")
-    return ((1 << b) - b) ** count_top_digit(block, b)
+def repetition_count(b: int, w: int, block) -> int:
+    """How many copies of ``block`` appear consecutively inside build_P(b, w).
+
+    ``block`` is a length-w digit sequence; ``count_top_digit`` refuses a
+    digit above b.
+    """
+    digits = digit_data(block)
+    if len(digits) != w:
+        raise ValueError(f"expected a length-{w} block, got length {len(digits)}")
+    return ((1 << b) - b) ** count_top_digit(digits, b)
 
 
-def build_P_copies(b: int, w: int) -> Iterator[tuple[Block, int]]:
+def build_P_copies(b: int, w: int) -> Iterator[tuple[DigitString, int]]:
     """(block, copies) pairs making up build_P(b, w), in order.
 
     The rows of ``build_P_runs``; the ``(b+1)**w`` blocks count against the
@@ -108,7 +114,7 @@ def build_P_copies(b: int, w: int) -> Iterator[tuple[Block, int]]:
     return ((block, copies) for copies, block in build_P_runs(b, w).parts)
 
 
-def build_C(b: int, w: int) -> Block:
+def build_C(b: int, w: int) -> DigitString:
     """Plain enumeration block: every base-b block of length w once, in order.
 
     Built once per process like ``build_P``; the size cap is checked on
@@ -117,7 +123,7 @@ def build_C(b: int, w: int) -> Block:
     _check_bw(b, w)
     total = w * b**w
     check_cap(total)
-    return Block(b, _enumeration_digits(("C", b, w), lambda: _enumeration_table(b, w).reshape(-1)))
+    return DigitString(_enumeration_digits(("C", b, w), lambda: _enumeration_table(b, w).reshape(-1)))
 
 
 def _enumeration_table(b: int, w: int) -> np.ndarray:
@@ -131,10 +137,15 @@ def _enumeration_table(b: int, w: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SegmentSpec:
-    """One construction segment: ``multiplicity`` copies of ``block``, base ``base``."""
+    """One construction segment: ``multiplicity`` copies of ``block``, base ``base``.
+
+    ``block`` may be given as any digit sequence and is held packed as a
+    DigitString.  This is the one place digits meet a base: every digit
+    must lie in 0..base-1.
+    """
 
     multiplicity: int
-    block: Block
+    block: DigitString
     base: int
     generator: tuple | None = None  # ("P", b, w) or ("C", b, w) if built that way
 
@@ -143,11 +154,12 @@ class SegmentSpec:
             raise InvalidSpecError(f"multiplicity must be an integer >= 0, got {self.multiplicity}")
         if not isinstance(self.base, int) or self.base < 2:
             raise InvalidSpecError(f"segment base must be an integer >= 2, got {self.base}")
-        if not isinstance(self.block, Block) or len(self.block) == 0:
-            raise InvalidSpecError("segment block must be a nonempty Block")
-        top = max_digit(self.block)
-        if top >= self.base:
-            raise InvalidSpecError(f"segment digits reach {top}, not valid for base {self.base}")
+        block = DigitString(self.block)
+        if not len(block):
+            raise InvalidSpecError("segment block must hold at least one digit")
+        if (top := int(block.digits.max())) >= self.base:
+            raise InvalidSpecError(f"digit {top} out of range for base {self.base}")
+        object.__setattr__(self, "block", block)
 
     @property
     def length(self) -> int:
@@ -177,7 +189,7 @@ def _segment_from_json(raw) -> SegmentSpec:
         digits = block_obj.get("digits")
         if not (isinstance(digits, list) and all(type(d) is int for d in digits)):
             raise InvalidSpecError("explicit block needs a 'digits' list of integers")
-        return SegmentSpec(mult, Block(base, digits), base)
+        return SegmentSpec(mult, digits, base)
     raise InvalidSpecError(f"unknown generator {gen!r}")
 
 
@@ -395,8 +407,7 @@ def qnex_spec(
         raise InvalidSpecError(f"i_max must be >= i_min, got {i_max}")
     w_fn = w_fn or (lambda i: 2)
     l_fn = l_fn or (lambda i: 2 ** (2 * i))
-    filler = Block(2, (0, 1))
-    segments = [SegmentSpec(0, filler, 2) for _ in range(1, i_min)]
+    segments = [SegmentSpec(0, (0, 1), 2) for _ in range(1, i_min)]
     for i in range(i_min, i_max + 1):
         w = w_fn(i)
         block = build_P(i, w)
@@ -430,10 +441,9 @@ def qde_spec(
         raise InvalidSpecError(f"i_max must be >= i_min, got {i_max}")
     w_fn = w_fn or (lambda i: 2)
     l_fn = l_fn or (lambda i: i**3)
-    filler = Block(2, (0, 1))
-    segments = [SegmentSpec(0, filler, 2)]
+    segments = [SegmentSpec(0, (0, 1), 2)]
     for i in range(2, i_min):
-        segments.append(SegmentSpec(0, filler, i))
+        segments.append(SegmentSpec(0, (0, 1), i))
     for i in range(i_min, i_max + 1):
         w = w_fn(i)
         block = build_C(i, w)
@@ -441,23 +451,27 @@ def qde_spec(
     return ConstructionSpec(tuple(segments), family="qde-scaled")
 
 
-def salat_counterexample_spec(n_max: int) -> tuple[list[int], DigitString]:
-    """Base and digit prefixes of the classic one-direction-only witness.
+def salat_counterexample_spec(n_max: int) -> ConstructionSpec:
+    """The classic one-direction-only witness, its first n_max positions.
 
-    Row m contributes digits 1, 2, ..., m with base entry m+1 throughout;
-    rows are emitted in order and truncated at n_max entries.  The digit 0
+    Row m is one segment: the digits 1, 2, ..., m once, over base m+1.  Rows
+    follow in order and the last is cut at n_max positions.  The digit 0
     never occurs, yet the scaled digits d/(m+1) equidistribute.  The n_max
     positions count against the size cap.
     """
     if not isinstance(n_max, int) or n_max < 1:
         raise ValueError(f"n_max must be an integer >= 1, got {n_max}")
     check_cap(n_max, what="positions")
-    q: list[int] = []
-    digits: list[int] = []
+    # row m starts after m(m-1)/2 < n_max positions, so m <= isqrt(2 n_max) + 1;
+    # every row's digits are a view of 1..that
+    top = isqrt(2 * n_max) + 1
+    counting = np.arange(1, top + 1, dtype=np.min_scalar_type(top))
+    counting.setflags(write=False)
+    segments = []
     m = 1
-    while len(digits) < n_max:
-        take = min(m, n_max - len(digits))
-        digits.extend(range(1, take + 1))
-        q.extend([m + 1] * take)
+    while n_max:
+        take = min(m, n_max)
+        segments.append(SegmentSpec(1, counting[:take], m + 1))
+        n_max -= take
         m += 1
-    return q, DigitString(tuple(digits))
+    return ConstructionSpec(tuple(segments))

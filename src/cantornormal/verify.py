@@ -388,20 +388,24 @@ def epsbar_rows(spec: ConstructionSpec, positions) -> list[tuple]:
     included in the first n positions; hyp reports the bound's
     preconditions, or is None when no segment is fully included or none
     follows; bar is epsbar_i where they hold, else None.  Segment budgets
-    are ``e1l_bound`` at tolerances ``qde_default_eps(s)``.
+    are ``e1l_bound`` at tolerances ``qde_default_eps(s)``.  hyp and bar
+    depend on i alone, so they are worked out once per distinct i.
     """
     eps_primes = _qde_segment_eps_primes(spec, qde_default_eps)
     seg_meta = [(seg.multiplicity, len(seg.block)) for seg in spec.segments]
+    bounds: dict[int, tuple] = {}
     rows = []
     for n in positions:
         i = spec.idef_index(n)
         if not 1 <= i < len(spec.segments):
             rows.append((n, i, None, None))
             continue
-        entries = tuple((seg_meta[j][0], seg_meta[j][1], eps_primes[j]) for j in range(i))
-        pw = PrefixWeights(entries, seg_meta[i][1], eps_primes[i])
-        hyp = boundf_hypotheses(pw)
-        rows.append((n, i, hyp, epsbar(pw) if hyp else None))
+        if i not in bounds:
+            entries = tuple((seg_meta[j][0], seg_meta[j][1], eps_primes[j]) for j in range(i))
+            pw = PrefixWeights(entries, seg_meta[i][1], eps_primes[i])
+            hyp = boundf_hypotheses(pw)
+            bounds[i] = (hyp, epsbar(pw) if hyp else None)
+        rows.append((n, i, *bounds[i]))
     return rows
 
 
@@ -467,27 +471,6 @@ def verify_mqd_scaled(spec: ConstructionSpec | None = None, checkpoints=40) -> C
     )
 
 
-def _checked_salat_bases(q: list, digits) -> np.ndarray:
-    """The base entries as one exact integer array, each checked against its digit.
-
-    Every entry must be an int >= 2 above its digit, else the first
-    position where one is not is named.  The array is int64 while the
-    prefix D* sweep fits it (``sweep_dtype``) and the digits cast to it
-    exactly, else object.
-    """
-    ints = set(map(type, q)) == {int}
-    fits = ints and sweep_dtype(max(q), len(q)) is np.int64 and digits.digits.dtype.itemsize <= 4
-    bases = np.array(q, dtype=np.int64 if fits else object)
-    if not ints:
-        # an entry that is no int reads as base 0, so it fails the range check
-        bases = np.where(np.fromiter(map(isinstance, q, itertools.repeat(int)), bool, len(q)), bases, 0)
-    bad = (bases < 2) | (digits.digits >= bases)
-    if bad.any():
-        pos = int(bad.argmax())
-        raise InvalidSpecError(f"position {pos + 1}: digit {digits[pos]} invalid for base {q[pos]}")
-    return bases
-
-
 def verify_salat_counterexample(m_rows: int = 200) -> Certificate:
     """One notion of normality without the other, on the staircase witness.
 
@@ -498,33 +481,37 @@ def verify_salat_counterexample(m_rows: int = 200) -> Certificate:
     rows, decreasing discrepancy across sampled rows, and discrepancy at
     row 200 at most 1/20 when the run reaches that row.
 
-    Every base and digit the generator returns is checked and read; the
-    scaled digits are reduced to integer (p, q) pairs by one vectorized gcd,
-    and every sampled row's D* comes from one ``star_discrepancy_of_prefixes``
-    call over those pairs: the distinct values are ranked once and each row
-    is one bincount and array sweep (in object arrays when the terms would
-    pass int64).  No Fraction is made per position or per distinct value.
+    The staircase comes from ``salat_counterexample_spec`` as one segment
+    per row, so its segments have already checked every digit against its
+    base.  Every base and digit of the spec is read; the scaled digits are
+    reduced to integer (p, q) pairs by one vectorized gcd, and every sampled
+    row's D* comes from one ``star_discrepancy_of_prefixes`` call over those
+    pairs: the distinct values are ranked once and each row is one bincount
+    and array sweep.  The arrays are int64 while the sweep fits it
+    (``sweep_dtype``), else object.  No Fraction is made per position or per
+    distinct value.
     """
     if not (isinstance(m_rows, int) and m_rows >= 2):
         raise InvalidSpecError(f"need at least 2 rows, got {m_rows}")
     params = {"m_rows": m_rows}
     n_total = m_rows * (m_rows + 1) // 2
     sample_rows = sorted({m for m in (50, 100, 150, 200) if m <= m_rows} | {m_rows})
-    q, digits = _constructions.salat_counterexample_spec(n_total)
-    if len(digits) != n_total or len(q) != n_total:
-        raise InvalidSpecError(
-            f"expected {n_total} positions, got {len(digits)} digits and {len(q)} base entries"
-        )
-    # everything below reads the returned digits and bases, never the
-    # row formula, so a tampered generator is caught
-    bases = _checked_salat_bases(q, digits)
-    zero_count = int(np.count_nonzero(digits.digits == 0))
+    spec = _constructions.salat_counterexample_spec(n_total)
+    if spec.total_length != n_total:
+        raise InvalidSpecError(f"expected {n_total} positions, got {spec.total_length}")
+    # everything below reads the spec's digits and bases, never the row
+    # formula, so a tampered generator is caught
+    run_bases, run_lengths = zip(*spec.q_runs(n_total))
+    digits = spec.digits_prefix(n_total).digits
+    fits = sweep_dtype(max(run_bases), n_total) is np.int64 and digits.dtype.itemsize <= 4
+    bases = np.repeat(np.array(run_bases, dtype=np.int64 if fits else object), run_lengths)
+    zero_count = int(np.count_nonzero(digits == 0))
     # each position's scaled digit in lowest terms p/q
-    scaled = digits.digits.astype(bases.dtype)  # exact: every digit is below its base
+    scaled = digits.astype(bases.dtype)  # exact: every digit is below its base
     gcds = np.gcd(scaled, bases)
-    # runs of equal bases cut at every row end, so each run lies in one row
+    # the spec's base runs cut at every row end, so each run lies in one row
     row_ends = np.cumsum(np.arange(1, m_rows + 1))
-    run_ends = np.union1d(np.flatnonzero(bases[1:] != bases[:-1]) + 1, row_ends)
+    run_ends = np.union1d(np.cumsum(run_lengths), row_ends)
     runs = zip(run_ends.tolist(), np.diff(run_ends, prepend=0).tolist(), bases[run_ends - 1].tolist())
     recip_sum = Fraction(0)
     hyp_values: list[Fraction] = []

@@ -33,6 +33,7 @@ from cantornormal.cantor import (
     value_to_digits,
 )
 from cantornormal.constructions import (
+    assemble,
     build_C,
     build_P,
     qde_default_eps,
@@ -289,7 +290,7 @@ def test_criterion_14_all_digits_positive_yet_equidistributing():
         == [[50, Fraction(1, 51)], [100, Fraction(1, 101)], [150, Fraction(1, 151)], [200, Fraction(1, 201)]]
     )
     # mean reciprocal base strictly decreases at every row boundary
-    q, _ = salat_counterexample_spec(20100)
+    q, _ = assemble(salat_counterexample_spec(20100), 20100)
     Q = BasicSequence.explicit(q)
     running = Fraction(0)
     pos = 0

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cantornormal import blocks as B
 from cantornormal.blocks import (
-    Block,
     ConcatSpec,
     DigitString,
     concat,
@@ -24,6 +23,7 @@ from cantornormal.blocks import (
     write_digit_file,
 )
 from cantornormal.cantor import BasicSequence, CantorExpansion
+from cantornormal.constructions import SegmentSpec
 from cantornormal.errors import InvalidSpecError, NeedsMoreDigitsError, SizeLimitError
 from cantornormal.limits import size_cap
 
@@ -36,13 +36,15 @@ wide_digits = st.integers(0, 300) | st.just(2**64)
 
 
 def test_block_validation():
-    with pytest.raises(ValueError):
-        Block(1, (0,))
-    with pytest.raises(ValueError):
-        Block(3, (0, 3))
-    with pytest.raises(ValueError):
-        Block(3, (-1,))
-    blk = Block(3, (0, 1, 2))
+    # a block meets its base only in a segment, which packs its digits
+    with pytest.raises(InvalidSpecError):
+        SegmentSpec(1, (0,), 1)
+    with pytest.raises(InvalidSpecError, match="^digit 3 out of range for base 3$"):
+        SegmentSpec(1, (0, 3), 3)
+    with pytest.raises(ValueError, match="non-negative"):
+        SegmentSpec(1, (-1,), 3)
+    blk = SegmentSpec(1, (0, 1, 2), 3).block
+    assert type(blk) is DigitString
     assert len(blk) == 3
     assert blk.as_tuple() == (0, 1, 2)
     assert list(blk) == [0, 1, 2]
@@ -52,12 +54,12 @@ def test_block_validation():
 @pytest.mark.parametrize(
     "make, bad",
     [
-        (lambda: Block(3, (1.5, 2.9)), "1.5 at index 0"),
+        (lambda: SegmentSpec(1, (1.5, 2.9), 3), "1.5 at index 0"),
         (lambda: DigitString(["2", 1.7]), "'2' at index 0"),
         (lambda: tally_blocks([0, 0.5, 1.2, 0.9], 1), "0.5 at index 1"),
         (lambda: CantorExpansion.from_digits(BasicSequence.constant(2), (1.5, 0)), "1.5 at index 0"),
     ],
-    ids=["Block", "DigitString", "tally_blocks", "from_digits"],
+    ids=["SegmentSpec", "DigitString", "tally_blocks", "from_digits"],
 )
 def test_non_integer_digits_are_refused_not_truncated(make, bad):
     with pytest.raises(ValueError, match=f"^digits must be integers, got {re.escape(bad)}$"):
@@ -71,8 +73,9 @@ def test_digitstring_equal_across_inputs():
     assert from_tuple == from_bytes == from_slice
     assert hash(from_tuple) == hash(from_bytes) == hash(from_slice)
     assert from_tuple != DigitString((3, 1, 5))
-    assert from_tuple != Block(5, (3, 1, 4))
-    assert Block(5, (3, 1, 4)) != Block(6, (3, 1, 4))
+    # a segment compares its packed digits and its base
+    assert SegmentSpec(1, from_tuple, 5) == SegmentSpec(1, (3, 1, 4), 5) == SegmentSpec(1, from_slice, 5)
+    assert SegmentSpec(1, from_tuple, 5) != SegmentSpec(1, from_tuple, 6)
 
 
 def test_digits_leave_the_array_as_python_ints():
@@ -80,9 +83,9 @@ def test_digits_leave_the_array_as_python_ints():
     for ds in (DigitString((1, 200)), DigitString((1, 300)), DigitString((1, big))):
         assert all(type(d) is int for d in (ds[0], ds[-1], *ds, *ds.as_tuple()))
         assert all(type(d) is int for d in ds[1:])
-    blk = Block(big + 1, (0, big, 5))
+    blk = SegmentSpec(1, (0, big, 5), big + 1).block
     assert all(type(d) is int for d in list(blk))
-    spec = ConcatSpec(((2, Block(301, (0, 300))), (1, DigitString((big,)))))
+    spec = ConcatSpec(((2, DigitString((0, 300))), (1, DigitString((big,)))))
     assert all(type(d) is int for d in spec)
     for text in (spec, concat(spec), (7, 200, 7, 200)):
         for k in (1, 2, 3):
@@ -101,48 +104,62 @@ def test_digitstring_slicing_and_equality():
 
 
 def test_concat_repeats_blocks_in_order():
-    spec = ConcatSpec(((2, Block(2, (0, 1))), (3, Block(3, (2,)))))
+    spec = ConcatSpec(((2, DigitString((0, 1))), (3, DigitString((2,)))))
     assert concat(spec).as_tuple() == (0, 1, 0, 1, 2, 2, 2)
     # zero multiplicities contribute nothing
-    assert concat(((0, Block(2, (1,))), (1, Block(2, (0,))))).as_tuple() == (0,)
+    assert concat(((0, DigitString((1,))), (1, DigitString((0,))))).as_tuple() == (0,)
+
+
+@pytest.mark.parametrize("m", [2.7, "3", None], ids=["float", "str", "None"])
+def test_concat_spec_refuses_non_integer_multiplicity(m):
+    # a multiplicity is read with operator.index: never truncated or parsed
+    parts = ((1, DigitString((0,))), (m, DigitString((1,))))
+    with pytest.raises(InvalidSpecError, match=f"^part 1: multiplicity must be an integer, got {re.escape(repr(m))}$"):
+        ConcatSpec(parts)
+
+
+def test_concat_spec_reads_numpy_integer_multiplicities():
+    spec = ConcatSpec(((np.int64(2), DigitString((0, 1))), (np.uint8(1), DigitString((2,)))))
+    assert [type(m) for m, _ in spec.parts] == [int, int]
+    assert spec.length == 5 and tuple(spec) == (0, 1, 0, 1, 2)
 
 
 def test_concat_rejects_all_zero_copies():
     with pytest.raises(ValueError):
-        ConcatSpec(((0, Block(2, (0,))),))
+        ConcatSpec(((0, DigitString((0,))),))
 
 
 def test_concat_spec_length_and_lazy_digits():
-    spec = ConcatSpec(((2, Block(2, (0, 1))), (0, Block(5, (4,))), (3, Block(3, (2,)))))
+    spec = ConcatSpec(((2, DigitString((0, 1))), (0, DigitString((4,))), (3, DigitString((2,)))))
     assert len(spec) == 7
     assert tuple(spec) == (0, 1, 0, 1, 2, 2, 2)
     # 10**12 copies are described, not built
-    huge = ConcatSpec(((10**12, Block(2, (0, 1))),))
+    huge = ConcatSpec(((10**12, DigitString((0, 1))),))
     assert len(huge) == 2 * 10**12
     assert next(iter(huge)) == 0
 
 
 def test_concat_honours_size_cap():
-    spec = ConcatSpec(((5, Block(2, (0, 1))),))
+    spec = ConcatSpec(((5, DigitString((0, 1))),))
     with size_cap(10):
         assert len(concat(spec)) == 10
     with size_cap(9), pytest.raises(SizeLimitError):
         concat(spec)
     with pytest.raises(SizeLimitError):
-        concat(((10**12, Block(2, (0, 1))),))
+        concat(((10**12, DigitString((0, 1))),))
     # past 2**63 digits: len() cannot say, the length and the cap still can
     with pytest.raises(SizeLimitError):
-        concat(((10**30, Block(2, (0, 1))),))
+        concat(((10**30, DigitString((0, 1))),))
 
 
 def test_tally_blocks_over_runs_past_index_size():
-    spec = ConcatSpec(((10**30, Block(2, (0, 1))),))
+    spec = ConcatSpec(((10**30, DigitString((0, 1))),))
     assert spec.length == 2 * 10**30
     assert tally_blocks(spec, 2) == {(0, 1): 10**30, (1, 0): 10**30 - 1}
 
 
 def test_digit_data_refuses_concat_spec():
-    spec = ConcatSpec(((3, Block(2, (0, 1))),))
+    spec = ConcatSpec(((3, DigitString((0, 1))),))
     with pytest.raises(TypeError):
         digit_data(spec)
     with pytest.raises(TypeError):
@@ -155,13 +172,13 @@ def test_max_digit_paths_agree():
     assert max_digit(bytearray(long_bytes)) == 7
     assert max_digit(b"\x00\x03\x01") == 3
     assert max_digit((0, 300, 2)) == 300
-    spec = ConcatSpec(((0, DigitString((9,))), (2, Block(4, (0, 3)))))
+    spec = ConcatSpec(((0, DigitString((9,))), (2, DigitString((0, 3)))))
     assert max_digit(spec) == 3  # a zero-multiplicity part adds no digits
 
 
 def test_digit_range_messages_on_long_blocks():
-    with pytest.raises(ValueError, match="digit 5 out of range for base 3"):
-        Block(3, bytes(300) + b"\x05")
+    with pytest.raises(InvalidSpecError, match="digit 5 out of range for base 3"):
+        SegmentSpec(1, bytes(300) + b"\x05", 3)
     with pytest.raises(ValueError, match="digit 5 exceeds top digit 4"):
         count_top_digit(bytes(300) + b"\x05", 4)
 
@@ -289,21 +306,21 @@ def test_count_run_occurrences_matches_window_scan(spec, data):
 
 
 def test_count_run_occurrences_frozen():
-    spec = ConcatSpec(((3, Block(2, (0, 1))), (1, Block(2, (1,))), (2, Block(2, (1,)))))
+    spec = ConcatSpec(((3, DigitString((0, 1))), (1, DigitString((1,))), (2, DigitString((1,)))))
     assert count_run_occurrences((1, 1), spec) == 3
     assert count_run_occurrences((0, 1, 0), spec) == 2
     assert count_run_occurrences((0, 1, 1, 1, 1), spec) == 1
     # 10**30 copies are counted, not built
-    assert count_run_occurrences((1, 0), ConcatSpec(((10**30, Block(2, (0, 1))),))) == 10**30 - 1
+    assert count_run_occurrences((1, 0), ConcatSpec(((10**30, DigitString((0, 1))),))) == 10**30 - 1
     with pytest.raises(TypeError):
-        count_run_occurrences((0,), Block(2, (0, 1)))
+        count_run_occurrences((0,), DigitString((0, 1)))
     with pytest.raises(ValueError):
         count_run_occurrences((), spec)
 
 
 def test_tally_blocks_over_runs_frozen():
     # 3*(0,1) | 1*(1,) | 2*(1,): seams inside a part, between parts, equal blocks
-    spec = ConcatSpec(((3, Block(2, (0, 1))), (1, Block(2, (1,))), (2, Block(2, (1,)))))
+    spec = ConcatSpec(((3, DigitString((0, 1))), (1, DigitString((1,))), (2, DigitString((1,)))))
     assert tally_blocks(spec, 2) == {(0, 1): 3, (1, 0): 2, (1, 1): 3}
     assert tally_blocks(spec, 9) == {(0, 1, 0, 1, 0, 1, 1, 1, 1): 1}
     assert tally_blocks(spec, 10) == {}
@@ -339,7 +356,7 @@ def test_run_table_matches_window_scan(data):
     width = data.draw(st.integers(1, 4))
     rows = data.draw(st.lists(st.lists(st.integers(0, 300), min_size=width, max_size=width), min_size=1, max_size=6))
     copies = data.draw(st.lists(st.sampled_from([0, 1, 2, 5]), min_size=len(rows), max_size=len(rows)).filter(any))
-    spec = ConcatSpec.from_table(np.array(copies), np.array(rows, dtype=np.uint16), base=301)
+    spec = ConcatSpec.from_table(np.array(copies), np.array(rows, dtype=np.uint16))
     text = [d for c, row in zip(copies, rows) for d in row * c]
     assert spec.length == len(text)
     assert concat(spec).as_tuple() == tuple(spec) == tuple(text)
@@ -349,11 +366,11 @@ def test_run_table_matches_window_scan(data):
 
 
 def test_run_groups_split_on_block_length():
-    parts = ((2, Block(3, (0, 1))), (0, Block(3, (2, 2))), (1, Block(3, (1, 0))), (3, DigitString((5,))))
+    parts = ((2, DigitString((0, 1))), (0, DigitString((2, 2))), (1, DigitString((1, 0))), (3, DigitString((5,))))
     spec = ConcatSpec(parts + ((4, DigitString(())),))
     assert [(c.tolist(), t.tolist()) for c, t in spec.groups] == [([2, 1], [[0, 1], [1, 0]]), ([3], [[5]])]
     # past 2**63 digits the copy counts are Python ints
-    (copies, _), = ConcatSpec(((10**30, Block(2, (0, 1))),)).groups
+    (copies, _), = ConcatSpec(((10**30, DigitString((0, 1))),)).groups
     assert copies.dtype == object and copies.tolist() == [10**30]
 
 
@@ -367,8 +384,6 @@ def test_run_table_validation():
         ConcatSpec.from_table([1], table)
     with pytest.raises(InvalidSpecError):
         ConcatSpec.from_table([1, 1], table.astype(np.int64))
-    with pytest.raises(ValueError, match="digit 1 out of range for base 1"):
-        ConcatSpec.from_table([1, 1], table, base=1)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from cantornormal.cantor import (
     scaled_value_counts,
     value_to_digits,
 )
-from cantornormal.blocks import Block
 from cantornormal.blocks import count_prefix_occurrences, count_run_occurrences
 from cantornormal.constructions import (
     ConstructionSpec,
@@ -95,6 +94,30 @@ def test_from_digits_validates_range():
         exp.spec.digit_at(4)
     with pytest.raises(ValueError):
         exp.spec.digit_at(0)
+
+
+# small bases make runs of equal entries common; 300 and 2**64 + 1 take the
+# digits past uint8 and into the object dtype
+explicit_bases = st.integers(2, 5) | st.just(300) | st.just(2**64 + 1)
+explicit_digits = st.integers(0, 5) | st.just(299) | st.just(2**64)
+
+
+@given(st.lists(st.tuples(explicit_bases, explicit_digits), min_size=1, max_size=30), st.integers(0, 30))
+@settings(max_examples=200)
+def test_from_digits_refuses_at_the_literal_first_bad_position(pairs, cut):
+    qs = [q for q, _ in pairs]
+    ds = [d for _, d in pairs][:cut]
+    Q = BasicSequence.explicit(qs)
+    bad = next((n for n, (d, q) in enumerate(zip(ds, qs), start=1) if d >= q), None)
+    if bad is None:
+        exp = CantorExpansion.from_digits(Q, ds)
+        assert exp.horizon == len(ds)
+        assert [exp.spec.digit_at(n) for n in range(1, len(ds) + 1)] == ds
+        assert [exp.spec.q_at(n) for n in range(1, len(ds) + 1)] == qs[: len(ds)]
+    else:
+        message = f"^digit {ds[bad - 1]} at position {bad} outside allowed range 0..{qs[bad - 1] - 1}$"
+        with pytest.raises(InvalidSpecError, match=message):
+            CantorExpansion.from_digits(Q, ds)
 
 
 def test_digits_prefix_and_cap():
@@ -245,9 +268,9 @@ def small_specs(draw):
     for _ in range(draw(st.integers(1, 6))):
         base = draw(st.integers(2, 4))
         block = draw(st.lists(st.integers(0, base - 1), min_size=1, max_size=4))
-        segments.append(SegmentSpec(draw(st.integers(0, 3)), Block(base, block), base))
+        segments.append(SegmentSpec(draw(st.integers(0, 3)), block, base))
     if not any(seg.multiplicity for seg in segments):
-        segments.append(SegmentSpec(1, Block(2, (1,)), 2))
+        segments.append(SegmentSpec(1, (1,), 2))
     return ConstructionSpec(tuple(segments))
 
 
@@ -381,16 +404,11 @@ def test_orbit_point_tail_honours_size_cap():
 # ---------------------------------------------------------------------------
 
 
-def staircase_expansion(n_total):
-    q, digits = salat_counterexample_spec(n_total)
-    return CantorExpansion.from_digits(BasicSequence.explicit(q), digits)
-
-
 def test_salat_hypothesis_frozen():
-    exp = staircase_expansion(6)
-    assert salat_hypothesis(exp.Q, 1) == Fraction(1, 2)
-    assert salat_hypothesis(exp.Q, 3) == Fraction(7, 18)
-    assert salat_hypothesis(exp.Q, 6) == Fraction(23, 72)
+    Q = BasicSequence.from_spec(salat_counterexample_spec(6))
+    assert salat_hypothesis(Q, 1) == Fraction(1, 2)
+    assert salat_hypothesis(Q, 3) == Fraction(7, 18)
+    assert salat_hypothesis(Q, 6) == Fraction(23, 72)
     assert salat_hypothesis(BasicSequence.constant(4), 100) == Fraction(1, 4)
 
 
@@ -429,7 +447,7 @@ segments = st.lists(
         lambda mb: st.lists(
             st.integers(0, min(mb[1], 301) - 1) | st.just(mb[1] - 1), min_size=1, max_size=5
         ).map(
-            lambda digits: SegmentSpec(mb[0], Block(mb[1], digits), mb[1])
+            lambda digits: SegmentSpec(mb[0], digits, mb[1])
         )
     ),
     min_size=1,
@@ -507,9 +525,9 @@ def test_scaled_prefix_counts_match_literal_expansion(segs):
 def test_scaled_prefix_counts_skip_empty_segments():
     spec = ConstructionSpec(
         (
-            SegmentSpec(2, Block(3, (0, 1, 2)), 3),
-            SegmentSpec(0, Block(5, (4,)), 5),
-            SegmentSpec(3, Block(4, (1, 3)), 4),
+            SegmentSpec(2, (0, 1, 2), 3),
+            SegmentSpec(0, (4,), 5),
+            SegmentSpec(3, (1, 3), 4),
         )
     )
     qs, ds = literal_expansion(spec.segments)

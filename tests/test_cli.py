@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from cantornormal.blocks import Block, read_digit_file, write_digit_file
+from cantornormal.blocks import read_digit_file, write_digit_file
 from cantornormal.cantor import CantorExpansion, orbit_point
 from cantornormal.cli import main, parse_budget, parse_grid
 from cantornormal.constructions import ConstructionSpec, SegmentSpec, qde_spec
@@ -27,9 +27,9 @@ from cantornormal.verify import CLAIMS, Certificate
 def small_spec() -> ConstructionSpec:
     return ConstructionSpec(
         (
-            SegmentSpec(0, Block(2, (0, 1)), 2),
-            SegmentSpec(2, Block(2, (0, 1)), 2),
-            SegmentSpec(3, Block(4, (1, 3)), 4),
+            SegmentSpec(0, (0, 1), 2),
+            SegmentSpec(2, (0, 1), 2),
+            SegmentSpec(3, (1, 3), 4),
         )
     )
 

@@ -1,4 +1,4 @@
-"""Block enumerations and segment constructions."""
+"""Enumeration blocks and segment constructions."""
 
 import itertools
 from collections import OrderedDict
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantornormal import constructions
-from cantornormal.blocks import Block, concat, count_occurrences
+from cantornormal.blocks import DigitString, concat, count_occurrences, max_digit
 from cantornormal.constructions import (
     ConstructionSpec,
     SegmentSpec,
@@ -40,7 +40,7 @@ from oracles import chunk_runs
 
 def test_build_P_smallest_frozen():
     blk = build_P(2, 1)
-    assert blk.base == 3
+    assert type(blk) is DigitString and max_digit(blk) == 2  # no base attached
     assert blk.as_tuple() == (0, 1, 2, 2)
 
 
@@ -94,14 +94,15 @@ def test_build_P_copies_agree_with_block():
 def test_repetition_count_matches_runs():
     runs = chunk_runs(build_P(3, 2).as_tuple(), 2)
     for ch, r in runs:
-        assert repetition_count(3, 2, Block(4, ch)) == r
+        assert repetition_count(3, 2, ch) == r
 
 
 def test_repetition_count_validation():
-    with pytest.raises(ValueError):
-        repetition_count(2, 2, Block(4, (0, 0)))  # wrong base
-    with pytest.raises(ValueError):
-        repetition_count(2, 2, Block(3, (0,)))  # wrong length
+    # a digit above b has no place in build_P(b, w); count_top_digit refuses it
+    with pytest.raises(ValueError, match="^digit 3 exceeds top digit 2$"):
+        repetition_count(2, 2, (0, 3))
+    with pytest.raises(ValueError, match="^expected a length-2 block, got length 1$"):
+        repetition_count(2, 2, (0,))
 
 
 def test_build_P_validation_and_cap():
@@ -131,7 +132,7 @@ def test_build_P_run_table_is_the_enumeration(b, w):
     assert list(zip(table.tolist(), copies.tolist())) == literal
     pairs = list(build_P_copies(b, w))
     assert [(list(blk), c) for blk, c in pairs] == literal
-    assert all(blk.base == b + 1 for blk, _ in pairs)
+    assert all(type(blk) is DigitString for blk, _ in pairs)
     flat = [d for row, c in literal for d in row * c]
     assert concat(build_P_runs(b, w)).as_tuple() == concat([(c, blk) for blk, c in pairs]).as_tuple() == tuple(flat)
 
@@ -154,7 +155,7 @@ def test_build_P_runs_cap_counts_runs_not_digits():
 
 def test_build_C_32_frozen():
     blk = build_C(3, 2)
-    assert blk.base == 3
+    assert type(blk) is DigitString and max_digit(blk) == 2
     assert blk.as_tuple() == (0, 0, 0, 1, 0, 2, 1, 0, 1, 1, 1, 2, 2, 0, 2, 1, 2, 2)
 
 
@@ -223,9 +224,9 @@ def test_enumeration_cache_is_bounded_in_bytes(monkeypatch):
 def small_spec():
     return ConstructionSpec(
         (
-            SegmentSpec(0, Block(2, (0, 1)), 2),
-            SegmentSpec(2, Block(2, (0, 1)), 2),
-            SegmentSpec(3, Block(4, (1, 3)), 4),
+            SegmentSpec(0, (0, 1), 2),
+            SegmentSpec(2, (0, 1), 2),
+            SegmentSpec(3, (1, 3), 4),
         ),
         family=None,
     )
@@ -233,11 +234,11 @@ def small_spec():
 
 def test_segment_spec_validation():
     with pytest.raises(InvalidSpecError):
-        SegmentSpec(-1, Block(2, (0,)), 2)
+        SegmentSpec(-1, (0,), 2)
     with pytest.raises(InvalidSpecError):
-        SegmentSpec(1, Block(2, (0, 1)), 1)
+        SegmentSpec(1, (0, 1), 1)
     with pytest.raises(InvalidSpecError):
-        SegmentSpec(1, Block(4, (3,)), 3)  # digit 3 needs base >= 4
+        SegmentSpec(1, (3,), 3)  # digit 3 needs base >= 4
     with pytest.raises(InvalidSpecError):
         ConstructionSpec(())
 
@@ -409,13 +410,18 @@ def test_default_eps_schedules():
 
 
 def test_salat_staircase_frozen():
-    q, digits = salat_counterexample_spec(10)
+    spec = salat_counterexample_spec(10)
+    # one segment per row m: digits 1..m once, over base m + 1
+    assert [(seg.multiplicity, seg.block.as_tuple(), seg.base) for seg in spec.segments] == [
+        (1, (1,), 2), (1, (1, 2), 3), (1, (1, 2, 3), 4), (1, (1, 2, 3, 4), 5)
+    ]
+    q, digits = assemble(spec, 10)
     assert digits.as_tuple() == (1, 1, 2, 1, 2, 3, 1, 2, 3, 4)
     assert q == [2, 3, 3, 4, 4, 4, 5, 5, 5, 5]
     # truncation mid-row keeps the row prefix
-    q2, d2 = salat_counterexample_spec(8)
-    assert d2.as_tuple() == (1, 1, 2, 1, 2, 3, 1, 2)
-    assert q2[-1] == 5
+    cut = salat_counterexample_spec(8)
+    assert cut.total_length == 8
+    assert (cut.segments[-1].block.as_tuple(), cut.segments[-1].base) == ((1, 2), 5)
     with pytest.raises(ValueError):
         salat_counterexample_spec(0)
     with size_cap(9), pytest.raises(SizeLimitError):
@@ -425,7 +431,8 @@ def test_salat_staircase_frozen():
 @given(st.integers(1, 300))
 @settings(max_examples=30)
 def test_salat_never_emits_zero_and_digits_fit(n):
-    q, digits = salat_counterexample_spec(n)
-    assert len(q) == len(digits) == n
+    spec = salat_counterexample_spec(n)
+    assert spec.total_length == n
+    q, digits = assemble(spec, n)
     assert all(d >= 1 for d in digits)
     assert all(d < b for d, b in zip(digits, q))

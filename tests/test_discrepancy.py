@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantornormal.blocks import Block
+from cantornormal.blocks import DigitString
 from cantornormal.constructions import build_C
 from cantornormal.discrepancy import (
     PrefixWeights,
@@ -302,7 +302,7 @@ def test_concat_bound_covers_actual_concatenation(families):
 
 
 def test_scaled_digits():
-    assert scaled_digits(Block(4, (0, 3, 2)), 4) == (
+    assert scaled_digits(DigitString((0, 3, 2)), 4) == (
         Fraction(0),
         Fraction(3, 4),
         Fraction(2, 4),

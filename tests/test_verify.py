@@ -18,23 +18,26 @@ import pytest
 from cantornormal import cli
 from cantornormal import constructions as constructions_module
 from cantornormal import verify as verify_module
-from cantornormal.blocks import Block, tally_blocks
+from cantornormal.blocks import tally_blocks
+from cantornormal.cantor import BasicSequence, CantorExpansion
 from cantornormal.constructions import (
     ConstructionSpec,
     SegmentSpec,
+    assemble,
     build_C,
     build_P_runs,
+    qde_default_eps,
     qde_spec,
     qnex_spec,
     salat_counterexample_spec,
 )
+from cantornormal.discrepancy import PrefixWeights, boundf_hypotheses, e1l_bound, sweep_dtype
 from cantornormal.errors import InvalidSpecError, SizeLimitError
 from cantornormal.limits import size_cap
 from cantornormal.verify import (
     CLAIMS,
     DEFAULT_JOBS,
     Certificate,
-    _checked_salat_bases,
     run_all,
     run_claim,
     verify_bounds_ng_nl,
@@ -300,23 +303,23 @@ def test_eknu_guards():
 
 
 def tampered_qnex_max_digits():
-    segs = [SegmentSpec(0, Block(2, (0, 1)), 2) for _ in range(5)]
+    segs = [SegmentSpec(0, (0, 1), 2) for _ in range(5)]
     for i in range(6, 11):
-        segs.append(SegmentSpec(2 ** (2 * i), Block(2**i, (2**i - 1,) * 8), 2**i))
+        segs.append(SegmentSpec(2 ** (2 * i), (2**i - 1,) * 8, 2**i))
     return ConstructionSpec(tuple(segs), family="qnex-scaled")
 
 
 def tampered_qnex_spread_digits():
-    segs = [SegmentSpec(0, Block(2, (0, 1)), 2) for _ in range(5)]
+    segs = [SegmentSpec(0, (0, 1), 2) for _ in range(5)]
     for i in range(6, 11):
-        segs.append(SegmentSpec(2 ** (2 * i), Block(2**i, tuple(range(2**i))), 2**i))
+        segs.append(SegmentSpec(2 ** (2 * i), tuple(range(2**i)), 2**i))
     return ConstructionSpec(tuple(segs), family="qnex-scaled")
 
 
 def tampered_qde_constant_digits():
-    segs = [SegmentSpec(0, Block(2, (0, 1)), 2)]
+    segs = [SegmentSpec(0, (0, 1), 2)]
     for i in range(2, 13):
-        segs.append(SegmentSpec(i**3, Block(i, (0,) * (2 * i * i)), i))
+        segs.append(SegmentSpec(i**3, (0,) * (2 * i * i), i))
     return ConstructionSpec(tuple(segs), family="qde-scaled")
 
 
@@ -372,6 +375,31 @@ def test_mqd_scaled_passes():
             assert r["d_star"] <= r["epsbar"]
 
 
+def test_epsbar_rows_work_once_per_included_count(monkeypatch):
+    spec = qde_spec()
+    positions = verify_module._segment_checkpoints(spec, 40)
+    real_epsbar = verify_module.epsbar
+    calls = []
+    monkeypatch.setattr(verify_module, "epsbar", lambda pw: calls.append(len(pw.entries)) or real_epsbar(pw))
+    rows = verify_module.epsbar_rows(spec, positions)
+    # 44 checkpoints share 11 fully-included counts; epsbar runs once per asserted one
+    assert len(rows) == 44 and len({i for _, i, _, _ in rows}) == 11
+    assert calls == sorted({i for _, i, _, bar in rows if bar is not None})
+    # every row still equals the bound worked out for its own position alone
+    budget = [
+        e1l_bound(seg.base, qde_default_eps(s), len(seg.block)) for s, seg in enumerate(spec.segments, start=1)
+    ]
+    for n, i, hyp, bar in rows:
+        assert i == spec.idef_index(n)
+        if not 1 <= i < len(spec.segments):
+            assert hyp is None and bar is None
+            continue
+        entries = tuple((seg.multiplicity, len(seg.block), budget[j]) for j, seg in enumerate(spec.segments[:i]))
+        pw = PrefixWeights(entries, len(spec.segments[i].block), budget[i])
+        assert hyp.failures == boundf_hypotheses(pw).failures
+        assert bar == (real_epsbar(pw) if boundf_hypotheses(pw) else None)
+
+
 def test_mqd_scaled_catches_constant_digits():
     cert = verify_mqd_scaled(tampered_qde_constant_digits())
     assert not cert.passed
@@ -401,12 +429,22 @@ def test_salat_counterexample_passes():
     assert cert.details["d_star_samples"] == [[50, Fraction(1, 51)], [60, Fraction(1, 61)]]
 
 
+def _staircase_lists(n_total):
+    """The staircase's bases and digits, one entry per position."""
+    return assemble(salat_counterexample_spec(n_total), n_total)
+
+
+def _as_spec(q, digits):
+    """A spec holding exactly these per-position bases and digits."""
+    return CantorExpansion.from_digits(BasicSequence.explicit(q), digits).spec
+
+
 def test_salat_counterexample_catches_zero_digit(monkeypatch):
     def with_zero(n_total):
-        q, digits = salat_counterexample_spec(n_total)
+        q, digits = _staircase_lists(n_total)
         tampered = list(digits)
         tampered[4] = 0
-        return q, type(digits)(tuple(tampered))
+        return _as_spec(q, tampered)
 
     monkeypatch.setattr(constructions_module, "salat_counterexample_spec", with_zero)
     cert = verify_salat_counterexample(m_rows=20)
@@ -415,22 +453,20 @@ def test_salat_counterexample_catches_zero_digit(monkeypatch):
 
 
 def test_salat_counterexample_rejects_invalid_generator_output(monkeypatch):
-    def short(n_total):
-        q, digits = salat_counterexample_spec(n_total - 1)
-        return q, digits
-
-    monkeypatch.setattr(constructions_module, "salat_counterexample_spec", short)
-    with pytest.raises(InvalidSpecError):
-        verify_salat_counterexample(m_rows=10)
+    for wrong in (-1, 1):
+        monkeypatch.setattr(
+            constructions_module, "salat_counterexample_spec", lambda n, d=wrong: salat_counterexample_spec(n + d)
+        )
+        with pytest.raises(InvalidSpecError, match="^expected 55 positions, got 5[46]$"):
+            verify_salat_counterexample(m_rows=10)
 
     def digit_out_of_range(n_total):
-        q, digits = salat_counterexample_spec(n_total)
-        tampered = list(digits)
-        tampered[0] = 9  # base there is 2
-        return q, type(digits)(tuple(tampered))
+        spec = salat_counterexample_spec(n_total)
+        return ConstructionSpec((SegmentSpec(1, (9,), 2), *spec.segments[1:]))  # base there is 2
 
+    # the segment refuses the digit, so no such spec reaches the verifier
     monkeypatch.setattr(constructions_module, "salat_counterexample_spec", digit_out_of_range)
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(InvalidSpecError, match="^digit 9 out of range for base 2$"):
         verify_salat_counterexample(m_rows=10)
 
 
@@ -457,32 +493,37 @@ def _salat_reference(q, digits, m_rows):
 @pytest.mark.parametrize("m_rows", [2, 3, 60, 201])
 def test_salat_counterexample_details_match_per_position_reference(m_rows):
     cert = verify_salat_counterexample(m_rows=m_rows)
-    q, digits = salat_counterexample_spec(m_rows * (m_rows + 1) // 2)
+    q, digits = _staircase_lists(m_rows * (m_rows + 1) // 2)
     assert cert.details == _salat_reference(q, digits, m_rows)
 
 
 def _tampered_bases(monkeypatch, changes):
     def tampered(n_total):
-        q, digits = salat_counterexample_spec(n_total)
-        q = list(q)
+        q, digits = _staircase_lists(n_total)
         for pos, base in changes.items():
             q[pos - 1] = base
-        return q, digits
+        return _as_spec(q, digits)
 
     monkeypatch.setattr(constructions_module, "salat_counterexample_spec", tampered)
 
 
 @pytest.mark.parametrize(
-    "changes,message",
+    "row,base,message",
     [
-        ({4: 1}, "position 4: digit 1 invalid for base 1"),
-        ({1: 2.0}, "position 1: digit 1 invalid for base 2.0"),
-        # the first bad position is named, whatever is wrong later
-        ({9: 1, 3: 2.0}, "position 3: digit 2 invalid for base 2.0"),
+        (3, 1, "segment base must be an integer >= 2, got 1"),
+        (1, 2.0, "segment base must be an integer >= 2, got 2.0"),
+        (3, 3, "digit 3 out of range for base 3"),
     ],
+    ids=["base-1", "float-base", "digit-over-base"],
 )
-def test_salat_counterexample_refuses_bad_bases(monkeypatch, changes, message):
-    _tampered_bases(monkeypatch, changes)
+def test_salat_counterexample_refuses_bad_bases(monkeypatch, row, base, message):
+    # a row moved to a bad base is refused by its segment before the verifier reads it
+    def tampered(n_total):
+        segments = list(salat_counterexample_spec(n_total).segments)
+        segments[row - 1] = SegmentSpec(1, segments[row - 1].block, base)
+        return ConstructionSpec(tuple(segments))
+
+    monkeypatch.setattr(constructions_module, "salat_counterexample_spec", tampered)
     with pytest.raises(InvalidSpecError, match=f"^{message}$"):
         verify_salat_counterexample(m_rows=10)
 
@@ -491,7 +532,7 @@ def test_salat_counterexample_reads_bases_past_int64_exactly(monkeypatch):
     # position 6 holds digit 3 (row 3); a base of 2**70 keeps it valid
     _tampered_bases(monkeypatch, {6: 2**70})
     cert = verify_salat_counterexample(m_rows=4)
-    q, digits = constructions_module.salat_counterexample_spec(10)
+    q, digits = assemble(constructions_module.salat_counterexample_spec(10), 10)
     assert q[5] == 2**70
     assert cert.details == _salat_reference(q, digits, 4)
     # rows 1..4 add 1/2, 2/3, 2/4 + 1/2**70 and 4/5
@@ -500,13 +541,9 @@ def test_salat_counterexample_reads_bases_past_int64_exactly(monkeypatch):
 
 def test_salat_counterexample_object_dtype_matches_reference(monkeypatch):
     # bases times 2**40 put the sweep keys past int64, so every array is object
-    def scaled_up(n_total):
-        q, digits = salat_counterexample_spec(n_total)
-        return [base << 40 for base in q], digits
-
-    monkeypatch.setattr(constructions_module, "salat_counterexample_spec", scaled_up)
-    q, digits = scaled_up(30 * 31 // 2)
-    assert _checked_salat_bases(q, digits).dtype == object
+    _tampered_bases(monkeypatch, {pos: base << 40 for pos, base in enumerate(_staircase_lists(465)[0], start=1)})
+    q, digits = assemble(constructions_module.salat_counterexample_spec(465), 465)
+    assert sweep_dtype(max(q), len(q)) is object
     cert = verify_salat_counterexample(m_rows=30)
     assert cert.details == _salat_reference(q, digits, 30)
 
