@@ -205,7 +205,7 @@ class ConcatSpec:
         out = []
         for _, group in itertools.groupby(runs, key=lambda run: len(run[1])):
             copies, rows = zip(*group)
-            table = np.stack(rows)
+            table = rows[0][None] if len(rows) == 1 else np.stack(rows)
             table.setflags(write=False)
             out.append((np.array(copies, dtype=count_type), table))
         return tuple(out)

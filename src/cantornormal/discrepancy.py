@@ -10,31 +10,40 @@ one-sided limit, and the bounds (sorted-grid, concatenation, scaled-block)
 are evaluated in rational arithmetic so that an inequality either holds
 or visibly fails.
 
-One integer sweep computes D*: walk the distinct values p/q in ascending
-order with their cumulative counts (Kuipers & Niederreiter, Ch. 2,
-Thm 1.4).  Each value p/q is ordered by the integer key (p << s) // q,
-with 2**s above the square of every denominator, so distinct values get
-distinct keys; each sweep candidate is an integer over q * n, and maxima
-are compared by cross-multiplication.  Only the result is built as a
-Fraction.  The sweep has two forms:
+One ranking and one sweep compute D* (Kuipers & Niederreiter, Ch. 2,
+Thm 1.4), both over integer arrays p, q of values p/q:
 
-- ``star_discrepancy_from_triples`` is the scalar sweep over a table of
-  (p, q, count) triples.  Its way in is ``star_discrepancy_from_counts``,
-  which checks a value -> count table and reduces each value to a (p, q)
-  pair; ``star_discrepancy`` and ``kn1_bound`` hand that runs of equal
-  points.
-- ``star_discrepancy_of_prefixes`` is the array sweep over nested prefixes
-  of one integer-coded sequence, such as the staircase check in
-  ``verify``: the distinct values are ranked once, and each prefix is one
-  ``np.bincount`` and a few whole-array operations.  Its arrays are int64
-  while ``sweep_dtype`` says every term fits, else Python ints in object
-  arrays.  Point sets stay on the scalar sweep: their large denominators
-  would force object arrays.
+- ``_rank`` orders the values exactly.  Each value p/q gets the key
+  floor(p * 2**s / q) with 2**s above the square of every denominator, so
+  distinct values get distinct keys and equal values equal ones, however
+  they are written.  In int64 the key comes from long division in steps of
+  L = 62 - bits(max q) bits, so each step r << L stays below 2**62, and is
+  packed into at most two words of up to 62 bits.  One argsort orders the
+  top word, which is the whole key while max q < 2**20 or
+  2**30 <= max q < 2**31; ``np.lexsort`` runs only when the top word ties.
+- ``_sweep`` walks the values in that order with their cumulative counts.
+  Each candidate is an integer d over q * n.  A float64 pre-filter keeps the
+  candidates within a relative 2**-40 of the float maximum (the float error
+  is at most about 4 * 2**-53), and only those are compared by integer
+  cross-multiplication, so the maximum stays exact.  Only the result is
+  built as a Fraction.
+
+The arrays are int64 while ``sweep_dtype`` says every term fits:
+denominators of at most 61 bits, and n * max q below 2**63.  Otherwise
+they hold Python ints in object arrays, and the key is the one integer
+(p << 2 bits(max q)) // q.  Point sets with denominators past 2**61 take
+that path, such as notdn-scaled's 100 orbit points, whose denominators
+have up to 641 bits; so do tables whose n * max q passes 2**63.
+
+``star_discrepancy_from_counts`` is the checked way in for a value -> count
+table; ``star_discrepancy`` and ``kn1_bound`` hand it their points, count 1
+each.  ``star_discrepancy_of_prefixes`` ranks one integer-coded sequence
+once and sweeps each nested prefix from one ``np.bincount``.
 """
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,15 +64,119 @@ def unit_sequence(zs) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _sort_key(max_q: int) -> Callable[[tuple[int, ...]], int]:
-    """Integer sort key (p << s) // q of a value given as (p, q, ...) with 0 < q <= max_q.
+def sweep_dtype(max_q: int, n: int):
+    """int64 if ranking and sweeping n points with denominators <= max_q fits it, else object.
 
-    2**s > max_q**2: distinct values p/q < p'/q' differ by at least
-    1/(q q'), which is more than 2**-s, so a multiple of 2**-s separates
-    them; equal values get equal keys whatever their terms.
+    The ranking shifts remainders below max_q left by L = 62 - bits(max_q),
+    which needs bits(max_q) <= 61; the sweep's products p * n and
+    count * q are at most n * max_q.
     """
-    s = 2 * max_q.bit_length()
-    return lambda t: (t[0] << s) // t[1]
+    return np.int64 if max_q.bit_length() <= 61 and n * max_q < 1 << 63 else object
+
+
+def _ints(values: list) -> np.ndarray:
+    """Python ints (a list, or a list of equal-length lists) as int64, or as object if one does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _rank(p: np.ndarray, q: np.ndarray, max_q: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Ascending order of the values p/q, and the exact integer keys that give it.
+
+    ``p`` and ``q`` are nonempty, with 0 <= p < q <= max_q, in
+    ``sweep_dtype``.  The key of p/q is floor(p * 2**s / q) with 2**s above
+    max_q**2: distinct values p/q < p'/q' differ by at least 1/(q q') >
+    2**-s, so their keys differ, and equal values get equal keys however
+    they are written.  In object arrays the key is the one integer
+    (p << s) // q.  In int64 it comes from long division, L = 62 -
+    bits(max_q) bits per step so that r << L stays below 2**62, packed into
+    words of at most 62 bits: one word while max_q < 2**20 or
+    2**30 <= max_q < 2**31, never more than two.  One argsort orders the top
+    word; ``np.lexsort`` runs only when that word ties.
+    """
+    bits = max_q.bit_length()
+    if q.dtype == object:
+        keys = [(p << 2 * bits) // q]
+    else:
+        step = 62 - bits
+        per_word = 62 // step
+        keys, r = [], p
+        while len(keys) * per_word * step < 2 * bits:
+            word, r = np.divmod(r << step, q)
+            for _ in range(per_word - 1):
+                limb, r = np.divmod(r << step, q)
+                word = (word << step) | limb
+            keys.append(word)
+    order = keys[0].argsort()
+    if len(keys) > 1:
+        top = keys[0][order]
+        if (top[1:] == top[:-1]).any():
+            order = np.lexsort(keys[::-1])
+    return order, keys
+
+
+def _dense_ranks(order: np.ndarray, keys: list[np.ndarray]) -> np.ndarray:
+    """The rank of each position among the distinct values, from ``_rank``."""
+    rises = np.zeros(len(order) - 1, dtype=bool)  # where the next sorted value is larger
+    for key in keys:
+        ranked = key[order]
+        rises |= ranked[1:] != ranked[:-1]
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order[0]] = 0
+    rank[order[1:]] = rises.cumsum()
+    return rank
+
+
+def _sweep(p: np.ndarray, q: np.ndarray, counts: np.ndarray, n: int) -> Fraction:
+    """D* of n points, counts[i] of them at p[i]/q[i], the values ascending.
+
+    The one D* sweep; nothing is checked.  The arrays are nonempty and in
+    ``sweep_dtype``.  Equal values must be adjacent but may repeat and need
+    not be in lowest terms; counts may be 0 and sum to at most n.  Over the
+    entries with cumulative counts c_t, the sup is the max over t of
+    max(c_t/n - v_t, v_t - c_{t-1}/n), plus the right-end gap 1 - c_last/n
+    (0 when all mass is counted).  An entry that splits a value, or has
+    count 0, gives candidates between the value's true ones, so the
+    maximum is unchanged.
+    """
+    # candidates over q * n: A over [0, v] - v, and v - A just left of v,
+    # which sum to count * q >= 0
+    cum = counts.cumsum()
+    above = cum * q - p * n
+    d = np.maximum(above, counts * q - above)
+    ratio = np.asarray(d / q, dtype=np.float64)  # within about 4 * 2**-53 of d / q
+    near = ratio >= ratio.max() * (1 - 2.0**-40)
+    best_num, best_den = 0, 1
+    for num, den in zip(d[near].tolist(), q[near].tolist()):
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    if (gap := n - int(cum[-1])) * best_den > best_num:
+        best_num, best_den = gap, 1
+    return Fraction(best_num, best_den * n)
+
+
+@dataclass(frozen=True)
+class _Points:
+    """Nonempty points checked by ``unit_sequence``: their lowest terms p/q in ``sweep_dtype``.
+
+    A sized table of count 1 per point for ``star_discrepancy_from_counts``.
+    """
+
+    p: np.ndarray
+    q: np.ndarray
+    max_q: int
+
+    @classmethod
+    def of(cls, zs: tuple[Fraction, ...]) -> _Points:
+        p, q = _ints([z.numerator for z in zs]), _ints([z.denominator for z in zs])
+        max_q = int(q.max())
+        dtype = sweep_dtype(max_q, len(zs))
+        return cls(p.astype(dtype, copy=False), q.astype(dtype, copy=False), max_q)
+
+    def __len__(self) -> int:
+        return len(self.p)
 
 
 def _ratio(v) -> tuple[int, int]:
@@ -84,72 +197,36 @@ def _count(c) -> int:
 def star_discrepancy_from_counts(value_counts, n: int) -> Fraction:
     """D* of n points from a value -> multiplicity table, checked.
 
-    ``value_counts`` is a mapping, or an iterable of (value, count) pairs
-    with distinct values; it is read once.  Values are ints or Fractions
+    ``value_counts`` is a mapping, or an iterable of (value, count) pairs;
+    it is read once, and a value may repeat.  Values are ints or Fractions
     (anything else goes through ``Fraction``) in [0, 1); counts are
     integers >= 0 that sum to at most n.  Mass left out of the table lies
-    above every value.  Each value is checked and reduced to a (p, q) pair,
-    then the table goes through ``star_discrepancy_from_triples``.
+    above every value.  The entries become the rows p, q, count of one
+    array in ``sweep_dtype``, ordered by ``_rank`` and swept by ``_sweep``.
     """
     if operator.index(n) <= 0:
         raise ValueError(f"need a positive point count, got {n}")
-    items = value_counts.items() if isinstance(value_counts, Mapping) else value_counts
-    table = []  # (p, q, count) per value, p/q in lowest terms
-    total = 0
-    for v, c in items:
-        p, q = _ratio(v)
-        if not 0 <= p < q:
-            raise ValueError(f"value {v} outside [0, 1)")
-        c = _count(c)
-        total += c
-        table.append((p, q, c))
-    if total > n:
-        raise ValueError(f"counts sum to {total}, more than n = {n}")
-    return star_discrepancy_from_triples(table, n)
-
-
-def star_discrepancy_from_triples(triples: list[tuple[int, int, int]], n: int) -> Fraction:
-    """D* of n points given as (p, q, count) triples: count points at p/q.
-
-    The one D* sweep; the triples are not checked.  The caller guarantees
-    integers 0 <= p < q, counts >= 0 summing to at most n, and n >= 1;
-    ``star_discrepancy_from_counts`` is the checked way in.  p/q need not
-    be in lowest terms and a value may repeat: equal values get equal sort
-    keys, and a value split over several triples yields the same maximum.
-    The list is sorted in place.
-
-    Over distinct sorted values v_1 < ... < v_r with cumulative counts
-    c_1 <= ... <= c_r, the sup is max over t of
-    max(c_t/n - v_t, v_t - c_{t-1}/n), plus the right-end gap 1 - c_r/n
-    (= 0 when all mass is counted).  Left limits at each v_t and the
-    endpoint gamma = 1 are covered by those terms.
-    """
-    triples.sort(key=_sort_key(max(map(operator.itemgetter(1), triples), default=1)))
-    # candidates are num / (den * n)
-    best_num, best_den = 0, 1
-    cum = 0
-    for p, q, c in triples:
-        pn = p * n
-        below = pn - cum * q  # v - A just left of v
-        cum += c
-        at = cum * q - pn  # A over [0, v] - v
-        d = below if below > at else at
-        if d * best_den > best_num * q:
-            best_num, best_den = d, q
-    if (n - cum) * best_den > best_num:  # the right-end gap 1 - c_r/n
-        best_num, best_den = n - cum, 1
-    return Fraction(best_num, best_den * n)
-
-
-def sweep_dtype(max_q: int, n: int):
-    """int64 if the array sweep over n points with denominators <= max_q fits it, else object.
-
-    The largest terms are the sort keys (p << s) // q, below max_q << s,
-    and the sweep products p * n and count * q, at most n * max_q.  The
-    codes q * (max_q + 1) + p lie below the keys' bound.
-    """
-    s = 2 * max_q.bit_length()
-    return np.int64 if max(max_q << s, n * max_q) < 1 << 63 else object
+    if isinstance(value_counts, _Points):
+        p, q, max_q = value_counts.p, value_counts.q, value_counts.max_q
+        table = np.stack((p, q, np.ones_like(p)))
+    else:
+        items = value_counts.items() if isinstance(value_counts, Mapping) else value_counts
+        ps, qs, counts = [], [], []  # per entry, p/q in lowest terms
+        for v, c in items:
+            p, q = _ratio(v)
+            if not 0 <= p < q:
+                raise ValueError(f"value {v} outside [0, 1)")
+            ps.append(p)
+            qs.append(q)
+            counts.append(_count(c))
+        if (total := sum(counts)) > n:
+            raise ValueError(f"counts sum to {total}, more than n = {n}")
+        if not ps:
+            return Fraction(1)  # all the mass lies above every value
+        max_q = max(qs)
+        table = _ints([ps, qs, counts])
+    table = table.astype(sweep_dtype(max_q, n), copy=False)
+    return _sweep(*table[:, _rank(table[0], table[1], max_q)[0]], n)
 
 
 def star_discrepancy_of_prefixes(p: np.ndarray, q: np.ndarray, ends: Sequence[int]) -> list[Fraction]:
@@ -160,89 +237,41 @@ def star_discrepancy_of_prefixes(p: np.ndarray, q: np.ndarray, ends: Sequence[in
     not be in lowest terms.  ``ends`` lie within 1..len(p) and must not
     descend.
 
-    The distinct (p, q) pairs are ranked once: one ``np.unique`` over the
-    codes q * (max q + 1) + p, then one argsort of their keys (p << s) // q.
-    Each prefix adds the ranks of its new positions to a running
-    ``np.bincount`` and runs the sweep of ``star_discrepancy_from_triples``
-    as ``cumsum``/``maximum`` arrays over every ranked value.  A value
-    absent from the prefix yields |A([0, v))/n - v|, a value of the sup
-    itself, and a value split over unreduced pairs yields the same maximum,
-    so the result is exact.  The largest candidate d per denominator comes
-    from ``np.maximum.reduceat``; only those few are compared by
-    cross-multiplication.  Every point is counted, so the right-end gap
-    1 - A([0, 1))/n is 0.  The work runs in ``sweep_dtype``.
+    The positions are ranked once by ``_rank``, in ``sweep_dtype``, and each
+    distinct value keeps the terms of one of its positions.  Each prefix
+    adds the ranks of its new positions to a running ``np.bincount`` and
+    runs ``_sweep`` over every ranked value.  A value absent from the prefix
+    has count 0, which ``_sweep`` allows, so the result is exact.  Every
+    point is counted, so the right-end gap 1 - A([0, 1))/n is 0.
     """
     ends = list(ends)
     if not ends or ends[0] < 1 or ends[-1] > len(p) or any(a > b for a, b in zip(ends, ends[1:])):
         raise ValueError(f"prefix ends must ascend within 1..{len(p)}, got {ends}")
     max_q = int(q.max())
-    dtype = sweep_dtype(max_q, len(p)) if object not in (p.dtype, q.dtype) else object
+    dtype = sweep_dtype(max_q, len(p))
     p, q = p.astype(dtype, copy=False), q.astype(dtype, copy=False)
-    stride = max_q + 1
-    found, inverse = np.unique(q * stride + p, return_inverse=True)
-    fp, fq = found % stride, found // stride
-    order = np.argsort((fp << 2 * max_q.bit_length()) // fq, kind="stable")
-    vp, vq = fp[order], fq[order]  # the distinct values, ascending
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.arange(len(order))
-    ranks = rank[inverse.ravel()]
-    # the values grouped by denominator, for the largest d per denominator
-    by_q = np.argsort(vq, kind="stable")
-    grouped = vq[by_q]
-    starts = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
-    dens = grouped[starts].tolist()
-    counts = np.zeros(len(order), dtype=np.int64)
+    order, keys = _rank(p, q, max_q)
+    rank = _dense_ranks(order, keys)
+    distinct = int(rank[order[-1]]) + 1
+    vp, vq = np.empty(distinct, dtype=dtype), np.empty(distinct, dtype=dtype)
+    vp[rank], vq[rank] = p, q  # the distinct values, ascending
+    counts = np.zeros(distinct, dtype=np.int64)
     out = []
     prev = 0
     for n in ends:
-        counts += np.bincount(ranks[prev:n], minlength=len(order))
+        counts += np.bincount(rank[prev:n], minlength=distinct)
         prev = n
-        cum = np.cumsum(counts)
-        pn = vp * n
-        # candidates over q * n: v - A just left of v, and A over [0, v] - v
-        d = np.maximum(pn - (cum - counts) * vq, cum * vq - pn)
-        best_num, best_den = 0, 1
-        for num, den in zip(np.maximum.reduceat(d[by_q], starts).tolist(), dens):
-            if num * best_den > best_num * den:
-                best_num, best_den = num, den
-        out.append(Fraction(best_num, best_den * n))
+        out.append(_sweep(vp, vq, counts, n))
     return out
-
-
-def _keyed_order(zs: tuple[Fraction, ...], presorted: bool = False) -> tuple[list[int], Iterable[int]]:
-    """Sort keys of nonempty points, and the indices in stable key order (as given if ``presorted``)."""
-    key = _sort_key(max(z.denominator for z in zs))
-    keys = [key(z.as_integer_ratio()) for z in zs]
-    return keys, range(len(zs)) if presorted else sorted(range(len(zs)), key=keys.__getitem__)
 
 
 def sorted_points(zs) -> list[Fraction]:
     """Points in [0, 1) validated and sorted ascending on exact integer keys."""
     zs = unit_sequence(zs)
-    return [zs[i] for i in _keyed_order(zs)[1]] if zs else []
-
-
-def _value_runs(zs: tuple[Fraction, ...], presorted: bool) -> list[tuple[Fraction, int]]:
-    """(value, count) runs of equal points, ascending.
-
-    With ``presorted`` the points must already ascend, which is checked on
-    the integer keys; otherwise they are sorted by those keys.
-    """
-    keys, order = _keyed_order(zs, presorted)
-    runs = []
-    first, count, prev = None, 0, -1
-    for i in order:
-        k = keys[i]
-        if k == prev:
-            count += 1
-            continue
-        if k < prev:
-            raise ValueError("displacement bound needs the sequence sorted ascending")
-        if count:
-            runs.append((first, count))
-        first, count, prev = zs[i], 1, k
-    runs.append((first, count))
-    return runs
+    if not zs:
+        return []
+    points = _Points.of(zs)
+    return [zs[i] for i in _rank(points.p, points.q, points.max_q)[0].tolist()]
 
 
 def star_discrepancy(zs) -> Fraction:
@@ -250,7 +279,7 @@ def star_discrepancy(zs) -> Fraction:
     zs = unit_sequence(zs)
     if not zs:
         raise ValueError("star discrepancy of an empty sequence is undefined")
-    return star_discrepancy_from_counts(_value_runs(zs, presorted=False), len(zs))
+    return star_discrepancy_from_counts(_Points.of(zs), len(zs))
 
 
 def kn1_bound(zs) -> Fraction:
@@ -259,13 +288,17 @@ def kn1_bound(zs) -> Fraction:
     For z_1 <= ... <= z_n:  D*(z) = 1/(2n) + max_i |z_i - (2i-1)/(2n)|
     (Kuipers & Niederreiter, Ch. 2, Thm 1.4).  The identity holds for every
     sorted input, ties included, so this equals star_discrepancy(z), and it
-    is computed as such: the kernel's sweep over the runs of equal values.
-    Requires sorted input.
+    is computed as such: the kernel's sweep over the points.  Requires
+    sorted input, which is checked on the exact ranks: they must not
+    descend.
     """
     zs = unit_sequence(zs)
     if not zs:
         raise ValueError("empty sequence")
-    return star_discrepancy_from_counts(_value_runs(zs, presorted=True), len(zs))
+    points = _Points.of(zs)
+    if np.any(np.diff(_dense_ranks(*_rank(points.p, points.q, points.max_q))) < 0):
+        raise ValueError("displacement bound needs the sequence sorted ascending")
+    return star_discrepancy_from_counts(points, len(zs))
 
 
 def concat_bound(parts: Sequence[tuple[int, int, Fraction]]) -> Fraction:

@@ -374,6 +374,26 @@ def test_run_groups_split_on_block_length():
     assert copies.dtype == object and copies.tolist() == [10**30]
 
 
+def test_one_row_groups_are_read_only_views_of_their_row():
+    row = DigitString((1, 2, 3))
+    spec = ConcatSpec(((2, DigitString((0,))), (1, row), (4, DigitString((5, 5))), (1, DigitString((4, 4)))))
+    groups = spec.groups
+    assert [t.shape for _, t in groups] == [(1, 1), (1, 3), (2, 2)]
+    assert np.shares_memory(groups[1][1], row.digits)
+    assert not any(t.flags.writeable for _, t in groups)
+
+
+def test_staircase_prefix_stacks_no_single_rows(monkeypatch):
+    from cantornormal.constructions import salat_counterexample_spec
+
+    stacked = []
+    stack = np.stack
+    monkeypatch.setattr(np, "stack", lambda rows, *a, **kw: stacked.append(len(rows)) or stack(rows, *a, **kw))
+    digits = salat_counterexample_spec(20100).digits_prefix(20100)
+    assert len(digits) == 20100
+    assert stacked == []  # 200 rows of 200 lengths: one view each
+
+
 def test_run_table_validation():
     table = np.array([[0, 1], [1, 1]], dtype=np.uint8)
     with pytest.raises(InvalidSpecError):

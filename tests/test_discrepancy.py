@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cantornormal.blocks import DigitString
@@ -22,7 +22,6 @@ from cantornormal.discrepancy import (
     scaled_digits,
     star_discrepancy,
     star_discrepancy_from_counts,
-    star_discrepancy_from_triples,
     star_discrepancy_of_prefixes,
     sweep_dtype,
     unit_sequence,
@@ -197,9 +196,12 @@ triples = st.lists(
 
 @given(triples)
 @settings(max_examples=300)
-def test_triple_sweep_matches_sweep_on_points(ts):
+def test_count_table_with_repeated_unreduced_values_matches_sweep(ts):
+    # each triple is one table entry, so 2/4 and 1/2 (or a value twice, or a
+    # count of 0) are separate entries of one value
     points = [Fraction(p, q) for p, q, c in ts for _ in range(c)]
-    assert star_discrepancy_from_triples(list(ts), len(points)) == sweep_dstar(points)
+    table = [(Fraction(p, q), c) for p, q, c in ts]
+    assert star_discrepancy_from_counts(table, len(points)) == sweep_dstar(points)
 
 
 # (p, q) per position with q <= 12, not reduced: 2/4 may follow 1/2
@@ -210,10 +212,13 @@ coded_points = st.lists(
 )
 
 
-@given(coded_points, st.sampled_from([1, 5, 2**30]), st.sampled_from([np.int64, object]), st.data())
+@given(coded_points, st.sampled_from([1, 5, 2**30, 2**59]), st.sampled_from([np.int64, object]), st.data())
 @settings(max_examples=300)
 def test_prefix_sweep_matches_sweep_on_each_prefix(pairs, scale, dtype, data):
-    # scale 2**30 puts the keys past int64, so int64 input is swept as object
+    # scale 2**30 takes one or two int64 key words.  Scale 2**59 makes
+    # denominators of 60 to 63 bits: once q > 3 (past 61 bits) or the points
+    # number 16 (q * n past 2**63) the arrays are swept as object whatever
+    # their dtype, else the keys take two words of 1- or 2-bit limbs
     ends = sorted(data.draw(st.sets(st.integers(1, len(pairs)))) | {1})
     p = np.array([a * scale for a, _ in pairs], dtype=dtype)
     q = np.array([b * scale for _, b in pairs], dtype=dtype)
@@ -232,9 +237,95 @@ def test_prefix_sweep_on_prefixes_that_miss_values():
 
 def test_sweep_dtype_is_int64_while_every_term_fits():
     assert sweep_dtype(201, 20100) is np.int64
-    assert sweep_dtype(2**21 - 1, 10) is np.int64
-    assert sweep_dtype(2**21, 10) is object
-    assert sweep_dtype(3, 2**62) is object
+    # the ranking's limbs need denominators of at most 61 bits
+    assert sweep_dtype(2**61 - 1, 1) is np.int64
+    assert sweep_dtype(2**61, 1) is object
+    # the sweep's products need n * max_q below 2**63
+    assert sweep_dtype(3, (2**63 - 1) // 3) is np.int64
+    assert sweep_dtype(3, (2**63 - 1) // 3 + 1) is object
+    assert sweep_dtype(2**40, 2**23 - 1) is np.int64
+    assert sweep_dtype(2**40, 2**23) is object
+
+
+# ---------------------------------------------------------------------------
+# The one ranking and sweep at each denominator scale: one int64 key word
+# (q <= 60), two words of several limbs (2**30 to 2**40), and object arrays
+# (past 2**63).
+# ---------------------------------------------------------------------------
+
+DENOMINATOR_SCALES = {"one-word": (1, 60), "two-words": (2**30, 2**40), "object": (2**63, 2**70)}
+
+
+def _int_array(values):
+    big = any(v >= 2**63 for v in values)
+    return np.array(values, dtype=object if big else np.int64)
+
+
+@st.composite
+def scaled_entries(draw):
+    """(p, q, count) entries over a few values of one denominator scale.
+
+    Entries draw from a small pool of values, so a value repeats across
+    entries, and each entry scales its terms by 1 to 3, so p/q is often not
+    in lowest terms.  The pool holds the Farey neighbour c/r of its first
+    values a/q: 1/(q r) above, as close as two values of the scale get, so
+    their keys agree in every leading bit but the last few.  Counts run from
+    0 to 3, at least one positive.
+    """
+    lo, hi = DENOMINATOR_SCALES[draw(st.sampled_from(sorted(DENOMINATOR_SCALES)))]
+    value = st.integers(lo, hi).flatmap(lambda q: st.tuples(st.integers(0, q - 1), st.just(q)))
+    pool = draw(st.lists(value, min_size=1, max_size=8))
+    for a, q in pool[:2]:
+        if a and math.gcd(a, q) == 1 and (r := -pow(a, -1, q) % q) > 1:
+            pool.append(((1 + a * r) // q, r))
+    entries = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 3), st.integers(0, 3)), min_size=1, max_size=16))
+    assume(any(c for _, _, c in entries))
+    return [(p * k, q * k, c) for (p, q), k, c in entries]
+
+
+@given(scaled_entries(), st.data())
+@settings(max_examples=300)
+def test_kernel_matches_sweep_at_every_denominator_scale(entries, data):
+    points = [Fraction(p, q) for p, q, c in entries for _ in range(c)]
+    d = sweep_dstar(points)
+    assert star_discrepancy(points) == d
+    assert kn1_bound(sorted(points)) == d
+    table = [(Fraction(p, q), c) for p, q, c in entries]  # repeated values, counts of 0
+    assert star_discrepancy_from_counts(table, len(points)) == d
+    # one position per point, in the entries' order and unreduced terms
+    p = _int_array([p for p, _, c in entries for _ in range(c)])
+    q = _int_array([q for _, q, c in entries for _ in range(c)])
+    ends = sorted(data.draw(st.sets(st.integers(1, len(points)))) | {len(points)})
+    assert star_discrepancy_of_prefixes(p, q, ends) == [sweep_dstar(points[:e]) for e in ends]
+
+
+@st.composite
+def near_tied_pairs(draw):
+    """Farey neighbours a/q < c/r in [1/4, 1/2], which differ by 1/(q r) < 2**-53 of a/q."""
+    lo, hi = draw(st.sampled_from([(2**30, 2**40), (2**63, 2**70)]))
+    q = draw(st.integers(lo, hi))
+    a = draw(st.integers(q // 4 + 1, q // 2 - 1).filter(lambda a: math.gcd(a, q) == 1))
+    r = -pow(a, -1, q) % q
+    assume(r > q // 16)
+    lo_v, hi_v = Fraction(a, q), Fraction((1 + a * r) // q, r)
+    assert hi_v - lo_v == Fraction(1, q * r) and hi_v - lo_v < lo_v / 2**53
+    return lo_v, hi_v
+
+
+@given(near_tied_pairs(), st.booleans())
+@settings(max_examples=200)
+def test_exact_maximum_wins_a_near_tie(pair, swap):
+    # with z1 in [1/4, 1/2) and z2 = 1 - w, D* of (z1, z2) is max(z1, w):
+    # two sweep candidates closer than float64 can tell apart
+    z1, w = pair[::-1] if swap else pair
+    points = [z1, 1 - w]
+    d = max(pair)
+    assert sweep_dstar(points) == d
+    assert star_discrepancy(points) == kn1_bound(points) == d
+    assert star_discrepancy_from_counts({z: 1 for z in points}, 2) == d
+    p = _int_array([z.numerator for z in points])
+    q = _int_array([z.denominator for z in points])
+    assert star_discrepancy_of_prefixes(p, q, [1, 2]) == [sweep_dstar(points[:1]), d]
 
 
 @pytest.mark.parametrize("ends", [[], [0], [3, 2], [1, 6]])

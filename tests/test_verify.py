@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cantornormal import cli
@@ -540,10 +541,19 @@ def test_salat_counterexample_reads_bases_past_int64_exactly(monkeypatch):
 
 
 def test_salat_counterexample_object_dtype_matches_reference(monkeypatch):
-    # bases times 2**40 put the sweep keys past int64, so every array is object
-    _tampered_bases(monkeypatch, {pos: base << 40 for pos, base in enumerate(_staircase_lists(465)[0], start=1)})
+    # bases times 2**64 do not fit int64, so every array is object
+    _tampered_bases(monkeypatch, {pos: base << 64 for pos, base in enumerate(_staircase_lists(465)[0], start=1)})
     q, digits = assemble(constructions_module.salat_counterexample_spec(465), 465)
     assert sweep_dtype(max(q), len(q)) is object
+    cert = verify_salat_counterexample(m_rows=30)
+    assert cert.details == _salat_reference(q, digits, 30)
+
+
+def test_salat_counterexample_two_word_keys_match_reference(monkeypatch):
+    # bases times 2**40 stay int64, with two key words per value
+    _tampered_bases(monkeypatch, {pos: base << 40 for pos, base in enumerate(_staircase_lists(465)[0], start=1)})
+    q, digits = assemble(constructions_module.salat_counterexample_spec(465), 465)
+    assert sweep_dtype(max(q), len(q)) is np.int64
     cert = verify_salat_counterexample(m_rows=30)
     assert cert.details == _salat_reference(q, digits, 30)
 
