@@ -17,13 +17,16 @@ segment, never position by position.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
-from .blocks import DigitString, count_run_occurrences, digit_data, tally_blocks
+import numpy as np
+
+from .blocks import DigitString, count_run_occurrences, digit_data
 from .constructions import ConstructionSpec, SegmentSpec
+from .discrepancy import sweep_dtype
 from .errors import InvalidSpecError, NeedsMoreDigitsError, NeedsMoreSegmentsError
 from .limits import check_cap
 
@@ -291,23 +294,24 @@ def orbit_point(exp: CantorExpansion, n: int, tail: int = 64) -> RationalInterva
     return RationalInterval(Fraction(num, den), Fraction(num + 1, den))
 
 
-def scaled_prefix_counts(spec: ConstructionSpec, positions: Iterable[int]) -> Iterator[dict[Fraction, int]]:
-    """Multiplicity tables of the scaled digits E_m/q_m over m <= n, for each n in ``positions``.
+def scaled_prefix_counts(spec: ConstructionSpec, positions: Iterable[int]) -> np.ndarray:
+    """Count matrix of the scaled digits E_m/q_m over m <= n, one row for each n in ``positions``.
 
-    One walk over the segments: each segment that ends by a position is
-    added to a running table once, its scaled tally
-    (``SegmentSpec.scaled_tally``, built once per segment) times its
-    multiplicity.  Each position's table copies the running one and adds
-    only its cut segment: the whole copies times the scaled tally, plus the
-    cut copy's own tally.  Segments with no digits add nothing, so no key
-    has count 0.  No digit is read per position and nothing counts against
-    the size cap, so positions may be astronomically large as long as the
-    construction reaches them.  Positions must not descend; each is
-    checked as it is reached.
+    Column j counts the value spec.scaled_values.p[j] / q[j], so row r is
+    the scaled-digit table of the first positions[r] digits.  One walk over
+    the segments: each segment that ends by a position adds its one-copy
+    count vector (``ScaledColumns.once``) times its multiplicity to a
+    running row once.  Each position's row is the running row plus its cut
+    segment's whole copies times that vector, plus one ``np.bincount`` of
+    the cut copy's digit codes.  No digit is read per position, no Fraction
+    is made, and nothing counts against the size cap, so positions may be
+    astronomically large as long as the construction reaches them.  The
+    matrix is int64 while ``sweep_dtype`` for the largest position says so,
+    else object.  Positions must not descend; each is checked as it is
+    reached.
     """
     bounds = spec.boundaries
-    running: dict[Fraction, int] = {}
-    s = 0  # segments 1..s are in the running table
+    positions = list(positions)
     prev = 1
     for n in positions:
         if not isinstance(n, int) or n < 1:
@@ -317,35 +321,38 @@ def scaled_prefix_counts(spec: ConstructionSpec, positions: Iterable[int]) -> It
         if n > spec.total_length:
             raise NeedsMoreSegmentsError(n, spec.total_length)
         prev = n
+    table = spec.scaled_values
+    dtype = sweep_dtype(int(table.q.max(initial=1)), prev)
+    rows = np.zeros((len(positions), len(table.p)), dtype=dtype)
+    running = np.zeros(len(table.p), dtype=dtype)
+    s = 0  # segments 1..s are in the running row
+    for row, n in zip(rows, positions):
         while s < len(spec.segments) and bounds[s + 1] <= n:
-            seg = spec.segments[s]
-            if seg.multiplicity:
-                _add_tally(running, seg.multiplicity, seg.scaled_tally)
+            if (cols := table.segments[s]) is not None:
+                running[cols.columns] += spec.segments[s].multiplicity * cols.once.astype(dtype, copy=False)
             s += 1
-        counts = dict(running)
+        row += running
         if take := n - bounds[s]:
-            seg = spec.segments[s]
-            full, rem = divmod(take, len(seg.block))
-            if full:
-                _add_tally(counts, full, seg.scaled_tally)
-            if rem:
-                cut = tally_blocks(seg.block[:rem], 1).items()
-                _add_tally(counts, 1, [(Fraction(d, seg.base), c) for (d,), c in cut])
-        yield counts
-
-
-def _add_tally(counts: dict[Fraction, int], copies: int, tally) -> None:
-    for v, c in tally:
-        counts[v] = counts.get(v, 0) + copies * c
+            cols = table.segments[s]
+            full, rem = divmod(take, len(spec.segments[s].block))
+            row[cols.columns] += full * cols.once.astype(dtype, copy=False) + cols.cut(rem).astype(dtype, copy=False)
+    return rows
 
 
 def scaled_value_counts(spec: ConstructionSpec, n: int) -> dict[Fraction, int]:
     """Multiplicity table of the scaled digits E_m/q_m over positions m <= n.
 
-    The one-position case of ``scaled_prefix_counts``: closed form per
-    segment, no digit read per position, nothing against the size cap.
+    A view of the one row ``scaled_prefix_counts(spec, [n])``: its nonzero
+    entries, one Fraction each.  Closed form per segment, no digit read per
+    position, nothing against the size cap.
     """
-    return next(scaled_prefix_counts(spec, (n,)))
+    table = spec.scaled_values
+    row = scaled_prefix_counts(spec, (n,))[0]
+    found = row.nonzero()[0]
+    return {
+        Fraction(p, q): c
+        for p, q, c in zip(table.p.take(found).tolist(), table.q.take(found).tolist(), row.take(found).tolist())
+    }
 
 
 def salat_hypothesis(Q: BasicSequence, n: int) -> Fraction:

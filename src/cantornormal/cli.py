@@ -341,7 +341,6 @@ def _cmd_verify(args) -> int:
     if args.all:
         budget = parse_budget(args.budget) if args.budget else None
         certs, skipped, overruns = run_all(budget_seconds=budget)
-        payload = {"certificates": [c.to_json() for c in certs], "skipped": skipped}
         meta = {"overruns": overruns}
     else:
         if not args.claim:
@@ -349,12 +348,16 @@ def _cmd_verify(args) -> int:
         grid = parse_grid(args.grid) if args.grid else None
         certs = run_claim(args.claim, grid)
         meta = {}
-        payload = certs[0].to_json() if len(certs) == 1 else [c.to_json() for c in certs]
+    cert_json = [c.to_json() for c in certs]  # each built once, for the output and the sidecar
+    if args.all:
+        payload = {"certificates": cert_json, "skipped": skipped}
+    else:
+        payload = cert_json[0] if len(cert_json) == 1 else cert_json
     _emit_json(payload, args.out)
     if args.out:
         runtimes = [
-            {"claim": c.claim, "params": c.to_json()["params"], "runtime_seconds": c.runtime_seconds}
-            for c in certs
+            {"claim": c.claim, "params": j["params"], "runtime_seconds": c.runtime_seconds}
+            for c, j in zip(certs, cert_json)
         ]
         with open(args.out + ".meta.json", "w", encoding="utf-8") as fh:
             json.dump({"runtimes": runtimes} | meta, fh, indent=2)

@@ -30,7 +30,8 @@ from math import isqrt
 
 import numpy as np
 
-from .blocks import ConcatSpec, DigitString, concat, count_top_digit, digit_data, tally_blocks
+from .blocks import ConcatSpec, DigitString, concat, count_top_digit, digit_data
+from .discrepancy import distinct_values
 from .errors import InvalidSpecError, NeedsMoreSegmentsError
 from .limits import check_cap
 
@@ -165,10 +166,85 @@ class SegmentSpec:
     def length(self) -> int:
         return self.multiplicity * len(self.block)
 
-    @cached_property
-    def scaled_tally(self) -> tuple[tuple[Fraction, int], ...]:
-        """One copy's (digit/base, count) pairs, in ``tally_blocks`` order, built once."""
-        return tuple((Fraction(d, self.base), c) for (d,), c in tally_blocks(self.block, 1).items())
+
+@dataclass(frozen=True)
+class ScaledColumns:
+    """One segment's digits as columns of its spec's ``ScaledValues``.
+
+    ``codes`` gives each block position a small integer code for its digit:
+    the digit itself while the block's digits can be counted in a dense
+    table, else the digit's index among the block's distinct digits.
+    ``present`` lists the codes that occur, ascending; ``columns`` is the
+    table column of each, and ``once`` how often it occurs in one copy.
+    """
+
+    codes: np.ndarray
+    present: np.ndarray
+    columns: np.ndarray
+    once: np.ndarray
+
+    def cut(self, rem: int) -> np.ndarray:
+        """How often each present code occurs in the block's first ``rem`` digits."""
+        return np.bincount(self.codes[:rem], minlength=int(self.present[-1]) + 1)[self.present]
+
+
+def _digit_codes(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, the digit of each code) for a nonempty block, as ``ScaledColumns`` uses them.
+
+    A digit is its own code while the top digit is below
+    max(len(digits), 2**16), as ``blocks.tally_blocks`` counts them;
+    otherwise ``np.unique`` numbers the distinct digits.
+    """
+    top = int(digits.max())
+    if top < max(len(digits), 1 << 16):
+        return digits, None
+    found, codes = np.unique(digits, return_inverse=True)
+    return codes.astype(np.min_scalar_type(len(found) - 1)), found
+
+
+@dataclass(frozen=True)
+class ScaledValues:
+    """The distinct scaled digits d/base of a spec, ascending, as integer arrays.
+
+    ``p`` and ``q`` hold one (digit, base) pair per distinct value, not
+    necessarily in lowest terms, ranked by ``discrepancy.distinct_values``;
+    no Fraction is made.  ``segments`` holds one ``ScaledColumns`` per
+    segment with digits and None for a segment with none.  A count vector
+    over ``p``/``q`` is a scaled-digit table; ``cantor.scaled_prefix_counts``
+    fills them.
+    """
+
+    p: np.ndarray
+    q: np.ndarray
+    segments: tuple[ScaledColumns | None, ...]
+
+    @classmethod
+    def of(cls, segments: tuple[SegmentSpec, ...]) -> ScaledValues:
+        coded = []
+        ps: list[int] = []
+        qs: list[int] = []
+        for seg in segments:
+            if not seg.multiplicity:
+                coded.append(None)
+                continue
+            codes, digit_of = _digit_codes(seg.block.digits)
+            per_code = np.bincount(codes)
+            present = np.flatnonzero(per_code)
+            digits = present if digit_of is None else digit_of
+            coded.append((codes, present, per_code[present], len(ps)))
+            ps += digits.tolist()
+            qs += [seg.base] * len(present)
+        if not ps:
+            none = np.zeros(0, dtype=np.int64)
+            return cls(none, none, tuple(coded))
+        p, q, index = distinct_values(ps, qs)
+        columns = []
+        for c in coded:
+            if c is not None:
+                codes, present, once, first = c
+                c = ScaledColumns(codes, present, index[first : first + len(present)], once)
+            columns.append(c)
+        return cls(p, q, tuple(columns))
 
 
 def _segment_from_json(raw) -> SegmentSpec:
@@ -219,6 +295,11 @@ class ConstructionSpec:
     @property
     def total_length(self) -> int:
         return self.boundaries[-1]
+
+    @cached_property
+    def scaled_values(self) -> ScaledValues:
+        """The spec's distinct scaled digits as one integer table, built once."""
+        return ScaledValues.of(self.segments)
 
     def _check_position(self, n: int) -> None:
         if not isinstance(n, int) or n < 1:

@@ -16,29 +16,36 @@ Thm 1.4), both over integer arrays p, q of values p/q:
 - ``_rank`` orders the values exactly.  Each value p/q gets the key
   floor(p * 2**s / q) with 2**s above the square of every denominator, so
   distinct values get distinct keys and equal values equal ones, however
-  they are written.  In int64 the key comes from long division in steps of
-  L = 62 - bits(max q) bits, so each step r << L stays below 2**62, and is
-  packed into at most two words of up to 62 bits.  One argsort orders the
-  top word, which is the whole key while max q < 2**20 or
-  2**30 <= max q < 2**31; ``np.lexsort`` runs only when the top word ties.
-- ``_sweep`` walks the values in that order with their cumulative counts.
-  Each candidate is an integer d over q * n.  A float64 pre-filter keeps the
-  candidates within a relative 2**-40 of the float maximum (the float error
-  is at most about 4 * 2**-53), and only those are compared by integer
-  cross-multiplication, so the maximum stays exact.  Only the result is
-  built as a Fraction.
+  they are written.  While max q < 2**20 the key is the one int64 word
+  (p << 2 bits(max q)) // q.  Past that it comes from long division in
+  steps of L = 62 - bits(max q) bits, so each step r << L stays below
+  2**62, and is packed into at most two words of up to 62 bits.  One
+  argsort orders the top word, which is the whole key while max q < 2**20
+  or 2**30 <= max q < 2**31; ``np.lexsort`` runs only when the top word
+  ties.
+- ``_sweep`` takes the values in that order and a (tables x values) count
+  matrix, one n per row, and gives every row's D* in one vectorized pass;
+  a single table is one 1-D row through the same code.  Along each row,
+  each candidate is an integer d over q * n.  A float64 pre-filter keeps
+  the candidates within a relative 2**-40 of their row's float maximum
+  (the float error is at most about 4 * 2**-53), and only those (row,
+  column) pairs are compared by integer cross-multiplication, so each
+  maximum stays exact.  Only the results are built as Fractions.
 
 The arrays are int64 while ``sweep_dtype`` says every term fits:
-denominators of at most 61 bits, and n * max q below 2**63.  Otherwise
-they hold Python ints in object arrays, and the key is the one integer
-(p << 2 bits(max q)) // q.  Point sets with denominators past 2**61 take
-that path, such as notdn-scaled's 100 orbit points, whose denominators
-have up to 641 bits; so do tables whose n * max q passes 2**63.
+denominators of at most 61 bits, and n * max q below 2**63 for the largest
+n swept.  Otherwise they hold Python ints in object arrays, and the key is
+the one integer (p << 2 bits(max q)) // q.  Point sets with denominators
+past 2**61 take that path, such as notdn-scaled's 100 orbit points, whose
+denominators have up to 641 bits; so do tables whose n * max q passes 2**63.
 
-``star_discrepancy_from_counts`` is the checked way in for a value -> count
-table; ``star_discrepancy`` and ``kn1_bound`` hand it their points, count 1
-each.  ``star_discrepancy_of_prefixes`` ranks one integer-coded sequence
-once and sweeps each nested prefix from one ``np.bincount``.
+``star_discrepancy_from_counts`` is the checked way in for one value ->
+count table; ``star_discrepancy`` and ``kn1_bound`` hand it their points,
+count 1 each.  ``distinct_values`` ranks an integer-coded list of values
+once; ``star_discrepancy_of_prefixes`` sweeps the nested prefixes of a
+sequence as one cumulative count matrix, and ``star_discrepancy_of_rows``
+sweeps a count matrix over values ranked beforehand, such as a
+construction's scaled-digit tables at many positions.
 """
 from __future__ import annotations
 
@@ -46,6 +53,7 @@ import operator
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -74,12 +82,16 @@ def sweep_dtype(max_q: int, n: int):
     return np.int64 if max_q.bit_length() <= 61 and n * max_q < 1 << 63 else object
 
 
-def _ints(values: list) -> np.ndarray:
-    """Python ints (a list, or a list of equal-length lists) as int64, or as object if one does not fit."""
+def _ints(values) -> np.ndarray:
+    """Integers as int64, or as object if one does not fit.
+
+    ``values`` is a list of Python ints, a list of equal-length such lists,
+    or an int64 or object array; an int64 array is returned as it is.
+    """
     try:
-        return np.array(values, dtype=np.int64)
+        return np.asarray(values, dtype=np.int64)
     except OverflowError:
-        return np.array(values, dtype=object)
+        return np.asarray(values, dtype=object)
 
 
 def _rank(p: np.ndarray, q: np.ndarray, max_q: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -89,15 +101,16 @@ def _rank(p: np.ndarray, q: np.ndarray, max_q: int) -> tuple[np.ndarray, list[np
     ``sweep_dtype``.  The key of p/q is floor(p * 2**s / q) with 2**s above
     max_q**2: distinct values p/q < p'/q' differ by at least 1/(q q') >
     2**-s, so their keys differ, and equal values get equal keys however
-    they are written.  In object arrays the key is the one integer
-    (p << s) // q.  In int64 it comes from long division, L = 62 -
-    bits(max_q) bits per step so that r << L stays below 2**62, packed into
-    words of at most 62 bits: one word while max_q < 2**20 or
-    2**30 <= max_q < 2**31, never more than two.  One argsort orders the top
-    word; ``np.lexsort`` runs only when that word ties.
+    they are written.  With s = 2 bits(max_q) the key is the one integer
+    (p << s) // q, in object arrays and in int64 while max_q < 2**20.
+    Otherwise in int64 it comes from long division, L = 62 - bits(max_q)
+    bits per step so that r << L stays below 2**62, packed into words of at
+    most 62 bits: one word while 2**30 <= max_q < 2**31, never more than
+    two.  One argsort orders the top word; ``np.lexsort`` runs only when
+    that word ties.
     """
     bits = max_q.bit_length()
-    if q.dtype == object:
+    if q.dtype == object or 3 * bits <= 62:  # then p << 2 bits stays below 2**62
         keys = [(p << 2 * bits) // q]
     else:
         step = 62 - bits
@@ -129,32 +142,58 @@ def _dense_ranks(order: np.ndarray, keys: list[np.ndarray]) -> np.ndarray:
     return rank
 
 
-def _sweep(p: np.ndarray, q: np.ndarray, counts: np.ndarray, n: int) -> Fraction:
-    """D* of n points, counts[i] of them at p[i]/q[i], the values ascending.
+# Entries of a count matrix swept at once.  Larger temporaries come back
+# from the allocator as fresh pages on every call: sweeping four rows of
+# 12363 values at once faulted in about 400 more pages than row by row.
+_SWEEP_BLOCK = 1 << 13
 
-    The one D* sweep; nothing is checked.  The arrays are nonempty and in
-    ``sweep_dtype``.  Equal values must be adjacent but may repeat and need
-    not be in lowest terms; counts may be 0 and sum to at most n.  Over the
+
+def _sweep(p: np.ndarray, q: np.ndarray, counts: np.ndarray, n: Sequence[int]) -> list[Fraction]:
+    """D* of each table in ``counts``: n[r] points, counts[r, i] of them at p[i]/q[i].
+
+    The one D* sweep; nothing is checked.  ``counts`` is a (tables x
+    values) matrix, or one table as a 1-D row; every step runs along the
+    last axis, so both take the same code, and a matrix of more than
+    ``_SWEEP_BLOCK`` entries goes through in blocks of rows.  The values
+    ascend; equal values must be adjacent but may repeat and need not be in
+    lowest terms.  The arrays are nonempty and all in one ``sweep_dtype``
+    for max q and the largest n; ``n`` holds one Python int per table.
+    Counts may be 0 and each table's sum to at most its n.  Over a table's
     entries with cumulative counts c_t, the sup is the max over t of
     max(c_t/n - v_t, v_t - c_{t-1}/n), plus the right-end gap 1 - c_last/n
     (0 when all mass is counted).  An entry that splits a value, or has
-    count 0, gives candidates between the value's true ones, so the
-    maximum is unchanged.
+    count 0, gives candidates between the value's true ones, so the maximum
+    is unchanged.  The float pre-filter keeps, per table, the candidates
+    within a relative 2**-40 of its float maximum; only those (table,
+    value) pairs are compared by integer cross-multiplication.
     """
+    width = counts.shape[-1]
+    if len(n) > 1 and counts.size > _SWEEP_BLOCK:
+        step = max(1, _SWEEP_BLOCK // width)
+        return [d for r in range(0, len(n), step) for d in _sweep(p, q, counts[r : r + step], n[r : r + step])]
     # candidates over q * n: A over [0, v] - v, and v - A just left of v,
     # which sum to count * q >= 0
-    cum = counts.cumsum()
-    above = cum * q - p * n
+    cum = np.add.accumulate(counts, axis=-1)
+    above = cum * q - p * np.array(n, dtype=counts.dtype).reshape(counts.shape[:-1] + (1,))
     d = np.maximum(above, counts * q - above)
     ratio = np.asarray(d / q, dtype=np.float64)  # within about 4 * 2**-53 of d / q
-    near = ratio >= ratio.max() * (1 - 2.0**-40)
-    best_num, best_den = 0, 1
-    for num, den in zip(d[near].tolist(), q[near].tolist()):
-        if num * best_den > best_num * den:
-            best_num, best_den = num, den
-    if (gap := n - int(cum[-1])) * best_den > best_num:
-        best_num, best_den = gap, 1
-    return Fraction(best_num, best_den * n)
+    near = ratio >= np.maximum.reduce(ratio, axis=-1, keepdims=True) * (1 - 2.0**-40)
+    flat = near.ravel().nonzero()[0]  # far faster than a 2-D nonzero on long rows
+    found = zip(d.take(flat).tolist(), q.take(flat, mode="wrap").tolist())
+    if len(flat) == len(n):  # one candidate left per table: its maximum
+        best = list(found)
+    else:
+        best = [(0, 1)] * len(n)
+        for at, (num, den) in zip(flat.tolist(), found):
+            r = at // width
+            if num * best[r][1] > best[r][0] * den:
+                best[r] = num, den
+    out = []
+    for (num, den), m, counted in zip(best, n, cum[..., -1:].ravel().tolist()):
+        if (gap := m - counted) * den > num:
+            num, den = gap, 1
+        out.append(Fraction(num, den * m))
+    return out
 
 
 @dataclass(frozen=True)
@@ -162,6 +201,7 @@ class _Points:
     """Nonempty points checked by ``unit_sequence``: their lowest terms p/q in ``sweep_dtype``.
 
     A sized table of count 1 per point for ``star_discrepancy_from_counts``.
+    ``ranked`` is their ``_rank``, worked out once for every reader.
     """
 
     p: np.ndarray
@@ -178,10 +218,9 @@ class _Points:
     def __len__(self) -> int:
         return len(self.p)
 
-
-def _ratio(v) -> tuple[int, int]:
-    """Numerator and denominator of v in lowest terms."""
-    return (v if isinstance(v, Fraction) else Fraction(v)).as_integer_ratio()
+    @cached_property
+    def ranked(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        return _rank(self.p, self.q, self.max_q)
 
 
 def _count(c) -> int:
@@ -202,31 +241,72 @@ def star_discrepancy_from_counts(value_counts, n: int) -> Fraction:
     (anything else goes through ``Fraction``) in [0, 1); counts are
     integers >= 0 that sum to at most n.  Mass left out of the table lies
     above every value.  The entries become the rows p, q, count of one
-    array in ``sweep_dtype``, ordered by ``_rank`` and swept by ``_sweep``.
+    array in ``sweep_dtype``, ordered by ``_rank`` and swept by ``_sweep``
+    as one row.
     """
     if operator.index(n) <= 0:
         raise ValueError(f"need a positive point count, got {n}")
     if isinstance(value_counts, _Points):
-        p, q, max_q = value_counts.p, value_counts.q, value_counts.max_q
-        table = np.stack((p, q, np.ones_like(p)))
+        dtype = sweep_dtype(value_counts.max_q, n)
+        order = value_counts.ranked[0]
+        p, q = (a.take(order).astype(dtype, copy=False) for a in (value_counts.p, value_counts.q))
+        counts = np.ones(len(order), dtype=dtype)
     else:
         items = value_counts.items() if isinstance(value_counts, Mapping) else value_counts
         ps, qs, counts = [], [], []  # per entry, p/q in lowest terms
         for v, c in items:
-            p, q = _ratio(v)
+            p, q = (v if isinstance(v, Fraction) else Fraction(v)).as_integer_ratio()
             if not 0 <= p < q:
                 raise ValueError(f"value {v} outside [0, 1)")
             ps.append(p)
             qs.append(q)
-            counts.append(_count(c))
+            counts.append(c if type(c) is int and c >= 0 else _count(c))
         if (total := sum(counts)) > n:
             raise ValueError(f"counts sum to {total}, more than n = {n}")
         if not ps:
             return Fraction(1)  # all the mass lies above every value
         max_q = max(qs)
-        table = _ints([ps, qs, counts])
-    table = table.astype(sweep_dtype(max_q, n), copy=False)
-    return _sweep(*table[:, _rank(table[0], table[1], max_q)[0]], n)
+        dtype = sweep_dtype(max_q, n)
+        table = _ints([ps, qs, counts]).astype(dtype, copy=False)
+        p, q, counts = table.take(_rank(table[0], table[1], max_q)[0], axis=1)
+    return _sweep(p, q, counts, [n])[0]
+
+
+def distinct_values(ps, qs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values among the p/q, ascending, and where each entry's value lies among them.
+
+    ``ps`` and ``qs`` are nonempty integer sequences or arrays of one
+    length with 0 <= p < q; they are not checked, and p/q need not be in
+    lowest terms.  Returns (vp, vq, index): each distinct value keeps the
+    terms of one of its entries, and entry i has the value vp[j]/vq[j] for
+    j = index[i].  The entries are ranked once by ``_rank``; vp and vq are
+    int64 while the denominators have at most 61 bits, else object.
+    """
+    q = _ints(qs)
+    max_q = int(q.max())
+    dtype = sweep_dtype(max_q, 1)
+    p, q = _ints(ps).astype(dtype, copy=False), q.astype(dtype, copy=False)
+    order, keys = _rank(p, q, max_q)
+    index = _dense_ranks(order, keys)
+    distinct = int(index[order[-1]]) + 1
+    vp, vq = np.empty(distinct, dtype=dtype), np.empty(distinct, dtype=dtype)
+    vp[index], vq[index] = p, q
+    return vp, vq, index
+
+
+def star_discrepancy_of_rows(p: np.ndarray, q: np.ndarray, counts: np.ndarray, n: Sequence[int]) -> list[Fraction]:
+    """Exact D* of each row of a count matrix over ascending values p/q.
+
+    Row r describes n[r] points, counts[r, i] of them at p[i]/q[i], the
+    rest above every value.  ``p`` and ``q`` are integer arrays holding
+    distinct values in ascending order, as ``distinct_values`` returns them;
+    ``counts`` has one column per value, and nothing is checked.  Every
+    array is brought to ``sweep_dtype`` for max q and the largest n, and
+    all rows go through one ``_sweep``.
+    """
+    n = list(n)
+    dtype = sweep_dtype(int(q.max()), max(n))
+    return _sweep(p.astype(dtype, copy=False), q.astype(dtype, copy=False), counts.astype(dtype, copy=False), n)
 
 
 def star_discrepancy_of_prefixes(p: np.ndarray, q: np.ndarray, ends: Sequence[int]) -> list[Fraction]:
@@ -237,32 +317,25 @@ def star_discrepancy_of_prefixes(p: np.ndarray, q: np.ndarray, ends: Sequence[in
     not be in lowest terms.  ``ends`` lie within 1..len(p) and must not
     descend.
 
-    The positions are ranked once by ``_rank``, in ``sweep_dtype``, and each
-    distinct value keeps the terms of one of its positions.  Each prefix
-    adds the ranks of its new positions to a running ``np.bincount`` and
-    runs ``_sweep`` over every ranked value.  A value absent from the prefix
-    has count 0, which ``_sweep`` allows, so the result is exact.  Every
+    The positions are ranked once by ``distinct_values``.  One
+    ``np.bincount`` counts each value in each stretch between consecutive
+    ends, a running sum down the stretches gives every prefix's row, and
+    one ``_sweep`` takes all the rows.  A value absent from a prefix has
+    count 0, which ``_sweep`` allows, so the results are exact.  Every
     point is counted, so the right-end gap 1 - A([0, 1))/n is 0.
     """
     ends = list(ends)
     if not ends or ends[0] < 1 or ends[-1] > len(p) or any(a > b for a, b in zip(ends, ends[1:])):
         raise ValueError(f"prefix ends must ascend within 1..{len(p)}, got {ends}")
-    max_q = int(q.max())
-    dtype = sweep_dtype(max_q, len(p))
-    p, q = p.astype(dtype, copy=False), q.astype(dtype, copy=False)
-    order, keys = _rank(p, q, max_q)
-    rank = _dense_ranks(order, keys)
-    distinct = int(rank[order[-1]]) + 1
-    vp, vq = np.empty(distinct, dtype=dtype), np.empty(distinct, dtype=dtype)
-    vp[rank], vq[rank] = p, q  # the distinct values, ascending
-    counts = np.zeros(distinct, dtype=np.int64)
-    out = []
-    prev = 0
-    for n in ends:
-        counts += np.bincount(rank[prev:n], minlength=distinct)
-        prev = n
-        out.append(_sweep(vp, vq, counts, n))
-    return out
+    vp, vq, index = distinct_values(p, q)
+    distinct = len(vp)
+    # one code per (stretch, value) for each position up to the last end
+    codes = np.repeat(np.arange(0, len(ends) * distinct, distinct), np.diff(ends, prepend=0))
+    codes += index[: ends[-1]]
+    counts = np.bincount(codes, minlength=len(ends) * distinct).reshape(len(ends), distinct)
+    for r in range(1, len(ends)):  # row by row: a cumsum down axis 0 runs one short loop per value
+        counts[r] += counts[r - 1]
+    return star_discrepancy_of_rows(vp, vq, counts, ends)
 
 
 def sorted_points(zs) -> list[Fraction]:
@@ -270,8 +343,7 @@ def sorted_points(zs) -> list[Fraction]:
     zs = unit_sequence(zs)
     if not zs:
         return []
-    points = _Points.of(zs)
-    return [zs[i] for i in _rank(points.p, points.q, points.max_q)[0].tolist()]
+    return [zs[i] for i in _Points.of(zs).ranked[0].tolist()]
 
 
 def star_discrepancy(zs) -> Fraction:
@@ -290,13 +362,13 @@ def kn1_bound(zs) -> Fraction:
     sorted input, ties included, so this equals star_discrepancy(z), and it
     is computed as such: the kernel's sweep over the points.  Requires
     sorted input, which is checked on the exact ranks: they must not
-    descend.
+    descend.  The one ranking serves both the check and the sweep.
     """
     zs = unit_sequence(zs)
     if not zs:
         raise ValueError("empty sequence")
     points = _Points.of(zs)
-    if np.any(np.diff(_dense_ranks(*_rank(points.p, points.q, points.max_q))) < 0):
+    if np.any(np.diff(_dense_ranks(*points.ranked)) < 0):
         raise ValueError("displacement bound needs the sequence sorted ascending")
     return star_discrepancy_from_counts(points, len(zs))
 

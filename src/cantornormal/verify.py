@@ -45,8 +45,8 @@ from .discrepancy import (
     e1l_bound,
     epsbar,
     star_discrepancy,
-    star_discrepancy_from_counts,
     star_discrepancy_of_prefixes,
+    star_discrepancy_of_rows,
     sweep_dtype,
 )
 from .errors import InvalidSpecError, NeedsMoreDigitsError
@@ -311,9 +311,12 @@ def verify_t0_scaled(
     checked = 0
     per_segment_max: dict[int, Fraction] = {}
     ulp = Fraction(1, 2**M)
+    bounds: dict[int, Fraction] = {}  # per segment j, worked out once
     for n in positions:
         j = spec.t0_index(n)
-        bound = Fraction(j + 1, 2**j) + ulp
+        if j not in bounds:
+            bounds[j] = Fraction(j + 1, 2**j) + ulp
+        bound = bounds[j]
         digit = spec.digit_at(n + 1)
         iv = orbit_point(exp, n, tail=M)
         checked += 1
@@ -418,8 +421,9 @@ def verify_mqd_scaled(spec: ConstructionSpec | None = None, checkpoints=40) -> C
     epsbar_i.  Checkpoints before the preconditions first hold are reported
     unasserted.  At least one checkpoint must be asserted.  ``checkpoints``
     is a budget of positions spread across the segments, or the positions.
-    Every checkpoint's scaled-digit table and the final one come from one
-    ``scaled_prefix_counts`` walk over the segments.
+    Every checkpoint's scaled-digit table and the final one are rows of one
+    ``scaled_prefix_counts`` matrix, and one ``star_discrepancy_of_rows``
+    sweep gives all their D* values.
     """
     if spec is None:
         spec = qde_spec()
@@ -434,10 +438,10 @@ def verify_mqd_scaled(spec: ConstructionSpec | None = None, checkpoints=40) -> C
     rows = []
     asserted = 0
     counterexample = None
-    # zip stops at the last checkpoint and leaves the final table in ``tables``
-    tables = scaled_prefix_counts(spec, [*positions, spec.total_length])
-    for (n, i, hyp, bar), counts in zip(epsbar_rows(spec, positions), tables):
-        d_star = star_discrepancy_from_counts(counts, n)
+    ends = [*positions, spec.total_length]
+    values = spec.scaled_values
+    *d_stars, final_d = star_discrepancy_of_rows(values.p, values.q, scaled_prefix_counts(spec, ends), ends)
+    for (n, i, hyp, bar), d_star in zip(epsbar_rows(spec, positions), d_stars):
         row: dict = {"n": n, "i": i, "d_star": d_star, "asserted": bar is not None}
         if bar is not None:
             row["epsbar"] = bar
@@ -449,7 +453,6 @@ def verify_mqd_scaled(spec: ConstructionSpec | None = None, checkpoints=40) -> C
         else:
             row["unmet"] = ["no-fully-included-segment"]
         rows.append(row)
-    final_d = star_discrepancy_from_counts(next(tables), spec.total_length)
     bars = [r["epsbar"] for r in rows if r.get("asserted")]
     trend = all(a >= b for a, b in zip(bars, bars[1:])) if len(bars) >= 2 else None
     details = {

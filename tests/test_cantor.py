@@ -6,6 +6,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -498,6 +499,12 @@ def test_prefix_readers_match_literal_expansion(segs):
                 orbit_point(exp, 0, len(qs))
 
 
+def matrix_tables(spec, matrix):
+    """Each row of a ``scaled_prefix_counts`` matrix as a value -> count Counter, zero counts left out."""
+    values = [Fraction(p, q) for p, q in zip(spec.scaled_values.p.tolist(), spec.scaled_values.q.tolist())]
+    return [Counter({v: c for v, c in zip(values, row) if c}) for row in matrix.tolist()]
+
+
 @pytest.mark.parametrize("family", [qde_spec, qnex_spec])
 def test_scaled_prefix_counts_match_one_position_tables(family):
     spec = family()
@@ -506,9 +513,11 @@ def test_scaled_prefix_counts_match_one_position_tables(family):
     positions = {1, total} | {b + d for b in spec.boundaries for d in (-1, 0, 1) if 1 <= b + d <= total}
     positions |= {rng.randrange(1, total + 1) for _ in range(30)}
     positions = sorted(positions)
-    tables = list(scaled_prefix_counts(spec, positions))
+    matrix = scaled_prefix_counts(spec, positions)
+    assert matrix.shape == (len(positions), len(spec.scaled_values.p))
+    tables = matrix_tables(spec, matrix)
     assert tables == [scaled_value_counts(spec, n) for n in positions]
-    assert [sum(t.values()) for t in tables] == positions
+    assert matrix.sum(axis=1).tolist() == positions
 
 
 @given(segments)
@@ -519,7 +528,10 @@ def test_scaled_prefix_counts_match_literal_expansion(segs):
     positions = range(1, len(qs) + 1)
     if positions:
         expected = [Counter(map(Fraction, ds[:n], qs[:n])) for n in positions]
-        assert list(scaled_prefix_counts(spec, positions)) == expected
+        assert matrix_tables(spec, scaled_prefix_counts(spec, positions)) == expected
+        # one column per distinct value, ascending, whatever the segments repeat
+        values = matrix_tables(spec, np.ones((1, len(spec.scaled_values.p)), dtype=np.int64))[0]
+        assert list(values) == sorted(set(map(Fraction, ds, qs)))
 
 
 def test_scaled_prefix_counts_skip_empty_segments():
@@ -532,9 +544,31 @@ def test_scaled_prefix_counts_skip_empty_segments():
     )
     qs, ds = literal_expansion(spec.segments)
     positions = [1, 5, 6, 6, 7, 12]  # 6 ends the first segment and is given twice
-    tables = list(scaled_prefix_counts(spec, positions))
+    tables = matrix_tables(spec, scaled_prefix_counts(spec, positions))
     assert tables == [Counter(map(Fraction, ds[:n], qs[:n])) for n in positions]
-    assert all(Fraction(4, 5) not in t and 0 not in t.values() for t in tables)
+    # the empty segment's digit 4/5 gets no column
+    assert spec.scaled_values.segments[1] is None
+    assert Fraction(4, 5) not in matrix_tables(spec, np.ones((1, len(spec.scaled_values.p)), dtype=np.int64))[0]
+    assert all(Fraction(4, 5) not in scaled_value_counts(spec, n) for n in positions)
+    assert all(0 not in scaled_value_counts(spec, n).values() for n in positions)
+
+
+def test_scaled_prefix_counts_go_to_object_arrays_past_int64():
+    # 2**62 copies over base 2, then base 3: n * max q passes 2**63 at the second position
+    big = 2**62
+    spec = ConstructionSpec((SegmentSpec(big, (0, 1), 2), SegmentSpec(3, (2, 0, 1), 3)))
+    positions = [3, 2 * big + 4]
+    matrix = scaled_prefix_counts(spec, positions)
+    assert matrix.dtype == object
+    half, third, two_thirds = Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)
+    expected = [
+        Counter({Fraction(0): 2, half: 1}),
+        # the first segment whole, then one copy of (2, 0, 1) and the cut copy (2,)
+        Counter({Fraction(0): big + 1, half: big, third: 1, two_thirds: 2}),
+    ]
+    assert matrix_tables(spec, matrix) == expected
+    assert [scaled_value_counts(spec, n) for n in positions] == expected
+    assert all(type(c) is int for c in scaled_value_counts(spec, positions[1]).values())
 
 
 def test_scaled_prefix_counts_validation():

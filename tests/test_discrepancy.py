@@ -10,8 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cantornormal.blocks import DigitString
+from cantornormal import discrepancy as discrepancy_module
 from cantornormal.constructions import build_C
 from cantornormal.discrepancy import (
+    _sweep,
     PrefixWeights,
     boundf_hypotheses,
     concat_bound,
@@ -22,7 +24,9 @@ from cantornormal.discrepancy import (
     scaled_digits,
     star_discrepancy,
     star_discrepancy_from_counts,
+    distinct_values,
     star_discrepancy_of_prefixes,
+    star_discrepancy_of_rows,
     sweep_dtype,
     unit_sequence,
 )
@@ -326,6 +330,93 @@ def test_exact_maximum_wins_a_near_tie(pair, swap):
     p = _int_array([z.numerator for z in points])
     q = _int_array([z.denominator for z in points])
     assert star_discrepancy_of_prefixes(p, q, [1, 2]) == [sweep_dstar(points[:1]), d]
+
+
+@st.composite
+def count_matrices(draw):
+    """(entries, rows, n) for ``_sweep``: a count matrix over ascending entries, one n per row.
+
+    The entries p/q draw from a small pool of values at one denominator
+    scale, each scaled by 1 to 3, and are sorted by value: a value often
+    repeats over adjacent entries, some in other terms.  Each row gives
+    every entry a count of 0 to 3 and has its own n, up to 3 more than its
+    counts sum to (the mass above every value).
+    """
+    lo, hi = DENOMINATOR_SCALES[draw(st.sampled_from(sorted(DENOMINATOR_SCALES)))]
+    value = st.integers(lo, hi).flatmap(lambda q: st.tuples(st.integers(0, q - 1), st.just(q)))
+    pool = draw(st.lists(value, min_size=1, max_size=6))
+    drawn = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 3)), min_size=1, max_size=10))
+    entries = sorted(((p * k, q * k) for (p, q), k in drawn), key=lambda e: Fraction(*e))
+    counts = st.lists(st.integers(0, 3), min_size=len(entries), max_size=len(entries))
+    rows = draw(st.lists(counts, min_size=1, max_size=5))
+    n = [max(1, sum(row) + draw(st.integers(0, 3))) for row in rows]
+    return entries, rows, n
+
+
+@given(count_matrices())
+@settings(max_examples=300)
+def test_matrix_sweep_matches_sweep_row_by_row(matrix):
+    entries, rows, n = matrix
+    # mass left out of a row's table sits above every value, as at gamma = 1
+    expected = [
+        sweep_dstar([Fraction(p, q) for (p, q), c in zip(entries, row) for _ in range(c)] + [1] * (m - sum(row)))
+        for row, m in zip(rows, n)
+    ]
+    # object arrays always; int64 too where every term fits
+    fits = sweep_dtype(max(q for _, q in entries), max(n)) is np.int64
+    for dtype in (object, np.int64) if fits else (object,):
+        p = np.array([p for p, _ in entries], dtype=dtype)
+        q = np.array([q for _, q in entries], dtype=dtype)
+        assert _sweep(p, q, np.array(rows, dtype=dtype), n) == expected
+    # and each row as its own checked table
+    for row, m, d in zip(rows, n, expected):
+        assert star_discrepancy_from_counts([(Fraction(*e), c) for e, c in zip(entries, row)], m) == d
+
+
+@given(count_matrices())
+@settings(max_examples=100)
+def test_rows_over_distinct_values_match_sweep(matrix):
+    entries, rows, n = matrix
+    vp, vq, index = distinct_values([p for p, _ in entries], [q for _, q in entries])
+    values = [Fraction(p, q) for p, q in zip(vp.tolist(), vq.tolist())]
+    assert values == sorted(set(Fraction(*e) for e in entries))
+    assert [values[j] for j in index.tolist()] == [Fraction(*e) for e in entries]
+    # fold each row's entries onto the distinct values
+    folded = np.zeros((len(rows), len(values)), dtype=object)
+    for r, row in enumerate(rows):
+        for j, c in zip(index.tolist(), row):
+            folded[r, j] += c
+    expected = [
+        sweep_dstar([Fraction(p, q) for (p, q), c in zip(entries, row) for _ in range(c)] + [1] * (m - sum(row)))
+        for row, m in zip(rows, n)
+    ]
+    assert star_discrepancy_of_rows(vp, vq, folded, n) == expected
+
+
+def test_large_matrices_sweep_in_row_blocks(monkeypatch):
+    values = sorted({Fraction(a, q) for q in range(2, 30) for a in range(0, q, 3)})
+    p = np.array([v.numerator for v in values])
+    q = np.array([v.denominator for v in values])
+    rows = [[(i * 7 + j * j) % 4 for j in range(len(values))] for i in range(7)]
+    n = [sum(row) + i % 3 for i, row in enumerate(rows)]
+    expected = [
+        sweep_dstar([v for v, c in zip(values, row) for _ in range(c)] + [1] * (m - sum(row)))
+        for row, m in zip(rows, n)
+    ]
+    assert _sweep(p, q, np.array(rows), n) == expected
+    # two rows per block with a last block of one, then one row per block
+    for block in (2 * len(values), 1):
+        monkeypatch.setattr(discrepancy_module, "_SWEEP_BLOCK", block)
+        assert _sweep(p, q, np.array(rows), n) == expected
+
+
+def test_kn1_ranks_its_points_once(monkeypatch):
+    calls = []
+    real = discrepancy_module._rank
+    monkeypatch.setattr(discrepancy_module, "_rank", lambda *a: calls.append(1) or real(*a))
+    zs = sorted(Fraction(i * 7 % 13, 13) for i in range(40))
+    assert kn1_bound(zs) == sweep_dstar(zs)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("ends", [[], [0], [3, 2], [1, 6]])

@@ -408,6 +408,26 @@ def test_mqd_scaled_catches_constant_digits():
     assert ce["d_star"] > ce["epsbar"]
 
 
+def test_mqd_scaled_catches_a_tampered_count_matrix(monkeypatch):
+    real = verify_module.scaled_prefix_counts
+
+    def piled(spec, positions):
+        # every scaled digit moved onto the smallest value, 0
+        counts = real(spec, positions)
+        tampered = np.zeros_like(counts)
+        tampered[:, 0] = counts.sum(axis=1)
+        return tampered
+
+    monkeypatch.setattr(verify_module, "scaled_prefix_counts", piled)
+    cert = verify_mqd_scaled()
+    assert not cert.passed
+    ce = cert.counterexample
+    first = next(r for r in cert.details["rows"] if r["asserted"])
+    assert (ce["n"], ce["d_star"]) == (first["n"], 1)
+    assert ce["d_star"] > ce["epsbar"]
+    assert cert.details["final_d_star"] == 1
+
+
 def test_mqd_scaled_explicit_checkpoints():
     spec = qde_spec()
     cert = verify_mqd_scaled(spec, checkpoints=[spec.total_length])
