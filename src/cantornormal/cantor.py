@@ -13,13 +13,18 @@ of x under repeated multiply-by-q_n-mod-1 is enclosed the same way.
 A base sequence is held as runs of equal entries and an expansion as a
 construction spec (copies of blocks, each segment over one base), so
 moments, block counts and orbit tails are read run by run or segment by
-segment, never position by position.
+segment, never position by position.  Orbit enclosures have one fold,
+``orbit_numerators``: a batch of shifts gives one integer pair (num, den)
+each, with the tail digits gathered once per segment and folded in 64-bit
+chunks; ``orbit_point`` is its one-element ``RationalInterval`` view.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
@@ -130,16 +135,6 @@ class CantorExpansion:
     @classmethod
     def from_spec(cls, spec: ConstructionSpec) -> "CantorExpansion":
         return cls(spec, BasicSequence.from_spec(spec))
-
-    def window(self, start: int, m: int) -> list[tuple[int, list[int]]]:
-        """Positions start+1 .. start+m as (base, digits) pieces, one per segment crossed.
-
-        Reads ``spec.window``; past the horizon it refuses the first base
-        entry missing.
-        """
-        if start + m > self.horizon:
-            raise NeedsMoreDigitsError(max(start, self.horizon) + 1, self.horizon, what="base entries")
-        return self.spec.window(start, m)
 
 
 @dataclass(frozen=True)
@@ -269,28 +264,92 @@ def normality_ratio(exp: CantorExpansion, block, n: int) -> Fraction:
     return Fraction(count) / moment
 
 
-def orbit_point(exp: CantorExpansion, n: int, tail: int = 64) -> RationalInterval:
-    """Enclose T_n(x) = (q_1 ... q_n) * x mod 1 from digits alone.
+@lru_cache(maxsize=256)
+def _chunk_powers(q: int) -> tuple[int, np.ndarray]:
+    """(c, [q**(c-1), ..., q, 1]) with c = 62 // bits(q - 1), at least 1, so that q**c <= 2**62.
+
+    The powers are uint64, so their product with any unsigned digit array
+    stays exact in uint64.
+    """
+    c = max(1, 62 // (q - 1).bit_length())
+    powers = np.array([q**e for e in range(c - 1, -1, -1)] if c > 1 else [1], dtype=np.uint64)
+    powers.setflags(write=False)
+    return c, powers
+
+
+def orbit_numerators(exp: CantorExpansion, positions: Iterable[int], tail: int = 64) -> list[tuple[int, int]]:
+    """Integer enclosures of T_n(x) = (q_1 ... q_n) * x mod 1, one per shift n in ``positions``.
 
     The shifted value equals the tail series sum_{m>=1}
-    E_{n+m} / (q_{n+1} ... q_{n+m}); truncating after ``tail`` terms gives
-    a lower endpoint, and one unit in the last place covers the rest.
-    Needs digits through position n + tail, read as ``exp.window(n, tail)``
-    pieces, one slice per segment crossed.  Each piece is folded by
-    Horner's rule over its one base.  The ``tail`` positions count against
-    the size cap; n does not.
+    E_{n+m} / (q_{n+1} ... q_{n+m}).  Truncated after ``tail`` terms it is
+    num/den with den = q_{n+1} ... q_{n+tail}, and one unit in the last
+    place covers the rest, so T_n(x) lies in [num/den, (num+1)/den].  The
+    pair (num, den) of Python ints is returned for each n, in order.
+
+    Each window is cut into one piece per segment crossed, and the pieces
+    that meet a segment with the same length are folded together: one
+    ``take(mode="wrap")`` reads a (pieces x length) index matrix from the
+    segment block, left-padded with zeros to a multiple of
+    c = 62 // bits(q - 1) digits, so that q**c <= 2**62.  One uint64 matrix
+    product gives each chunk of c digits its base-q value, and one Python
+    Horner step per chunk folds a row.  A base with q**2 > 2**62 folds one
+    digit per step, from the block's own digit array (object past 2**64).
+    Pieces join a window's fold in segment order, so a window that
+    crosses segment ends folds piece by piece.  Needs digits through
+    position n + tail for every n; ``tail``, the positions read per
+    enclosure, is checked once against the size cap, and n is not.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be an integer >= 0, got {n}")
+    positions = list(positions)
+    for n in positions:
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"n must be an integer >= 0, got {n}")
     if not isinstance(tail, int) or tail < 1:
         raise ValueError(f"tail must be an integer >= 1, got {tail}")
     check_cap(tail, what="positions")
-    num = 0
-    den = 1
-    for q, digits in exp.window(n, tail):
-        for d in digits:
-            num = num * q + d
-        den *= q ** len(digits)
+    spec, horizon = exp.spec, exp.horizon
+    bounds = spec.boundaries
+    # per (segment, digits taken), the (window, offset in the segment) of each such piece
+    pieces: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for row, n in enumerate(positions):
+        if n + tail > horizon:
+            raise NeedsMoreDigitsError(max(n, horizon) + 1, horizon, what="base entries")
+        s, m = bisect_right(bounds, n), tail
+        while m:
+            if take := min(m, bounds[s] - n):
+                pieces.setdefault((s, take), []).append((row, n - bounds[s - 1]))
+                n, m = n + take, m - take
+            s += 1
+    nums, dens = [0] * len(positions), [1] * len(positions)
+    for (s, take), group in sorted(pieces.items()):
+        seg = spec.segments[s - 1]
+        q, digits = seg.base, seg.block.digits
+        c, powers = _chunk_powers(q)
+        pad = -take % c
+        rows, starts = zip(*group)
+        first = np.array([start % len(digits) for start in starts])
+        chunks = digits.take(first[:, None] + np.arange(-pad, take), mode="wrap")
+        if pad:
+            chunks[:, :pad] = 0
+        if c > 1:
+            chunks = chunks.reshape(-1, c).dot(powers).reshape(len(rows), -1)
+        step, unit = q**c, q**take
+        for row, values in zip(rows, chunks.tolist()):
+            num = 0
+            for v in values:
+                num = num * step + v
+            nums[row] = nums[row] * unit + num
+            dens[row] *= unit
+    return list(zip(nums, dens))
+
+
+def orbit_point(exp: CantorExpansion, n: int, tail: int = 64) -> RationalInterval:
+    """Enclose T_n(x) = (q_1 ... q_n) * x mod 1 from the digits n+1 .. n+tail.
+
+    The one-element ``RationalInterval`` view of ``orbit_numerators``:
+    [num/den, (num+1)/den] for the one pair it gives for n.  The ``tail``
+    positions count against the size cap; n does not.
+    """
+    [(num, den)] = orbit_numerators(exp, (n,), tail)
     return RationalInterval(Fraction(num, den), Fraction(num + 1, den))
 
 

@@ -20,7 +20,7 @@ Two enumeration blocks do the heavy lifting:
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import OrderedDict
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -321,34 +321,6 @@ class ConstructionSpec:
         s = self.segment_at(n)
         seg = self.segments[s - 1]
         return seg.block[(n - self.boundaries[s - 1] - 1) % len(seg.block)]
-
-    def window(self, start: int, m: int) -> list[tuple[int, list[int]]]:
-        """Positions start+1 .. start+m as (base, digits) pieces, one per segment crossed.
-
-        One bisect finds the first segment; each piece reads only its own
-        digits, indexing the segment block modulo its length, so no block
-        is tiled or copied whole.  Segments with no digits give no piece.
-        The m digits read count against the size cap.
-        """
-        if not isinstance(start, int) or start < 0:
-            raise ValueError(f"start must be an integer >= 0, got {start}")
-        if not isinstance(m, int) or m < 0:
-            raise ValueError(f"m must be an integer >= 0, got {m}")
-        if start + m > self.total_length:
-            raise NeedsMoreSegmentsError(start + m, self.total_length)
-        check_cap(m)
-        pieces = []
-        s = bisect_right(self.boundaries, start)
-        while m:
-            seg, offset = self.segments[s - 1], start - self.boundaries[s - 1]
-            take = min(m, seg.length - offset)
-            if take:
-                first = offset % len(seg.block)
-                digits = seg.block.digits.take(np.arange(first, first + take), mode="wrap")
-                pieces.append((seg.base, digits.tolist()))
-                start, m = start + take, m - take
-            s += 1
-        return pieces
 
     def idef_index(self, n: int) -> int:
         """Index i with boundaries[i] < n <= boundaries[i+1] (prefix convention)."""

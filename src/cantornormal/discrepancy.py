@@ -43,9 +43,10 @@ denominators have up to 641 bits; so do tables whose n * max q passes 2**63.
 count table; ``star_discrepancy`` and ``kn1_bound`` hand it their points,
 count 1 each.  ``distinct_values`` ranks an integer-coded list of values
 once; ``star_discrepancy_of_prefixes`` sweeps the nested prefixes of a
-sequence as one cumulative count matrix, and ``star_discrepancy_of_rows``
-sweeps a count matrix over values ranked beforehand, such as a
-construction's scaled-digit tables at many positions.
+sequence from one running count row, a block of rows at a time, and
+``star_discrepancy_of_rows`` sweeps a count matrix over values ranked
+beforehand, such as a construction's scaled-digit tables at many
+positions.
 """
 from __future__ import annotations
 
@@ -317,25 +318,33 @@ def star_discrepancy_of_prefixes(p: np.ndarray, q: np.ndarray, ends: Sequence[in
     not be in lowest terms.  ``ends`` lie within 1..len(p) and must not
     descend.
 
-    The positions are ranked once by ``distinct_values``.  One
-    ``np.bincount`` counts each value in each stretch between consecutive
-    ends, a running sum down the stretches gives every prefix's row, and
-    one ``_sweep`` takes all the rows.  A value absent from a prefix has
-    count 0, which ``_sweep`` allows, so the results are exact.  Every
-    point is counted, so the right-end gap 1 - A([0, 1))/n is 0.
+    The positions are ranked once by ``distinct_values``.  A running count
+    row adds one ``np.bincount`` per stretch between consecutive ends, and
+    the prefix rows go to ``star_discrepancy_of_rows`` a block of at most
+    ``_SWEEP_BLOCK`` entries at a time (one row when a row alone is
+    longer), so no count matrix or temporary grows with the number of ends.
+    A value absent from a prefix has count 0, which the sweep allows, so
+    the results are exact.  Every point is counted, so the right-end gap
+    1 - A([0, 1))/n is 0.
     """
     ends = list(ends)
     if not ends or ends[0] < 1 or ends[-1] > len(p) or any(a > b for a, b in zip(ends, ends[1:])):
         raise ValueError(f"prefix ends must ascend within 1..{len(p)}, got {ends}")
     vp, vq, index = distinct_values(p, q)
     distinct = len(vp)
-    # one code per (stretch, value) for each position up to the last end
-    codes = np.repeat(np.arange(0, len(ends) * distinct, distinct), np.diff(ends, prepend=0))
-    codes += index[: ends[-1]]
-    counts = np.bincount(codes, minlength=len(ends) * distinct).reshape(len(ends), distinct)
-    for r in range(1, len(ends)):  # row by row: a cumsum down axis 0 runs one short loop per value
-        counts[r] += counts[r - 1]
-    return star_discrepancy_of_rows(vp, vq, counts, ends)
+    step = max(1, _SWEEP_BLOCK // distinct)
+    running = np.zeros(distinct, dtype=np.int64)
+    out: list[Fraction] = []
+    start = 0
+    for first in range(0, len(ends), step):
+        block = ends[first : first + step]
+        rows = np.empty((len(block), distinct), dtype=np.int64)
+        for row, end in zip(rows, block):
+            running += np.bincount(index[start:end], minlength=distinct)
+            row[:] = running
+            start = end
+        out += star_discrepancy_of_rows(vp, vq, rows, block)
+    return out
 
 
 def sorted_points(zs) -> list[Fraction]:

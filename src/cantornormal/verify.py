@@ -21,6 +21,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import constructions as _constructions
 from .blocks import tally_blocks
-from .cantor import CantorExpansion, orbit_point, scaled_prefix_counts
+from .cantor import CantorExpansion, orbit_numerators, orbit_point, scaled_prefix_counts
 from .constructions import (
     ConstructionSpec,
     build_P,
@@ -300,30 +301,42 @@ def _orbit_claim_setup(spec: ConstructionSpec | None, claim: str, n_checkpoints:
     return spec, params, exp, positions
 
 
+def _checked_hi(exp: CantorExpansion, M: int, n: int, num: int, den: int) -> Fraction:
+    """``orbit_point``'s upper endpoint at shift n, which must be (num + 1)/den from ``orbit_numerators``."""
+    hi = orbit_point(exp, n, tail=M).hi
+    if hi != Fraction(num + 1, den):
+        raise AssertionError(f"orbit_point gives hi = {hi} at n = {n}, orbit_numerators {num + 1}/{den}")
+    return hi
+
+
 def verify_t0_scaled(
     spec: ConstructionSpec | None = None, n_checkpoints: int = 100, M: int = 64
 ) -> Certificate:
     """Orbit collapse: at each checkpoint n, the enclosure of the shifted
     value satisfies hi <= (j+1)/2**j + 2**-M, where j is the segment index
     of position n+1; and the next digit satisfies E_{n+1} <= j.
+
+    Every enclosure comes from one ``orbit_numerators`` batch as integers
+    (num, den) with hi = (num + 1)/den.  The bound is
+    ((j+1) 2**M + 2**j) / 2**(j+M), and both it and each segment's running
+    maximum are compared with hi by integer cross-multiplication.  Only
+    the reported endpoints, each segment's largest hi and a
+    counterexample's hi, are made as Fractions, by ``orbit_point`` at their
+    own n.
     """
     spec, params, exp, positions = _orbit_claim_setup(spec, "t0-scaled", n_checkpoints, M)
     checked = 0
-    per_segment_max: dict[int, Fraction] = {}
-    ulp = Fraction(1, 2**M)
-    bounds: dict[int, Fraction] = {}  # per segment j, worked out once
-    for n in positions:
+    largest: dict[int, tuple[int, int, int]] = {}  # per segment j: (n, num, den) of its largest hi
+    for n, (num, den) in zip(positions, orbit_numerators(exp, positions, M)):
         j = spec.t0_index(n)
-        if j not in bounds:
-            bounds[j] = Fraction(j + 1, 2**j) + ulp
-        bound = bounds[j]
         digit = spec.digit_at(n + 1)
-        iv = orbit_point(exp, n, tail=M)
         checked += 1
-        prev = per_segment_max.get(j)
-        if prev is None or iv.hi > prev:
-            per_segment_max[j] = iv.hi
-        if digit > j or iv.hi > bound:
+        prev = largest.get(j)
+        if prev is None or (num + 1) * prev[2] > (prev[1] + 1) * den:
+            largest[j] = (n, num, den)
+        # the bound (j+1)/2**j + 2**-M over the common denominator 2**(j+M)
+        bound = ((j + 1) << M) + (1 << j)
+        if digit > j or (num + 1) << (j + M) > bound * den:
             return Certificate(
                 claim="t0-scaled",
                 params=params,
@@ -333,13 +346,13 @@ def verify_t0_scaled(
                     "n": n,
                     "j": j,
                     "digit": digit,
-                    "hi": iv.hi,
-                    "bound": bound,
+                    "hi": _checked_hi(exp, M, n, num, den),
+                    "bound": Fraction(bound, 1 << (j + M)),
                 },
             )
     details = {
         "positions": len(positions),
-        "max_hi_by_segment": {str(j): per_segment_max[j] for j in sorted(per_segment_max)},
+        "max_hi_by_segment": {str(j): _checked_hi(exp, M, *largest[j]) for j in sorted(largest)},
     }
     return Certificate("t0-scaled", params, True, checked, details=details)
 
@@ -351,16 +364,17 @@ def verify_notdn_scaled(
     (j_min+1)/2**j_min + 2**-M, so their star discrepancy is at least
     1 - (j_min+1)/2**j_min - 2**-M.  j_min is the smallest segment index
     covered and must be >= 6 for the threshold to mean anything.
+
+    The enclosures come from one ``orbit_numerators`` batch; each point is
+    the Fraction (num + 1)/den, or num/den when that upper end is 1, and
+    ``star_discrepancy`` takes them all.
     """
     spec, params, exp, positions = _orbit_claim_setup(spec, "notdn-scaled", n_checkpoints, M)
     j_min = min(spec.t0_index(n) for n in positions)
     if j_min < 6:
         raise InvalidSpecError(f"checkpoints must lie in segments >= 6, found segment {j_min}")
-    points = []
-    for n in positions:
-        iv = orbit_point(exp, n, tail=M)
-        # hi == 1 needs every tail digit maximal; fall back to lo then
-        points.append(iv.hi if iv.hi < 1 else iv.lo)
+    # hi == 1 needs every tail digit maximal; fall back to lo then
+    points = [Fraction(num + 1 if num + 1 < den else num, den) for num, den in orbit_numerators(exp, positions, M)]
     observed = star_discrepancy(points)
     threshold = 1 - Fraction(j_min + 1, 2**j_min) - Fraction(1, 2**M)
     counterexample = None
@@ -486,13 +500,15 @@ def verify_salat_counterexample(m_rows: int = 200) -> Certificate:
 
     The staircase comes from ``salat_counterexample_spec`` as one segment
     per row, so its segments have already checked every digit against its
-    base.  Every base and digit of the spec is read; the scaled digits are
-    reduced to integer (p, q) pairs by one vectorized gcd, and every sampled
-    row's D* comes from one ``star_discrepancy_of_prefixes`` call over those
-    pairs: the distinct values are ranked once and each row is one bincount
-    and array sweep.  The arrays are int64 while the sweep fits it
-    (``sweep_dtype``), else object.  No Fraction is made per position or per
-    distinct value.
+    base.  Every base and digit of the spec is read.  The sum of 1/q_n up
+    to each row end is kept as one integer numerator over the lcm of the
+    run bases, and consecutive row means are compared by integer
+    cross-multiplication; only the reported normalizers and means become
+    Fractions.  The digits and bases go unreduced, as integer arrays, to one
+    ``star_discrepancy_of_prefixes`` call, which ranks the distinct values
+    once and sweeps every sampled row.  The arrays are int64 while the
+    sweep fits it (``sweep_dtype``), else object.  No Fraction is made per
+    position or per distinct value.
     """
     if not (isinstance(m_rows, int) and m_rows >= 2):
         raise InvalidSpecError(f"need at least 2 rows, got {m_rows}")
@@ -509,33 +525,33 @@ def verify_salat_counterexample(m_rows: int = 200) -> Certificate:
     fits = sweep_dtype(max(run_bases), n_total) is np.int64 and digits.dtype.itemsize <= 4
     bases = np.repeat(np.array(run_bases, dtype=np.int64 if fits else object), run_lengths)
     zero_count = int(np.count_nonzero(digits == 0))
-    # each position's scaled digit in lowest terms p/q
-    scaled = digits.astype(bases.dtype)  # exact: every digit is below its base
-    gcds = np.gcd(scaled, bases)
     # the spec's base runs cut at every row end, so each run lies in one row
     row_ends = np.cumsum(np.arange(1, m_rows + 1))
     run_ends = np.union1d(np.cumsum(run_lengths), row_ends)
     runs = zip(run_ends.tolist(), np.diff(run_ends, prepend=0).tolist(), bases[run_ends - 1].tolist())
-    recip_sum = Fraction(0)
-    hyp_values: list[Fraction] = []
-    hyp_decreasing = True
+    # sum 1/q_n over the first n positions is recip / lcm, an integer numerator over one denominator
+    lcm = math.lcm(*run_bases)
+    recip = 0
+    row_sums: list[tuple[int, int]] = []  # per row, (recip, row end) at its end
     first_increase = None
     normalizer_samples: list[tuple[int, Fraction]] = []
     for m, pos in enumerate(row_ends.tolist(), start=1):
         # 1/base is added once per run, up to the run that ends this row
         for end, length, base in runs:
-            recip_sum += Fraction(length, base)
+            recip += length * (lcm // base)
             if end == pos:
                 break
-        h = recip_sum / pos
-        if hyp_values and h >= hyp_values[-1] and first_increase is None:
-            hyp_decreasing = False
-            first_increase = m
-        hyp_values.append(h)
+        # the mean recip / (lcm pos) against the last row's, cross-multiplied
+        if row_sums and first_increase is None:
+            last, last_pos = row_sums[-1]
+            if recip * last_pos >= last * pos:
+                first_increase = m
+        row_sums.append((recip, pos))
         if m in sample_rows:
-            normalizer_samples.append((m, recip_sum))
+            normalizer_samples.append((m, Fraction(recip, lcm)))
+    # digits.astype(bases.dtype) is exact: every digit is below its base
     d_values = star_discrepancy_of_prefixes(
-        scaled // gcds, bases // gcds, [int(row_ends[m - 1]) for m in sample_rows]
+        digits.astype(bases.dtype), bases, [int(row_ends[m - 1]) for m in sample_rows]
     )
     d_samples = list(zip(sample_rows, d_values))
     d_decreasing = all(a > b for a, b in zip(d_values, d_values[1:]))
@@ -546,14 +562,14 @@ def verify_salat_counterexample(m_rows: int = 200) -> Certificate:
     details = {
         "n_total": n_total,
         "zero_count": zero_count,
-        "hypothesis_first_last": [hyp_values[0], hyp_values[-1]],
+        "hypothesis_first_last": [Fraction(r, lcm * pos) for r, pos in (row_sums[0], row_sums[-1])],
         "d_star_samples": [[m, d] for m, d in d_samples],
         "normalizer_samples": [[m, v] for m, v in normalizer_samples],
     }
     failures = []
     if zero_count != 0:
         failures.append({"reason": "digit 0 occurred", "count": zero_count})
-    if not hyp_decreasing:
+    if first_increase is not None:
         failures.append({"reason": "mean reciprocal base rose", "at_row": first_increase})
     if not d_decreasing:
         failures.append({"reason": "discrepancy did not decrease", "samples": details["d_star_samples"]})

@@ -91,3 +91,124 @@ def chunk_runs(digits, w):
         else:
             runs.append([ch, 1])
     return [(tuple(ch), r) for ch, r in runs]
+
+
+def segment_entry(segments, pos):
+    """(1-based segment index, base, digit) at 1-based position ``pos`` of (multiplicity, block, base) segments."""
+    for index, (mult, block, base) in enumerate(segments, start=1):
+        if pos <= mult * len(block):
+            return index, base, block[(pos - 1) % len(block)]
+        pos -= mult * len(block)
+    raise IndexError("position past the last segment")
+
+
+def literal_orbit_checkpoints(segments, n_checkpoints, M):
+    """The shifts n the orbit claims read: about n_checkpoints spread over the nonempty segments.
+
+    Each nonempty segment gets ceil(n_checkpoints / nonempty) positions,
+    evenly spaced from its first to its last (its midpoint when it gets one
+    or holds one position); a position p becomes the shift p - 1, capped at
+    total - M so that M tail digits exist.
+    """
+    lengths = [mult * len(block) for mult, block, _ in segments]
+    total = sum(lengths)
+    per = -(-n_checkpoints // sum(1 for length in lengths if length))
+    picks = set()
+    start = 0
+    for length in lengths:
+        lo, hi = start + 1, start + length
+        if length and (per == 1 or hi == lo):
+            picks.add((lo + hi) // 2)
+        elif length:
+            picks.update(lo + (hi - lo) * i // (per - 1) for i in range(per))
+        start += length
+    return sorted({min(p - 1, total - M) for p in picks})
+
+
+def literal_orbit_points(segments, n_checkpoints, M):
+    """(n, j, E_{n+1}, lo, hi) at every shift the orbit claims read, summed term by term in Fractions.
+
+    j is the 1-based index of the segment holding position n + 1; lo sums
+    E_{n+m} / (q_{n+1} ... q_{n+m}) for m = 1..M and hi adds 1 / (q_{n+1}
+    ... q_{n+M}).
+    """
+    out = []
+    for n in literal_orbit_checkpoints(segments, n_checkpoints, M):
+        j, _, digit = segment_entry(segments, n + 1)
+        lo, unit = Fraction(0), Fraction(1)
+        for pos in range(n + 1, n + M + 1):
+            _, q, d = segment_entry(segments, pos)
+            unit /= q
+            lo += d * unit
+        out.append((n, j, digit, lo, lo + unit))
+    return out
+
+
+def literal_t0(segments, n_checkpoints, M):
+    """The t0-scaled certificate fields: hi <= (j+1)/2**j + 2**-M and E_{n+1} <= j at each shift.
+
+    Returns (passed, checked, counterexample, details) with the
+    counterexample at the first shift that breaks either bound.
+    """
+    largest = {}
+    points = literal_orbit_points(segments, n_checkpoints, M)
+    for checked, (n, j, digit, _, hi) in enumerate(points, start=1):
+        largest[j] = max(largest.get(j, hi), hi)
+        bound = Fraction(j + 1, 2**j) + Fraction(1, 2**M)
+        if digit > j or hi > bound:
+            return False, checked, {"n": n, "j": j, "digit": digit, "hi": hi, "bound": bound}, {}
+    details = {"positions": len(points), "max_hi_by_segment": {str(j): largest[j] for j in sorted(largest)}}
+    return True, len(points), None, details
+
+
+def literal_notdn(segments, n_checkpoints, M):
+    """The notdn-scaled certificate fields: D* of the upper endpoints (lo where hi is 1) against its threshold.
+
+    Returns (passed, checked, counterexample, details).
+    """
+    points = literal_orbit_points(segments, n_checkpoints, M)
+    j_min = min(j for _, j, _, _, _ in points)
+    observed = sweep_dstar([hi if hi < 1 else lo for _, _, _, lo, hi in points])
+    threshold = 1 - Fraction(j_min + 1, 2**j_min) - Fraction(1, 2**M)
+    counterexample = None if observed >= threshold else {"discrepancy": observed, "threshold": threshold}
+    details = {"j_min": j_min, "threshold": threshold, "discrepancy": observed, "points": len(points)}
+    return counterexample is None, len(points), counterexample, details
+
+
+def literal_salat(qs, ds, m_rows):
+    """The salat-counterexample certificate fields from per-position bases and digits.
+
+    Row m ends at position m(m+1)/2.  Every sum, mean and D* is a Fraction
+    made position by position.  Returns (passed, counterexample, details)
+    with the failures in the order the claim lists them.
+    """
+    values = [Fraction(d, q) for d, q in zip(ds, qs)]
+    ends = [m * (m + 1) // 2 for m in range(1, m_rows + 1)]
+    samples = sorted({m for m in (50, 100, 150, 200) if m <= m_rows} | {m_rows})
+    row_ends = set(ends)
+    normalizer, running = [], Fraction(0)
+    for pos, q in enumerate(qs, start=1):
+        running += Fraction(1, q)
+        if pos in row_ends:
+            normalizer.append(running)
+    means = [s / end for s, end in zip(normalizer, ends)]
+    d_samples = [[m, sweep_dstar(values[: ends[m - 1]])] for m in samples]
+    details = {
+        "n_total": ends[-1],
+        "zero_count": list(ds).count(0),
+        "hypothesis_first_last": [means[0], means[-1]],
+        "d_star_samples": d_samples,
+        "normalizer_samples": [[m, normalizer[m - 1]] for m in samples],
+    }
+    failures = []
+    if details["zero_count"]:
+        failures.append({"reason": "digit 0 occurred", "count": details["zero_count"]})
+    rises = [m for m in range(2, m_rows + 1) if means[m - 1] >= means[m - 2]]
+    if rises:
+        failures.append({"reason": "mean reciprocal base rose", "at_row": rises[0]})
+    if any(a[1] <= b[1] for a, b in zip(d_samples, d_samples[1:])):
+        failures.append({"reason": "discrepancy did not decrease", "samples": d_samples})
+    row200 = dict((m, d) for m, d in d_samples).get(200)
+    if m_rows >= 200 and not (row200 is not None and row200 <= Fraction(1, 20)):
+        failures.append({"reason": "row-200 discrepancy above 1/20", "value": row200})
+    return not failures, {"failures": failures} if failures else None, details

@@ -17,6 +17,7 @@ from cantornormal.cantor import (
     RationalInterval,
     digits_to_value,
     normality_ratio,
+    orbit_numerators,
     orbit_point,
     q_moment,
     salat_hypothesis,
@@ -37,6 +38,7 @@ from cantornormal.errors import (
     NeedsMoreDigitsError,
     SizeLimitError,
 )
+from cantornormal import cantor as cantor_module
 from cantornormal.limits import size_cap
 
 from oracles import literal_orbit, slow_count, slow_q_moment
@@ -400,6 +402,68 @@ def test_orbit_point_tail_honours_size_cap():
             orbit_point(exp, 0, tail=4)
 
 
+# bases at the edges of the int64 chunk widths (2 and 3 fold many digits per
+# chunk, 2**31 two, 2**32 and 2**62 one) and past int64, with object digits
+chunk_edge_bases = [2, 3, 2**31, 2**32, 2**62, 2**64 + 1]
+
+
+@st.composite
+def orbit_segments(draw):
+    """Up to four explicit segments, some with no copies, over small and chunk-edge bases."""
+    segs = []
+    for _ in range(draw(st.integers(1, 4))):
+        q = draw(st.integers(2, 9) | st.sampled_from(chunk_edge_bases))
+        block = draw(st.lists(st.integers(0, q - 1) | st.just(q - 1), min_size=1, max_size=6))
+        segs.append(SegmentSpec(draw(st.just(0) | st.integers(1, 30)), block, q))
+    if not any(seg.length for seg in segs):
+        segs.append(SegmentSpec(1, (1,), 2))
+    return segs
+
+
+# the oracle's Fractions reach thousands of bits past int64 bases, so no deadline
+@given(orbit_segments(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_orbit_numerators_match_literal_orbit(segs, data):
+    qs, ds = literal_expansion(segs)
+    exp = CantorExpansion.from_spec(ConstructionSpec(tuple(segs)))
+    tail = data.draw(st.integers(1, len(qs)))
+    ns = data.draw(st.lists(st.integers(0, len(qs) - tail), min_size=1, max_size=8))
+    pairs = orbit_numerators(exp, ns, tail)
+    assert len(pairs) == len(ns)
+    for n, (num, den) in zip(ns, pairs):
+        lo, hi = literal_orbit(qs, ds, n, tail)
+        assert den == math.prod(qs[n : n + tail])
+        assert (Fraction(num, den), Fraction(num + 1, den)) == (lo, hi)
+        # orbit_point is the one-element batch
+        assert orbit_numerators(exp, [n], tail) == [(num, den)]
+        assert orbit_point(exp, n, tail) == RationalInterval(lo, hi)
+
+
+@pytest.mark.parametrize("q", chunk_edge_bases)
+def test_orbit_numerators_at_chunk_edges(q):
+    # 133 digits over q, then 6 over base 3: tails either side of every chunk width
+    block = [q - 1, 0] + [(7919 * k + 3) % q for k in range(5)]
+    segs = [SegmentSpec(19, block, q), SegmentSpec(0, (1,), 5), SegmentSpec(3, (2, 1), 3)]
+    qs, ds = literal_expansion(segs)
+    exp = CantorExpansion.from_spec(ConstructionSpec(tuple(segs)))
+    for tail in (1, 2, 3, 30, 31, 32, 38, 39, 40, 61, 62, 63, 64, 124, 125, 139):
+        ns = sorted({n for n in (0, 1, 133 - tail, 135 - tail, len(qs) - tail) if 0 <= n <= len(qs) - tail})
+        for n, pair in zip(ns, orbit_numerators(exp, ns, tail)):
+            lo, hi = literal_orbit(qs, ds, n, tail)
+            assert (Fraction(pair[0], pair[1]), Fraction(pair[0] + 1, pair[1])) == (lo, hi)
+
+
+def test_orbit_numerators_check_the_cap_once_per_batch(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cantor_module, "check_cap", lambda required, what="digits": calls.append((required, what)))
+    exp = CantorExpansion.from_digits(BasicSequence.explicit([2, 3, 4, 5, 6]), (1, 2, 3, 4, 5))
+    assert len(orbit_numerators(exp, [0, 1, 2], 3)) == 3
+    assert calls == [(3, "positions")]
+    monkeypatch.undo()
+    with size_cap(2), pytest.raises(SizeLimitError):
+        orbit_numerators(exp, [], 3)
+
+
 # ---------------------------------------------------------------------------
 # Scaled digits and the staircase helpers.
 # ---------------------------------------------------------------------------
@@ -462,9 +526,6 @@ def test_prefix_readers_match_literal_expansion(segs):
     spec = ConstructionSpec(tuple(segs))
     qs, ds = literal_expansion(segs)
     exp = CantorExpansion.from_spec(spec)
-    ends = [0]
-    for seg in segs:
-        ends.append(ends[-1] + seg.length)
     # every n, so each cut inside a copy is visited
     for n in range(len(qs) + 1):
         assert spec.digits_prefix(n).as_tuple() == tuple(ds[:n])
@@ -478,12 +539,6 @@ def test_prefix_readers_match_literal_expansion(segs):
             if n + tail <= len(qs):
                 iv = orbit_point(exp, n, tail)
                 assert (iv.lo, iv.hi) == literal_orbit(qs, ds, n, tail)
-                # one piece per segment crossed, segments with no digits skipped
-                pieces = spec.window(n, tail)
-                assert [b for b, digits in pieces for _ in digits] == qs[n : n + tail]
-                assert [d for _, digits in pieces for d in digits] == ds[n : n + tail]
-                crossed = [i for i in range(1, len(ends)) if max(ends[i - 1], n) < min(ends[i], n + tail)]
-                assert len(pieces) == len(crossed)
     with pytest.raises(NeedsMoreDigitsError):
         spec.digits_prefix(len(qs) + 1)
     # past the horizon the first missing base entry is named

@@ -53,7 +53,7 @@ from cantornormal.verify import (
 )
 from cantornormal.weightings import uniform
 
-from oracles import sweep_dstar
+from oracles import literal_notdn, literal_salat, literal_t0
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +361,53 @@ def test_notdn_scaled_catches_spread_orbit():
     assert cert.counterexample["discrepancy"] < cert.counterexample["threshold"]
 
 
+def _plain_segments(spec):
+    """A spec's segments as (multiplicity, digit tuple, base) triples for the oracles."""
+    return [(seg.multiplicity, seg.block.as_tuple(), seg.base) for seg in spec.segments]
+
+
+@pytest.fixture(scope="module")
+def small_qnex():
+    spec = qnex_spec(i_max=7)
+    return spec, _plain_segments(spec)
+
+
+def _orbit_fields(cert):
+    return cert.passed, cert.checked, cert.counterexample, cert.details
+
+
+@pytest.mark.parametrize("M", [1, 5, 64])
+@pytest.mark.parametrize("n_checkpoints", [1, 7, 33])
+def test_orbit_claims_match_fraction_reference(small_qnex, n_checkpoints, M):
+    spec, segments = small_qnex
+    t0 = verify_t0_scaled(spec, n_checkpoints=n_checkpoints, M=M)
+    assert _orbit_fields(t0) == literal_t0(segments, n_checkpoints, M)
+    notdn = verify_notdn_scaled(spec, n_checkpoints=n_checkpoints, M=M)
+    assert _orbit_fields(notdn) == literal_notdn(segments, n_checkpoints, M)
+
+
+@pytest.mark.parametrize("tampered", [tampered_qnex_max_digits, tampered_qnex_spread_digits])
+def test_orbit_claims_on_tampered_specs_match_fraction_reference(tampered):
+    spec = tampered()
+    segments = _plain_segments(spec)
+    t0 = verify_t0_scaled(spec, n_checkpoints=21)
+    assert _orbit_fields(t0) == literal_t0(segments, 21, 64)
+    notdn = verify_notdn_scaled(spec, n_checkpoints=21)
+    assert _orbit_fields(notdn) == literal_notdn(segments, 21, 64)
+    assert not (t0.passed and notdn.passed)
+
+
+@pytest.mark.parametrize("M", [5, 64])
+def test_orbit_claims_cap_the_tail_of_each_enclosure(small_qnex, M):
+    # the spec is built outside the cap; only the M tail positions per enclosure count
+    spec, _ = small_qnex
+    for claim in (verify_t0_scaled, verify_notdn_scaled):
+        with size_cap(M - 1), pytest.raises(SizeLimitError):
+            claim(spec, M=M)
+        with size_cap(M):
+            assert claim(spec, M=M).passed
+
+
 def test_mqd_scaled_passes():
     cert = verify_mqd_scaled()
     assert cert.passed
@@ -491,31 +538,11 @@ def test_salat_counterexample_rejects_invalid_generator_output(monkeypatch):
         verify_salat_counterexample(m_rows=10)
 
 
-def _salat_reference(q, digits, m_rows):
-    """The certificate details written out per position in Fractions."""
-    values = [Fraction(d, base) for d, base in zip(digits, q)]
-    ends = [m * (m + 1) // 2 for m in range(1, m_rows + 1)]
-    row_ends = set(ends)
-    samples = sorted({m for m in (50, 100, 150, 200) if m <= m_rows} | {m_rows})
-    normalizer, running = [], Fraction(0)
-    for pos, base in enumerate(q, start=1):
-        running += Fraction(1, base)
-        if pos in row_ends:
-            normalizer.append(running)
-    return {
-        "n_total": ends[-1],
-        "zero_count": list(digits).count(0),
-        "hypothesis_first_last": [normalizer[0] / ends[0], normalizer[-1] / ends[-1]],
-        "d_star_samples": [[m, sweep_dstar(values[: ends[m - 1]])] for m in samples],
-        "normalizer_samples": [[m, normalizer[m - 1]] for m in samples],
-    }
-
-
-@pytest.mark.parametrize("m_rows", [2, 3, 60, 201])
+@pytest.mark.parametrize("m_rows", [*range(2, 13), 60, 200, 201])
 def test_salat_counterexample_details_match_per_position_reference(m_rows):
     cert = verify_salat_counterexample(m_rows=m_rows)
     q, digits = _staircase_lists(m_rows * (m_rows + 1) // 2)
-    assert cert.details == _salat_reference(q, digits, m_rows)
+    assert (cert.passed, cert.counterexample, cert.details) == literal_salat(q, digits, m_rows)
 
 
 def _tampered_bases(monkeypatch, changes):
@@ -555,7 +582,7 @@ def test_salat_counterexample_reads_bases_past_int64_exactly(monkeypatch):
     cert = verify_salat_counterexample(m_rows=4)
     q, digits = assemble(constructions_module.salat_counterexample_spec(10), 10)
     assert q[5] == 2**70
-    assert cert.details == _salat_reference(q, digits, 4)
+    assert cert.details == literal_salat(q, digits, 4)[2]
     # rows 1..4 add 1/2, 2/3, 2/4 + 1/2**70 and 4/5
     assert cert.details["normalizer_samples"] == [[4, Fraction(37, 15) + Fraction(1, 2**70)]]
 
@@ -566,7 +593,7 @@ def test_salat_counterexample_object_dtype_matches_reference(monkeypatch):
     q, digits = assemble(constructions_module.salat_counterexample_spec(465), 465)
     assert sweep_dtype(max(q), len(q)) is object
     cert = verify_salat_counterexample(m_rows=30)
-    assert cert.details == _salat_reference(q, digits, 30)
+    assert cert.details == literal_salat(q, digits, 30)[2]
 
 
 def test_salat_counterexample_two_word_keys_match_reference(monkeypatch):
@@ -575,7 +602,25 @@ def test_salat_counterexample_two_word_keys_match_reference(monkeypatch):
     q, digits = assemble(constructions_module.salat_counterexample_spec(465), 465)
     assert sweep_dtype(max(q), len(q)) is np.int64
     cert = verify_salat_counterexample(m_rows=30)
-    assert cert.details == _salat_reference(q, digits, 30)
+    assert cert.details == literal_salat(q, digits, 30)[2]
+
+
+@pytest.mark.parametrize(
+    "changes,at_row",
+    [
+        # row 3 (positions 4..6) over base 1000: its mean drops below row 4's
+        ({4: 1000, 5: 1000, 6: 1000}, 4),
+        # rows 1 and 2 over bases 4 and 3, 6: both means are exactly 1/4, which is no decrease
+        ({1: 4, 2: 3, 3: 6}, 2),
+    ],
+    ids=["rise", "tie"],
+)
+def test_salat_counterexample_names_the_row_where_the_mean_rises(monkeypatch, changes, at_row):
+    _tampered_bases(monkeypatch, changes)
+    cert = verify_salat_counterexample(m_rows=12)
+    q, digits = assemble(constructions_module.salat_counterexample_spec(78), 78)
+    assert (cert.passed, cert.counterexample, cert.details) == literal_salat(q, digits, 12)
+    assert {"reason": "mean reciprocal base rose", "at_row": at_row} in cert.counterexample["failures"]
 
 
 def test_salat_counterexample_guards():
