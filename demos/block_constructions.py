@@ -10,7 +10,7 @@ skewed weighting instead of the uniform one.
 from cantornormal import (
     build_C,
     build_P,
-    build_P_copies,
+    build_P_runs,
     count_occurrences,
     count_top_digit,
     nu,
@@ -33,7 +33,7 @@ def show_p():
     print("  length", len(listing), "=", "w * 2^(b*w) =", 2 * 2**4)
     print()
     print("  block   copies  (2^b-b)^(top digit count)")
-    for block, copies in build_P_copies(2, 2):
+    for copies, block in build_P_runs(2, 2).parts:
         predicted = repetition_count(2, 2, block)
         tops = count_top_digit(block, 2)
         print(f"  {block.as_tuple()}  {copies:>5}  {predicted:>3}  (top digit x{tops})")

@@ -41,7 +41,6 @@ from .constructions import (
     assemble,
     build_C,
     build_P,
-    build_P_copies,
     build_P_runs,
     qde_default_eps,
     qde_spec,

@@ -130,9 +130,12 @@ class DigitString:
         return hash(self.as_tuple())
 
 
-def _count_type(length: int):
-    """Exact dtype for copy counts and window counts of a text of ``length`` digits."""
-    return np.int64 if length < 1 << 63 else object
+def exact_type(bound: int):
+    """int64 while every integer of a computation stays below ``bound``, else object.
+
+    Copy counts and window counts of a text of n digits are below n, for one.
+    """
+    return np.int64 if bound < 1 << 63 else object
 
 
 class ConcatSpec:
@@ -189,7 +192,7 @@ class ConcatSpec:
         spec = cls.__new__(cls)
         spec.length = int(copies.sum()) * table.shape[1]
         table.setflags(write=False)
-        spec.groups = ((copies.astype(_count_type(spec.length)), table),)
+        spec.groups = ((copies.astype(exact_type(spec.length)), table),)
         return spec
 
     @functools.cached_property
@@ -200,7 +203,7 @@ class ConcatSpec:
 
     @functools.cached_property
     def groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        count_type = _count_type(self.length)
+        count_type = exact_type(self.length)
         runs = [(m, b.digits) for m, b in self.parts if m and len(b)]
         out = []
         for _, group in itertools.groupby(runs, key=lambda run: len(run[1])):
@@ -248,6 +251,32 @@ def concat(spec) -> DigitString:
             pos += m * size
     out.setflags(write=False)
     return DigitString(out)
+
+
+def enumeration_table(b: int, w: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Rows lo..hi-1 of the table of every base-b block of length w, in lexicographic order.
+
+    Row i is the base-b expansion of i with w digits, so the row order is
+    ``itertools.product(range(b), repeat=w)`` order and a row's index is
+    its base-b code.  ``hi`` defaults to ``b**w``; a caller that wants
+    bounded memory asks for a range of rows at a time.
+    """
+    hi = b**w if hi is None else hi
+    table = np.empty((hi - lo, w), dtype=np.min_scalar_type(b - 1))
+    for j in range(w):
+        # digit j of row i is i // place % b, constant on each run of place
+        # rows that starts at a multiple of place: the rows before the first
+        # such run, the whole runs as one broadcast, then the rows after them
+        place = b ** (w - 1 - j)
+        col = table[:, j]
+        head = min(-lo % place, hi - lo)
+        runs, first = (hi - lo - head) // place, -(-lo // place) % b
+        col[:head] = lo // place % b
+        if runs:
+            values = (first + np.arange(runs, dtype=exact_type(b + runs))) % b
+            col[head : head + runs * place].reshape(runs, place)[:] = values[:, None]
+        col[head + runs * place :] = (first + runs) % b
+    return table
 
 
 def _windows(seq: np.ndarray, k: int) -> Iterator[np.ndarray]:

@@ -30,7 +30,7 @@ from math import isqrt
 
 import numpy as np
 
-from .blocks import ConcatSpec, DigitString, concat, count_top_digit, digit_data
+from .blocks import ConcatSpec, DigitString, concat, count_top_digit, digit_data, enumeration_table, exact_type
 from .discrepancy import distinct_values
 from .errors import InvalidSpecError, NeedsMoreSegmentsError
 from .limits import check_cap
@@ -43,22 +43,32 @@ def _check_bw(b: int, w: int) -> None:
         raise ValueError(f"w must be an integer >= 1, got {w}")
 
 
-# Digit arrays of the enumeration blocks built so far, least recently used
-# first.  They are read-only, so every DigitString made from one shares it.
-_ENUMERATIONS: OrderedDict[tuple, np.ndarray] = OrderedDict()
+# (digit array, top digit) of the enumeration blocks built so far, least
+# recently used first.  The arrays are read-only, so every DigitString made
+# from one shares it, and its top digit is found once, when it is built.
+_ENUMERATIONS: OrderedDict[tuple, tuple[np.ndarray, int]] = OrderedDict()
 _ENUMERATIONS_BYTES = 16 << 20
 
 
 def _enumeration_digits(key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
     """The cached digit array under ``key``, built by ``build()`` on a miss."""
-    digits = _ENUMERATIONS.pop(key, None)
-    if digits is None:
+    entry = _ENUMERATIONS.pop(key, None)
+    if entry is None:
         digits = build()
         digits.setflags(write=False)
-    _ENUMERATIONS[key] = digits
-    while sum(a.nbytes for a in _ENUMERATIONS.values()) > _ENUMERATIONS_BYTES:
+        entry = (digits, int(digits.max()))
+    _ENUMERATIONS[key] = entry
+    while sum(a.nbytes for a, _ in _ENUMERATIONS.values()) > _ENUMERATIONS_BYTES:
         _ENUMERATIONS.popitem(last=False)
-    return digits
+    return entry[0]
+
+
+def _top_digit(digits: np.ndarray) -> int:
+    """Largest digit of a nonempty digit array; a cached enumeration array's is not rescanned."""
+    for cached, top in _ENUMERATIONS.values():
+        if cached is digits:
+            return top
+    return int(digits.max())
 
 
 def build_P(b: int, w: int) -> DigitString:
@@ -81,16 +91,18 @@ def build_P_runs(b: int, w: int) -> ConcatSpec:
     """build_P(b, w) as a packed run table, without building its digits.
 
     The runs are the ``(b+1)**w`` base-(b+1) blocks of length w in
-    lexicographic order, held as one (runs x w) digit table made with
-    ``build_C``'s index arithmetic; a run with t top digits has
+    lexicographic order, held as one (runs x w) digit table made by
+    ``blocks.enumeration_table`` as ``build_C`` is; a run with t top digits has
     ``(2**b - b)**t`` copies.  The runs count against the size cap, checked
     before the table is made, not the ``w * 2**(b*w)`` digits they describe.
     """
     _check_bw(b, w)
     check_cap((b + 1) ** w, what="enumerated runs")
-    table = _enumeration_table(b + 1, w)
+    table = enumeration_table(b + 1, w)
     rep = (1 << b) - b
-    powers = np.array([rep**t for t in range(w + 1)])  # int64 while they fit
+    # an explicit dtype: numpy would read a list whose top lies in
+    # [2**63, 2**64) as float64
+    powers = np.array([rep**t for t in range(w + 1)], dtype=exact_type(rep**w))
     return ConcatSpec.from_table(powers[np.count_nonzero(table == b, axis=1)], table)
 
 
@@ -106,15 +118,6 @@ def repetition_count(b: int, w: int, block) -> int:
     return ((1 << b) - b) ** count_top_digit(digits, b)
 
 
-def build_P_copies(b: int, w: int) -> Iterator[tuple[DigitString, int]]:
-    """(block, copies) pairs making up build_P(b, w), in order.
-
-    The rows of ``build_P_runs``; the ``(b+1)**w`` blocks count against the
-    size cap, checked before the first is made.
-    """
-    return ((block, copies) for copies, block in build_P_runs(b, w).parts)
-
-
 def build_C(b: int, w: int) -> DigitString:
     """Plain enumeration block: every base-b block of length w once, in order.
 
@@ -124,16 +127,7 @@ def build_C(b: int, w: int) -> DigitString:
     _check_bw(b, w)
     total = w * b**w
     check_cap(total)
-    return DigitString(_enumeration_digits(("C", b, w), lambda: _enumeration_table(b, w).reshape(-1)))
-
-
-def _enumeration_table(b: int, w: int) -> np.ndarray:
-    """Every base-b block of length w, one per row, in lexicographic order."""
-    # block number (i_0, ..., i_{w-1}) in lexicographic order has digit j = i_j
-    grid = np.empty((b,) * w + (w,), dtype=np.min_scalar_type(b - 1))
-    for j in range(w):
-        grid[..., j] = np.arange(b).reshape((b,) + (1,) * (w - 1 - j))
-    return grid.reshape(-1, w)
+    return DigitString(_enumeration_digits(("C", b, w), lambda: enumeration_table(b, w).reshape(-1)))
 
 
 @dataclass(frozen=True)
@@ -158,7 +152,7 @@ class SegmentSpec:
         block = DigitString(self.block)
         if not len(block):
             raise InvalidSpecError("segment block must hold at least one digit")
-        if (top := int(block.digits.max())) >= self.base:
+        if (top := _top_digit(block.digits)) >= self.base:
             raise InvalidSpecError(f"digit {top} out of range for base {self.base}")
         object.__setattr__(self, "block", block)
 

@@ -29,12 +29,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import constructions as _constructions
-from .blocks import tally_blocks
+from .blocks import exact_type, tally_blocks
 from .cantor import CantorExpansion, orbit_numerators, orbit_point, scaled_prefix_counts
 from .constructions import (
     ConstructionSpec,
     build_P,
-    build_P_copies,
     build_P_runs,
     qde_default_eps,
     qde_spec,
@@ -108,19 +107,29 @@ def verify_lemma_amount(b_range=(2, 3, 4), w_range=(1, 2, 3)) -> Certificate:
     """Repetition identity: copies of each block inside build_P equal the
     block's weighted share 2**(b*w) * nu(b)(block), exactly, for every block.
 
-    An empty grid checks nothing and fails.
+    Each (b, w) reads build_P_runs' copies vector and run table and checks
+    copies * den**w == 2**(b*w) * num for every run at once, num being the
+    run's mass numerator over den**w; only a counterexample makes a
+    Fraction.  ``checked`` counts the blocks up to the first failure.  An
+    empty grid checks nothing and fails.
     """
     params = {"b_range": list(b_range), "w_range": list(w_range)}
     checked = 0
     counterexample = None
     for b, w in itertools.product(b_range, w_range):
         mu, scale = nu(b), 1 << (b * w)
-        for block, copies in build_P_copies(b, w):
-            expected = scale * mu.weight(block)
-            checked += 1
-            if expected != copies:
-                counterexample = {"b": b, "w": w, "block": list(block), "copies": copies, "expected": expected}
+        den = mu.den**w
+        for copies, table in build_P_runs(b, w).groups:
+            num = mu.numerators(table)
+            term_type = exact_type(max(int(copies.max()) * den, int(num.max()) * scale))
+            bad = copies.astype(term_type) * den != num.astype(term_type) * scale
+            if bad.any():
+                i = int(np.argmax(bad))
+                checked += i + 1
+                counterexample = {"b": b, "w": w, "block": table[i].tolist(), "copies": int(copies[i]),
+                                  "expected": Fraction(scale * int(num[i]), den)}
                 break
+            checked += len(table)
         if counterexample is not None:
             break
     if not checked:

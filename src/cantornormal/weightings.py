@@ -9,20 +9,26 @@ extended to blocks multiplicatively.  Two families matter here:
   exactly ``(b, 2**b)``-uniform: restricted to digits below ``b`` it looks
   like the uniform weighting of the much larger base ``2**b``.
 
-All verdicts are computed in exact rational arithmetic.
+Every digit mass is an integer numerator over one common denominator
+``den``, so the masses of m-digit blocks are integer numerators over
+``den**m``: ``Weighting.numerators`` gives them for a whole table of
+blocks at once.  The checks below compare integer arrays over tables of
+enumerated blocks, ``_BLOCK_CHUNK`` rows at a time, and make Fractions
+only for what they report.  All verdicts are exact.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .blocks import ConcatSpec, digit_data, max_digit, tally_blocks
+from .blocks import ConcatSpec, digit_data, enumeration_table, exact_type, max_digit, tally_blocks
 from .limits import check_cap
 
-_ZERO = Fraction(0)
+# blocks enumerated per numpy pass, so a check's memory does not grow with
+# the alphabet**k blocks it compares
+_BLOCK_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -46,23 +52,37 @@ class Weighting:
         """Largest digit carrying nonzero mass."""
         return self.b - 1 if self.kind == "uniform" else self.b
 
+    @property
+    def den(self) -> int:
+        """Common denominator of the digit masses: ``2**b`` for nu, ``b`` for uniform."""
+        return 1 << self.b if self.kind == "nu" else self.b
+
+    def numerators(self, table: np.ndarray) -> np.ndarray:
+        """Mass numerator of each row of a 2-D table of m-digit blocks, over ``den**m``.
+
+        ``nu(b)`` gives ``(2**b - b)**t`` for a row with t digits equal to b,
+        ``uniform(b)`` gives 1, and a row with a digit above
+        ``support_bound`` gets 0.  The numerators are int64 while the
+        largest fits, else Python ints in an object array.
+        """
+        m = table.shape[1]
+        if self.kind == "nu":
+            rep = self.den - self.b
+            powers = np.array([rep**t for t in range(m + 1)], dtype=exact_type(rep**m))
+            num = powers[np.count_nonzero(table == self.b, axis=1)]
+        else:
+            num = np.ones(len(table), dtype=np.int64)
+        num[(table > self.support_bound).any(axis=1)] = 0
+        return num
+
     def weight(self, block) -> Fraction:
         """Mass of a block: the product of its digit masses (1 for empty).
 
-        Each digit mass is an integer numerator over one common denominator,
-        so the mass is an integer product over that denominator to the
-        block length; one Fraction is made per block, none per digit.
+        The one-row view of ``numerators``: the block's numerator over
+        ``den`` to the block length, as one Fraction.
         """
         digits = digit_data(block)
-        if len(digits) and int(digits.max()) > self.support_bound:
-            return _ZERO
-        if self.kind == "nu":
-            # numerator 1 below the top digit b, 2**b - b at it
-            den = 2**self.b
-            num = (den - self.b) ** int(np.count_nonzero(digits == self.b))
-        else:
-            den, num = self.b, 1
-        return Fraction(num, den ** len(digits))
+        return Fraction(int(self.numerators(digits[None])[0]), self.den ** len(digits))
 
 
 def uniform(b: int) -> Weighting:
@@ -98,9 +118,12 @@ def check_pb_uniform(mu: Weighting, p: int, b: int, k_max: int) -> bool:
         raise ValueError(f"k_max must be an integer >= 1, got {k_max}")
     for k in range(1, k_max + 1):
         check_cap(p**k, what="enumerated blocks")
-        target = Fraction(1, b**k)
-        for tup in itertools.product(range(p), repeat=k):
-            if mu.weight(tup) != target:
+        # a block's mass num / den**k is b**-k iff num == den**k / b**k
+        target, rest = divmod(mu.den**k, b**k)
+        if rest:
+            return False
+        for lo in range(0, p**k, _BLOCK_CHUNK):
+            if (mu.numerators(enumeration_table(p, k, lo, min(lo + _BLOCK_CHUNK, p**k))) != target).any():
                 return False
     return True
 
@@ -148,6 +171,23 @@ class NormalityVerdict:
         return out
 
 
+def _tally_codes(tallies: dict, alphabet: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, counts) of a window tally, ascending by base-``alphabet`` code.
+
+    A block's code is its row in ``enumeration_table(alphabet, m)``.
+    """
+    if not tallies:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    code_type = exact_type(alphabet**m)
+    digits = np.array(list(tallies), dtype=code_type)
+    codes = np.zeros(len(digits), dtype=code_type)
+    for j in range(m):
+        codes = codes * alphabet + digits[:, j]
+    order = np.argsort(codes)
+    counts = np.array(list(tallies.values()), dtype=exact_type(max(tallies.values())))
+    return codes[order], counts[order]
+
+
 def check_eps_k_normal(y, eps, k: int, mu: Weighting) -> NormalityVerdict:
     """Check that every short block occurs in ``y`` about as often as ``mu`` says.
 
@@ -156,9 +196,13 @@ def check_eps_k_normal(y, eps, k: int, mu: Weighting) -> NormalityVerdict:
 
         mu(B) * len(y) * (1 - eps)  <=  N(B, y)  <=  mu(B) * len(y) * (1 + eps)
 
-    with N counting overlapping occurrences, compared in exact rationals.
-    The first violation (shortest length, then lexicographic) is returned
-    as a witness.  ``y`` may be a ConcatSpec: its length is the sum of
+    with N counting overlapping occurrences.  With eps = p/q and mu(B) =
+    num/D, D = ``mu.den**m``, that is num*n*(q-p) <= N*D*q <= num*n*(q+p)
+    in integers, compared for a chunk of ``_BLOCK_CHUNK`` rows of the
+    lexicographic enumeration table at once: in int64 while every term
+    fits, else in Python ints.  No Fraction is made per block.  The first
+    violation (shortest length, then lexicographic) is returned as a
+    witness.  ``y`` may be a ConcatSpec: its length is the sum of
     multiplicity times block length, its top digit comes from the distinct
     blocks, and its windows are counted without building its digits.  The
     alphabet**k blocks enumerated count against the size cap.
@@ -177,14 +221,27 @@ def check_eps_k_normal(y, eps, k: int, mu: Weighting) -> NormalityVerdict:
         raise ValueError("normality check needs a nonempty digit string")
     alphabet = max(mu.support_bound, max_digit(text)) + 1
     check_cap(alphabet**k, what="enumerated blocks")
+    p, q = eps.numerator, eps.denominator
     for m in range(1, k + 1):
-        tallies = tally_blocks(text, m) if n >= m else {}
-        for tup in itertools.product(range(alphabet), repeat=m):
-            mass = mu.weight(tup)
-            lower = mass * n * (1 - eps)
-            upper = mass * n * (1 + eps)
-            observed = tallies.get(tup, 0)
-            if not (lower <= observed <= upper):
-                witness = NormalityWitness(tup, observed, lower, upper)
+        codes, counts = _tally_codes(tally_blocks(text, m) if n >= m else {}, alphabet, m)
+        size, scale = alphabet**m, mu.den**m * q
+        low, high = n * (q - p), n * (q + p)
+        for lo in range(0, size, _BLOCK_CHUNK):
+            hi = min(lo + _BLOCK_CHUNK, size)
+            rows = enumeration_table(alphabet, m, lo, hi)
+            num = mu.numerators(rows)
+            # observed counts are at most n
+            term_type = exact_type(max(int(num.max()) * high, n * scale))
+            observed = np.zeros(hi - lo, dtype=term_type)
+            first, last = np.searchsorted(codes, [lo, hi])
+            observed[(codes[first:last] - lo).astype(np.int64)] = counts[first:last]
+            num = num.astype(term_type)
+            scaled = observed * scale
+            bad = (num * low > scaled) | (scaled > num * high)
+            if bad.any():
+                i = int(np.argmax(bad))
+                mass = Fraction(int(num[i]), mu.den**m)
+                witness = NormalityWitness(tuple(rows[i].tolist()), int(observed[i]), mass * n * (1 - eps),
+                                           mass * n * (1 + eps))
                 return NormalityVerdict(False, n, eps, k, witness)
     return NormalityVerdict(True, n, eps, k)

@@ -5,6 +5,7 @@ possible, with no imports from the package under test.  Slow is fine; the
 point is that a bug in the library and a bug here would have to coincide.
 """
 
+import itertools
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -27,6 +28,56 @@ def slow_tally(text, length):
         key = hay[i : i + length]
         out[key] = out.get(key, 0) + 1
     return out
+
+
+def slow_run_tally(runs, length):
+    """Window counts of the text made of ``copies`` copies of each ``block``, in order.
+
+    ``runs`` is a list of (copies, block) pairs.  A run keeps at most
+    length + 1 of its copies in a shortened text, which is tallied window
+    by window.  Every dropped copy sits among kept copies of its own run
+    and adds the windows that start in one copy, read around the block:
+    once each.
+    """
+    keep = length + 1
+    text, extra = [], {}
+    for copies, block in runs:
+        block = tuple(block)
+        text += block * min(copies, keep)
+        if copies > keep:
+            around = block * (length // len(block) + 2)
+            for p in range(len(block)):
+                key = around[p : p + length]
+                extra[key] = extra.get(key, 0) + copies - keep
+    out = slow_tally(text, length)
+    for key, c in extra.items():
+        out[key] = out.get(key, 0) + c
+    return out
+
+
+def literal_band_check(runs, eps, k, masses):
+    """First block whose count leaves mass * n * (1 -+ eps), or None.
+
+    ``runs`` is a list of (copies, block) pairs making the text; ``masses``
+    lists each digit's Fraction mass, digits past its end having mass 0.
+    Blocks of length 1..k over digits below max(len(masses), top digit + 1)
+    are tried in ``itertools.product`` order; a block's mass is the product
+    of its digit masses.  Returns (block, observed, lower, upper).
+    """
+    n = sum(copies * len(block) for copies, block in runs)
+    top = max(d for copies, block in runs if copies for d in block)
+    alphabet = max(len(masses), top + 1)
+    for m in range(1, k + 1):
+        counts = slow_run_tally(runs, m)
+        for block in itertools.product(range(alphabet), repeat=m):
+            mass = Fraction(1)
+            for d in block:
+                mass *= masses[d] if d < len(masses) else Fraction(0)
+            lower, upper = mass * n * (1 - eps), mass * n * (1 + eps)
+            observed = counts.get(block, 0)
+            if not lower <= observed <= upper:
+                return block, observed, lower, upper
+    return None
 
 
 def sweep_dstar(points):

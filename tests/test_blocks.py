@@ -1,5 +1,6 @@
 """Digit strings, occurrence counting, and the binary digit file format."""
 
+import itertools
 import re
 
 import numpy as np
@@ -17,6 +18,7 @@ from cantornormal.blocks import (
     count_run_occurrences,
     count_top_digit,
     digit_data,
+    enumeration_table,
     max_digit,
     read_digit_file,
     tally_blocks,
@@ -480,3 +482,23 @@ def test_digit_file_dangling_continuation(tmp_path):
     path.write_bytes(b"\x01\x00\x00\x00\x00\x00\x00\x00" + bytes([0x80]))
     with pytest.raises(ValueError):
         read_digit_file(path)
+
+
+@given(st.integers(2, 6), st.integers(1, 4), st.data())
+def test_enumeration_table_rows_are_product_order(b, w, data):
+    full = list(itertools.product(range(b), repeat=w))
+    assert enumeration_table(b, w).tolist() == [list(row) for row in full]
+    lo = data.draw(st.integers(0, b**w))
+    hi = data.draw(st.integers(lo, b**w))
+    rows = enumeration_table(b, w, lo, hi)
+    assert rows.shape == (hi - lo, w) and rows.dtype == np.uint8
+    assert rows.tolist() == [list(row) for row in full[lo:hi]]
+
+
+def test_enumeration_table_reaches_rows_past_int64():
+    # row i is i written in base b, even where i and b pass 2**64
+    b = 2**64 + 5
+    rows = enumeration_table(b, 2, b + 3, b + 5)
+    assert rows.dtype == object
+    assert rows.tolist() == [[1, 3], [1, 4]]
+    assert enumeration_table(b, 2, b**2 - 1, b**2).tolist() == [[b - 1, b - 1]]

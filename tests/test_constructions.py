@@ -16,7 +16,6 @@ from cantornormal.constructions import (
     assemble,
     build_C,
     build_P,
-    build_P_copies,
     build_P_runs,
     qde_default_eps,
     qde_spec,
@@ -72,23 +71,32 @@ def test_build_P_length_identity(b, w):
     assert len(build_P(b, w)) == w * 2 ** (b * w)
 
 
-def test_build_P_copies_checks_before_enumerating(monkeypatch):
-    # the (b+1)**w blocks are checked against the cap before the first is made
+def test_build_P_runs_checks_before_enumerating(monkeypatch):
+    # the (b+1)**w runs are checked against the cap before the table is made
     with size_cap(26), pytest.raises(SizeLimitError):
-        build_P_copies(2, 3)
+        build_P_runs(2, 3)
     monkeypatch.setenv("CNL_SIZE_CAP", "26")
     with pytest.raises(SizeLimitError):
-        build_P_copies(2, 3)
+        build_P_runs(2, 3)
     with pytest.raises(ValueError):
-        build_P_copies(2, 0)
+        build_P_runs(2, 0)
 
 
-def test_build_P_copies_agree_with_block():
+def test_build_P_run_parts_agree_with_block():
     for b, w in [(2, 2), (3, 1)]:
         flat = []
-        for blk, copies in build_P_copies(b, w):
+        for copies, blk in build_P_runs(b, w).parts:
             flat.extend(blk.as_tuple() * copies)
         assert tuple(flat) == build_P(b, w).as_tuple()
+
+
+def test_build_P_run_copies_stay_integers_between_int64_and_uint64():
+    # 65520**4 lies in [2**63, 2**64): a dtype picked from the values alone
+    # would be float64, which a run table refuses
+    (copies, table), = build_P_runs(16, 4).groups
+    assert copies.dtype == object
+    assert copies[-1] == 65520**4 and table[-1].tolist() == [16] * 4
+    assert copies.tolist() == [65520 ** row.count(16) for row in table.tolist()]
 
 
 def test_repetition_count_matches_runs():
@@ -130,7 +138,7 @@ def test_build_P_run_table_is_the_enumeration(b, w):
     (copies, table), = build_P_runs(b, w).groups
     assert table.shape == ((b + 1) ** w, w)
     assert list(zip(table.tolist(), copies.tolist())) == literal
-    pairs = list(build_P_copies(b, w))
+    pairs = [(blk, c) for c, blk in build_P_runs(b, w).parts]
     assert [(list(blk), c) for blk, c in pairs] == literal
     assert all(type(blk) is DigitString for blk, _ in pairs)
     flat = [d for row, c in literal for d in row * c]
@@ -214,6 +222,21 @@ def test_enumeration_cache_is_bounded_in_bytes(monkeypatch):
     assert build_C(2, 3).digits is b.digits
     assert build_C(3, 2).digits is not a.digits  # evicted, least recently used
     assert build_C(3, 2) == a
+
+
+def test_segment_reads_the_cached_top_digit_of_an_enumeration(monkeypatch):
+    monkeypatch.setattr(constructions, "_ENUMERATIONS", OrderedDict())
+    block = build_P(2, 2)
+    [(digits, top)] = constructions._ENUMERATIONS.values()
+    assert digits is block.digits and top == 2
+    # the top digit is read beside the cached array, not rescanned
+    monkeypatch.setitem(constructions._ENUMERATIONS, ("P", 2, 2), (digits, 7))
+    with pytest.raises(InvalidSpecError, match="digit 7 out of range for base 3"):
+        SegmentSpec(1, block, 3)
+    # a copy of the digits, or a slice of them, is scanned
+    assert SegmentSpec(1, digits.copy(), 3).block == block
+    with pytest.raises(InvalidSpecError, match="digit 2 out of range for base 2"):
+        SegmentSpec(1, block[:6], 2)
 
 
 # ---------------------------------------------------------------------------

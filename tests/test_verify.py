@@ -19,7 +19,7 @@ import pytest
 from cantornormal import cli
 from cantornormal import constructions as constructions_module
 from cantornormal import verify as verify_module
-from cantornormal.blocks import tally_blocks
+from cantornormal.blocks import ConcatSpec, tally_blocks
 from cantornormal.cantor import BasicSequence, CantorExpansion
 from cantornormal.constructions import (
     ConstructionSpec,
@@ -121,6 +121,35 @@ def test_lemma_amount_catches_wrong_weighting(monkeypatch):
     assert not cert.passed
     ce = cert.counterexample
     assert ce["copies"] != ce["expected"]
+
+
+def test_lemma_amount_past_int64():
+    # copies up to 65520**4 times den**4 = 2**64: the comparison runs on Python ints
+    cert = verify_lemma_amount(b_range=(16,), w_range=(4,))
+    assert cert.passed
+    assert cert.checked == 17**4
+
+
+def test_lemma_amount_names_a_tampered_run(monkeypatch):
+    real = verify_module.build_P_runs
+
+    def tampered(b, w):
+        runs = real(b, w)
+        if (b, w) != (3, 2):
+            return runs
+        (copies, table), = runs.groups
+        copies = copies.copy()
+        copies[7] += 1  # the run of block (1, 3): 5 copies become 6
+        return ConcatSpec.from_table(copies, table)
+
+    monkeypatch.setattr(verify_module, "build_P_runs", tampered)
+    cert = verify_lemma_amount(b_range=(2, 3), w_range=(1, 2))
+    assert not cert.passed
+    # 2**(3*2) * nu(3)(1, 3) = 64 * (1/8) * (5/8)
+    assert cert.counterexample == {"b": 3, "w": 2, "block": [1, 3], "copies": 6, "expected": Fraction(5)}
+    # every block of (2, 1), (2, 2) and (3, 1), then (3, 2) up to the run
+    assert cert.checked == 3 + 9 + 4 + 8
+    assert cert.to_json()["counterexample"]["expected"] == "5"
 
 
 def test_lemma_pbw_passes():

@@ -1,11 +1,14 @@
 """Digit weightings: masses, uniformity, block-frequency checks."""
 
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cantornormal import weightings as weightings_module
 from cantornormal.blocks import ConcatSpec, DigitString, concat
 from cantornormal.constructions import build_P_runs
 from cantornormal.errors import SizeLimitError
@@ -18,6 +21,8 @@ from cantornormal.weightings import (
     parse_weighting,
     uniform,
 )
+
+from oracles import literal_band_check
 
 
 def test_uniform_masses():
@@ -78,6 +83,22 @@ def test_weight_is_the_product_of_literal_digit_masses(mu, digits):
         assert mu.weight(DigitString(digits)) == expected
 
 
+@given(weightings, st.integers(0, 12), st.data())
+def test_numerators_are_literal_masses_over_den_to_the_length(mu, m, data):
+    rows = data.draw(st.lists(st.lists(st.integers(0, 8) | st.sampled_from([299, 300, 301]), min_size=m,
+                                       max_size=m), min_size=1, max_size=6))
+    table = np.array(rows, dtype=np.uint16).reshape(len(rows), m)
+    num = mu.numerators(table)
+    assert num.shape == (len(rows),)
+    for row, got in zip(rows, num.tolist()):
+        expected = Fraction(1)
+        for d in row:
+            expected *= _literal_digit_mass(mu, d)
+        assert Fraction(got, mu.den**m) == expected
+    # int64 while the largest numerator fits
+    assert num.dtype == (object if mu.kind == "nu" and (mu.den - mu.b) ** m >= 1 << 63 else np.int64)
+
+
 def test_weight_outside_support_is_zero():
     assert uniform(2).weight((0, 5)) == 0
     assert uniform(2).weight(()) == 1
@@ -108,6 +129,15 @@ def test_pb_uniform_frozen():
     assert not check_pb_uniform(nu(2), 2, 2, k_max=1)
     # p too large: the top digit's mass is not 1/2**b
     assert not check_pb_uniform(nu(2), 3, 4, k_max=1)
+
+
+def test_pb_uniform_same_verdicts_in_small_chunks(monkeypatch):
+    monkeypatch.setattr(weightings_module, "_BLOCK_CHUNK", 3)
+    assert check_pb_uniform(nu(3), 3, 8, k_max=3)
+    assert check_pb_uniform(uniform(5), 5, 5, k_max=2)
+    assert not check_pb_uniform(nu(2), 3, 4, k_max=2)
+    # 4**k is not a multiple of 3**k: no block has mass 3**-k
+    assert not check_pb_uniform(nu(2), 2, 3, k_max=1)
 
 
 def test_pb_uniform_validation_and_cap():
@@ -202,3 +232,106 @@ def test_eps_k_normal_json_shapes():
     assert out["passed"] is False
     assert out["witness"]["block"] == [0]
     assert out["witness"]["upper"] == "8/3"
+
+
+def _literal_masses(mu):
+    return [_literal_digit_mass(mu, d) for d in range(mu.b + (mu.kind == "nu"))]
+
+
+def _agrees_with_literal_band(runs, eps, k, mu):
+    spec = ConcatSpec(tuple((c, DigitString(d)) for c, d in runs))
+    verdict = check_eps_k_normal(spec, eps, k, mu)
+    expected = literal_band_check(runs, eps, k, _literal_masses(mu))
+    assert verdict.passed is (expected is None)
+    if expected is not None:
+        w = verdict.witness
+        assert (w.block, w.observed, w.lower, w.upper) == expected
+    if spec.length <= 400:
+        assert check_eps_k_normal(concat(spec), eps, k, mu) == verdict
+    return verdict
+
+
+_band_weightings = st.sampled_from([uniform(2), uniform(3), nu(2), nu(3)])
+
+
+@st.composite
+def _near_band_runs(draw, mu):
+    """Every length-w block over mu's support, scale * den**w * mass copies each,
+    then a few copy counts moved, stray runs above the support and a shuffle."""
+    w, scale = draw(st.integers(1, 3)), draw(st.sampled_from([1, 3, 10**18]))
+    den = 2**mu.b if mu.kind == "nu" else mu.b
+    runs = []
+    for blk in itertools.product(range(len(_literal_masses(mu))), repeat=w):
+        mass = Fraction(1)
+        for d in blk:
+            mass *= _literal_digit_mass(mu, d)
+        runs.append([int(scale * den**w * mass), list(blk)])
+    for i, delta in draw(st.lists(st.tuples(st.integers(0, len(runs) - 1), st.integers(-3, 3)), max_size=3)):
+        runs[i][0] = max(0, runs[i][0] + delta * draw(st.sampled_from([1, scale])))
+    stray = st.tuples(st.integers(0, 2), st.lists(st.integers(0, len(_literal_masses(mu)) + 1), min_size=1, max_size=3))
+    runs += draw(st.lists(stray, max_size=2))
+    return [tuple(run) for run in draw(st.permutations(runs))]
+
+
+_random_runs = st.lists(
+    st.tuples(
+        st.integers(0, 4) | st.integers(10**17, 10**20),
+        st.lists(st.integers(0, 5), min_size=1, max_size=4),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.data(),
+    _band_weightings,
+    st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)]),
+    st.integers(1, 3),
+    st.integers(1, 7),
+)
+def test_eps_k_normal_matches_the_literal_band(data, mu, eps, k, chunk):
+    # texts near mu's block frequencies pass or fail at any length; random
+    # ones fail early.  Digits past the support bound occur in both, copies
+    # of 10**17 and more push the terms past int64, and a chunk of a few
+    # rows cuts each length's enumeration mid-way
+    runs = data.draw(_near_band_runs(mu) | _random_runs)
+    if not any(c for c, _ in runs):
+        runs.append((1, [0]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weightings_module, "_BLOCK_CHUNK", chunk)
+        _agrees_with_literal_band(runs, eps, k, mu)
+
+
+@pytest.mark.parametrize("scale", [1, 10**18])
+@pytest.mark.parametrize("chunk", [1, 4, 1 << 16])
+@pytest.mark.parametrize("b,w,k", [(2, 2, 1), (2, 4, 2), (3, 2, 1)])
+def test_eps_k_normal_passes_P_runs_like_the_literal_band(monkeypatch, scale, chunk, b, w, k):
+    # build_P's runs written out literally, their copies scaled; at scale
+    # 10**18 the terms D*n*q pass 2**63 and the check runs on Python ints
+    runs = [(scale * (2**b - b) ** blk.count(b), list(blk)) for blk in itertools.product(range(b + 1), repeat=w)]
+    monkeypatch.setattr(weightings_module, "_BLOCK_CHUNK", chunk)
+    eps = Fraction(1, 2)
+    verdict = _agrees_with_literal_band(runs, eps, k, nu(b))
+    assert verdict.passed
+    assert (scale > 1) is ((2**b) ** k * verdict.length * eps.denominator >= 1 << 63)
+    failed = _agrees_with_literal_band(runs, Fraction(1, 4), k, uniform(b + 1))
+    assert not failed.passed
+
+
+def test_eps_k_normal_enumerates_in_bounded_chunks(monkeypatch):
+    sizes = []
+    table = weightings_module.enumeration_table
+
+    def recorded(b, w, lo=0, hi=None):
+        rows = table(b, w, lo, hi)
+        sizes.append((w, len(rows)))
+        return rows
+
+    monkeypatch.setattr(weightings_module, "enumeration_table", recorded)
+    monkeypatch.setattr(weightings_module, "_BLOCK_CHUNK", 5)
+    verdict = check_eps_k_normal(build_P_runs(2, 3), Fraction(1, 2), 3, nu(2))
+    assert verdict.passed
+    assert max(size for _, size in sizes) == 5
+    assert [sum(size for m, size in sizes if m == length) for length in (1, 2, 3)] == [3, 9, 27]
