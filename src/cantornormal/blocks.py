@@ -16,7 +16,8 @@ path for all dtypes, and digits leave the array as Python ints.
 A ``ConcatSpec`` (copies of a few distinct blocks) is never materialized
 implicitly: ``tally_blocks`` counts its windows from its packed run tables
 and ``count_run_occurrences`` from its parts, and only ``concat`` builds
-its digits, under the size cap.
+its digits, under the size cap.  There is one window tally, over runs: a
+digit sequence is tallied as a single run of one copy.
 """
 from __future__ import annotations
 
@@ -375,17 +376,20 @@ def tally_blocks(text, length: int) -> dict[tuple[int, ...], int]:
     """Exact counts of every length-``length`` window occurring in ``text``.
 
     Returns a dict keyed by digit tuples; absent keys mean count zero.
-    ``text`` is a digit sequence or a ConcatSpec.  A ConcatSpec is counted
-    from its run tables without building its digits, so the work grows
-    with the number and length of its distinct runs, not with the length
-    described.  A digit sequence is counted by one vectorized pass per
-    chunk.  Counts are exact integers either way.
+    ``text`` is a digit sequence or a ConcatSpec.  A digit sequence is
+    counted as one run of one copy.  A ConcatSpec is counted from its run
+    tables without building its digits, so the work grows with the number
+    and length of its distinct runs, not with the length described.
+    Counts are exact integers either way.
     """
     if not isinstance(length, int) or length < 1:
         raise ValueError(f"window length must be an integer >= 1, got {length}")
     if isinstance(text, ConcatSpec):
-        return _tally_runs(text, length)
-    return _tally_flat(digit_data(text), length)
+        n, groups = text.length, text.groups
+    else:
+        seq = digit_data(text)
+        n, groups = len(seq), ((np.ones(1, dtype=np.int64), seq[None]),)
+    return _tally_runs(groups, length) if n >= length else {}
 
 
 def _window_codes(digits: np.ndarray, k: int, alpha: int, code_type) -> np.ndarray:
@@ -399,30 +403,32 @@ def _window_codes(digits: np.ndarray, k: int, alpha: int, code_type) -> np.ndarr
     return codes
 
 
-def _add_counts(totals: dict[int, int], codes: np.ndarray, weights: np.ndarray | None, size: int) -> None:
-    """Add to ``totals`` how often each code occurs, or its summed ``weights``.
+def _add_counts(totals: dict[int, int], codes: np.ndarray, weights, size: int) -> None:
+    """Add to ``totals`` each code's summed ``weights``, one weight per code.
 
-    Codes lie below ``size``.  They are counted in a dense table while
-    ``size`` is no longer than the codes, else by sorting them with
-    ``unique``; weights are summed with ``np.add.at`` in their own exact
-    dtype.
+    An int ``weights`` is every code's weight: the codes are counted and
+    each count is scaled by it.  Codes lie below ``size``.  They are
+    counted in a dense table while ``size`` is no longer than the codes,
+    else by sorting them with ``unique``; an array of weights is summed
+    with ``np.add.at`` in its own exact dtype.
     """
+    scale = weights if isinstance(weights, int) else 1
     if size <= max(len(codes), 1 << 16):
-        if weights is None:
+        if isinstance(weights, int):
             table = np.bincount(codes)
         else:
             table = np.zeros(size, dtype=weights.dtype)
             np.add.at(table, codes, weights)
         found = np.flatnonzero(table)
         sums = table[found]
-    elif weights is None:
+    elif isinstance(weights, int):
         found, sums = np.unique(codes, return_counts=True)
     else:
         found, inverse = np.unique(codes, return_inverse=True)
         sums = np.zeros(len(found), dtype=weights.dtype)
         np.add.at(sums, inverse, weights)
     for code, c in zip(found.tolist(), sums.tolist()):
-        totals[code] += c
+        totals[code] += c * scale
 
 
 def _decode(totals: dict[int, int], alpha: int, k: int, code_type) -> dict[tuple[int, ...], int]:
@@ -432,74 +438,65 @@ def _decode(totals: dict[int, int], alpha: int, k: int, code_type) -> dict[tuple
     return dict(zip(zip(*places), totals.values()))
 
 
-def _code_type(alpha: int, k: int):
-    """int64 while every length-k window code over ``alpha`` digits fits, else object."""
-    return np.int64 if alpha**k <= 1 << 63 else object
-
-
-def _tally_flat(seq: np.ndarray, k: int) -> dict[tuple[int, ...], int]:
-    """tally_blocks over one packed digit array, one numpy pass per chunk."""
-    if len(seq) < k:
-        return {}
-    alpha = max_digit(seq) + 1
-    code_type = _code_type(alpha, k)
-    totals: dict[int, int] = defaultdict(int)
-    for part in _windows(seq, k):
-        _add_counts(totals, _window_codes(part, k, alpha, code_type), None, alpha**k)
-    return _decode(totals, alpha, k, code_type)
-
-
-def _tally_runs(spec: ConcatSpec, k: int) -> dict[tuple[int, ...], int]:
-    """tally_blocks over a ConcatSpec, from its run tables alone.
+def _tally_runs(groups, k: int) -> dict[tuple[int, ...], int]:
+    """tally_blocks over (copies vector, runs x length digit table) groups.
 
     Every window is counted at the run it starts in.  In a run of c copies
     of a length-L block, the window at offset p of a copy stays inside the
-    run for c - (p+k-1)//L of the copies: all c when it fits in one copy,
-    c - 1 when it crosses one seam between copies, and so on (none when
-    that is <= 0).  Those windows are coded for a chunk of a table's rows
-    at once, on each row followed by its own first k - 1 digits, and summed
-    with those copy counts as weights.
+    run for c - (p+k-1)//L of the copies: all c when it fits in one copy
+    (p <= L - k), fewer as it crosses seams between copies, none when that
+    is <= 0.  Those windows are coded for a chunk of a table's rows at
+    once, on each row followed by its own first k - 1 digits, and summed
+    with those copy counts as weights.  When a chunk's rows share one copy
+    count, as a digit sequence's one row does, the windows that fit in one
+    copy are counted unweighted instead and scaled by it, a row longer
+    than a chunk taken as ``_windows`` takes flat text.
 
     The at most k - 1 windows that start in a run and leave it are counted
     once each on a seam text: every run in order, cut to its first and its
     last k - 1 digits when it has more than 2(k - 1).  The first k - 1
     digits after a run's end never reach a cut, so each such window reads
     the same digits there as in the full text.  Weights are int64 while the
-    spec's length fits, Python ints otherwise.
+    text's length fits, Python ints otherwise.
     """
-    if spec.length < k:
-        return {}
-    alpha = max_digit(spec) + 1
-    code_type = _code_type(alpha, k)
+    alpha = max(int(table.max()) for _, table in groups) + 1
+    code_type = exact_type(alpha**k - 1)
     totals: dict[int, int] = defaultdict(int)
     seam, starts = [], []
     cols = np.arange(2 * (k - 1))
-    for copies, table in spec.groups:
+    for copies, table in groups:
         size = table.shape[1]
-        extended = np.arange(size + k - 1) % size
-        crossed = (np.arange(size) + k - 1) // size  # copy seams the window at each offset crosses
-        # a run of 2(k-1) digits or more keeps its first k - 1 digits and its
-        # last k - 1, which sit at columns (i - 2(k-1)) mod size for
-        # i = k-1..2k-3 since its length is a multiple of size
-        edges = (cols - np.where(cols < k - 1, 0, 2 * (k - 1))) % size
+        inner = max(0, size - k + 1)  # offsets whose window fits in one copy
         # each window of a chunk holds a code, a weight and their selected
-        # copies, so a chunk takes a quarter of the flat path's windows
+        # copies, so a chunk takes a quarter of _TALLY_CHUNK windows
         step = max(1, (_TALLY_CHUNK >> 2) // (size + k - 1))
         for lo in range(0, len(table), step):
             rows, counts = table[lo : lo + step], copies[lo : lo + step]
-            weights = counts[:, None] - crossed
-            inside = weights > 0
-            codes = _window_codes(rows[:, extended], k, alpha, code_type)
-            _add_counts(totals, codes[inside], weights[inside], alpha**k)
-            span = np.minimum(counts * size, 2 * (k - 1)).astype(np.int64)[:, None]
-            kept = cols < span
-            seam.append(np.where(span == 2 * (k - 1), rows[:, edges], rows[:, cols % size])[kept])
-            starts.append((cols >= span - np.minimum(span, k - 1))[kept])
+            first = 0  # the first offset whose windows are weighted
+            if inner and (counts == counts[0]).all():
+                for part in _windows(rows[0], k) if len(rows) == 1 else (rows,):
+                    _add_counts(totals, _window_codes(part, k, alpha, code_type).ravel(), int(counts[0]), alpha**k)
+                first = inner
+            # the window at offset p crosses (p + k - 1) // size copy seams
+            weights = counts[:, None] - (np.arange(first, size) + k - 1) // size
+            kept = weights > 0
+            if kept.any():
+                codes = _window_codes(rows[:, np.arange(first, size + k - 1) % size], k, alpha, code_type)
+                _add_counts(totals, codes[kept], weights[kept], alpha**k)
+            if k > 1:
+                # a run of 2(k-1) digits or more keeps its first k - 1 digits and
+                # its last k - 1, which sit at columns (i - 2(k-1)) mod size for
+                # i = k-1..2k-3 since its length is a multiple of size
+                edges = (cols - np.where(cols < k - 1, 0, 2 * (k - 1))) % size
+                span = np.minimum(counts * size, 2 * (k - 1)).astype(np.int64)[:, None]
+                kept = cols < span
+                seam.append(np.where(span == 2 * (k - 1), rows[:, edges], rows[:, cols % size])[kept])
+                starts.append((cols >= span - np.minimum(span, k - 1))[kept])
     if k > 1:
         text, starts = np.concatenate(seam), np.concatenate(starts)
         for lo, part in zip(itertools.count(0, _TALLY_CHUNK), _windows(text, k)):
             codes = _window_codes(part, k, alpha, code_type)
-            _add_counts(totals, codes[starts[lo : lo + len(codes)]], None, alpha**k)
+            _add_counts(totals, codes[starts[lo : lo + len(codes)]], 1, alpha**k)
     return _decode(totals, alpha, k, code_type)
 
 

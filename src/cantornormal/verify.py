@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import constructions as _constructions
-from .blocks import exact_type, tally_blocks
+from .blocks import exact_type
 from .cantor import CantorExpansion, orbit_numerators, orbit_point, scaled_prefix_counts
 from .constructions import (
     ConstructionSpec,
@@ -50,7 +50,7 @@ from .discrepancy import (
     sweep_dtype,
 )
 from .errors import InvalidSpecError, NeedsMoreDigitsError
-from .weightings import check_eps_k_normal, nu
+from .weightings import check_eps_k_normal, first_outside_band, nu
 
 
 def _jsonable(value):
@@ -165,33 +165,28 @@ def verify_lemma_pbw(b_range=(2, 3, 4, 5, 6), w_range=(1, 2, 3), max_len: int = 
 def verify_bounds_ng_nl(b: int, w: int, k_max: int) -> Certificate:
     """Occurrence sandwich inside build_P(b, w), for every block length <= k_max.
 
-    Lower bound: whole-copy occurrences alone.  Upper bound: whole-copy
-    occurrences at the generous per-position rate plus all possible
-    straddling positions.  ``tally_blocks`` counts the windows of build_P's
-    (copies, block) runs; the runs enumerated count against the size cap.
+    Lower bound: whole-copy occurrences alone, mass * n * (w-k+1)/w.  Upper
+    bound: mass * n, the generous per-position rate, plus all (k-1)(b+1)**w
+    straddling positions.  That is ``first_outside_band`` with (low, high,
+    over, slack) = (w-k+1, w, w, (k-1)(b+1)**w) over build_P's runs, which
+    count against the size cap.  ``checked`` counts blocks to the first failure.
     """
     if not (isinstance(k_max, int) and 1 <= k_max <= w):
         raise InvalidSpecError(f"k_max must satisfy 1 <= k_max <= w, got {k_max}")
     params = {"b": b, "w": w, "k_max": k_max}
-    rep = (1 << b) - b
     checked = 0
     counterexample = None
     text = build_P_runs(b, w)
     for k in range(1, k_max + 1):
-        counts = tally_blocks(text, k)
-        tail = (k - 1) * (b + 1) ** w
-        for blk in itertools.product(range(b + 1), repeat=k):
-            g = blk.count(b)
-            core = rep**g * (1 << (b * (w - k)))
-            lower = (w - k + 1) * core
-            upper = w * core + tail
-            observed = counts.get(blk, 0)
-            checked += 1
-            if not lower <= observed <= upper:
-                counterexample = {"block": list(blk), "lower": lower, "observed": observed, "upper": upper}
-                break
-        if counterexample is not None:
+        found = first_outside_band(text, text.length, k, b + 1, nu(b), w - k + 1, w, w, (k - 1) * (b + 1) ** w)
+        if found is not None:
+            rank, witness = found
+            checked += rank + 1
+            # both bounds are integers: 2**(b*k) * w divides n = w * 2**(b*w)
+            counterexample = {"block": list(witness.block), "lower": int(witness.lower),
+                              "observed": witness.observed, "upper": int(witness.upper)}
             break
+        checked += (b + 1) ** k
     return Certificate("bounds-ng-nl", params, counterexample is None, checked, counterexample)
 
 

@@ -18,6 +18,7 @@ only for what they report.  All verdicts are exact.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -171,21 +172,47 @@ class NormalityVerdict:
         return out
 
 
-def _tally_codes(tallies: dict, alphabet: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(codes, counts) of a window tally, ascending by base-``alphabet`` code.
+def first_outside_band(text, n: int, m: int, alphabet: int, mu: Weighting, low: int, high: int, over: int,
+                       slack: int):
+    """First length-m block whose count leaves its integer band, as (row, witness), or None.
 
-    A block's code is its row in ``enumeration_table(alphabet, m)``.
+    A block B of mass num/D, D = ``mu.den**m``, occurring N times in
+    ``text`` (a digit array or a ConcatSpec of n digits below
+    ``alphabet``, counted by ``tally_blocks``) is in its band iff
+
+        num*n*low  <=  N*D*over  <=  num*n*high + slack*D*over.
+
+    The blocks are compared in ``enumeration_table(alphabet, m)`` row
+    order, ``_BLOCK_CHUNK`` rows at a time, as integer arrays: int64 while
+    every term fits, else Python ints.  Only the witness makes Fractions.
     """
-    if not tallies:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    code_type = exact_type(alphabet**m)
-    digits = np.array(list(tallies), dtype=code_type)
-    codes = np.zeros(len(digits), dtype=code_type)
-    for j in range(m):
+    tally = tally_blocks(text, m)
+    code_type = exact_type(alphabet**m - 1)
+    digits = np.fromiter(itertools.chain.from_iterable(tally), dtype=code_type, count=m * len(tally)).reshape(-1, m)
+    codes = digits[:, 0]
+    for j in range(1, m):
         codes = codes * alphabet + digits[:, j]
-    order = np.argsort(codes)
-    counts = np.array(list(tallies.values()), dtype=exact_type(max(tallies.values())))
-    return codes[order], counts[order]
+    counts = np.fromiter(tally.values(), dtype=exact_type(max(tally.values(), default=0)), count=len(tally))
+    size, den, edge = alphabet**m, mu.den**m, slack * mu.den**m * over
+    # numerators are at most den, since a mass is at most 1, and observed counts at most n
+    term_type = exact_type(den * n * max(low, high, over) + edge)
+    for lo in range(0, size, _BLOCK_CHUNK):
+        hi = min(lo + _BLOCK_CHUNK, size)
+        rows = enumeration_table(alphabet, m, lo, hi)
+        num = mu.numerators(rows)
+        observed = np.zeros(hi - lo, dtype=term_type)
+        mine = (codes >= lo) & (codes < hi)
+        observed[(codes[mine] - lo).astype(np.int64, copy=False)] = counts[mine]
+        num = num.astype(term_type, copy=False)
+        scaled = observed * (den * over)
+        bad = (num * (n * low) > scaled) | (scaled > num * (n * high) + edge)
+        if bad.any():
+            i = int(np.argmax(bad))
+            share = int(num[i]) * n
+            witness = NormalityWitness(tuple(rows[i].tolist()), int(observed[i]),
+                                       Fraction(share * low, den * over), Fraction(share * high, den * over) + slack)
+            return lo + i, witness
+    return None
 
 
 def check_eps_k_normal(y, eps, k: int, mu: Weighting) -> NormalityVerdict:
@@ -196,16 +223,14 @@ def check_eps_k_normal(y, eps, k: int, mu: Weighting) -> NormalityVerdict:
 
         mu(B) * len(y) * (1 - eps)  <=  N(B, y)  <=  mu(B) * len(y) * (1 + eps)
 
-    with N counting overlapping occurrences.  With eps = p/q and mu(B) =
-    num/D, D = ``mu.den**m``, that is num*n*(q-p) <= N*D*q <= num*n*(q+p)
-    in integers, compared for a chunk of ``_BLOCK_CHUNK`` rows of the
-    lexicographic enumeration table at once: in int64 while every term
-    fits, else in Python ints.  No Fraction is made per block.  The first
-    violation (shortest length, then lexicographic) is returned as a
-    witness.  ``y`` may be a ConcatSpec: its length is the sum of
-    multiplicity times block length, its top digit comes from the distinct
-    blocks, and its windows are counted without building its digits.  The
-    alphabet**k blocks enumerated count against the size cap.
+    with N counting overlapping occurrences.  With eps = p/q that is the
+    band (q-p, q+p, q, 0) of ``first_outside_band``, compared in integers
+    with no Fraction per block.  The first violation (shortest length,
+    then lexicographic) is returned as a witness.  ``y`` may be a
+    ConcatSpec: its length is the sum of multiplicity times block length,
+    its top digit comes from the distinct blocks, and its windows are
+    counted without building its digits.  The alphabet**k blocks
+    enumerated count against the size cap.
     """
     eps = Fraction(eps)
     if not (0 < eps < 1):
@@ -223,25 +248,7 @@ def check_eps_k_normal(y, eps, k: int, mu: Weighting) -> NormalityVerdict:
     check_cap(alphabet**k, what="enumerated blocks")
     p, q = eps.numerator, eps.denominator
     for m in range(1, k + 1):
-        codes, counts = _tally_codes(tally_blocks(text, m) if n >= m else {}, alphabet, m)
-        size, scale = alphabet**m, mu.den**m * q
-        low, high = n * (q - p), n * (q + p)
-        for lo in range(0, size, _BLOCK_CHUNK):
-            hi = min(lo + _BLOCK_CHUNK, size)
-            rows = enumeration_table(alphabet, m, lo, hi)
-            num = mu.numerators(rows)
-            # observed counts are at most n
-            term_type = exact_type(max(int(num.max()) * high, n * scale))
-            observed = np.zeros(hi - lo, dtype=term_type)
-            first, last = np.searchsorted(codes, [lo, hi])
-            observed[(codes[first:last] - lo).astype(np.int64)] = counts[first:last]
-            num = num.astype(term_type)
-            scaled = observed * scale
-            bad = (num * low > scaled) | (scaled > num * high)
-            if bad.any():
-                i = int(np.argmax(bad))
-                mass = Fraction(int(num[i]), mu.den**m)
-                witness = NormalityWitness(tuple(rows[i].tolist()), int(observed[i]), mass * n * (1 - eps),
-                                           mass * n * (1 + eps))
-                return NormalityVerdict(False, n, eps, k, witness)
+        found = first_outside_band(text, n, m, alphabet, mu, q - p, q + p, q, 0)
+        if found is not None:
+            return NormalityVerdict(False, n, eps, k, found[1])
     return NormalityVerdict(True, n, eps, k)

@@ -80,6 +80,28 @@ def literal_band_check(runs, eps, k, masses):
     return None
 
 
+def literal_band(runs, m, masses, low, high, over, slack):
+    """First length-m block whose count leaves mass * n * low/over <= N <= mass * n * high/over + slack, or None.
+
+    ``runs`` and ``masses`` are as in ``literal_band_check``, and blocks are
+    tried in the same ``itertools.product`` order.  Returns (rank of the
+    block in that order, block, observed, lower, upper).
+    """
+    n = sum(copies * len(block) for copies, block in runs)
+    top = max(d for copies, block in runs if copies for d in block)
+    alphabet = max(len(masses), top + 1)
+    counts = slow_run_tally(runs, m)
+    for rank, block in enumerate(itertools.product(range(alphabet), repeat=m)):
+        mass = Fraction(1)
+        for d in block:
+            mass *= masses[d] if d < len(masses) else Fraction(0)
+        lower, upper = mass * n * Fraction(low, over), mass * n * Fraction(high, over) + slack
+        observed = counts.get(block, 0)
+        if not lower <= observed <= upper:
+            return rank, block, observed, lower, upper
+    return None
+
+
 def sweep_dstar(points):
     """Star discrepancy by evaluating the defining sup at its breakpoints.
 

@@ -1,29 +1,32 @@
-"""The traced benchmark wraps only package functions that exist.
+"""The traced benchmark wraps only package functions that exist, and sees every layer.
 
 ``benchmarks/tracing.py`` names the functions it wraps by (module, attribute)
 and the ConstructionSpec methods it wraps by name.  Deleting or renaming one
 of them makes the traced benchmark run crash, so the names are checked here.
+A layer whose calls stop going through a module global that the tracer
+swaps records no span, so a traced ``verify --all`` is run here too.
 """
 import importlib
 import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
+from cantornormal import cli
 from cantornormal.constructions import ConstructionSpec, build_P_runs
 from cantornormal.weightings import check_eps_k_normal, nu
 
-TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARKS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_functions_exist():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     missing = [
         f"{mod}.{attr}"
         for mod, attr, _, _ in tracing.SPANNED
@@ -40,10 +43,24 @@ def test_traced_functions_exist():
 def test_work_counts_on_run_verdict_are_python_ints():
     # the eknu (b=6, w=2, k=1) job of verify_all checks a ConcatSpec of runs:
     # 2 * 2**12 digits over the alphabet 0..6, all 7 one-digit blocks compared
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     runs = build_P_runs(6, 2)
     args = (runs, Fraction(1, 2), 1, nu(6))
     verdict = check_eps_k_normal(*args)
     assert verdict.passed
     for got, literal in ((tracing._len_of(runs), 2 * 2**12), (tracing._blocks_checked(args, {}, verdict), 7)):
         assert type(got) is int and got == literal
+
+
+def test_traced_verify_all_records_every_layer(tmp_path, monkeypatch):
+    # about 2 s: the tracer's work count for the band check reads every
+    # digit of a ConcatSpec lazily
+    monkeypatch.syspath_prepend(str(BENCHMARKS))  # workloads imports its sibling modules
+    layers = _load("workloads").VerifyAll.LAYERS
+    tracer = _load("tracing").Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["verify", "--all", "--out", str(tmp_path / "all.json")]) == 0
+    finally:
+        tracer.uninstall()
+    assert set(layers) - set(tracer.aggregate()) == set()

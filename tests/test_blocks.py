@@ -29,7 +29,7 @@ from cantornormal.constructions import SegmentSpec
 from cantornormal.errors import InvalidSpecError, NeedsMoreDigitsError, SizeLimitError
 from cantornormal.limits import size_cap
 
-from oracles import slow_count, slow_tally
+from oracles import slow_count, slow_run_tally, slow_tally
 
 digit_lists = st.lists(st.integers(0, 6), min_size=0, max_size=40)
 patterns = st.lists(st.integers(0, 6), min_size=1, max_size=5)
@@ -264,6 +264,39 @@ def test_tally_blocks_chunked_path(text, length):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(B, "_TALLY_CHUNK", 7)
         assert tally_blocks(bytes(text), length) == slow_tally(text, length)
+
+
+_short_runs = st.tuples(st.integers(0, 3), st.lists(st.integers(0, 4), min_size=1, max_size=3))
+
+
+@given(st.lists(st.integers(0, 4), min_size=8, max_size=30), st.sampled_from([1, 2, 3, 10**20]), _short_runs,
+       _short_runs, st.integers(1, 4))
+@settings(max_examples=100)
+def test_tally_blocks_chunks_a_long_run(block, copies, before, after, length):
+    # the long block is a one-row group of more windows than a chunk holds,
+    # between shorter runs
+    runs = [before, (copies, block), after]
+    spec = ConcatSpec(tuple((m, DigitString(b)) for m, b in runs))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(B, "_TALLY_CHUNK", 7)
+        assert tally_blocks(spec, length) == slow_run_tally(runs, length)
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_tally_blocks_chunks_a_run_table(data):
+    # a chunk of 40 windows takes up to 10 rows of a run table at once, or
+    # one row, and cuts a row of more than 40 digits
+    width = data.draw(st.integers(1, 9) | st.integers(41, 50))
+    rows = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=width, max_size=width), min_size=2, max_size=12))
+    one_count = st.sampled_from([1, 3]).map(lambda c: [c] * len(rows))
+    copies = data.draw(one_count | st.lists(st.sampled_from([1, 2, 5]), min_size=len(rows), max_size=len(rows)))
+    spec = ConcatSpec.from_table(np.array(copies), np.array(rows, dtype=np.uint8))
+    text = [d for c, row in zip(copies, rows) for d in row * c]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(B, "_TALLY_CHUNK", 40)
+        for k in (1, 2, width, width + 1):
+            assert tally_blocks(spec, k) == slow_tally(text, k)
 
 
 # Parts drawn from a small pool so that equal adjacent blocks are common;

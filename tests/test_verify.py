@@ -19,6 +19,7 @@ import pytest
 from cantornormal import cli
 from cantornormal import constructions as constructions_module
 from cantornormal import verify as verify_module
+from cantornormal import weightings as weightings_module
 from cantornormal.blocks import ConcatSpec, tally_blocks
 from cantornormal.cantor import BasicSequence, CantorExpansion
 from cantornormal.constructions import (
@@ -186,10 +187,27 @@ def test_bounds_ng_nl_catches_inflated_tally(monkeypatch):
         out[key] += 10**9
         return out
 
-    monkeypatch.setattr(verify_module, "tally_blocks", inflated)
+    monkeypatch.setattr(weightings_module, "tally_blocks", inflated)
     cert = verify_bounds_ng_nl(2, 2, 1)
     assert not cert.passed
     assert cert.counterexample["observed"] > cert.counterexample["upper"]
+
+
+def test_bounds_ng_nl_catches_deflated_tally(monkeypatch):
+    def deflated(text, k):
+        out = dict(tally_blocks(text, k))
+        if k == 2:
+            out[(1, 2)] = 1  # its band is 2 <= N <= 2 * 2 + 3**2
+        return out
+
+    monkeypatch.setattr(weightings_module, "tally_blocks", deflated)
+    cert = verify_bounds_ng_nl(2, 2, 2)
+    assert not cert.passed
+    assert cert.checked == 3 + 6  # every 1-block, then the 2-blocks up to (1, 2)
+    # the bounds are JSON integers, not "p/q" strings
+    assert json.loads(cert.canonical_bytes())["counterexample"] == {
+        "block": [1, 2], "lower": 2, "observed": 1, "upper": 13,
+    }
 
 
 def test_no_verifier_binds_a_callable_default():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantornormal import weightings as weightings_module
-from cantornormal.blocks import ConcatSpec, DigitString, concat
+from cantornormal.blocks import ConcatSpec, DigitString, concat, max_digit
 from cantornormal.constructions import build_P_runs
 from cantornormal.errors import SizeLimitError
 from cantornormal.limits import size_cap
@@ -17,12 +17,13 @@ from cantornormal.weightings import (
     Weighting,
     check_eps_k_normal,
     check_pb_uniform,
+    first_outside_band,
     nu,
     parse_weighting,
     uniform,
 )
 
-from oracles import literal_band_check
+from oracles import literal_band, literal_band_check
 
 
 def test_uniform_masses():
@@ -302,6 +303,31 @@ def test_eps_k_normal_matches_the_literal_band(data, mu, eps, k, chunk):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(weightings_module, "_BLOCK_CHUNK", chunk)
         _agrees_with_literal_band(runs, eps, k, mu)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _band_weightings, st.integers(1, 3), st.integers(1, 7))
+def test_first_outside_band_matches_the_literal_band(data, mu, m, chunk):
+    # low and high sit at different distances from over, and slack (past
+    # int64 at times) widens only the upper side
+    over = data.draw(st.integers(1, 12))
+    low, high = data.draw(st.integers(0, over)), data.draw(st.integers(over, 3 * over))
+    slack = data.draw(st.integers(0, 20) | st.integers(10**18, 10**20))
+    runs = data.draw(_near_band_runs(mu) | _random_runs)
+    if not any(c for c, _ in runs):
+        runs.append((1, [0]))
+    spec = ConcatSpec(tuple((c, DigitString(d)) for c, d in runs))
+    masses = _literal_masses(mu)
+    alphabet = max(len(masses), max_digit(spec) + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weightings_module, "_BLOCK_CHUNK", chunk)
+        found = first_outside_band(spec, spec.length, m, alphabet, mu, low, high, over, slack)
+    expected = literal_band(runs, m, masses, low, high, over, slack)
+    if expected is None:
+        assert found is None
+    else:
+        rank, w = found
+        assert (rank, w.block, w.observed, w.lower, w.upper) == expected
 
 
 @pytest.mark.parametrize("scale", [1, 10**18])
