@@ -87,10 +87,13 @@ def digit_data(x) -> np.ndarray:
 def max_digit(x) -> int:
     """Largest digit of a nonempty digit sequence or of a ConcatSpec.
 
-    A ConcatSpec is read from its run tables, which hold only runs with digits.
+    A ConcatSpec is read from its run tables, which hold only runs with
+    digits; a DigitString gives its cached ``top``.
     """
     if isinstance(x, ConcatSpec):
         return max(int(table.max()) for _, table in x.groups)
+    if isinstance(x, DigitString):
+        return x.top
     return int(digit_data(x).max())
 
 
@@ -100,7 +103,8 @@ class DigitString:
 
     Equal digit strings compare and hash equal whatever input they were
     packed from; indexing gives Python ints and slicing gives a
-    DigitString that shares the packed array.
+    DigitString that shares the packed array.  ``top``, the largest digit
+    of a nonempty string, is found once.
     """
 
     digits: np.ndarray
@@ -110,6 +114,10 @@ class DigitString:
 
     def __len__(self) -> int:
         return len(self.digits)
+
+    @functools.cached_property
+    def top(self) -> int:
+        return int(self.digits.max())
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.digits.tolist())

@@ -358,16 +358,18 @@ def scaled_prefix_counts(spec: ConstructionSpec, positions: Iterable[int]) -> np
 
     Column j counts the value spec.scaled_values.p[j] / q[j], so row r is
     the scaled-digit table of the first positions[r] digits.  One walk over
-    the segments: each segment that ends by a position adds its one-copy
-    count vector (``ScaledColumns.once``) times its multiplicity to a
-    running row once.  Each position's row is the running row plus its cut
-    segment's whole copies times that vector, plus one ``np.bincount`` of
-    the cut copy's digit codes.  No digit is read per position, no Fraction
-    is made, and nothing counts against the size cap, so positions may be
-    astronomically large as long as the construction reaches them.  The
-    matrix is int64 while ``sweep_dtype`` for the largest position says so,
-    else object.  Positions must not descend; each is checked as it is
-    reached.
+    the segments, read from the flat arrays of ``spec.scaled_values``: the
+    whole segments reached since the last position add their ``whole``
+    counts to a running row as one range of entries, by one ``np.add.at``.
+    Each position's row is the running row plus its cut segment's whole
+    copies times its ``once`` counts, plus the cut copy's digits, placed
+    among the segment's ascending digits by one ``searchsorted`` and
+    counted by one ``np.bincount``.  No digit is read per position, no
+    Fraction is made, and nothing counts against the size cap, so
+    positions may be astronomically large as long as the construction
+    reaches them.  Counts are exact integers: the matrix is int64 while
+    ``sweep_dtype`` for the largest position says so, else object.
+    Positions must not descend; each is checked as it is reached.
     """
     bounds = spec.boundaries
     positions = list(positions)
@@ -381,20 +383,24 @@ def scaled_prefix_counts(spec: ConstructionSpec, positions: Iterable[int]) -> np
             raise NeedsMoreSegmentsError(n, spec.total_length)
         prev = n
     table = spec.scaled_values
+    starts = table.starts
     dtype = sweep_dtype(int(table.q.max(initial=1)), prev)
     rows = np.zeros((len(positions), len(table.p)), dtype=dtype)
     running = np.zeros(len(table.p), dtype=dtype)
     s = 0  # segments 1..s are in the running row
     for row, n in zip(rows, positions):
-        while s < len(spec.segments) and bounds[s + 1] <= n:
-            if (cols := table.segments[s]) is not None:
-                running[cols.columns] += spec.segments[s].multiplicity * cols.once.astype(dtype, copy=False)
-            s += 1
+        if (reached := bisect_right(bounds, n) - 1) > s:
+            whole = slice(starts[s], starts[reached])
+            np.add.at(running, table.columns[whole], table.whole[whole].astype(dtype, copy=False))
+            s = reached
         row += running
         if take := n - bounds[s]:
-            cols = table.segments[s]
-            full, rem = divmod(take, len(spec.segments[s].block))
-            row[cols.columns] += full * cols.once.astype(dtype, copy=False) + cols.cut(rem).astype(dtype, copy=False)
+            block = spec.segments[s].block
+            full, rem = divmod(take, len(block))
+            cut = slice(starts[s], starts[s + 1])
+            present = table.digits[cut]
+            part = np.bincount(present.searchsorted(block.digits[:rem]), minlength=len(present))
+            row[table.columns[cut]] += full * table.once[cut].astype(dtype, copy=False) + part.astype(dtype, copy=False)
     return rows
 
 

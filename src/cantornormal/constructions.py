@@ -43,32 +43,24 @@ def _check_bw(b: int, w: int) -> None:
         raise ValueError(f"w must be an integer >= 1, got {w}")
 
 
-# (digit array, top digit) of the enumeration blocks built so far, least
-# recently used first.  The arrays are read-only, so every DigitString made
-# from one shares it, and its top digit is found once, when it is built.
-_ENUMERATIONS: OrderedDict[tuple, tuple[np.ndarray, int]] = OrderedDict()
+# The enumeration blocks built so far, least recently used first.  Their
+# arrays are read-only, and a block is handed out itself, so its top digit
+# is found once.
+_ENUMERATIONS: OrderedDict[tuple, DigitString] = OrderedDict()
 _ENUMERATIONS_BYTES = 16 << 20
 
 
-def _enumeration_digits(key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
-    """The cached digit array under ``key``, built by ``build()`` on a miss."""
-    entry = _ENUMERATIONS.pop(key, None)
-    if entry is None:
+def _enumeration(key: tuple, build: Callable[[], np.ndarray]) -> DigitString:
+    """The cached block under ``key``, its digits built by ``build()`` on a miss."""
+    block = _ENUMERATIONS.pop(key, None)
+    if block is None:
         digits = build()
         digits.setflags(write=False)
-        entry = (digits, int(digits.max()))
-    _ENUMERATIONS[key] = entry
-    while sum(a.nbytes for a, _ in _ENUMERATIONS.values()) > _ENUMERATIONS_BYTES:
+        block = DigitString(digits)
+    _ENUMERATIONS[key] = block
+    while sum(b.digits.nbytes for b in _ENUMERATIONS.values()) > _ENUMERATIONS_BYTES:
         _ENUMERATIONS.popitem(last=False)
-    return entry[0]
-
-
-def _top_digit(digits: np.ndarray) -> int:
-    """Largest digit of a nonempty digit array; a cached enumeration array's is not rescanned."""
-    for cached, top in _ENUMERATIONS.values():
-        if cached is digits:
-            return top
-    return int(digits.max())
+    return block
 
 
 def build_P(b: int, w: int) -> DigitString:
@@ -84,7 +76,7 @@ def build_P(b: int, w: int) -> DigitString:
     _check_bw(b, w)
     total = w * (1 << (b * w))
     check_cap(total)  # refuse before enumerating the runs
-    return DigitString(_enumeration_digits(("P", b, w), lambda: concat(build_P_runs(b, w)).digits))
+    return _enumeration(("P", b, w), lambda: concat(build_P_runs(b, w)).digits)
 
 
 def build_P_runs(b: int, w: int) -> ConcatSpec:
@@ -127,7 +119,7 @@ def build_C(b: int, w: int) -> DigitString:
     _check_bw(b, w)
     total = w * b**w
     check_cap(total)
-    return DigitString(_enumeration_digits(("C", b, w), lambda: enumeration_table(b, w).reshape(-1)))
+    return _enumeration(("C", b, w), lambda: enumeration_table(b, w).reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -135,8 +127,9 @@ class SegmentSpec:
     """One construction segment: ``multiplicity`` copies of ``block``, base ``base``.
 
     ``block`` may be given as any digit sequence and is held packed as a
-    DigitString.  This is the one place digits meet a base: every digit
-    must lie in 0..base-1.
+    DigitString; a DigitString is kept as given, with its top digit.  This
+    is the one place digits meet a base: every digit must lie in
+    0..base-1.
     """
 
     multiplicity: int
@@ -149,10 +142,10 @@ class SegmentSpec:
             raise InvalidSpecError(f"multiplicity must be an integer >= 0, got {self.multiplicity}")
         if not isinstance(self.base, int) or self.base < 2:
             raise InvalidSpecError(f"segment base must be an integer >= 2, got {self.base}")
-        block = DigitString(self.block)
+        block = self.block if isinstance(self.block, DigitString) else DigitString(self.block)
         if not len(block):
             raise InvalidSpecError("segment block must hold at least one digit")
-        if (top := _top_digit(block.digits)) >= self.base:
+        if (top := block.top) >= self.base:
             raise InvalidSpecError(f"digit {top} out of range for base {self.base}")
         object.__setattr__(self, "block", block)
 
@@ -162,83 +155,72 @@ class SegmentSpec:
 
 
 @dataclass(frozen=True)
-class ScaledColumns:
-    """One segment's digits as columns of its spec's ``ScaledValues``.
-
-    ``codes`` gives each block position a small integer code for its digit:
-    the digit itself while the block's digits can be counted in a dense
-    table, else the digit's index among the block's distinct digits.
-    ``present`` lists the codes that occur, ascending; ``columns`` is the
-    table column of each, and ``once`` how often it occurs in one copy.
-    """
-
-    codes: np.ndarray
-    present: np.ndarray
-    columns: np.ndarray
-    once: np.ndarray
-
-    def cut(self, rem: int) -> np.ndarray:
-        """How often each present code occurs in the block's first ``rem`` digits."""
-        return np.bincount(self.codes[:rem], minlength=int(self.present[-1]) + 1)[self.present]
-
-
-def _digit_codes(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(codes, the digit of each code) for a nonempty block, as ``ScaledColumns`` uses them.
-
-    A digit is its own code while the top digit is below
-    max(len(digits), 2**16), as ``blocks.tally_blocks`` counts them;
-    otherwise ``np.unique`` numbers the distinct digits.
-    """
-    top = int(digits.max())
-    if top < max(len(digits), 1 << 16):
-        return digits, None
-    found, codes = np.unique(digits, return_inverse=True)
-    return codes.astype(np.min_scalar_type(len(found) - 1)), found
-
-
-@dataclass(frozen=True)
 class ScaledValues:
     """The distinct scaled digits d/base of a spec, ascending, as integer arrays.
 
     ``p`` and ``q`` hold one (digit, base) pair per distinct value, not
     necessarily in lowest terms, ranked by ``discrepancy.distinct_values``;
-    no Fraction is made.  ``segments`` holds one ``ScaledColumns`` per
-    segment with digits and None for a segment with none.  A count vector
-    over ``p``/``q`` is a scaled-digit table; ``cantor.scaled_prefix_counts``
-    fills them.
+    no Fraction is made.  A count vector over ``p``/``q`` is a scaled-digit
+    table; ``cantor.scaled_prefix_counts`` fills them.
+
+    The other arrays hold one entry per (segment, distinct digit of its
+    block), segment by segment, digits ascending: ``digits`` the digit (in
+    the dtype of the segment blocks), ``columns`` its value's column of
+    ``p``/``q``, ``once`` how often it occurs in one copy of the block and
+    ``whole`` in the whole segment (int64 while the spec's length fits,
+    else object).  Segment s has entries ``starts[s]:starts[s + 1]``, none
+    when it has no copies.
     """
 
     p: np.ndarray
     q: np.ndarray
-    segments: tuple[ScaledColumns | None, ...]
+    digits: np.ndarray
+    columns: np.ndarray
+    once: np.ndarray
+    whole: np.ndarray
+    starts: tuple[int, ...]
 
     @classmethod
-    def of(cls, segments: tuple[SegmentSpec, ...]) -> ScaledValues:
-        coded = []
-        ps: list[int] = []
-        qs: list[int] = []
-        for seg in segments:
-            if not seg.multiplicity:
-                coded.append(None)
-                continue
-            codes, digit_of = _digit_codes(seg.block.digits)
-            per_code = np.bincount(codes)
-            present = np.flatnonzero(per_code)
-            digits = present if digit_of is None else digit_of
-            coded.append((codes, present, per_code[present], len(ps)))
-            ps += digits.tolist()
-            qs += [seg.base] * len(present)
-        if not ps:
+    def of(cls, spec: ConstructionSpec) -> ScaledValues:
+        """Every segment's block counted at once, with no numpy call per segment.
+
+        The blocks of the segments with copies are joined, and each digit
+        is keyed by (segment, digit).  While one key per possible pair fits
+        in max(joined length, 2**16), as ``blocks.tally_blocks`` counts, one
+        ``np.bincount`` counts the keys; otherwise one ``np.lexsort`` groups
+        the pairs.
+        """
+        segments = spec.segments
+        used = [s for s, seg in enumerate(segments) if seg.multiplicity]
+        starts = np.zeros(len(segments) + 1, dtype=np.intp)
+        if not used:
             none = np.zeros(0, dtype=np.int64)
-            return cls(none, none, tuple(coded))
-        p, q, index = distinct_values(ps, qs)
-        columns = []
-        for c in coded:
-            if c is not None:
-                codes, present, once, first = c
-                c = ScaledColumns(codes, present, index[first : first + len(present)], once)
-            columns.append(c)
-        return cls(p, q, tuple(columns))
+            return cls(none, none, none, none.astype(np.intp), none, none, tuple(starts.tolist()))
+        arrays = [segments[s].block.digits for s in used]
+        lengths = [len(a) for a in arrays]
+        joined = np.concatenate(arrays)
+        width = max(segments[s].block.top for s in used) + 1
+        if len(used) * width <= max(len(joined), 1 << 16):
+            keys = np.repeat(np.arange(0, len(used) * width, width), lengths)
+            np.add(keys, joined, out=keys, casting="unsafe")  # digits are below width
+            table = np.bincount(keys, minlength=len(used) * width)
+            found = table.nonzero()[0]
+            once, digits = table[found], (found % width).astype(joined.dtype)
+            counted = np.count_nonzero(table.reshape(len(used), width), axis=1)
+        else:
+            owner = np.repeat(np.arange(len(used)), lengths)
+            order = np.lexsort((joined, owner))
+            owner, joined = owner[order], joined[order]
+            first = np.flatnonzero(np.concatenate(([True], (owner[1:] != owner[:-1]) | (joined[1:] != joined[:-1]))))
+            once, digits = np.diff(first, append=len(joined)), joined[first]
+            counted = np.bincount(owner[first], minlength=len(used))
+        starts[np.array(used) + 1] = counted
+        bases = [segments[s].base for s in used]
+        p, q, columns = distinct_values(
+            digits.astype(exact_type(width - 1)), np.array(bases, dtype=exact_type(max(bases))).repeat(counted)
+        )
+        copies = np.array([segments[s].multiplicity for s in used], dtype=exact_type(spec.total_length))
+        return cls(p, q, digits, columns, once, copies.repeat(counted) * once, tuple(starts.cumsum().tolist()))
 
 
 def _segment_from_json(raw) -> SegmentSpec:
@@ -293,7 +275,7 @@ class ConstructionSpec:
     @cached_property
     def scaled_values(self) -> ScaledValues:
         """The spec's distinct scaled digits as one integer table, built once."""
-        return ScaledValues.of(self.segments)
+        return ScaledValues.of(self)
 
     def _check_position(self, n: int) -> None:
         if not isinstance(n, int) or n < 1:

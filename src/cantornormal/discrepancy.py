@@ -42,11 +42,11 @@ denominators have up to 641 bits; so do tables whose n * max q passes 2**63.
 ``star_discrepancy_from_counts`` is the checked way in for one value ->
 count table; ``star_discrepancy`` and ``kn1_bound`` hand it their points,
 count 1 each.  ``distinct_values`` ranks an integer-coded list of values
-once; ``star_discrepancy_of_prefixes`` sweeps the nested prefixes of a
-sequence from one running count row, a block of rows at a time, and
-``star_discrepancy_of_rows`` sweeps a count matrix over values ranked
-beforehand, such as a construction's scaled-digit tables at many
-positions.
+once, and ``star_discrepancy_of_rows`` sweeps a count matrix over values
+ranked beforehand.  Nested prefixes of a sequence take that path too: a
+construction's scaled-digit tables at many positions are the rows of one
+``cantor.scaled_prefix_counts`` matrix, so mqd-scaled and the staircase
+counterexample each sweep all their prefixes in one call.
 """
 from __future__ import annotations
 
@@ -308,43 +308,6 @@ def star_discrepancy_of_rows(p: np.ndarray, q: np.ndarray, counts: np.ndarray, n
     n = list(n)
     dtype = sweep_dtype(int(q.max()), max(n))
     return _sweep(p.astype(dtype, copy=False), q.astype(dtype, copy=False), counts.astype(dtype, copy=False), n)
-
-
-def star_discrepancy_of_prefixes(p: np.ndarray, q: np.ndarray, ends: Sequence[int]) -> list[Fraction]:
-    """Exact D* of the points p[:e] / q[:e] for each prefix end e in ``ends``.
-
-    ``p`` and ``q`` are integer arrays of one length (int64 or object)
-    with 0 <= p < q at every position; they are not checked, and p/q need
-    not be in lowest terms.  ``ends`` lie within 1..len(p) and must not
-    descend.
-
-    The positions are ranked once by ``distinct_values``.  A running count
-    row adds one ``np.bincount`` per stretch between consecutive ends, and
-    the prefix rows go to ``star_discrepancy_of_rows`` a block of at most
-    ``_SWEEP_BLOCK`` entries at a time (one row when a row alone is
-    longer), so no count matrix or temporary grows with the number of ends.
-    A value absent from a prefix has count 0, which the sweep allows, so
-    the results are exact.  Every point is counted, so the right-end gap
-    1 - A([0, 1))/n is 0.
-    """
-    ends = list(ends)
-    if not ends or ends[0] < 1 or ends[-1] > len(p) or any(a > b for a, b in zip(ends, ends[1:])):
-        raise ValueError(f"prefix ends must ascend within 1..{len(p)}, got {ends}")
-    vp, vq, index = distinct_values(p, q)
-    distinct = len(vp)
-    step = max(1, _SWEEP_BLOCK // distinct)
-    running = np.zeros(distinct, dtype=np.int64)
-    out: list[Fraction] = []
-    start = 0
-    for first in range(0, len(ends), step):
-        block = ends[first : first + step]
-        rows = np.empty((len(block), distinct), dtype=np.int64)
-        for row, end in zip(rows, block):
-            running += np.bincount(index[start:end], minlength=distinct)
-            row[:] = running
-            start = end
-        out += star_discrepancy_of_rows(vp, vq, rows, block)
-    return out
 
 
 def sorted_points(zs) -> list[Fraction]:

@@ -45,9 +45,7 @@ from .discrepancy import (
     e1l_bound,
     epsbar,
     star_discrepancy,
-    star_discrepancy_of_prefixes,
     star_discrepancy_of_rows,
-    sweep_dtype,
 )
 from .errors import InvalidSpecError, NeedsMoreDigitsError
 from .weightings import check_eps_k_normal, first_outside_band, nu
@@ -504,15 +502,16 @@ def verify_salat_counterexample(m_rows: int = 200) -> Certificate:
 
     The staircase comes from ``salat_counterexample_spec`` as one segment
     per row, so its segments have already checked every digit against its
-    base.  Every base and digit of the spec is read.  The sum of 1/q_n up
+    base.  Every base and digit is read from the spec.  The sum of 1/q_n up
     to each row end is kept as one integer numerator over the lcm of the
     run bases, and consecutive row means are compared by integer
     cross-multiplication; only the reported normalizers and means become
-    Fractions.  The digits and bases go unreduced, as integer arrays, to one
-    ``star_discrepancy_of_prefixes`` call, which ranks the distinct values
-    once and sweeps every sampled row.  The arrays are int64 while the
-    sweep fits it (``sweep_dtype``), else object.  No Fraction is made per
-    position or per distinct value.
+    Fractions.  The scaled digits are read as ``mqd-scaled`` reads them:
+    ``spec.scaled_values``, one ``scaled_prefix_counts`` matrix at the
+    sampled row ends and one ``star_discrepancy_of_rows`` sweep.  The count
+    of digit 0 is the value-0 column of the last row, the whole staircase.
+    No digit is materialized and no Fraction is made per position or per
+    distinct value.
     """
     if not (isinstance(m_rows, int) and m_rows >= 2):
         raise InvalidSpecError(f"need at least 2 rows, got {m_rows}")
@@ -524,27 +523,22 @@ def verify_salat_counterexample(m_rows: int = 200) -> Certificate:
         raise InvalidSpecError(f"expected {n_total} positions, got {spec.total_length}")
     # everything below reads the spec's digits and bases, never the row
     # formula, so a tampered generator is caught
-    run_bases, run_lengths = zip(*spec.q_runs(n_total))
-    digits = spec.digits_prefix(n_total).digits
-    fits = sweep_dtype(max(run_bases), n_total) is np.int64 and digits.dtype.itemsize <= 4
-    bases = np.repeat(np.array(run_bases, dtype=np.int64 if fits else object), run_lengths)
-    zero_count = int(np.count_nonzero(digits == 0))
-    # the spec's base runs cut at every row end, so each run lies in one row
-    row_ends = np.cumsum(np.arange(1, m_rows + 1))
-    run_ends = np.union1d(np.cumsum(run_lengths), row_ends)
-    runs = zip(run_ends.tolist(), np.diff(run_ends, prepend=0).tolist(), bases[run_ends - 1].tolist())
+    runs = list(spec.q_runs(n_total))
     # sum 1/q_n over the first n positions is recip / lcm, an integer numerator over one denominator
-    lcm = math.lcm(*run_bases)
-    recip = 0
+    lcm = math.lcm(*(base for base, _ in runs))
+    pending = iter(runs)
+    base, length = next(pending)
+    before, start = 0, 0  # recip over the positions 1..start, which precede the current run
     row_sums: list[tuple[int, int]] = []  # per row, (recip, row end) at its end
     first_increase = None
     normalizer_samples: list[tuple[int, Fraction]] = []
-    for m, pos in enumerate(row_ends.tolist(), start=1):
-        # 1/base is added once per run, up to the run that ends this row
-        for end, length, base in runs:
-            recip += length * (lcm // base)
-            if end == pos:
-                break
+    for m in range(1, m_rows + 1):
+        pos = m * (m + 1) // 2
+        while start + length < pos:
+            before += length * (lcm // base)
+            start += length
+            base, length = next(pending)
+        recip = before + (pos - start) * (lcm // base)
         # the mean recip / (lcm pos) against the last row's, cross-multiplied
         if row_sums and first_increase is None:
             last, last_pos = row_sums[-1]
@@ -553,10 +547,12 @@ def verify_salat_counterexample(m_rows: int = 200) -> Certificate:
         row_sums.append((recip, pos))
         if m in sample_rows:
             normalizer_samples.append((m, Fraction(recip, lcm)))
-    # digits.astype(bases.dtype) is exact: every digit is below its base
-    d_values = star_discrepancy_of_prefixes(
-        digits.astype(bases.dtype), bases, [int(row_ends[m - 1]) for m in sample_rows]
-    )
+    ends = [m * (m + 1) // 2 for m in sample_rows]
+    values = spec.scaled_values
+    counts = scaled_prefix_counts(spec, ends)
+    d_values = star_discrepancy_of_rows(values.p, values.q, counts, ends)
+    # the values ascend, so value 0, if it occurs, is column 0
+    zero_count = int(counts[-1, 0]) if len(values.p) and values.p[0] == 0 else 0
     d_samples = list(zip(sample_rows, d_values))
     d_decreasing = all(a > b for a, b in zip(d_values, d_values[1:]))
     final_ok = True

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .blocks import ConcatSpec, digit_data, enumeration_table, exact_type, max_digit, tally_blocks
+from .blocks import ConcatSpec, DigitString, digit_data, enumeration_table, exact_type, max_digit, tally_blocks
 from .limits import check_cap
 
 # blocks enumerated per numpy pass, so a check's memory does not grow with
@@ -177,7 +177,7 @@ def first_outside_band(text, n: int, m: int, alphabet: int, mu: Weighting, low: 
     """First length-m block whose count leaves its integer band, as (row, witness), or None.
 
     A block B of mass num/D, D = ``mu.den**m``, occurring N times in
-    ``text`` (a digit array or a ConcatSpec of n digits below
+    ``text`` (a DigitString or a ConcatSpec of n digits below
     ``alphabet``, counted by ``tally_blocks``) is in its band iff
 
         num*n*low  <=  N*D*over  <=  num*n*high + slack*D*over.
@@ -229,7 +229,9 @@ def check_eps_k_normal(y, eps, k: int, mu: Weighting) -> NormalityVerdict:
     then lexicographic) is returned as a witness.  ``y`` may be a
     ConcatSpec: its length is the sum of multiplicity times block length,
     its top digit comes from the distinct blocks, and its windows are
-    counted without building its digits.  The alphabet**k blocks
+    counted without building its digits.  Any other digit sequence is
+    packed once into a DigitString, which ``max_digit`` and each length's
+    ``tally_blocks`` read without repacking.  The alphabet**k blocks
     enumerated count against the size cap.
     """
     eps = Fraction(eps)
@@ -240,7 +242,7 @@ def check_eps_k_normal(y, eps, k: int, mu: Weighting) -> NormalityVerdict:
     if isinstance(y, ConcatSpec):
         text, n = y, y.length
     else:
-        text = digit_data(y)
+        text = DigitString(y)  # packed once; every later read shares it
         n = len(text)
     if n == 0:
         raise ValueError("normality check needs a nonempty digit string")

@@ -4,7 +4,8 @@
 and the ConstructionSpec methods it wraps by name.  Deleting or renaming one
 of them makes the traced benchmark run crash, so the names are checked here.
 A layer whose calls stop going through a module global that the tracer
-swaps records no span, so a traced ``verify --all`` is run here too.
+swaps records no span, so a traced ``verify --all`` and a traced
+family_queries pass are run here too.
 """
 import importlib
 import importlib.util
@@ -12,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from cantornormal import cli
-from cantornormal.constructions import ConstructionSpec, build_P_runs
+from cantornormal.constructions import ConstructionSpec, build_P_runs, qde_spec, qnex_spec
 from cantornormal.weightings import check_eps_k_normal, nu
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -64,3 +65,19 @@ def test_traced_verify_all_records_every_layer(tmp_path, monkeypatch):
     finally:
         tracer.uninstall()
     assert set(layers) - set(tracer.aggregate()) == set()
+
+
+def test_traced_family_queries_pass_records_every_layer(tmp_path, monkeypatch):
+    # one pass of seed 1: in-process report, orbit and moments calls on both
+    # scaled families, each answer checked as the benchmark checks it
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    workloads = _load("workloads")
+    workload = workloads.FamilyQueries((qnex_spec(), qde_spec()), 1, str(tmp_path))
+    tracer = _load("tracing").Tracer()
+    tracer.install()
+    try:
+        answers = [workloads._cli_call(list(op.argv)) for op in workload.ops]
+    finally:
+        tracer.uninstall()
+    assert workload.check(answers, 1) == {}
+    assert set(workload.LAYERS) - set(tracer.aggregate()) == set()

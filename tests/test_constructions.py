@@ -227,14 +227,16 @@ def test_enumeration_cache_is_bounded_in_bytes(monkeypatch):
 def test_segment_reads_the_cached_top_digit_of_an_enumeration(monkeypatch):
     monkeypatch.setattr(constructions, "_ENUMERATIONS", OrderedDict())
     block = build_P(2, 2)
-    [(digits, top)] = constructions._ENUMERATIONS.values()
-    assert digits is block.digits and top == 2
-    # the top digit is read beside the cached array, not rescanned
-    monkeypatch.setitem(constructions._ENUMERATIONS, ("P", 2, 2), (digits, 7))
+    [cached] = constructions._ENUMERATIONS.values()
+    assert cached is block and build_P(2, 2) is block and block.top == 2
+    # the segment keeps the block it is given and reads its top digit, not rescanned
+    monkeypatch.setitem(block.__dict__, "top", 7)
     with pytest.raises(InvalidSpecError, match="digit 7 out of range for base 3"):
         SegmentSpec(1, block, 3)
+    monkeypatch.setitem(block.__dict__, "top", 2)
+    assert SegmentSpec(1, block, 3).block is block
     # a copy of the digits, or a slice of them, is scanned
-    assert SegmentSpec(1, digits.copy(), 3).block == block
+    assert SegmentSpec(1, block.digits.copy(), 3).block == block
     with pytest.raises(InvalidSpecError, match="digit 2 out of range for base 2"):
         SegmentSpec(1, block[:6], 2)
 

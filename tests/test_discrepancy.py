@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from cantornormal.blocks import DigitString
 from cantornormal import discrepancy as discrepancy_module
-from cantornormal.constructions import build_C
+from cantornormal.cantor import scaled_prefix_counts
+from cantornormal.constructions import ConstructionSpec, SegmentSpec, build_C
+from cantornormal.errors import NeedsMoreDigitsError
 from cantornormal.discrepancy import (
     _sweep,
     PrefixWeights,
@@ -25,7 +27,6 @@ from cantornormal.discrepancy import (
     star_discrepancy,
     star_discrepancy_from_counts,
     distinct_values,
-    star_discrepancy_of_prefixes,
     star_discrepancy_of_rows,
     sweep_dtype,
     unit_sequence,
@@ -216,18 +217,30 @@ coded_points = st.lists(
 )
 
 
+def prefix_dstars(p, q, ends):
+    """D* of the points p[:e] / q[:e] for each end e: one count row per prefix, one sweep.
+
+    The positions are ranked once by ``distinct_values``; row r counts the
+    first ends[r] positions over the distinct values, so a value a prefix
+    misses has count 0 there.
+    """
+    vp, vq, index = distinct_values(p, q)
+    rows = np.array([np.bincount(index[:e], minlength=len(vp)) for e in ends])
+    return star_discrepancy_of_rows(vp, vq, rows, ends)
+
+
 @given(coded_points, st.sampled_from([1, 5, 2**30, 2**59]), st.sampled_from([np.int64, object]), st.data())
 @settings(max_examples=300)
 def test_prefix_sweep_matches_sweep_on_each_prefix(pairs, scale, dtype, data):
     # scale 2**30 takes one or two int64 key words.  Scale 2**59 makes
     # denominators of 60 to 63 bits: once q > 3 (past 61 bits) or the points
-    # number 16 (q * n past 2**63) the arrays are swept as object whatever
-    # their dtype, else the keys take two words of 1- or 2-bit limbs
+    # number 16 (q * n past 2**63) the rows are swept as object whatever
+    # the terms' dtype, else the keys take two words of 1- or 2-bit limbs
     ends = sorted(data.draw(st.sets(st.integers(1, len(pairs)))) | {1})
     p = np.array([a * scale for a, _ in pairs], dtype=dtype)
     q = np.array([b * scale for _, b in pairs], dtype=dtype)
     points = [Fraction(a, b) for a, b in pairs]
-    assert star_discrepancy_of_prefixes(p, q, ends) == [sweep_dstar(points[:e]) for e in ends]
+    assert prefix_dstars(p, q, ends) == [sweep_dstar(points[:e]) for e in ends]
 
 
 def test_prefix_sweep_on_prefixes_that_miss_values():
@@ -235,8 +248,14 @@ def test_prefix_sweep_on_prefixes_that_miss_values():
     p, q = np.array([1, 1, 1, 1, 2]), np.array([2, 2, 2, 3, 3])
     points = [Fraction(1, 2)] * 3 + [Fraction(1, 3), Fraction(2, 3)]
     ends = [1, 2, 3, 4, 5]
-    assert star_discrepancy_of_prefixes(p, q, ends) == [sweep_dstar(points[:e]) for e in ends]
-    assert star_discrepancy_of_prefixes(p, q, [1, 1]) == [Fraction(1, 2)] * 2
+    assert prefix_dstars(p, q, ends) == [sweep_dstar(points[:e]) for e in ends]
+    assert prefix_dstars(p, q, [1, 1]) == [Fraction(1, 2)] * 2
+    # the same points as one-copy segments of a construction
+    spec = ConstructionSpec(tuple(SegmentSpec(1, (a,), b) for a, b in zip(p.tolist(), q.tolist())))
+    values = spec.scaled_values
+    rows = scaled_prefix_counts(spec, ends)
+    assert rows[:3, [0, 2]].tolist() == [[0, 0]] * 3  # columns 1/3 and 2/3, around 1/2
+    assert star_discrepancy_of_rows(values.p, values.q, rows, ends) == [sweep_dstar(points[:e]) for e in ends]
 
 
 def test_sweep_dtype_is_int64_while_every_term_fits():
@@ -300,7 +319,7 @@ def test_kernel_matches_sweep_at_every_denominator_scale(entries, data):
     p = _int_array([p for p, _, c in entries for _ in range(c)])
     q = _int_array([q for _, q, c in entries for _ in range(c)])
     ends = sorted(data.draw(st.sets(st.integers(1, len(points)))) | {len(points)})
-    assert star_discrepancy_of_prefixes(p, q, ends) == [sweep_dstar(points[:e]) for e in ends]
+    assert prefix_dstars(p, q, ends) == [sweep_dstar(points[:e]) for e in ends]
 
 
 @st.composite
@@ -329,7 +348,7 @@ def test_exact_maximum_wins_a_near_tie(pair, swap):
     assert star_discrepancy_from_counts({z: 1 for z in points}, 2) == d
     p = _int_array([z.numerator for z in points])
     q = _int_array([z.denominator for z in points])
-    assert star_discrepancy_of_prefixes(p, q, [1, 2]) == [sweep_dstar(points[:1]), d]
+    assert prefix_dstars(p, q, [1, 2]) == [sweep_dstar(points[:1]), d]
 
 
 @st.composite
@@ -419,11 +438,37 @@ def test_kn1_ranks_its_points_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("ends", [[], [0], [3, 2], [1, 6]])
+@pytest.mark.parametrize("ends", [[2, 3.0], [0], [3, 2], [1, 6]])
 def test_prefix_sweep_refuses_bad_ends(ends):
-    p, q = np.array([0, 1, 1, 2, 0]), np.array([2, 2, 3, 3, 5])
-    with pytest.raises(ValueError, match="prefix ends"):
-        star_discrepancy_of_prefixes(p, q, ends)
+    # prefix ends are positions of a construction: integers that ascend within it
+    spec = ConstructionSpec(tuple(SegmentSpec(1, (a,), b) for a, b in [(0, 2), (1, 2), (1, 3), (2, 3), (0, 5)]))
+    with pytest.raises((ValueError, NeedsMoreDigitsError), match="integer >= 1|must ascend|up to position 6"):
+        scaled_prefix_counts(spec, ends)
+    # no ends give no rows
+    assert scaled_prefix_counts(spec, []).shape == (0, len(spec.scaled_values.p))
+
+
+# one-copy segments: a block of 1 to 4 digits over a small base or one past 2**63
+one_copy_segments = st.lists(
+    st.one_of(st.integers(2, 60), st.integers(2**63, 2**70)).flatmap(
+        lambda base: st.lists(st.integers(0, base - 1), min_size=1, max_size=4).map(
+            lambda block: SegmentSpec(1, block, base)
+        )
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(one_copy_segments, st.data())
+@settings(max_examples=150, deadline=None)
+def test_construction_prefix_rows_match_sweep_on_the_literal_prefix(segs, data):
+    spec = ConstructionSpec(tuple(segs))
+    points = [Fraction(d, seg.base) for seg in segs for d in seg.block]
+    ends = sorted(data.draw(st.sets(st.integers(1, len(points)), min_size=1)))
+    values = spec.scaled_values
+    rows = scaled_prefix_counts(spec, ends)
+    assert star_discrepancy_of_rows(values.p, values.q, rows, ends) == [sweep_dstar(points[:e]) for e in ends]
 
 
 @given(farey_pairs(), st.lists(_fractions(1, 12), max_size=4))

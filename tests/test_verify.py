@@ -567,6 +567,21 @@ def test_salat_counterexample_catches_zero_digit(monkeypatch):
     assert any(f["reason"] == "digit 0 occurred" for f in cert.counterexample["failures"])
 
 
+def test_salat_counterexample_counts_zeros_over_the_whole_staircase(monkeypatch):
+    # rows 50 and 60 are sampled; the zeros sit in rows 55 and 60, after the first
+    def with_zeros(n_total):
+        q, digits = _staircase_lists(n_total)
+        tampered = list(digits)
+        tampered[55 * 54 // 2] = tampered[n_total - 1] = 0
+        return _as_spec(q, tampered)
+
+    monkeypatch.setattr(constructions_module, "salat_counterexample_spec", with_zeros)
+    cert = verify_salat_counterexample(m_rows=60)
+    q, digits = assemble(with_zeros(1830), 1830)
+    assert (cert.passed, cert.counterexample, cert.details) == literal_salat(q, digits, 60)
+    assert cert.details["zero_count"] == 2
+
+
 def test_salat_counterexample_rejects_invalid_generator_output(monkeypatch):
     for wrong in (-1, 1):
         monkeypatch.setattr(
@@ -585,7 +600,7 @@ def test_salat_counterexample_rejects_invalid_generator_output(monkeypatch):
         verify_salat_counterexample(m_rows=10)
 
 
-@pytest.mark.parametrize("m_rows", [*range(2, 13), 60, 200, 201])
+@pytest.mark.parametrize("m_rows", [*range(2, 41), 60, 200, 201])
 def test_salat_counterexample_details_match_per_position_reference(m_rows):
     cert = verify_salat_counterexample(m_rows=m_rows)
     q, digits = _staircase_lists(m_rows * (m_rows + 1) // 2)

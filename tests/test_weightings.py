@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cantornormal import blocks as blocks_module
 from cantornormal import weightings as weightings_module
 from cantornormal.blocks import ConcatSpec, DigitString, concat, max_digit
 from cantornormal.constructions import build_P_runs
@@ -175,6 +176,30 @@ def test_eps_k_normal_alphabet_widens_to_text():
     assert verdict.witness.block == (5,)
     assert verdict.witness.observed == 1
     assert verdict.witness.upper == 0
+
+
+def test_eps_k_normal_packs_a_wide_text_once(monkeypatch):
+    # a digit past 2**64 makes an object array, which packing reads entry by
+    # entry; max_digit and the tally must share the one packed DigitString
+    reads = []
+    real = blocks_module._pack_digits
+
+    def counted(digits):
+        if not isinstance(digits, DigitString):  # a DigitString hands over its array
+            reads.append(type(digits))
+        return real(digits)
+
+    monkeypatch.setattr(blocks_module, "_pack_digits", counted)
+    y = [0] * 5 + [1, 2**64]
+    with size_cap(2**65):  # the alphabet reaches 2**64 + 1
+        verdict = check_eps_k_normal(y, Fraction(1, 4), 1, uniform(2))
+    assert len(reads) == 1
+    # digit 0: 5 of 7 digits, above its band 7/2 * (1 +- 1/4)
+    assert not verdict
+    w = verdict.witness
+    assert (w.block, w.observed, w.lower, w.upper) == ((0,), 5, Fraction(21, 8), Fraction(35, 8))
+    with size_cap(2**65):
+        assert check_eps_k_normal(DigitString(y), Fraction(1, 4), 1, uniform(2)) == verdict
 
 
 def test_eps_k_normal_validation():
