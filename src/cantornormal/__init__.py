@@ -13,6 +13,7 @@ Modules:
 from .blocks import (
     ConcatSpec,
     DigitString,
+    EnumerationRuns,
     concat,
     count_occurrences,
     count_prefix_occurrences,

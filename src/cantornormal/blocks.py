@@ -16,8 +16,11 @@ path for all dtypes, and digits leave the array as Python ints.
 A ``ConcatSpec`` (copies of a few distinct blocks) is never materialized
 implicitly: ``tally_blocks`` counts its windows from its packed run tables
 and ``count_run_occurrences`` from its parts, and only ``concat`` builds
-its digits, under the size cap.  There is one window tally, over runs: a
-digit sequence is tallied as a single run of one copy.
+its digits, under the size cap.  There is one window tally over runs: a
+digit sequence is tallied as a single run of one copy.  The weighted
+enumeration of every block of a length (``EnumerationRuns``, build_P's
+runs) has closed-form window counts for windows no longer than its blocks,
+so those are tallied without its run table.
 """
 from __future__ import annotations
 
@@ -87,12 +90,9 @@ def digit_data(x) -> np.ndarray:
 def max_digit(x) -> int:
     """Largest digit of a nonempty digit sequence or of a ConcatSpec.
 
-    A ConcatSpec is read from its run tables, which hold only runs with
-    digits; a DigitString gives its cached ``top``.
+    A DigitString or a ConcatSpec gives its cached ``top``.
     """
-    if isinstance(x, ConcatSpec):
-        return max(int(table.max()) for _, table in x.groups)
-    if isinstance(x, DigitString):
+    if isinstance(x, (ConcatSpec, DigitString)):
         return x.top
     return int(digit_data(x).max())
 
@@ -222,6 +222,11 @@ class ConcatSpec:
             out.append((np.array(copies, dtype=count_type), table))
         return tuple(out)
 
+    @functools.cached_property
+    def top(self) -> int:
+        """Largest digit, read from the run tables, which hold only runs with digits."""
+        return max(int(table.max()) for _, table in self.groups)
+
     def __len__(self) -> int:
         return self.length
 
@@ -231,6 +236,87 @@ class ConcatSpec:
             for copies, table in self.groups
             for m, row in zip(copies.tolist(), table.tolist())
         )
+
+
+class EnumerationRuns(ConcatSpec):
+    """Every base-``alphabet`` block of length ``w``, in lexicographic order, as runs.
+
+    A block with t top digits (``alphabet - 1``) has ``rep**t`` copies.
+    ``constructions.build_P_runs(b, w)`` is ``EnumerationRuns(b + 1, 2**b - b, w)``;
+    build_C(b, w) would be ``EnumerationRuns(b, 1, w)``.  The length,
+    ``w * s**w`` with s = alphabet - 1 + rep, and the top digit are closed
+    forms, and so are the window counts of every length up to w
+    (``window_counts``).  The run table behind ``groups``, ``parts`` and
+    iteration is built on its first read, and its alphabet**w runs count
+    against the size cap there.
+    """
+
+    def __init__(self, alphabet: int, rep: int, w: int):
+        for name, value, least in (("alphabet", alphabet, 2), ("rep", rep, 1), ("w", w, 1)):
+            if not isinstance(value, int) or value < least:
+                raise InvalidSpecError(f"{name} must be an integer >= {least}, got {value!r}")
+        self.alphabet, self.rep, self.w = alphabet, rep, w
+        self.length = w * (alphabet - 1 + rep) ** w
+
+    @property
+    def top(self) -> int:
+        return self.alphabet - 1
+
+    @functools.cached_property
+    def groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        check_cap(self.alphabet**self.w, what="enumerated runs")
+        table = enumeration_table(self.alphabet, self.w)
+        # an explicit dtype: numpy would read a list whose top lies in
+        # [2**63, 2**64) as float64
+        powers = np.array([self.rep**t for t in range(self.w + 1)], dtype=exact_type(self.rep**self.w))
+        return ConcatSpec.from_table(powers[np.count_nonzero(table == self.top, axis=1)], table).groups
+
+    def window_counts(self, k: int) -> dict[tuple[int, ...], int]:
+        """tally_blocks of this text for a window length k <= w, in closed form.
+
+        Write a = alphabet, r = rep and s = a - 1 + r, so the text has
+        n = w * s**w digits.  A block B of length k with t top digits occurs
+
+            N(B) = w * r**t * s**(w-k) - delta(B) = n * mu(B) - delta(B)
+
+        times, where mu gives the top digit mass r/s and every other digit
+        1/s (nu(b) for build_P, uniform(b) for build_C), and delta(B) counts
+        the 1 <= j < k with B = top**j 0**(k-j) (so it is 0 or 1).
+
+        Count each window at the copy it starts in, at offset p of a copy
+        of the length-w block X.  Fixing k digits of X leaves w - k free
+        ones, and summing X's r**(top digits) copies over them gives
+        r**t * s**(w-k), each free digit adding (a - 1) + r = s.
+
+        * Windows inside one copy (p <= w - k): B at each of the w - k + 1
+          offsets, so (w - k + 1) * r**t * s**(w-k).
+        * Windows across a seam between two copies of one run, at split
+          j = w - p (1 <= j < k): X ends with B[:j] and starts with B[j:],
+          which do not overlap as k <= w, and each X has its copies less
+          one such seams: (k - 1) * (r**t * s**(w-k) - a**(w-k)).
+        * Windows across the seam from the run of X to the run of its
+          lexicographic successor X + 1, at split j: X ends with B[:j], and
+          X + 1 starts with B[j:].  Unless B[:j] is all top digits, X + 1
+          keeps X's first k - j digits, so a**(w-k) blocks X qualify.  When
+          it is, X = Y top**j carries into Y, X + 1 = (Y + 1) 0**j, and
+          Y -> Y + 1 maps the blocks other than top**(w-j) onto those other
+          than 0**(w-j): a**(w-k) blocks, less one when B[j:] = 0**(k-j).
+
+        The a**(w-k) terms cancel between the two kinds of seam, leaving
+        N(B).  The a**k blocks listed count against the size cap.
+        """
+        a, r, w = self.alphabet, self.rep, self.w
+        check_cap(a**k, what="enumerated blocks")
+        s = a - 1 + r
+        # the top digits of each length-k block, in lexicographic order
+        tops = np.zeros(1, dtype=np.intp)
+        for _ in range(k):
+            tops = np.add.outer(tops, np.arange(a) == a - 1).ravel()
+        powers = np.array([w * r**t * s ** (w - k) for t in range(k + 1)], dtype=exact_type(w * r**k * s ** (w - k)))
+        counts = powers[tops]
+        for j in range(1, k):
+            counts[(a**j - 1) * a ** (k - j)] -= 1  # the code of top**j 0**(k-j)
+        return dict(zip(itertools.product(range(a), repeat=k), counts.tolist()))
 
 
 def concat(spec) -> DigitString:
@@ -387,11 +473,16 @@ def tally_blocks(text, length: int) -> dict[tuple[int, ...], int]:
     ``text`` is a digit sequence or a ConcatSpec.  A digit sequence is
     counted as one run of one copy.  A ConcatSpec is counted from its run
     tables without building its digits, so the work grows with the number
-    and length of its distinct runs, not with the length described.
-    Counts are exact integers either way.
+    and length of its distinct runs, not with the length described; an
+    EnumerationRuns text is counted from its closed form
+    (``EnumerationRuns.window_counts``) while ``length`` is at most its
+    block length, and builds no run table.  Counts are exact integers
+    either way.
     """
     if not isinstance(length, int) or length < 1:
         raise ValueError(f"window length must be an integer >= 1, got {length}")
+    if isinstance(text, EnumerationRuns) and length <= text.w:
+        return text.window_counts(length)
     if isinstance(text, ConcatSpec):
         n, groups = text.length, text.groups
     else:

@@ -30,7 +30,16 @@ from math import isqrt
 
 import numpy as np
 
-from .blocks import ConcatSpec, DigitString, concat, count_top_digit, digit_data, enumeration_table, exact_type
+from .blocks import (
+    ConcatSpec,
+    DigitString,
+    EnumerationRuns,
+    concat,
+    count_top_digit,
+    digit_data,
+    enumeration_table,
+    exact_type,
+)
 from .discrepancy import distinct_values
 from .errors import InvalidSpecError, NeedsMoreSegmentsError
 from .limits import check_cap
@@ -79,23 +88,20 @@ def build_P(b: int, w: int) -> DigitString:
     return _enumeration(("P", b, w), lambda: concat(build_P_runs(b, w)).digits)
 
 
-def build_P_runs(b: int, w: int) -> ConcatSpec:
-    """build_P(b, w) as a packed run table, without building its digits.
+def build_P_runs(b: int, w: int) -> EnumerationRuns:
+    """build_P(b, w) as its runs, without building its digits.
 
     The runs are the ``(b+1)**w`` base-(b+1) blocks of length w in
-    lexicographic order, held as one (runs x w) digit table made by
-    ``blocks.enumeration_table`` as ``build_C`` is; a run with t top digits has
-    ``(2**b - b)**t`` copies.  The runs count against the size cap, checked
-    before the table is made, not the ``w * 2**(b*w)`` digits they describe.
+    lexicographic order; a run with t top digits has ``(2**b - b)**t``
+    copies.  Its length and top digit are closed forms, and so are its
+    window counts up to length w (``EnumerationRuns.window_counts``).  The
+    packed run table, one (runs x w) digit table made by
+    ``blocks.enumeration_table`` as ``build_C`` is, is built on the first
+    read of ``groups``, ``parts`` or the digits, and its runs count against
+    the size cap there, not the ``w * 2**(b*w)`` digits they describe.
     """
     _check_bw(b, w)
-    check_cap((b + 1) ** w, what="enumerated runs")
-    table = enumeration_table(b + 1, w)
-    rep = (1 << b) - b
-    # an explicit dtype: numpy would read a list whose top lies in
-    # [2**63, 2**64) as float64
-    powers = np.array([rep**t for t in range(w + 1)], dtype=exact_type(rep**w))
-    return ConcatSpec.from_table(powers[np.count_nonzero(table == b, axis=1)], table)
+    return EnumerationRuns(b + 1, (1 << b) - b, w)
 
 
 def repetition_count(b: int, w: int, block) -> int:

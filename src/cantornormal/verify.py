@@ -166,8 +166,11 @@ def verify_bounds_ng_nl(b: int, w: int, k_max: int) -> Certificate:
     Lower bound: whole-copy occurrences alone, mass * n * (w-k+1)/w.  Upper
     bound: mass * n, the generous per-position rate, plus all (k-1)(b+1)**w
     straddling positions.  That is ``first_outside_band`` with (low, high,
-    over, slack) = (w-k+1, w, w, (k-1)(b+1)**w) over build_P's runs, which
-    count against the size cap.  ``checked`` counts blocks to the first failure.
+    over, slack) = (w-k+1, w, w, (k-1)(b+1)**w) over build_P's runs, whose
+    window counts are closed forms (``EnumerationRuns.window_counts``), so
+    no run table is built; the (b+1)**k blocks compared at each length
+    count against the size cap.  ``checked`` counts blocks to the first
+    failure.
     """
     if not (isinstance(k_max, int) and 1 <= k_max <= w):
         raise InvalidSpecError(f"k_max must satisfy 1 <= k_max <= w, got {k_max}")
@@ -229,9 +232,11 @@ def verify_eknu(b: int, w: int, k: int) -> Certificate:
     """build_P(b, w) passes the (k/w, k, nu(b))-normality band check.
 
     Hypothesis guard: b >= 6 and k <= w/2 (the tolerance is eps = k/w).
-    The check counts windows over build_P's (copies, block) runs and never
-    builds its ``w * 2**(b*w)`` digits; the ``(b+1)**w`` runs enumerated and
-    the ``(b+1)**k`` blocks compared count against the size cap.
+    The check reads build_P's window counts from their closed form
+    (``EnumerationRuns.window_counts``) and builds neither its
+    ``w * 2**(b*w)`` digits nor its ``(b+1)**w`` runs, so the paper's own
+    w = b**2 is in reach; the ``(b+1)**k`` blocks compared count against the
+    size cap.
     """
     if not (isinstance(b, int) and b >= 6):
         raise InvalidSpecError(f"hypothesis requires b >= 6, got {b}")

@@ -185,7 +185,10 @@ def first_outside_band(text, n: int, m: int, alphabet: int, mu: Weighting, low: 
     The blocks are compared in ``enumeration_table(alphabet, m)`` row
     order, ``_BLOCK_CHUNK`` rows at a time, as integer arrays: int64 while
     every term fits, else Python ints.  Only the witness makes Fractions.
+    The alphabet**m blocks compared count against the size cap, checked
+    before the text is tallied.
     """
+    check_cap(alphabet**m, what="enumerated blocks")
     tally = tally_blocks(text, m)
     code_type = exact_type(alphabet**m - 1)
     digits = np.fromiter(itertools.chain.from_iterable(tally), dtype=code_type, count=m * len(tally)).reshape(-1, m)
@@ -231,8 +234,9 @@ def check_eps_k_normal(y, eps, k: int, mu: Weighting) -> NormalityVerdict:
     its top digit comes from the distinct blocks, and its windows are
     counted without building its digits.  Any other digit sequence is
     packed once into a DigitString, which ``max_digit`` and each length's
-    ``tally_blocks`` read without repacking.  The alphabet**k blocks
-    enumerated count against the size cap.
+    ``tally_blocks`` read without repacking.  The alphabet**k blocks of
+    the longest length count against the size cap before any length is
+    checked, so a check the cap refuses does no work.
     """
     eps = Fraction(eps)
     if not (0 < eps < 1):

@@ -12,6 +12,7 @@ from cantornormal import blocks as B
 from cantornormal.blocks import (
     ConcatSpec,
     DigitString,
+    EnumerationRuns,
     concat,
     count_occurrences,
     count_prefix_occurrences,
@@ -526,6 +527,27 @@ def test_enumeration_table_rows_are_product_order(b, w, data):
     rows = enumeration_table(b, w, lo, hi)
     assert rows.shape == (hi - lo, w) and rows.dtype == np.uint8
     assert rows.tolist() == [list(row) for row in full[lo:hi]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 6), st.integers(1, 4))
+def test_enumeration_runs_closed_form_matches_literal_runs(a, r, w):
+    # every base-a block of length w in itertools.product order, r**t copies
+    # of a block with t top digits: build_P(b, w) is a = b + 1,
+    # r = 2**b - b, and build_C(b, w) is r = 1
+    runs = [(r ** blk.count(a - 1), blk) for blk in itertools.product(range(a), repeat=w)]
+    spec = EnumerationRuns(a, r, w)
+    assert spec.length == sum(c * len(blk) for c, blk in runs) and max_digit(spec) == a - 1
+    for k in range(1, w + 1):
+        assert spec.window_counts(k) == tally_blocks(spec, k) == slow_run_tally(runs, k)
+    assert "groups" not in vars(spec)  # no run table was built
+    assert tally_blocks(spec, w + 1) == slow_run_tally(runs, w + 1)  # past w the runs are scanned
+
+
+def test_enumeration_runs_validation():
+    for args in [(1, 1, 1), (2, 0, 1), (2, 1, 0), (2.0, 1, 1)]:
+        with pytest.raises(InvalidSpecError):
+            EnumerationRuns(*args)
 
 
 def test_enumeration_table_reaches_rows_past_int64():

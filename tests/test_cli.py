@@ -543,11 +543,28 @@ def test_verify_all_sidecar_names_budget_overruns(monkeypatch, tmp_path, capsys)
 
 
 def test_verify_cap_reaches_the_run_enumeration(capsys):
-    # 7**4 runs of build_P(6, 4) exceed the cap
-    argv = ["verify", "--cap", "1000", "--claim", "eknu", "--grid", "b=6,w=4,k=2"]
+    # eknu(6, 4, 2) compares 7**2 blocks, over a cap of 48; the 7**4 runs of
+    # build_P(6, 4) are never enumerated, so a cap of 49 lets it pass
+    argv = ["verify", "--cap", "48", "--claim", "eknu", "--grid", "b=6,w=4,k=2"]
     assert main(argv) == 3
+    assert "needs 49 enumerated blocks" in capsys.readouterr().err
+    assert main(["verify", "--cap", "49", "--claim", "eknu", "--grid", "b=6,w=4,k=2"]) == 0
     assert main(["verify", "--cap", "1000", "--all"]) == 3
-    assert main(["verify", "--cap", "1000", "--claim", "bounds-ng-nl", "--grid", "b=6,w=4,k_max=1"]) == 3
+    # bounds-ng-nl at k_max = 1 compares the 7 one-digit blocks
+    assert main(["verify", "--cap", "6", "--claim", "bounds-ng-nl", "--grid", "b=6,w=4,k_max=1"]) == 3
+    assert "needs 7 enumerated blocks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("claim,grid", [("eknu", "b=6,w=36,k=4"), ("bounds-ng-nl", "b=6,w=36,k_max=4")])
+def test_verify_reaches_the_papers_block_length(capsys, claim, grid):
+    # w = b**2: 36 * 2**216 digits and 7**36 runs, neither built; only the
+    # 7**4 four-digit blocks are compared, under the default cap
+    code, payload = run_json(capsys, ["verify", "--claim", claim, "--grid", grid])
+    assert code == 0 and payload["passed"] is True
+    if claim == "eknu":
+        assert payload["details"]["length"] == 36 * 2**216
+        assert type(payload["details"]["length"]) is int
+    assert payload["checked"] == sum(7**m for m in range(1, 5))
 
 
 def test_verify_cap_spares_claims_without_enumeration(capsys):

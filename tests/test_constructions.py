@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cantornormal import blocks as blocks_module
 from cantornormal import constructions
-from cantornormal.blocks import DigitString, concat, count_occurrences, max_digit
+from cantornormal.blocks import ConcatSpec, DigitString, concat, count_occurrences, max_digit, tally_blocks
 from cantornormal.constructions import (
     ConstructionSpec,
     SegmentSpec,
@@ -29,6 +30,7 @@ from cantornormal.errors import (
     SizeLimitError,
 )
 from cantornormal.limits import size_cap
+from cantornormal.verify import DEFAULT_JOBS
 
 from oracles import chunk_runs
 
@@ -72,12 +74,20 @@ def test_build_P_length_identity(b, w):
 
 
 def test_build_P_runs_checks_before_enumerating(monkeypatch):
-    # the (b+1)**w runs are checked against the cap before the table is made
-    with size_cap(26), pytest.raises(SizeLimitError):
-        build_P_runs(2, 3)
+    # the (b+1)**w runs are checked against the cap on the first read of the
+    # run table, before the table is made
+    def unreachable(*args):
+        raise AssertionError("the run table was enumerated past the cap")
+
+    monkeypatch.setattr(blocks_module, "enumeration_table", unreachable)
+    with size_cap(26):
+        runs = build_P_runs(2, 3)  # length and top digit need no table
+        assert (len(runs), max_digit(runs)) == (3 * 2**6, 2)
+        with pytest.raises(SizeLimitError):
+            runs.groups
     monkeypatch.setenv("CNL_SIZE_CAP", "26")
     with pytest.raises(SizeLimitError):
-        build_P_runs(2, 3)
+        build_P_runs(2, 3).groups
     with pytest.raises(ValueError):
         build_P_runs(2, 0)
 
@@ -145,13 +155,41 @@ def test_build_P_run_table_is_the_enumeration(b, w):
     assert concat(build_P_runs(b, w)).as_tuple() == concat([(c, blk) for blk, c in pairs]).as_tuple() == tuple(flat)
 
 
+def test_build_P_runs_tally_builds_no_run_table():
+    # 7**6 runs exceed a cap of 1000, but the 7**3 three-digit blocks do not
+    with size_cap(1000):
+        runs = build_P_runs(6, 6)
+        tally = tally_blocks(runs, 3)
+        assert len(tally) == 7**3 and sum(tally.values()) == len(runs) - 2
+        with pytest.raises(SizeLimitError, match="needs 117649 enumerated runs"):
+            runs.groups
+
+
+_EQUIVALENCE_POINTS = sorted(
+    {(kw["b"], kw["w"], kw.get("k", kw.get("k_max"))) for claim, kw in DEFAULT_JOBS if claim in ("eknu", "bounds-ng-nl")}
+    | {(6, 6, 3)}
+)
+
+
+@pytest.mark.parametrize("b,w,k_max", _EQUIVALENCE_POINTS)
+def test_build_P_runs_closed_form_equals_the_run_scan(b, w, k_max):
+    # the closed form against tally_blocks on a plain ConcatSpec of the same run table
+    runs = build_P_runs(b, w)
+    (copies, table), = runs.groups
+    plain = ConcatSpec.from_table(copies, table)
+    for k in range(1, k_max + 1):
+        assert runs.window_counts(k) == tally_blocks(plain, k)
+
+
 def test_build_P_runs_cap_counts_runs_not_digits():
     runs = build_P_runs(6, 6)  # 7**6 runs describing ~4.1e11 digits
     assert len(runs) == 6 * 2**36
     with pytest.raises(SizeLimitError):
         concat(runs)
     with size_cap(2400), pytest.raises(SizeLimitError):
-        build_P_runs(6, 4)
+        build_P_runs(6, 4).groups
+    with size_cap(2401):
+        assert len(build_P_runs(6, 4).parts) == 7**4
     with pytest.raises(ValueError):
         build_P_runs(1, 2)
 

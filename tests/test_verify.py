@@ -323,16 +323,21 @@ def test_eknu_at_b6_w6_k3_is_byte_identical():
 
 
 def test_eknu_cap_bounds_enumerated_runs():
-    with size_cap(100), pytest.raises(SizeLimitError):
-        verify_eknu(6, 4, 2)  # 7**4 runs
+    # the cap counts the 7**2 blocks compared; the 7**4 runs are never built
+    with size_cap(48), pytest.raises(SizeLimitError, match="needs 49 enumerated blocks"):
+        verify_eknu(6, 4, 2)
+    with size_cap(49):
+        assert verify_eknu(6, 4, 2).passed
 
 
 def test_bounds_ng_nl_full_width_window():
     cert = verify_bounds_ng_nl(6, 4, 2)
     assert cert.passed
     assert cert.checked == 7 + 49
-    with size_cap(100), pytest.raises(SizeLimitError):
+    with size_cap(48), pytest.raises(SizeLimitError, match="needs 49 enumerated blocks"):
         verify_bounds_ng_nl(6, 4, 2)
+    with size_cap(49):
+        assert verify_bounds_ng_nl(6, 4, 2).passed
 
 
 def test_eknu_guards():
