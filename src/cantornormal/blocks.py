@@ -20,7 +20,9 @@ its digits, under the size cap.  There is one window tally over runs: a
 digit sequence is tallied as a single run of one copy.  The weighted
 enumeration of every block of a length (``EnumerationRuns``, build_P's
 runs) has closed-form window counts for windows no longer than its blocks,
-so those are tallied without its run table.
+so those are tallied without its run table.  Window counts have one form
+throughout: (codes, counts) arrays, a window's code being its digits read
+in a base the caller names, the codes in ascending order.
 """
 from __future__ import annotations
 
@@ -150,15 +152,13 @@ def exact_type(bound: int):
 class ConcatSpec:
     """Concatenation recipe: ordered runs of copies of a block.
 
-    A spec is made from (multiplicity, block) ``parts``, or by
-    ``ConcatSpec.from_table`` from a packed table of equal-length blocks,
-    and builds the other form on first use.  ``groups`` holds the runs
-    packed: one (copies vector, runs x length digit table) pair per stretch
-    of consecutive runs whose blocks have one length, runs with no digits
-    left out.  Multiplicities are >= 0 and at least one must be positive.
-    ``length`` (and ``len`` while it fits an index) is the number of digits
-    described, and iteration yields them lazily; neither materializes the
-    concatenation.
+    A spec is made from (multiplicity, block) ``parts`` and packs them on
+    first use into ``groups``: one (copies vector, runs x length digit
+    table) pair per stretch of consecutive runs whose blocks have one
+    length, runs with no digits left out.  Multiplicities are >= 0 and at
+    least one must be positive.  ``length`` (and ``len`` while it fits an
+    index) is the number of digits described, and iteration yields them
+    lazily; neither materializes the concatenation.
     """
 
     def __init__(self, parts):
@@ -177,38 +177,6 @@ class ConcatSpec:
             raise InvalidSpecError("at least one multiplicity must be positive")
         self.parts = tuple(checked)
         self.length = sum(m * len(b) for m, b in checked)
-
-    @classmethod
-    def from_table(cls, copies, table: np.ndarray) -> "ConcatSpec":
-        """``copies[i]`` copies of row i of a 2-D unsigned digit table, in row order.
-
-        Rows with no copies are left out.  No DigitString is built here:
-        ``parts`` makes one per row on first use.
-        """
-        if not isinstance(table, np.ndarray) or table.ndim != 2 or table.dtype.kind != "u" or not table.shape[1]:
-            raise InvalidSpecError("a run table is a 2-D unsigned digit array with at least one column")
-        copies = np.asarray(copies)
-        if copies.shape != table.shape[:1] or copies.dtype.kind not in "iuO":
-            raise InvalidSpecError("a run table needs one integer copy count per row")
-        if (copies < 0).any():
-            raise InvalidSpecError(f"multiplicity must be >= 0, got {copies.min()}")
-        used = copies > 0
-        if not used.any():
-            raise InvalidSpecError("at least one multiplicity must be positive")
-        copies, table = copies[used], table[used]
-        if copies.dtype != object and int(copies.max()) * len(copies) >= 1 << 63:
-            copies = copies.astype(object)
-        spec = cls.__new__(cls)
-        spec.length = int(copies.sum()) * table.shape[1]
-        table.setflags(write=False)
-        spec.groups = ((copies.astype(exact_type(spec.length)), table),)
-        return spec
-
-    @functools.cached_property
-    def parts(self) -> tuple[tuple[int, DigitString], ...]:
-        return tuple(
-            (m, DigitString(row)) for copies, table in self.groups for m, row in zip(copies.tolist(), table)
-        )
 
     @functools.cached_property
     def groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -266,13 +234,19 @@ class EnumerationRuns(ConcatSpec):
     def groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         check_cap(self.alphabet**self.w, what="enumerated runs")
         table = enumeration_table(self.alphabet, self.w)
+        table.setflags(write=False)
         # an explicit dtype: numpy would read a list whose top lies in
         # [2**63, 2**64) as float64
-        powers = np.array([self.rep**t for t in range(self.w + 1)], dtype=exact_type(self.rep**self.w))
-        return ConcatSpec.from_table(powers[np.count_nonzero(table == self.top, axis=1)], table).groups
+        powers = np.array([self.rep**t for t in range(self.w + 1)], dtype=exact_type(self.length))
+        return ((powers[np.count_nonzero(table == self.top, axis=1)], table),)
 
-    def window_counts(self, k: int) -> dict[tuple[int, ...], int]:
-        """tally_blocks of this text for a window length k <= w, in closed form.
+    @functools.cached_property
+    def parts(self) -> tuple[tuple[int, DigitString], ...]:
+        (copies, table), = self.groups
+        return tuple((m, DigitString(row)) for m, row in zip(copies.tolist(), table))
+
+    def window_counts(self, k: int, alphabet: int) -> tuple[np.ndarray, np.ndarray]:
+        """``tally_blocks(self, k, alphabet)`` for a window length k <= w, in closed form.
 
         Write a = alphabet, r = rep and s = a - 1 + r, so the text has
         n = w * s**w digits.  A block B of length k with t top digits occurs
@@ -303,20 +277,24 @@ class EnumerationRuns(ConcatSpec):
           than 0**(w-j): a**(w-k) blocks, less one when B[j:] = 0**(k-j).
 
         The a**(w-k) terms cancel between the two kinds of seam, leaving
-        N(B).  The a**k blocks listed count against the size cap.
+        N(B).  Every block occurs, so the codes are those of the a**k blocks
+        in lexicographic order, read in base ``alphabet`` (at least a); they
+        count against the size cap.
         """
         a, r, w = self.alphabet, self.rep, self.w
         check_cap(a**k, what="enumerated blocks")
         s = a - 1 + r
-        # the top digits of each length-k block, in lexicographic order
-        tops = np.zeros(1, dtype=np.intp)
+        # the code and the top digits of each length-k block, in lexicographic order
+        code_type = exact_type(alphabet**k - 1)
+        codes, tops = np.zeros(1, dtype=code_type), np.zeros(1, dtype=np.intp)
         for _ in range(k):
+            codes = np.add.outer(codes * alphabet, np.arange(a, dtype=code_type)).ravel()
             tops = np.add.outer(tops, np.arange(a) == a - 1).ravel()
         powers = np.array([w * r**t * s ** (w - k) for t in range(k + 1)], dtype=exact_type(w * r**k * s ** (w - k)))
         counts = powers[tops]
         for j in range(1, k):
-            counts[(a**j - 1) * a ** (k - j)] -= 1  # the code of top**j 0**(k-j)
-        return dict(zip(itertools.product(range(a), repeat=k), counts.tolist()))
+            counts[(a**j - 1) * a ** (k - j)] -= 1  # the row of top**j 0**(k-j)
+        return codes, counts
 
 
 def concat(spec) -> DigitString:
@@ -466,29 +444,42 @@ def count_top_digit(block, b: int) -> int:
     return int(np.count_nonzero(raw == b))
 
 
-def tally_blocks(text, length: int) -> dict[tuple[int, ...], int]:
-    """Exact counts of every length-``length`` window occurring in ``text``.
+def tally_blocks(text, length: int, alphabet: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact counts of the length-``length`` windows of ``text``, by base-``alphabet`` code.
 
-    Returns a dict keyed by digit tuples; absent keys mean count zero.
+    Returns ``(codes, counts)``: the codes of the windows that occur, in
+    strictly ascending order, and how often each occurs.  A window's code
+    is its digits read in base ``alphabet``, which is its row in
+    ``enumeration_table(alphabet, length)``.  Codes are int64 while
+    alphabet**length fits, else Python ints; counts are int64 while they
+    fit, else Python ints.  Every digit must be below ``alphabet``, or
+    distinct windows would share a code.
+
     ``text`` is a digit sequence or a ConcatSpec.  A digit sequence is
     counted as one run of one copy.  A ConcatSpec is counted from its run
     tables without building its digits, so the work grows with the number
     and length of its distinct runs, not with the length described; an
     EnumerationRuns text is counted from its closed form
     (``EnumerationRuns.window_counts``) while ``length`` is at most its
-    block length, and builds no run table.  Counts are exact integers
-    either way.
+    block length, and builds no run table.
     """
     if not isinstance(length, int) or length < 1:
         raise ValueError(f"window length must be an integer >= 1, got {length}")
-    if isinstance(text, EnumerationRuns) and length <= text.w:
-        return text.window_counts(length)
     if isinstance(text, ConcatSpec):
-        n, groups = text.length, text.groups
+        n = text.length
+        top = text.top if n else 0
     else:
         seq = digit_data(text)
-        n, groups = len(seq), ((np.ones(1, dtype=np.int64), seq[None]),)
-    return _tally_runs(groups, length) if n >= length else {}
+        n = len(seq)
+        top = int(seq.max()) if n else 0
+    if not isinstance(alphabet, int) or alphabet <= top:
+        raise ValueError(f"alphabet must be an integer above the top digit {top}, got {alphabet!r}")
+    if isinstance(text, EnumerationRuns) and length <= text.w:
+        return text.window_counts(length, alphabet)
+    if n < length:
+        return np.zeros(0, dtype=exact_type(alphabet**length - 1)), np.zeros(0, dtype=np.int64)
+    groups = text.groups if isinstance(text, ConcatSpec) else ((np.ones(1, dtype=np.int64), seq[None]),)
+    return _tally_runs(groups, length, alphabet)
 
 
 def _window_codes(digits: np.ndarray, k: int, alpha: int, code_type) -> np.ndarray:
@@ -530,14 +521,7 @@ def _add_counts(totals: dict[int, int], codes: np.ndarray, weights, size: int) -
         totals[code] += c * scale
 
 
-def _decode(totals: dict[int, int], alpha: int, k: int, code_type) -> dict[tuple[int, ...], int]:
-    """Window counts keyed by digit tuples, from counts keyed by base-``alpha`` codes."""
-    codes = np.array(list(totals), dtype=code_type)
-    places = [(codes // alpha ** (k - 1 - j) % alpha).tolist() for j in range(k)]
-    return dict(zip(zip(*places), totals.values()))
-
-
-def _tally_runs(groups, k: int) -> dict[tuple[int, ...], int]:
+def _tally_runs(groups, k: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     """tally_blocks over (copies vector, runs x length digit table) groups.
 
     Every window is counted at the run it starts in.  In a run of c copies
@@ -558,7 +542,6 @@ def _tally_runs(groups, k: int) -> dict[tuple[int, ...], int]:
     the same digits there as in the full text.  Weights are int64 while the
     text's length fits, Python ints otherwise.
     """
-    alpha = max(int(table.max()) for _, table in groups) + 1
     code_type = exact_type(alpha**k - 1)
     totals: dict[int, int] = defaultdict(int)
     seam, starts = [], []
@@ -596,7 +579,9 @@ def _tally_runs(groups, k: int) -> dict[tuple[int, ...], int]:
         for lo, part in zip(itertools.count(0, _TALLY_CHUNK), _windows(text, k)):
             codes = _window_codes(part, k, alpha, code_type)
             _add_counts(totals, codes[starts[lo : lo + len(codes)]], 1, alpha**k)
-    return _decode(totals, alpha, k, code_type)
+    codes = sorted(totals)
+    counts = [totals[code] for code in codes]
+    return np.array(codes, dtype=code_type), np.array(counts, dtype=exact_type(max(counts)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ only for what they report.  All verdicts are exact.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -178,35 +177,31 @@ def first_outside_band(text, n: int, m: int, alphabet: int, mu: Weighting, low: 
 
     A block B of mass num/D, D = ``mu.den**m``, occurring N times in
     ``text`` (a DigitString or a ConcatSpec of n digits below
-    ``alphabet``, counted by ``tally_blocks``) is in its band iff
+    ``alphabet``) is in its band iff
 
         num*n*low  <=  N*D*over  <=  num*n*high + slack*D*over.
 
     The blocks are compared in ``enumeration_table(alphabet, m)`` row
     order, ``_BLOCK_CHUNK`` rows at a time, as integer arrays: int64 while
-    every term fits, else Python ints.  Only the witness makes Fractions.
-    The alphabet**m blocks compared count against the size cap, checked
-    before the text is tallied.
+    every term fits, else Python ints.  ``tally_blocks(text, m, alphabet)``
+    gives the counts by ascending code, which is that row index, so each
+    chunk's counts are one ``searchsorted`` slice.  Only the witness makes
+    Fractions.  The alphabet**m blocks compared count against the size
+    cap, checked before the text is tallied.
     """
     check_cap(alphabet**m, what="enumerated blocks")
-    tally = tally_blocks(text, m)
-    code_type = exact_type(alphabet**m - 1)
-    digits = np.fromiter(itertools.chain.from_iterable(tally), dtype=code_type, count=m * len(tally)).reshape(-1, m)
-    codes = digits[:, 0]
-    for j in range(1, m):
-        codes = codes * alphabet + digits[:, j]
-    counts = np.fromiter(tally.values(), dtype=exact_type(max(tally.values(), default=0)), count=len(tally))
+    codes, counts = tally_blocks(text, m, alphabet)
     size, den, edge = alphabet**m, mu.den**m, slack * mu.den**m * over
     # numerators are at most den, since a mass is at most 1, and observed counts at most n
     term_type = exact_type(den * n * max(low, high, over) + edge)
     for lo in range(0, size, _BLOCK_CHUNK):
         hi = min(lo + _BLOCK_CHUNK, size)
         rows = enumeration_table(alphabet, m, lo, hi)
-        num = mu.numerators(rows)
+        num = mu.numerators(rows).astype(term_type, copy=False)
         observed = np.zeros(hi - lo, dtype=term_type)
-        mine = (codes >= lo) & (codes < hi)
-        observed[(codes[mine] - lo).astype(np.int64, copy=False)] = counts[mine]
-        num = num.astype(term_type, copy=False)
+        # hi - 1, not hi, is a code, so it fits the codes' dtype
+        first, last = np.searchsorted(codes, lo), np.searchsorted(codes, hi - 1, side="right")
+        observed[(codes[first:last] - lo).astype(np.int64, copy=False)] = counts[first:last]
         scaled = observed * (den * over)
         bad = (num * (n * low) > scaled) | (scaled > num * (n * high) + edge)
         if bad.any():

@@ -30,6 +30,23 @@ def slow_tally(text, length):
     return out
 
 
+def decode_tally(tally, alphabet, length):
+    """A (codes, counts) window tally as a dict keyed by digit tuples.
+
+    Checks the form on the way: codes strictly ascending and below
+    alphabet**length, one positive count per code, all leaving their
+    arrays as Python ints.
+    """
+    codes, counts = (part.tolist() for part in tally)
+    assert codes == sorted(set(codes)) and all(0 <= code < alphabet**length for code in codes)
+    assert len(counts) == len(codes) and all(type(c) is int and c > 0 for c in counts)
+    assert all(type(code) is int for code in codes)
+    out = {}
+    for code, c in zip(codes, counts):
+        out[tuple(code // alphabet ** (length - 1 - j) % alphabet for j in range(length))] = c
+    return out
+
+
 def slow_run_tally(runs, length):
     """Window counts of the text made of ``copies`` copies of each ``block``, in order.
 

@@ -30,7 +30,7 @@ from cantornormal.constructions import SegmentSpec
 from cantornormal.errors import InvalidSpecError, NeedsMoreDigitsError, SizeLimitError
 from cantornormal.limits import size_cap
 
-from oracles import slow_count, slow_run_tally, slow_tally
+from oracles import decode_tally, slow_count, slow_run_tally, slow_tally
 
 digit_lists = st.lists(st.integers(0, 6), min_size=0, max_size=40)
 patterns = st.lists(st.integers(0, 6), min_size=1, max_size=5)
@@ -59,7 +59,7 @@ def test_block_validation():
     [
         (lambda: SegmentSpec(1, (1.5, 2.9), 3), "1.5 at index 0"),
         (lambda: DigitString(["2", 1.7]), "'2' at index 0"),
-        (lambda: tally_blocks([0, 0.5, 1.2, 0.9], 1), "0.5 at index 1"),
+        (lambda: tally_blocks([0, 0.5, 1.2, 0.9], 1, 2), "0.5 at index 1"),
         (lambda: CantorExpansion.from_digits(BasicSequence.constant(2), (1.5, 0)), "1.5 at index 0"),
     ],
     ids=["SegmentSpec", "DigitString", "tally_blocks", "from_digits"],
@@ -92,9 +92,8 @@ def test_digits_leave_the_array_as_python_ints():
     assert all(type(d) is int for d in spec)
     for text in (spec, concat(spec), (7, 200, 7, 200)):
         for k in (1, 2, 3):
-            tally = tally_blocks(text, k)
-            assert all(type(d) is int for key in tally for d in key)
-            assert all(type(c) is int for c in tally.values())
+            codes, counts = tally_blocks(text, k, big + 1)
+            assert all(type(x) is int for x in codes.tolist() + counts.tolist())
     assert type(max_digit(spec)) is type(count_top_digit((1, 2), 2)) is int
     assert type(count_occurrences((200,), (7, 200))) is int
 
@@ -158,7 +157,7 @@ def test_concat_honours_size_cap():
 def test_tally_blocks_over_runs_past_index_size():
     spec = ConcatSpec(((10**30, DigitString((0, 1))),))
     assert spec.length == 2 * 10**30
-    assert tally_blocks(spec, 2) == {(0, 1): 10**30, (1, 0): 10**30 - 1}
+    assert decode_tally(tally_blocks(spec, 2, 2), 2, 2) == {(0, 1): 10**30, (1, 0): 10**30 - 1}
 
 
 def test_digit_data_refuses_concat_spec():
@@ -242,20 +241,37 @@ def test_count_top_digit():
 
 
 def test_tally_blocks_frozen():
-    assert tally_blocks((0, 1, 0, 1), 2) == {(0, 1): 2, (1, 0): 1}
-    assert tally_blocks((5,), 2) == {}
+    # (0, 1) and (1, 0) read in base 3 are codes 1 and 3
+    codes, counts = tally_blocks((0, 1, 0, 1), 2, 3)
+    assert (codes.tolist(), counts.tolist()) == ([1, 3], [2, 1])
+    codes, counts = tally_blocks((5,), 2, 6)
+    assert len(codes) == len(counts) == 0
     with pytest.raises(ValueError):
-        tally_blocks((0, 1), 0)
+        tally_blocks((0, 1), 0, 2)
+
+
+@pytest.mark.parametrize(
+    "text, top",
+    [((0, 3, 1), 3), (ConcatSpec(((2, DigitString((0, 4))), (1, DigitString((2,))))), 4), (EnumerationRuns(3, 2, 2), 2)],
+    ids=["digits", "ConcatSpec", "EnumerationRuns"],
+)
+def test_tally_blocks_refuses_a_digit_outside_the_alphabet(text, top):
+    # with alphabet = top, the windows (top,) and (1, 0) would share a code
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError, match=f"^alphabet must be an integer above the top digit {top}, got {top}$"):
+            tally_blocks(text, k, top)
+        assert len(tally_blocks(text, k, top + 1)[0]) > 0
 
 
 @given(digit_lists, st.integers(1, 3))
 def test_tally_blocks_matches_window_scan(text, length):
-    assert tally_blocks(text, length) == slow_tally(text, length)
+    assert decode_tally(tally_blocks(text, length, 7), 7, length) == slow_tally(text, length)
 
 
 @given(st.lists(wide_digits, min_size=0, max_size=25), st.integers(1, 3))
 def test_tally_blocks_wide_digits(text, length):
-    assert tally_blocks(text, length) == slow_tally(text, length)
+    alphabet = 2**64 + 1
+    assert decode_tally(tally_blocks(text, length, alphabet), alphabet, length) == slow_tally(text, length)
 
 
 @given(st.lists(st.integers(0, 4), min_size=2, max_size=200), st.integers(1, 4))
@@ -264,7 +280,7 @@ def test_tally_blocks_chunked_path(text, length):
     # shrink the chunk size so the vectorized pass crosses chunk seams
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(B, "_TALLY_CHUNK", 7)
-        assert tally_blocks(bytes(text), length) == slow_tally(text, length)
+        assert decode_tally(tally_blocks(bytes(text), length, 5), 5, length) == slow_tally(text, length)
 
 
 _short_runs = st.tuples(st.integers(0, 3), st.lists(st.integers(0, 4), min_size=1, max_size=3))
@@ -280,7 +296,7 @@ def test_tally_blocks_chunks_a_long_run(block, copies, before, after, length):
     spec = ConcatSpec(tuple((m, DigitString(b)) for m, b in runs))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(B, "_TALLY_CHUNK", 7)
-        assert tally_blocks(spec, length) == slow_run_tally(runs, length)
+        assert decode_tally(tally_blocks(spec, length, 5), 5, length) == slow_run_tally(runs, length)
 
 
 @given(st.data())
@@ -292,12 +308,14 @@ def test_tally_blocks_chunks_a_run_table(data):
     rows = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=width, max_size=width), min_size=2, max_size=12))
     one_count = st.sampled_from([1, 3]).map(lambda c: [c] * len(rows))
     copies = data.draw(one_count | st.lists(st.sampled_from([1, 2, 5]), min_size=len(rows), max_size=len(rows)))
-    spec = ConcatSpec.from_table(np.array(copies), np.array(rows, dtype=np.uint8))
+    spec = ConcatSpec(tuple((c, DigitString(row)) for c, row in zip(copies, rows)))
+    (_, table), = spec.groups  # equal-length runs pack into one table
+    assert len(table) == len(rows)
     text = [d for c, row in zip(copies, rows) for d in row * c]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(B, "_TALLY_CHUNK", 40)
         for k in (1, 2, width, width + 1):
-            assert tally_blocks(spec, k) == slow_tally(text, k)
+            assert decode_tally(tally_blocks(spec, k, 5), 5, k) == slow_tally(text, k)
 
 
 # Parts drawn from a small pool so that equal adjacent blocks are common;
@@ -324,7 +342,8 @@ def test_concat_matches_lazy_digits(spec):
 @given(concat_specs, st.integers(1, 4))
 @settings(max_examples=300)
 def test_tally_blocks_over_runs_matches_window_scan(spec, length):
-    assert tally_blocks(spec, length) == slow_tally(concat(spec), length)
+    alphabet = 2**64 + 1
+    assert decode_tally(tally_blocks(spec, length, alphabet), alphabet, length) == slow_tally(concat(spec), length)
 
 
 @given(concat_specs, st.data())
@@ -357,9 +376,9 @@ def test_count_run_occurrences_frozen():
 def test_tally_blocks_over_runs_frozen():
     # 3*(0,1) | 1*(1,) | 2*(1,): seams inside a part, between parts, equal blocks
     spec = ConcatSpec(((3, DigitString((0, 1))), (1, DigitString((1,))), (2, DigitString((1,)))))
-    assert tally_blocks(spec, 2) == {(0, 1): 3, (1, 0): 2, (1, 1): 3}
-    assert tally_blocks(spec, 9) == {(0, 1, 0, 1, 0, 1, 1, 1, 1): 1}
-    assert tally_blocks(spec, 10) == {}
+    assert decode_tally(tally_blocks(spec, 2, 2), 2, 2) == {(0, 1): 3, (1, 0): 2, (1, 1): 3}
+    assert decode_tally(tally_blocks(spec, 9, 2), 2, 9) == {(0, 1, 0, 1, 0, 1, 1, 1, 1): 1}
+    assert decode_tally(tally_blocks(spec, 10, 2), 2, 10) == {}
 
 
 # Runs for the run counter: copies 0 and 1 common, block lengths 1..4 so
@@ -383,7 +402,8 @@ def test_run_counter_matches_window_scan(spec, data):
     # k = 1, k equal to a block length, and k past every block length
     k = data.draw(st.integers(1, longest + 3))
     text = [d for m, b in spec.parts for d in b.as_tuple() * m]
-    assert tally_blocks(spec, k) == slow_tally(text, k)
+    alphabet = 2**64 + 4
+    assert decode_tally(tally_blocks(spec, k, alphabet), alphabet, k) == slow_tally(text, k)
 
 
 @given(st.data())
@@ -392,13 +412,15 @@ def test_run_table_matches_window_scan(data):
     width = data.draw(st.integers(1, 4))
     rows = data.draw(st.lists(st.lists(st.integers(0, 300), min_size=width, max_size=width), min_size=1, max_size=6))
     copies = data.draw(st.lists(st.sampled_from([0, 1, 2, 5]), min_size=len(rows), max_size=len(rows)).filter(any))
-    spec = ConcatSpec.from_table(np.array(copies), np.array(rows, dtype=np.uint16))
+    spec = ConcatSpec(tuple((c, DigitString(row)) for c, row in zip(copies, rows)))
     text = [d for c, row in zip(copies, rows) for d in row * c]
     assert spec.length == len(text)
     assert concat(spec).as_tuple() == tuple(spec) == tuple(text)
-    assert [(m, b.as_tuple()) for m, b in spec.parts] == [(c, tuple(r)) for c, r in zip(copies, rows) if c]
+    # one table of the rows with copies, in order
+    assert [(c.tolist(), t.tolist()) for c, t in spec.groups] == [
+        ([c for c in copies if c], [r for c, r in zip(copies, rows) if c])]
     for k in (1, width, width + 1, width + 3):
-        assert tally_blocks(spec, k) == slow_tally(text, k)
+        assert decode_tally(tally_blocks(spec, k, 301), 301, k) == slow_tally(text, k)
 
 
 def test_run_groups_split_on_block_length():
@@ -428,18 +450,6 @@ def test_staircase_prefix_stacks_no_single_rows(monkeypatch):
     digits = salat_counterexample_spec(20100).digits_prefix(20100)
     assert len(digits) == 20100
     assert stacked == []  # 200 rows of 200 lengths: one view each
-
-
-def test_run_table_validation():
-    table = np.array([[0, 1], [1, 1]], dtype=np.uint8)
-    with pytest.raises(InvalidSpecError):
-        ConcatSpec.from_table([0, 0], table)
-    with pytest.raises(InvalidSpecError):
-        ConcatSpec.from_table([1, -1], table)
-    with pytest.raises(InvalidSpecError):
-        ConcatSpec.from_table([1], table)
-    with pytest.raises(InvalidSpecError):
-        ConcatSpec.from_table([1, 1], table.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +549,58 @@ def test_enumeration_runs_closed_form_matches_literal_runs(a, r, w):
     spec = EnumerationRuns(a, r, w)
     assert spec.length == sum(c * len(blk) for c, blk in runs) and max_digit(spec) == a - 1
     for k in range(1, w + 1):
-        assert spec.window_counts(k) == tally_blocks(spec, k) == slow_run_tally(runs, k)
+        assert decode_tally(tally_blocks(spec, k, a), a, k) == slow_run_tally(runs, k)
     assert "groups" not in vars(spec)  # no run table was built
-    assert tally_blocks(spec, w + 1) == slow_run_tally(runs, w + 1)  # past w the runs are scanned
+    # past w the runs are scanned
+    assert decode_tally(tally_blocks(spec, w + 1, a), a, w + 1) == slow_run_tally(runs, w + 1)
+
+
+# Every kind of text with its literal window counts: digit sequences, runs
+# of up to 10**20 copies, and enumerations in build_P's shape (rep
+# 2**b - b) and build_C's (rep 1), the latter tallied past w too.
+def _enumeration(a, rep, w):
+    runs = [(rep ** blk.count(a - 1), blk) for blk in itertools.product(range(a), repeat=w)]
+    return EnumerationRuns(a, rep, w), a - 1, w + 1, lambda k: slow_run_tally(runs, k)
+
+
+_run_lists = st.lists(
+    st.tuples(st.sampled_from([0, 1, 2, 3, 10**20]), st.lists(st.integers(0, 4), min_size=1, max_size=4)),
+    min_size=1, max_size=6,
+).filter(lambda runs: any(c for c, _ in runs))
+tally_texts = st.one_of(
+    digit_lists.map(lambda t: (t, max(t, default=0), 4, lambda k: slow_tally(t, k))),
+    _run_lists.map(lambda runs: (ConcatSpec(tuple((c, DigitString(b)) for c, b in runs)),
+                                 max(d for c, b in runs if c for d in b), 4, lambda k: slow_run_tally(runs, k))),
+    st.builds(lambda b, w: _enumeration(b + 1, 2**b - b, w), st.integers(2, 4), st.integers(1, 3)),
+    st.builds(lambda b, w: _enumeration(b, 1, w), st.integers(2, 4), st.integers(1, 3)),
+)
+
+
+@given(tally_texts, st.integers(1, 4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_tally_blocks_contract(case, wider, data):
+    # ascending codes in any alphabet past the top digit, counts as the
+    # literal scan has them; a wider alphabet re-codes the closed form
+    text, top, longest, literal = case
+    k = data.draw(st.integers(1, longest))
+    alphabet = top + wider
+    assert decode_tally(tally_blocks(text, k, alphabet), alphabet, k) == literal(k)
+
+
+@pytest.mark.parametrize("case", [
+    ((0, 3, 1, 3, 0), 3, 4, lambda k: slow_tally((0, 3, 1, 3, 0), k)),
+    (ConcatSpec(((10**20, DigitString((0, 2))), (3, DigitString((1,))))), 2, 4,
+     lambda k: slow_run_tally([(10**20, (0, 2)), (3, (1,))], k)),
+    _enumeration(7, 58, 2),
+], ids=["digits", "ConcatSpec", "EnumerationRuns"])
+def test_tally_blocks_object_codes(case):
+    # alphabet**k >= 2**63: the codes are Python ints in an object array
+    text, _, longest, literal = case
+    alphabet = 2**32
+    for k in range(2, longest + 1):
+        codes, counts = tally_blocks(text, k, alphabet)
+        assert codes.dtype == object
+        assert decode_tally((codes, counts), alphabet, k) == literal(k)
 
 
 def test_enumeration_runs_validation():

@@ -159,8 +159,8 @@ def test_build_P_runs_tally_builds_no_run_table():
     # 7**6 runs exceed a cap of 1000, but the 7**3 three-digit blocks do not
     with size_cap(1000):
         runs = build_P_runs(6, 6)
-        tally = tally_blocks(runs, 3)
-        assert len(tally) == 7**3 and sum(tally.values()) == len(runs) - 2
+        codes, counts = tally_blocks(runs, 3, 7)
+        assert codes.tolist() == list(range(7**3)) and sum(counts.tolist()) == len(runs) - 2
         with pytest.raises(SizeLimitError, match="needs 117649 enumerated runs"):
             runs.groups
 
@@ -173,12 +173,12 @@ _EQUIVALENCE_POINTS = sorted(
 
 @pytest.mark.parametrize("b,w,k_max", _EQUIVALENCE_POINTS)
 def test_build_P_runs_closed_form_equals_the_run_scan(b, w, k_max):
-    # the closed form against tally_blocks on a plain ConcatSpec of the same run table
+    # the closed form against tally_blocks on a plain ConcatSpec of the same runs
     runs = build_P_runs(b, w)
-    (copies, table), = runs.groups
-    plain = ConcatSpec.from_table(copies, table)
+    plain = ConcatSpec(runs.parts)
     for k in range(1, k_max + 1):
-        assert runs.window_counts(k) == tally_blocks(plain, k)
+        closed, scanned = tally_blocks(runs, k, b + 1), tally_blocks(plain, k, b + 1)
+        assert [part.tolist() for part in closed] == [part.tolist() for part in scanned]
 
 
 def test_build_P_runs_cap_counts_runs_not_digits():

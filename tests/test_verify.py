@@ -138,10 +138,10 @@ def test_lemma_amount_names_a_tampered_run(monkeypatch):
         runs = real(b, w)
         if (b, w) != (3, 2):
             return runs
-        (copies, table), = runs.groups
-        copies = copies.copy()
-        copies[7] += 1  # the run of block (1, 3): 5 copies become 6
-        return ConcatSpec.from_table(copies, table)
+        parts = list(runs.parts)
+        m, block = parts[7]
+        parts[7] = (m + 1, block)  # the run of block (1, 3): 5 copies become 6
+        return ConcatSpec(tuple(parts))
 
     monkeypatch.setattr(verify_module, "build_P_runs", tampered)
     cert = verify_lemma_amount(b_range=(2, 3), w_range=(1, 2))
@@ -181,11 +181,11 @@ def test_bounds_ng_nl_passes():
 
 
 def test_bounds_ng_nl_catches_inflated_tally(monkeypatch):
-    def inflated(text, k):
-        out = dict(tally_blocks(text, k))
-        key = next(iter(sorted(out)))
-        out[key] += 10**9
-        return out
+    def inflated(text, k, alphabet):
+        codes, counts = tally_blocks(text, k, alphabet)
+        counts = counts.copy()
+        counts[0] += 10**9  # the first block that occurs
+        return codes, counts
 
     monkeypatch.setattr(weightings_module, "tally_blocks", inflated)
     cert = verify_bounds_ng_nl(2, 2, 1)
@@ -194,11 +194,12 @@ def test_bounds_ng_nl_catches_inflated_tally(monkeypatch):
 
 
 def test_bounds_ng_nl_catches_deflated_tally(monkeypatch):
-    def deflated(text, k):
-        out = dict(tally_blocks(text, k))
+    def deflated(text, k, alphabet):
+        codes, counts = tally_blocks(text, k, alphabet)
         if k == 2:
-            out[(1, 2)] = 1  # its band is 2 <= N <= 2 * 2 + 3**2
-        return out
+            counts = counts.copy()
+            counts[np.searchsorted(codes, 1 * 3 + 2)] = 1  # block (1, 2), whose band is 2 <= N <= 2 * 2 + 3**2
+        return codes, counts
 
     monkeypatch.setattr(weightings_module, "tally_blocks", deflated)
     cert = verify_bounds_ng_nl(2, 2, 2)
