@@ -17,7 +17,6 @@ from .blocks import (
     concat,
     count_occurrences,
     count_prefix_occurrences,
-    count_run_occurrences,
     count_top_digit,
     max_digit,
     read_digit_file,

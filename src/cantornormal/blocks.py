@@ -15,14 +15,15 @@ path for all dtypes, and digits leave the array as Python ints.
 
 A ``ConcatSpec`` (copies of a few distinct blocks) is never materialized
 implicitly: ``tally_blocks`` counts its windows from its packed run tables
-and ``count_run_occurrences`` from its parts, and only ``concat`` builds
-its digits, under the size cap.  There is one window tally over runs: a
-digit sequence is tallied as a single run of one copy.  The weighted
-enumeration of every block of a length (``EnumerationRuns``, build_P's
-runs) has closed-form window counts for windows no longer than its blocks,
-so those are tallied without its run table.  Window counts have one form
-throughout: (codes, counts) arrays, a window's code being its digits read
-in a base the caller names, the codes in ascending order.
+and ``count_occurrences`` from its parts, and only ``concat`` builds its
+digits, under the size cap.  There is one window tally and one occurrence
+counter, each over runs: a digit sequence is counted as a single run of
+one copy.  The weighted enumeration of every block of a length
+(``EnumerationRuns``, build_P's runs) has closed-form window counts for
+windows no longer than its blocks, so those are tallied without its run
+table.  Window counts have one form throughout: (codes, counts) arrays, a
+window's code being its digits read in a base the caller names, the codes
+in ascending order.
 """
 from __future__ import annotations
 
@@ -297,15 +298,11 @@ class EnumerationRuns(ConcatSpec):
         return codes, counts
 
 
-def concat(spec) -> DigitString:
-    """Concatenate blocks with multiplicities: m1*B1 then m2*B2, etc.
+def concat(spec: ConcatSpec) -> DigitString:
+    """The digits of a ConcatSpec: m1*B1 then m2*B2, etc.
 
-    ``spec`` is a ConcatSpec or a sequence of (multiplicity, block) pairs.
-    Zero multiplicities contribute nothing; all-zero spec is rejected.
     The digits built count against the size cap.
     """
-    if not isinstance(spec, ConcatSpec):
-        spec = ConcatSpec(tuple(spec))
     total = spec.length
     check_cap(total)
     out = np.empty(total, dtype=np.result_type(np.uint8, *(table.dtype for _, table in spec.groups)))
@@ -366,52 +363,51 @@ def _match_mask(pat: list[int], seq: np.ndarray, n: int) -> np.ndarray:
     return hit
 
 
-def _pattern(block) -> list[int]:
-    pat = digit_data(block).tolist()
-    if not pat:
-        raise ValueError("occurrence counting needs a nonempty block")
-    return pat
-
-
 def count_occurrences(block, text) -> int:
-    """Number of (overlapping) occurrences of ``block`` inside ``text``."""
-    pat = _pattern(block)
-    k = len(pat)
-    count = 0
-    for part in _windows(digit_data(text), k):
-        count += int(np.count_nonzero(_match_mask(pat, part, len(part) - k + 1)))
-    return count
+    """Number of (overlapping) occurrences of ``block`` inside ``text``.
 
+    ``text`` is a digit sequence or a ConcatSpec; a digit sequence is
+    counted as one run of one copy, and a ConcatSpec from its parts
+    without building its digits.  The runs are walked once, from the last:
 
-def count_run_occurrences(block, spec: ConcatSpec) -> int:
-    """Occurrences of ``block`` in m1*B1 m2*B2 ... from the distinct blocks alone.
+    * the windows that fit inside one copy of a run's block are matched
+      once, ``_windows`` chunk by chunk, and count once per copy;
+    * the window at offset p of a length-L copy that crosses a seam
+      between copies stays inside its run of m copies for
+      m - (p+k-1)//L of them (none when m = 1); there are at most k - 1
+      such offsets, matched on the block read around;
+    * the at most k - 1 windows that leave a run are matched on its last
+      k - 1 digits followed by the next k - 1 digits of the text.
 
-    One vectorized pass per part, walking the parts from the last: a
-    match at offset p of a length-L block stays inside its part of m
-    copies for m - (p+k-1)//L of them, and the at most k - 1 windows that
-    leave the part are matched on its last k - 1 digits followed by the
-    next k - 1 digits of the text.  Counts are exact Python ints.
+    Counts are exact Python ints.
     """
-    if not isinstance(spec, ConcatSpec):
-        raise TypeError("count_run_occurrences counts a ConcatSpec; use count_occurrences on digits")
-    pat = _pattern(block)
+    pat = digit_data(block).tolist()
     k = len(pat)
+    if not k:
+        raise ValueError("occurrence counting needs a nonempty block")
+    if isinstance(text, ConcatSpec):
+        runs = [(m, blk.digits) for m, blk in text.parts if m and len(blk)]
+    else:
+        seq = digit_data(text)
+        runs = [(1, seq)] if len(seq) else []
     count = 0
-    follow = np.empty(0, dtype=np.uint8)  # the first k-1 digits after the current part
-    for m, blk in reversed(spec.parts):
-        size = len(blk)
-        if m == 0 or size == 0:
-            continue
-        # one copy, then the k - 1 digits that follow it while the copies repeat
-        ext = np.resize(blk.digits, size + k - 1)
-        seams = (np.flatnonzero(_match_mask(pat, ext, size)) + k - 1) // size
-        for crossed, hits in enumerate(np.bincount(seams).tolist()):
-            count += hits * max(0, m - crossed)
+    follow: list[int] = []  # the first k - 1 digits after the current run
+    for m, row in reversed(runs):
+        size = len(row)
+        for part in _windows(row, k):
+            count += m * int(np.count_nonzero(_match_mask(pat, part, len(part) - k + 1)))
+        # the k - 1 digits before a copy's start, then the k - 1 from it, read
+        # around the block: the window at ring position j starts at offset
+        # p = size - (k-1) + j and crosses (p + k - 1) // size = 1 + j // size seams
+        ring = row[np.arange(size - k + 1, size + k - 1) % size].tolist()
+        if m > 1:
+            for j in range(max(0, k - 1 - size), k - 1):  # p >= 0
+                if ring[j : j + k] == pat:
+                    count += max(0, m - 1 - j // size)
         edge = min(k - 1, m * size)
-        local = np.concatenate((ext[-edge % size :][:edge], follow))
-        if len(local) >= k:
-            count += int(np.count_nonzero(_match_mask(pat, local, len(local) - k + 1)))
-        follow = np.concatenate((ext[:edge], follow))[: k - 1]
+        local = ring[k - 1 - edge : k - 1] + follow
+        count += sum(local[j : j + k] == pat for j in range(len(local) - k + 1))
+        follow = (ring[k - 1 : k - 1 + edge] + follow)[: k - 1]
     return count
 
 

@@ -29,7 +29,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .blocks import DigitString, count_run_occurrences, digit_data
+from .blocks import DigitString, count_occurrences, digit_data
 from .constructions import ConstructionSpec, SegmentSpec
 from .discrepancy import sweep_dtype
 from .errors import InvalidSpecError, NeedsMoreDigitsError, NeedsMoreSegmentsError
@@ -85,11 +85,6 @@ class BasicSequence:
             out.append((base, take))
             n_max -= take
         return out
-
-    def q(self, n: int) -> int:
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"positions are 1-based integers, got {n}")
-        return self.q_runs(n)[-1][0]
 
 
 class CantorExpansion:
@@ -253,14 +248,15 @@ def normality_ratio(exp: CantorExpansion, block, n: int) -> Fraction:
 
     Ratio N(B, prefix) / q_moment(Q, n, k); tends to 1 along n exactly
     when the expansion treats B as often as the base sequence allows.  The
-    count runs over ``spec.prefix_runs(n + k - 1)``, one vectorized pass
-    per segment block and never building the prefix, so n may reach the
-    construction's full length.
+    count is ``count_occurrences`` over ``spec.prefix_runs(n + k - 1)``,
+    one chunked pass over each distinct segment block and never building
+    the prefix, so n may reach the construction's full length in bounded
+    memory.
     """
     pat = digit_data(block)
     k = len(pat)
     moment = q_moment(exp.Q, n, k)  # refuses n < 1 and an empty block first
-    count = count_run_occurrences(pat, exp.spec.prefix_runs(n + k - 1))
+    count = count_occurrences(pat, exp.spec.prefix_runs(n + k - 1))
     return Fraction(count) / moment
 
 

@@ -16,7 +16,6 @@ from cantornormal.blocks import (
     concat,
     count_occurrences,
     count_prefix_occurrences,
-    count_run_occurrences,
     count_top_digit,
     digit_data,
     enumeration_table,
@@ -109,7 +108,7 @@ def test_concat_repeats_blocks_in_order():
     spec = ConcatSpec(((2, DigitString((0, 1))), (3, DigitString((2,)))))
     assert concat(spec).as_tuple() == (0, 1, 0, 1, 2, 2, 2)
     # zero multiplicities contribute nothing
-    assert concat(((0, DigitString((1,))), (1, DigitString((0,))))).as_tuple() == (0,)
+    assert concat(ConcatSpec(((0, DigitString((1,))), (1, DigitString((0,)))))).as_tuple() == (0,)
 
 
 @pytest.mark.parametrize("m", [2.7, "3", None], ids=["float", "str", "None"])
@@ -148,10 +147,10 @@ def test_concat_honours_size_cap():
     with size_cap(9), pytest.raises(SizeLimitError):
         concat(spec)
     with pytest.raises(SizeLimitError):
-        concat(((10**12, DigitString((0, 1))),))
+        concat(ConcatSpec(((10**12, DigitString((0, 1))),)))
     # past 2**63 digits: len() cannot say, the length and the cap still can
     with pytest.raises(SizeLimitError):
-        concat(((10**30, DigitString((0, 1))),))
+        concat(ConcatSpec(((10**30, DigitString((0, 1))),)))
 
 
 def test_tally_blocks_over_runs_past_index_size():
@@ -164,8 +163,8 @@ def test_digit_data_refuses_concat_spec():
     spec = ConcatSpec(((3, DigitString((0, 1))),))
     with pytest.raises(TypeError):
         digit_data(spec)
-    with pytest.raises(TypeError):
-        count_occurrences((0, 1), spec)
+    # the counter reads a spec's runs, and counts what its digits hold
+    assert count_occurrences((0, 1), spec) == count_occurrences((0, 1), concat(spec)) == 3
 
 
 def test_max_digit_paths_agree():
@@ -348,7 +347,7 @@ def test_tally_blocks_over_runs_matches_window_scan(spec, length):
 
 @given(concat_specs, st.data())
 @settings(max_examples=300)
-def test_count_run_occurrences_matches_window_scan(spec, data):
+def test_count_occurrences_over_runs_matches_window_scan(spec, data):
     text = concat(spec).as_tuple()
     # a window of the text half the time, so that most patterns occur
     k = data.draw(st.integers(1, 5))
@@ -357,20 +356,20 @@ def test_count_run_occurrences_matches_window_scan(spec, data):
         pat = text[start : start + k]
     else:
         pat = tuple(data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)))
-    assert count_run_occurrences(pat, spec) == slow_count(pat, text)
+    assert count_occurrences(pat, spec) == slow_count(pat, text)
 
 
-def test_count_run_occurrences_frozen():
+def test_count_occurrences_over_runs_frozen():
     spec = ConcatSpec(((3, DigitString((0, 1))), (1, DigitString((1,))), (2, DigitString((1,)))))
-    assert count_run_occurrences((1, 1), spec) == 3
-    assert count_run_occurrences((0, 1, 0), spec) == 2
-    assert count_run_occurrences((0, 1, 1, 1, 1), spec) == 1
+    assert count_occurrences((1, 1), spec) == 3
+    assert count_occurrences((0, 1, 0), spec) == 2
+    assert count_occurrences((0, 1, 1, 1, 1), spec) == 1
     # 10**30 copies are counted, not built
-    assert count_run_occurrences((1, 0), ConcatSpec(((10**30, DigitString((0, 1))),))) == 10**30 - 1
-    with pytest.raises(TypeError):
-        count_run_occurrences((0,), DigitString((0, 1)))
+    assert count_occurrences((1, 0), ConcatSpec(((10**30, DigitString((0, 1))),))) == 10**30 - 1
+    # a DigitString is one run of one copy
+    assert count_occurrences((0,), DigitString((0, 1))) == 1
     with pytest.raises(ValueError):
-        count_run_occurrences((), spec)
+        count_occurrences((), spec)
 
 
 def test_tally_blocks_over_runs_frozen():
@@ -404,6 +403,37 @@ def test_run_counter_matches_window_scan(spec, data):
     text = [d for m, b in spec.parts for d in b.as_tuple() * m]
     alphabet = 2**64 + 4
     assert decode_tally(tally_blocks(spec, k, alphabet), alphabet, k) == slow_tally(text, k)
+
+
+# Runs for the occurrence counter: copies 0, 1 and 7 common and up to 10**20,
+# blocks of up to 12 digits so that a shrunk chunk cuts a copy several times.
+_count_copies = st.sampled_from([0, 1, 7]) | st.integers(0, 10**20)
+_count_pool = st.lists(st.lists(_run_digits, min_size=1, max_size=12), min_size=1, max_size=3)
+
+
+@given(_count_pool, st.data())
+@settings(max_examples=300)
+def test_count_occurrences_matches_the_oracles(pool, data):
+    runs = data.draw(st.lists(st.tuples(_count_copies, st.sampled_from(pool)), min_size=1, max_size=6)
+                     .filter(lambda runs: any(m for m, _ in runs)))
+    # k = 1, k equal to a block length, and k past every block length
+    k = data.draw(st.integers(1, max(len(b) for b in pool) + 3))
+    # a window of the text half the time, so that most blocks occur; k + 1
+    # copies of a run hold every window its copies hold
+    short = [d for m, b in runs for d in b * min(m, k + 1)]
+    if len(short) >= k and data.draw(st.booleans()):
+        start = data.draw(st.integers(0, len(short) - k))
+        pat = tuple(short[start : start + k])
+    else:
+        pat = tuple(data.draw(st.lists(_run_digits, min_size=k, max_size=k)))
+    spec = ConcatSpec(tuple((m, DigitString(b)) for m, b in runs))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(B, "_TALLY_CHUNK", data.draw(st.sampled_from([1, 3, B._TALLY_CHUNK])))
+        assert count_occurrences(pat, spec) == slow_run_tally(runs, k).get(pat, 0)
+        if spec.length <= 200:
+            text = [d for m, b in runs for d in b * m]
+            assert count_occurrences(pat, text) == count_occurrences(pat, concat(spec)) == slow_count(pat, text)
+        assert count_occurrences(pat, short) == slow_count(pat, short)
 
 
 @given(st.data())

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from cantornormal.cantor import (
     scaled_value_counts,
     value_to_digits,
 )
-from cantornormal.blocks import count_prefix_occurrences, count_run_occurrences
+from cantornormal.blocks import count_occurrences, count_prefix_occurrences
 from cantornormal.constructions import (
     ConstructionSpec,
     SegmentSpec,
@@ -57,10 +58,12 @@ base_lists = st.lists(st.integers(2, 10), min_size=14, max_size=20)
 
 def test_basic_sequence_backings():
     c = BasicSequence.constant(5)
-    assert c.q(1) == c.q(10**9) == 5
+    assert c.q_runs(1) == [(5, 1)]
+    assert c.q_runs(10**9) == [(5, 10**9)]
     assert c.horizon is None
     e = BasicSequence.explicit([2, 3, 3, 4])
-    assert [e.q(n) for n in (1, 2, 3, 4)] == [2, 3, 3, 4]
+    assert [e.q_runs(n) for n in (1, 2, 3)] == [[(2, 1)], [(2, 1), (3, 1)], [(2, 1), (3, 2)]]
+    assert e.q_runs(4) == [(2, 1), (3, 2), (4, 1)]
     assert e.runs == ((2, 1), (3, 2), (4, 1))
     assert e.horizon == 4
 
@@ -72,14 +75,13 @@ def test_basic_sequence_validation():
         BasicSequence.explicit([2, 1, 3])
     with pytest.raises(InvalidSpecError):
         BasicSequence.explicit([])
-    with pytest.raises(ValueError):
-        BasicSequence.constant(2).q(0)
 
 
 def test_basic_sequence_horizon():
     e = BasicSequence.explicit([2, 3])
+    assert e.q_runs(2) == [(2, 1), (3, 1)]
     with pytest.raises(NeedsMoreDigitsError):
-        e.q(3)
+        e.q_runs(3)
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +312,29 @@ def test_normality_ratio_reaches_the_end_of_qnex():
     assert n == 2_345_622_568_959
     # a prefix of n digits is never built, so a tiny cap does not stop the count
     with size_cap(1000):
-        count = count_run_occurrences((0, 1), spec.prefix_runs(n + 1))
+        count = count_occurrences((0, 1), spec.prefix_runs(n + 1))
         ratio = normality_ratio(exp, (0, 1), n)
     assert count == 2_793_472
     assert ratio == Fraction(count) / q_moment(exp.Q, n, 2)
     assert float(ratio) == pytest.approx(1.0000000000583784, abs=1e-15)
     m = 5 * 10**6
     prefix = spec.digits_prefix(m + 1)
-    assert count_run_occurrences((0, 1), spec.prefix_runs(m + 1)) == count_prefix_occurrences((0, 1), prefix, m)
+    assert count_occurrences((0, 1), spec.prefix_runs(m + 1)) == count_prefix_occurrences((0, 1), prefix, m)
+
+
+def test_normality_ratio_at_the_end_of_qnex_in_bounded_memory():
+    # the count matches each 2**21-digit block in chunks, not by collecting
+    # every hit's index, which peaked near 50 MiB
+    spec = qnex_spec()
+    exp = CantorExpansion.from_spec(spec)
+    n = spec.total_length - 1
+    tracemalloc.start()
+    try:
+        normality_ratio(exp, (10,), n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 # explicit bases from 2..4, so runs of equal bases form and break

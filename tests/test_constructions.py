@@ -152,7 +152,7 @@ def test_build_P_run_table_is_the_enumeration(b, w):
     assert [(list(blk), c) for blk, c in pairs] == literal
     assert all(type(blk) is DigitString for blk, _ in pairs)
     flat = [d for row, c in literal for d in row * c]
-    assert concat(build_P_runs(b, w)).as_tuple() == concat([(c, blk) for blk, c in pairs]).as_tuple() == tuple(flat)
+    assert concat(build_P_runs(b, w)).as_tuple() == concat(ConcatSpec([(c, blk) for blk, c in pairs])).as_tuple() == tuple(flat)
 
 
 def test_build_P_runs_tally_builds_no_run_table():
@@ -179,6 +179,16 @@ def test_build_P_runs_closed_form_equals_the_run_scan(b, w, k_max):
     for k in range(1, k_max + 1):
         closed, scanned = tally_blocks(runs, k, b + 1), tally_blocks(plain, k, b + 1)
         assert [part.tolist() for part in closed] == [part.tolist() for part in scanned]
+
+
+@pytest.mark.parametrize("b,w,k", [(2, 2, 1), (2, 2, 2), (2, 3, 3), (3, 2, 2), (3, 3, 2), (4, 2, 3)])
+def test_build_P_runs_run_walk_equals_the_closed_form(b, w, k):
+    # the occurrence counter walks the run table; tally_blocks reads the closed form
+    runs = build_P_runs(b, w)
+    codes, counts = tally_blocks(runs, k, b + 1)
+    closed = dict(zip(codes.tolist(), counts.tolist()))
+    for code, block in enumerate(itertools.product(range(b + 1), repeat=k)):
+        assert count_occurrences(block, runs) == closed.get(code, 0)
 
 
 def test_build_P_runs_cap_counts_runs_not_digits():
