@@ -31,6 +31,7 @@ import functools
 import itertools
 import operator
 import struct
+import sys
 from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -158,8 +159,8 @@ class ConcatSpec:
     table) pair per stretch of consecutive runs whose blocks have one
     length, runs with no digits left out.  Multiplicities are >= 0 and at
     least one must be positive.  ``length`` (and ``len`` while it fits an
-    index) is the number of digits described, and iteration yields them
-    lazily; neither materializes the concatenation.
+    index, so library code reads ``length``) is the number of digits
+    described, and iteration yields them lazily; neither materializes it.
     """
 
     def __init__(self, parts):
@@ -197,6 +198,8 @@ class ConcatSpec:
         return max(int(table.max()) for _, table in self.groups)
 
     def __len__(self) -> int:
+        if self.length > sys.maxsize:
+            raise OverflowError(f"{self.length} digits do not fit len(); read .length")
         return self.length
 
     def __iter__(self) -> Iterator[int]:

@@ -52,23 +52,26 @@ def _check_bw(b: int, w: int) -> None:
         raise ValueError(f"w must be an integer >= 1, got {w}")
 
 
-# The enumeration blocks built so far, least recently used first.  Their
-# arrays are read-only, and a block is handed out itself, so its top digit
-# is found once.
+# The enumeration blocks built so far, least recently used first, and their
+# digits' bytes.  Their arrays are read-only, and a block is handed out
+# itself, so its top digit is found once.
 _ENUMERATIONS: OrderedDict[tuple, DigitString] = OrderedDict()
+_enumerations_nbytes = 0
 _ENUMERATIONS_BYTES = 16 << 20
 
 
 def _enumeration(key: tuple, build: Callable[[], np.ndarray]) -> DigitString:
     """The cached block under ``key``, its digits built by ``build()`` on a miss."""
+    global _enumerations_nbytes
     block = _ENUMERATIONS.pop(key, None)
     if block is None:
         digits = build()
         digits.setflags(write=False)
         block = DigitString(digits)
+        _enumerations_nbytes += digits.nbytes
     _ENUMERATIONS[key] = block
-    while sum(b.digits.nbytes for b in _ENUMERATIONS.values()) > _ENUMERATIONS_BYTES:
-        _ENUMERATIONS.popitem(last=False)
+    while _enumerations_nbytes > _ENUMERATIONS_BYTES:
+        _enumerations_nbytes -= _ENUMERATIONS.popitem(last=False)[1].digits.nbytes
     return block
 
 

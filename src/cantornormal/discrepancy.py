@@ -39,22 +39,25 @@ the one integer (p << 2 bits(max q)) // q.  Point sets with denominators
 past 2**61 take that path, such as notdn-scaled's 100 orbit points, whose
 denominators have up to 641 bits; so do tables whose n * max q passes 2**63.
 
-``star_discrepancy_from_counts`` is the checked way in for one value ->
-count table; ``star_discrepancy`` and ``kn1_bound`` hand it their points,
-count 1 each.  ``distinct_values`` ranks an integer-coded list of values
-once, and ``star_discrepancy_of_rows`` sweeps a count matrix over values
-ranked beforehand.  Nested prefixes of a sequence take that path too: a
-construction's scaled-digit tables at many positions are the rows of one
-``cantor.scaled_prefix_counts`` matrix, so mqd-scaled and the staircase
-counterexample each sweep all their prefixes in one call.
+``unit_sequence`` reads a point list in one pass into a ``_Points`` tuple,
+which keeps each point's checked terms as the arrays p, q; ``_dstar``
+ranks and sweeps them.  ``star_discrepancy_from_counts`` reads a value ->
+count table's values that way, ``star_discrepancy`` is the table of count
+1 per point, and ``kn1_bound`` ranks its points once for its sortedness
+check and its sweep.  ``distinct_values`` ranks an integer-coded list of
+values once, and ``star_discrepancy_of_rows`` sweeps a count matrix over
+values ranked beforehand.  Nested prefixes of a sequence take that path
+too: a construction's scaled-digit tables at many positions are the rows
+of one ``cantor.scaled_prefix_counts`` matrix, so mqd-scaled and the
+staircase counterexample each sweep all their prefixes in one call.
 """
 from __future__ import annotations
 
+import itertools
 import operator
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -62,15 +65,8 @@ from .blocks import digit_data, max_digit
 
 
 def unit_sequence(zs) -> tuple[Fraction, ...]:
-    """Validate and convert points to exact Fractions in [0, 1)."""
-    out = []
-    for i, z in enumerate(zs):
-        f = z if isinstance(z, Fraction) else Fraction(z)
-        p, q = f.as_integer_ratio()
-        if not 0 <= p < q:
-            raise ValueError(f"point {i} is {f}, outside [0, 1)")
-        out.append(f)
-    return tuple(out)
+    """Validate and convert points to exact Fractions in [0, 1), as a ``_Points`` tuple."""
+    return _Points(zs)
 
 
 def sweep_dtype(max_q: int, n: int):
@@ -197,31 +193,41 @@ def _sweep(p: np.ndarray, q: np.ndarray, counts: np.ndarray, n: Sequence[int]) -
     return out
 
 
-@dataclass(frozen=True)
-class _Points:
-    """Nonempty points checked by ``unit_sequence``: their lowest terms p/q in ``sweep_dtype``.
+class _Points(tuple):
+    """Points checked to lie in [0, 1): a tuple of Fractions that carries their lowest terms.
 
-    A sized table of count 1 per point for ``star_discrepancy_from_counts``.
-    ``ranked`` is their ``_rank``, worked out once for every reader.
+    Making one is the one reader of a point list: one pass reads each
+    point's terms once, through ``Fraction`` only for a point that is not
+    one, and the first point that fails, by conversion or by lying outside
+    [0, 1), raises.  ``p``, ``q`` hold the terms in ``sweep_dtype``, ``max_q``
+    is the largest q (0 for none), and ``ranked`` is their ``_rank``, made
+    once for every reader.
     """
 
-    p: np.ndarray
-    q: np.ndarray
-    max_q: int
+    def __new__(cls, zs):
+        values, ps, qs = [], [], []
+        for i, z in enumerate(zs):
+            f = z if isinstance(z, Fraction) else Fraction(z)
+            p, q = f.as_integer_ratio()
+            if not 0 <= p < q:
+                raise ValueError(f"point {i} is {f}, outside [0, 1)")
+            values.append(f)
+            ps.append(p)
+            qs.append(q)
+        points = super().__new__(cls, values)
+        terms = _ints([ps, qs])
+        points.max_q = int(terms[1].max()) if qs else 0
+        points.p, points.q = terms.astype(sweep_dtype(points.max_q, len(qs)), copy=False)
+        points.ranked = _rank(points.p, points.q, points.max_q)
+        return points
 
-    @classmethod
-    def of(cls, zs: tuple[Fraction, ...]) -> _Points:
-        p, q = _ints([z.numerator for z in zs]), _ints([z.denominator for z in zs])
-        max_q = int(q.max())
-        dtype = sweep_dtype(max_q, len(zs))
-        return cls(p.astype(dtype, copy=False), q.astype(dtype, copy=False), max_q)
 
-    def __len__(self) -> int:
-        return len(self.p)
-
-    @cached_property
-    def ranked(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        return _rank(self.p, self.q, self.max_q)
+def _dstar(points: _Points, counts: Sequence[int], n: int) -> Fraction:
+    """D* of n points, counts[i] at points[i] and the rest above them: the one rank-and-sweep, unchecked."""
+    dtype = sweep_dtype(points.max_q, n)
+    order = points.ranked[0]
+    p, q, c = (a.take(order).astype(dtype, copy=False) for a in (points.p, points.q, _ints(counts)))
+    return _sweep(p, q, c, [n])[0]
 
 
 def _count(c) -> int:
@@ -238,39 +244,24 @@ def star_discrepancy_from_counts(value_counts, n: int) -> Fraction:
     """D* of n points from a value -> multiplicity table, checked.
 
     ``value_counts`` is a mapping, or an iterable of (value, count) pairs;
-    it is read once, and a value may repeat.  Values are ints or Fractions
-    (anything else goes through ``Fraction``) in [0, 1); counts are
-    integers >= 0 that sum to at most n.  Mass left out of the table lies
-    above every value.  The entries become the rows p, q, count of one
-    array in ``sweep_dtype``, ordered by ``_rank`` and swept by ``_sweep``
-    as one row.
+    it is read once, and a value may repeat.  Counts are integers >= 0
+    that sum to at most n; the values, read by ``unit_sequence``, are ints
+    or Fractions (anything else goes through ``Fraction``) in [0, 1).  Mass
+    left out of the table lies above every value.
     """
     if operator.index(n) <= 0:
         raise ValueError(f"need a positive point count, got {n}")
-    if isinstance(value_counts, _Points):
-        dtype = sweep_dtype(value_counts.max_q, n)
-        order = value_counts.ranked[0]
-        p, q = (a.take(order).astype(dtype, copy=False) for a in (value_counts.p, value_counts.q))
-        counts = np.ones(len(order), dtype=dtype)
-    else:
-        items = value_counts.items() if isinstance(value_counts, Mapping) else value_counts
-        ps, qs, counts = [], [], []  # per entry, p/q in lowest terms
-        for v, c in items:
-            p, q = (v if isinstance(v, Fraction) else Fraction(v)).as_integer_ratio()
-            if not 0 <= p < q:
-                raise ValueError(f"value {v} outside [0, 1)")
-            ps.append(p)
-            qs.append(q)
-            counts.append(c if type(c) is int and c >= 0 else _count(c))
-        if (total := sum(counts)) > n:
-            raise ValueError(f"counts sum to {total}, more than n = {n}")
-        if not ps:
-            return Fraction(1)  # all the mass lies above every value
-        max_q = max(qs)
-        dtype = sweep_dtype(max_q, n)
-        table = _ints([ps, qs, counts]).astype(dtype, copy=False)
-        p, q, counts = table.take(_rank(table[0], table[1], max_q)[0], axis=1)
-    return _sweep(p, q, counts, [n])[0]
+    items = value_counts.items() if isinstance(value_counts, Mapping) else value_counts
+    values, counts = [], []
+    for v, c in items:
+        values.append(v)
+        counts.append(c if type(c) is int and c >= 0 else _count(c))
+    if (total := sum(counts)) > n:
+        raise ValueError(f"counts sum to {total}, more than n = {n}")
+    points = unit_sequence(values)
+    if not points:
+        return Fraction(1)  # all the mass lies above every value
+    return _dstar(points, counts, n)
 
 
 def distinct_values(ps, qs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -310,20 +301,22 @@ def star_discrepancy_of_rows(p: np.ndarray, q: np.ndarray, counts: np.ndarray, n
     return _sweep(p.astype(dtype, copy=False), q.astype(dtype, copy=False), counts.astype(dtype, copy=False), n)
 
 
-def sorted_points(zs) -> list[Fraction]:
-    """Points in [0, 1) validated and sorted ascending on exact integer keys."""
-    zs = unit_sequence(zs)
-    if not zs:
-        return []
-    return [zs[i] for i in _Points.of(zs).ranked[0].tolist()]
+class _CountOne(tuple):
+    """Points read as a value -> count table: iteration pairs each with count 1 as it goes.
+
+    n pairs alive at once would wake the garbage collector, which walks every object in the process.
+    """
+
+    def __iter__(self):
+        return zip(super().__iter__(), itertools.repeat(1))
 
 
 def star_discrepancy(zs) -> Fraction:
-    """Exact star discrepancy of a finite point sequence in [0, 1)."""
-    zs = unit_sequence(zs)
-    if not zs:
+    """Exact star discrepancy of a finite point sequence in [0, 1): its table of count 1 per point."""
+    table = _CountOne(zs)
+    if not table:
         raise ValueError("star discrepancy of an empty sequence is undefined")
-    return star_discrepancy_from_counts(_Points.of(zs), len(zs))
+    return star_discrepancy_from_counts(table, len(table))
 
 
 def kn1_bound(zs) -> Fraction:
@@ -336,13 +329,12 @@ def kn1_bound(zs) -> Fraction:
     sorted input, which is checked on the exact ranks: they must not
     descend.  The one ranking serves both the check and the sweep.
     """
-    zs = unit_sequence(zs)
-    if not zs:
+    points = unit_sequence(zs)
+    if not points:
         raise ValueError("empty sequence")
-    points = _Points.of(zs)
     if np.any(np.diff(_dense_ranks(*points.ranked)) < 0):
         raise ValueError("displacement bound needs the sequence sorted ascending")
-    return star_discrepancy_from_counts(points, len(zs))
+    return _dstar(points, [1] * len(points), len(points))
 
 
 def concat_bound(parts: Sequence[tuple[int, int, Fraction]]) -> Fraction:

@@ -119,6 +119,22 @@ def literal_band(runs, m, masses, low, high, over, slack):
     return None
 
 
+def literal_points(zs):
+    """The points as Fractions in [0, 1), or the error of the first one that is not.
+
+    Every point goes through ``Fraction`` and is compared with 0 and 1 as a
+    Fraction.  A point outside [0, 1) raises ValueError naming its index
+    and value; one that ``Fraction`` refuses raises what ``Fraction`` does.
+    """
+    out = []
+    for i, z in enumerate(zs):
+        f = Fraction(z)
+        if f < 0 or f >= 1:
+            raise ValueError(f"point {i} is {f}, outside [0, 1)")
+        out.append(f)
+    return out
+
+
 def sweep_dstar(points):
     """Star discrepancy by evaluating the defining sup at its breakpoints.
 

@@ -140,6 +140,15 @@ def test_concat_spec_length_and_lazy_digits():
     assert next(iter(huge)) == 0
 
 
+def test_concat_spec_len_past_an_index_names_length():
+    # build_P_runs(6, 36) describes 36 * 2**216 digits
+    spec = ConcatSpec(((2**63, DigitString((0, 1))),))
+    assert spec.length == 2**64
+    with pytest.raises(OverflowError, match=r"read \.length"):
+        len(spec)
+    assert len(ConcatSpec(((2**62 - 1, DigitString((0, 1))),))) == 2**63 - 2
+
+
 def test_concat_honours_size_cap():
     spec = ConcatSpec(((5, DigitString((0, 1))),))
     with size_cap(10):

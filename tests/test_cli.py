@@ -408,6 +408,27 @@ def test_discrepancy_violated_bound_exits_1(tmp_path, capsys):
     assert payload["within"]["e1l"] is False
 
 
+def test_discrepancy_output_is_pinned(tmp_path, capsys):
+    # stdout and exit codes as the command printed them before its points
+    # were read in one pass
+    seq = tmp_path / "points.txt"
+    seq.write_text("1/3 0.7, 1/3\n2/9 0 5/6\n0.125 3/7 0.9\n")
+    fams = tmp_path / "families.json"
+    fams.write_text('[[2, 3, "1/10"], [1, 3, "1/5"]]')
+    argv = ["discrepancy", "--in", str(seq), "--bounds", "kn1,kn2,e1l", "--families", str(fams),
+            "--e1l-base", "9", "--e1l-eps", "1/20"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == (
+        '{\n  "bounds": {\n    "e1l": "49/180",\n    "kn1": "5/21",\n    "kn2": "2/15"\n  },\n'
+        '  "discrepancy": "5/21",\n  "discrepancy_decimal": 0.23809523809523808,\n  "n": 9,\n'
+        '  "within": {\n    "e1l": true,\n    "kn1": true,\n    "kn2": false\n  }\n}\n'
+    )
+    seq.write_text("1/4 0.5\n3/2 7/8\n")
+    assert main(["discrepancy", "--in", str(seq), "--bounds", "kn1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: point 2 is 3/2, outside [0, 1)\n")
+
+
 def test_discrepancy_bad_value_exits_2(tmp_path, capsys):
     seq = tmp_path / "points.txt"
     seq.write_text("1/4 pear\n")

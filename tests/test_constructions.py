@@ -265,6 +265,7 @@ def test_enumeration_cache_never_bypasses_the_cap():
 
 def test_enumeration_cache_is_bounded_in_bytes(monkeypatch):
     monkeypatch.setattr(constructions, "_ENUMERATIONS", OrderedDict())
+    monkeypatch.setattr(constructions, "_enumerations_nbytes", 0)
     monkeypatch.setattr(constructions, "_ENUMERATIONS_BYTES", 2 * 18)
     a, b = build_C(3, 2), build_C(2, 3)  # 18 and 24 one-byte digits
     assert build_C(2, 3).digits is b.digits
@@ -272,8 +273,31 @@ def test_enumeration_cache_is_bounded_in_bytes(monkeypatch):
     assert build_C(3, 2) == a
 
 
+def test_enumeration_cache_keeps_a_running_byte_total(monkeypatch):
+    monkeypatch.setattr(constructions, "_ENUMERATIONS", OrderedDict())
+    monkeypatch.setattr(constructions, "_enumerations_nbytes", 0)
+    monkeypatch.setattr(constructions, "_ENUMERATIONS_BYTES", 50)
+
+    def held():
+        cached = constructions._ENUMERATIONS
+        assert constructions._enumerations_nbytes == sum(b.digits.nbytes for b in cached.values())
+        return list(cached)
+
+    build_C(3, 2), build_C(2, 3), build_P(2, 1)  # 18, 24 and 4 one-byte digits
+    assert held() == [("C", 3, 2), ("C", 2, 3), ("P", 2, 1)]
+    build_C(3, 2)  # a hit moves it to the back and evicts nothing
+    assert held() == [("C", 2, 3), ("P", 2, 1), ("C", 3, 2)]
+    build_C(2, 2)  # 8 more bytes pass 50: the least recently used block goes
+    assert held() == [("P", 2, 1), ("C", 3, 2), ("C", 2, 2)]
+    build_C(4, 3)  # 192 bytes, over the whole budget: nothing stays
+    assert held() == []
+    build_P(2, 1)
+    assert held() == [("P", 2, 1)]
+
+
 def test_segment_reads_the_cached_top_digit_of_an_enumeration(monkeypatch):
     monkeypatch.setattr(constructions, "_ENUMERATIONS", OrderedDict())
+    monkeypatch.setattr(constructions, "_enumerations_nbytes", 0)
     block = build_P(2, 2)
     [cached] = constructions._ENUMERATIONS.values()
     assert cached is block and build_P(2, 2) is block and block.top == 2

@@ -32,7 +32,7 @@ from cantornormal.discrepancy import (
     unit_sequence,
 )
 
-from oracles import sweep_dstar
+from oracles import literal_points, sweep_dstar
 
 points = st.lists(
     st.integers(1, 60).flatmap(
@@ -58,6 +58,97 @@ def test_star_discrepancy_frozen():
     assert star_discrepancy([Fraction(1, 4), Fraction(3, 4)]) == Fraction(1, 4)
     with pytest.raises(ValueError):
         star_discrepancy([])
+
+
+# ---------------------------------------------------------------------------
+# The one point reader: every entry point reads each point once, and checks
+# it as the literal oracle does.
+# ---------------------------------------------------------------------------
+
+
+class CountedFraction(Fraction):
+    """A Fraction that counts the reads of its terms."""
+
+    reads = 0
+
+    def as_integer_ratio(self):
+        self.reads += 1
+        return super().as_integer_ratio()
+
+    @property
+    def numerator(self):
+        self.reads += 1
+        return super().numerator
+
+    @property
+    def denominator(self):
+        self.reads += 1
+        return super().denominator
+
+
+_unit_fractions = st.integers(1, 2**70).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: Fraction(p, q)))
+_in_unit = st.one_of(
+    st.just(0),
+    _unit_fractions,
+    _unit_fractions.map(lambda f: CountedFraction(f.numerator, f.denominator)),
+    st.integers(0, 999).map(lambda k: f"0.{k:03d}"),
+    st.floats(0, 1, exclude_max=True),
+)
+_outside = st.one_of(
+    st.sampled_from([1, -1, 2, "1.5", "-0.25", 1.0, -0.5, Fraction(3, 2), CountedFraction(-1, 3)]),
+    st.fractions(min_value=1),
+    st.fractions(max_value=0).filter(lambda f: f < 0),
+)
+_unconvertible = st.sampled_from(["pear", "1/0", "", None, float("nan"), float("inf"), [0]])
+
+
+def _raised(fn, zs):
+    try:
+        return fn(zs), None
+    except Exception as exc:  # the kind and the message are compared
+        return None, (type(exc), str(exc))
+
+
+@given(st.lists(st.one_of(_in_unit, _in_unit, _outside, _unconvertible), min_size=1, max_size=8))
+@settings(max_examples=300)
+def test_point_reader_matches_the_literal_check(zs):
+    expected, error = _raised(literal_points, zs)
+    got, got_error = _raised(unit_sequence, zs)
+    assert got_error == error
+    if error is None:
+        assert isinstance(got, tuple) and got == tuple(expected)
+        assert all(g is z for g, z in zip(got, zs) if isinstance(z, Fraction))
+        assert star_discrepancy(zs) == sweep_dstar(expected)
+    else:
+        assert _raised(star_discrepancy, zs)[1] == error
+        assert _raised(kn1_bound, zs)[1] == error
+
+
+@given(
+    st.lists(_in_unit, max_size=6), st.integers(0, 6), st.integers(0, 6), _outside, _unconvertible, st.booleans()
+)
+def test_first_bad_point_is_reported_in_either_order(good, at, gap, outside, unconvertible, outside_first):
+    at = min(at, len(good))
+    first, second = (outside, unconvertible) if outside_first else (unconvertible, outside)
+    zs = good[:at] + [first] + good[at : at + gap] + [second] + good[at + gap :]
+    error = _raised(literal_points, zs)[1]
+    if outside_first:
+        assert error[0] is ValueError and error[1].startswith(f"point {at} is ")
+    for fn in (unit_sequence, star_discrepancy, kn1_bound):
+        assert _raised(fn, zs)[1] == error
+
+
+@pytest.mark.parametrize("den", [7, 2**40, 2**70], ids=["q-small", "q-2^40", "q-2^70"])
+def test_each_entry_point_reads_each_point_once(den):
+    zs = [CountedFraction(p, den + p) for p in (3, 0, 5, 1, 3, den - 1)]
+    expected = sweep_dstar([Fraction(z.numerator, z.denominator) for z in zs])
+    srt = sorted(zs)
+    for fn, arg in ((star_discrepancy, zs), (kn1_bound, srt), (unit_sequence, zs)):
+        for z in zs:
+            z.reads = 0
+        result = fn(arg)
+        assert [z.reads for z in zs] == [1] * len(zs), fn.__name__
+        assert fn is unit_sequence or result == expected
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 25])
