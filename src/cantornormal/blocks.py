@@ -9,7 +9,7 @@ positions.
 Digits are arbitrary-precision integers at the API boundary.  Internally a
 digit sequence is one read-only numpy array whose dtype is the smallest
 unsigned type holding its top digit (uint8 up to uint64), or ``object``
-past 2**64 - 1 so digits of any size still work.  ``_pack_digits`` is the
+past 2**64 - 1 so digits of any size still work.  ``digit_data`` is the
 only place that looks at the input's type; every kernel below has one numpy
 path for all dtypes, and digits leave the array as Python ints.
 
@@ -19,11 +19,11 @@ and ``count_occurrences`` from its parts, and only ``concat`` builds its
 digits, under the size cap.  There is one window tally and one occurrence
 counter, each over runs: a digit sequence is counted as a single run of
 one copy.  The weighted enumeration of every block of a length
-(``EnumerationRuns``, build_P's runs) has closed-form window counts for
-windows no longer than its blocks, so those are tallied without its run
-table.  Window counts have one form throughout: (codes, counts) arrays, a
-window's code being its digits read in a base the caller names, the codes
-in ascending order.
+(``EnumerationRuns``, build_P's or build_C's runs) has closed-form window
+counts for windows no longer than its blocks, so those are tallied
+without its run table.  Window counts have one form throughout: (codes,
+counts) arrays, a window's code being its digits read in a base the
+caller names, the codes in ascending order.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ from .limits import check_cap
 _TALLY_CHUNK = 1 << 22
 
 
-def _pack_digits(digits) -> np.ndarray:
+def digit_data(digits) -> np.ndarray:
     """The packed form of a digit sequence, validated.
 
     Accepts a DigitString (its array is shared), bytes, bytearray, an
@@ -53,10 +53,13 @@ def _pack_digits(digits) -> np.ndarray:
     iterable of integers.  Each entry is read with ``operator.index``, so a
     float or a string is refused, never truncated.  Digits must be
     non-negative; no base is attached, so ``SegmentSpec`` is where digits
-    meet one.
+    meet one.  A ConcatSpec is refused: its digits are built only by
+    ``concat``, which honours the size cap.
     """
     if isinstance(digits, DigitString):
         return digits.digits
+    if isinstance(digits, ConcatSpec):
+        raise TypeError("a ConcatSpec is not materialized implicitly; use concat(spec)")
     if isinstance(digits, np.ndarray) and digits.dtype.kind == "u":
         arr = digits.copy() if digits.flags.writeable else digits
     elif isinstance(digits, (bytes, bytearray)):
@@ -80,17 +83,6 @@ def _pack_digits(digits) -> np.ndarray:
     return arr
 
 
-def digit_data(x) -> np.ndarray:
-    """Packed digit array behind a DigitString or plain digit sequence.
-
-    A ConcatSpec is refused: its digits are built only by ``concat``, which
-    honours the size cap.
-    """
-    if isinstance(x, ConcatSpec):
-        raise TypeError("a ConcatSpec is not materialized implicitly; use concat(spec)")
-    return _pack_digits(x)
-
-
 def max_digit(x) -> int:
     """Largest digit of a nonempty digit sequence or of a ConcatSpec.
 
@@ -107,17 +99,20 @@ class DigitString:
 
     Equal digit strings compare and hash equal whatever input they were
     packed from; indexing gives Python ints and slicing gives a
-    DigitString that shares the packed array.  ``top``, the largest digit
-    of a nonempty string, is found once.
+    DigitString that shares the packed array.  ``length`` is ``len``, as on
+    a ConcatSpec; ``top``, the largest digit of a nonempty string, is found
+    once.
     """
 
     digits: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "digits", _pack_digits(self.digits))
+        object.__setattr__(self, "digits", digit_data(self.digits))
 
     def __len__(self) -> int:
         return len(self.digits)
+
+    length = property(__len__)
 
     @functools.cached_property
     def top(self) -> int:
@@ -215,12 +210,12 @@ class EnumerationRuns(ConcatSpec):
 
     A block with t top digits (``alphabet - 1``) has ``rep**t`` copies.
     ``constructions.build_P_runs(b, w)`` is ``EnumerationRuns(b + 1, 2**b - b, w)``;
-    build_C(b, w) would be ``EnumerationRuns(b, 1, w)``.  The length,
+    build_C(b, w)'s runs are ``EnumerationRuns(b, 1, w)``.  The length,
     ``w * s**w`` with s = alphabet - 1 + rep, and the top digit are closed
     forms, and so are the window counts of every length up to w
     (``window_counts``).  The run table behind ``groups``, ``parts`` and
     iteration is built on its first read, and its alphabet**w runs count
-    against the size cap there.
+    against the size cap there.  Runs compare and hash by (alphabet, rep, w).
     """
 
     def __init__(self, alphabet: int, rep: int, w: int):
@@ -229,6 +224,14 @@ class EnumerationRuns(ConcatSpec):
                 raise InvalidSpecError(f"{name} must be an integer >= {least}, got {value!r}")
         self.alphabet, self.rep, self.w = alphabet, rep, w
         self.length = w * (alphabet - 1 + rep) ** w
+
+    def __eq__(self, other):
+        if not isinstance(other, EnumerationRuns):
+            return NotImplemented
+        return (self.alphabet, self.rep, self.w) == (other.alphabet, other.rep, other.w)
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.rep, self.w))
 
     @property
     def top(self) -> int:
@@ -464,20 +467,17 @@ def tally_blocks(text, length: int, alphabet: int) -> tuple[np.ndarray, np.ndarr
     """
     if not isinstance(length, int) or length < 1:
         raise ValueError(f"window length must be an integer >= 1, got {length}")
-    if isinstance(text, ConcatSpec):
-        n = text.length
-        top = text.top if n else 0
-    else:
-        seq = digit_data(text)
-        n = len(seq)
-        top = int(seq.max()) if n else 0
+    if not isinstance(text, (ConcatSpec, DigitString)):
+        text = DigitString(text)
+    n = text.length
+    top = text.top if n else 0
     if not isinstance(alphabet, int) or alphabet <= top:
         raise ValueError(f"alphabet must be an integer above the top digit {top}, got {alphabet!r}")
     if isinstance(text, EnumerationRuns) and length <= text.w:
         return text.window_counts(length, alphabet)
     if n < length:
         return np.zeros(0, dtype=exact_type(alphabet**length - 1)), np.zeros(0, dtype=np.int64)
-    groups = text.groups if isinstance(text, ConcatSpec) else ((np.ones(1, dtype=np.int64), seq[None]),)
+    groups = text.groups if isinstance(text, ConcatSpec) else ((np.ones(1, dtype=np.int64), text.digits[None]),)
     return _tally_runs(groups, length, alphabet)
 
 

@@ -318,7 +318,7 @@ def orbit_numerators(exp: CantorExpansion, positions: Iterable[int], tail: int =
     nums, dens = [0] * len(positions), [1] * len(positions)
     for (s, take), group in sorted(pieces.items()):
         seg = spec.segments[s - 1]
-        q, digits = seg.base, seg.block.digits
+        q, digits = seg.base, seg.block_digits.digits
         c, powers = _chunk_powers(q)
         pad = -take % c
         rows, starts = zip(*group)
@@ -391,7 +391,7 @@ def scaled_prefix_counts(spec: ConstructionSpec, positions: Iterable[int]) -> np
             s = reached
         row += running
         if take := n - bounds[s]:
-            block = spec.segments[s].block
+            block = spec.segments[s].block_digits
             full, rem = divmod(take, len(block))
             cut = slice(starts[s], starts[s + 1])
             present = table.digits[cut]

@@ -5,8 +5,9 @@ digit sequence is ``l_1`` copies of block ``x_1``, then ``l_2`` copies of
 ``x_2``, and so on, while the base sequence is constant ``b_i`` across
 segment ``i``.  Specs support random access to any digit or base entry,
 so astronomically long constructions (the scaled families below reach
-lengths around 10**12) stay cheap to probe: only the distinct blocks are
-ever materialized.
+lengths around 10**12, the paper's own 2**2312 by i = 12) stay cheap to probe:
+a block is explicit digits or an enumeration's runs, whose digits are
+built at their first read, under the size cap.
 
 Two enumeration blocks do the heavy lifting:
 
@@ -131,28 +132,38 @@ def build_C(b: int, w: int) -> DigitString:
     return _enumeration(("C", b, w), lambda: enumeration_table(b, w).reshape(-1))
 
 
+def _generator(runs: EnumerationRuns) -> tuple[str, int, int] | None:
+    """("P", b, w) or ("C", b, w) when ``runs`` are build_P's or build_C's runs, else None."""
+    if runs.rep == 1:
+        return "C", runs.alphabet, runs.w
+    b = runs.alphabet - 1
+    return ("P", b, runs.w) if runs.rep == (1 << b) - b else None
+
+
 @dataclass(frozen=True)
 class SegmentSpec:
     """One construction segment: ``multiplicity`` copies of ``block``, base ``base``.
 
-    ``block`` may be given as any digit sequence and is held packed as a
-    DigitString; a DigitString is kept as given, with its top digit.  This
-    is the one place digits meet a base: every digit must lie in
-    0..base-1.
+    ``block`` is build_P's or build_C's EnumerationRuns, or any other digit
+    sequence, held packed as a DigitString (a DigitString is kept as given,
+    with its top digit).  This is the one place digits meet a base: every
+    digit must lie in 0..base-1.  ``block_digits`` reads the block's digits.
     """
 
     multiplicity: int
-    block: DigitString
+    block: DigitString | EnumerationRuns
     base: int
-    generator: tuple | None = None  # ("P", b, w) or ("C", b, w) if built that way
 
     def __post_init__(self):
         if not isinstance(self.multiplicity, int) or self.multiplicity < 0:
             raise InvalidSpecError(f"multiplicity must be an integer >= 0, got {self.multiplicity}")
         if not isinstance(self.base, int) or self.base < 2:
             raise InvalidSpecError(f"segment base must be an integer >= 2, got {self.base}")
-        block = self.block if isinstance(self.block, DigitString) else DigitString(self.block)
-        if not len(block):
+        # packing refuses any ConcatSpec but an enumeration's runs
+        block = self.block if isinstance(self.block, (DigitString, EnumerationRuns)) else DigitString(self.block)
+        if isinstance(block, EnumerationRuns) and _generator(block) is None:
+            raise InvalidSpecError(f"runs {block.alphabet, block.rep, block.w} are neither build_P's nor build_C's")
+        if not block.length:
             raise InvalidSpecError("segment block must hold at least one digit")
         if (top := block.top) >= self.base:
             raise InvalidSpecError(f"digit {top} out of range for base {self.base}")
@@ -160,7 +171,15 @@ class SegmentSpec:
 
     @property
     def length(self) -> int:
-        return self.multiplicity * len(self.block)
+        return self.multiplicity * self.block.length
+
+    @cached_property
+    def block_digits(self) -> DigitString:
+        """The block's digits, kept once read; an enumeration's come from build_P or build_C."""
+        if isinstance(self.block, DigitString):
+            return self.block
+        gen, b, w = _generator(self.block)
+        return (build_P if gen == "P" else build_C)(b, w)
 
 
 @dataclass(frozen=True)
@@ -205,7 +224,7 @@ class ScaledValues:
         if not used:
             none = np.zeros(0, dtype=np.int64)
             return cls(none, none, none, none.astype(np.intp), none, none, tuple(starts.tolist()))
-        arrays = [segments[s].block.digits for s in used]
+        arrays = [segments[s].block_digits.digits for s in used]
         lengths = [len(a) for a in arrays]
         joined = np.concatenate(arrays)
         width = max(segments[s].block.top for s in used) + 1
@@ -245,7 +264,8 @@ def _segment_from_json(raw) -> SegmentSpec:
         gb, gw = block_obj.get("b"), block_obj.get("w")
         if type(gb) is not int or type(gw) is not int:
             raise InvalidSpecError(f"generator {gen} needs integer 'b' and 'w'")
-        return SegmentSpec(mult, (build_P if gen == "P" else build_C)(gb, gw), base, generator=(gen, gb, gw))
+        _check_bw(gb, gw)
+        return SegmentSpec(mult, build_P_runs(gb, gw) if gen == "P" else EnumerationRuns(gb, 1, gw), base)
     if gen == "explicit":
         digits = block_obj.get("digits")
         if not (isinstance(digits, list) and all(type(d) is int for d in digits)):
@@ -304,8 +324,8 @@ class ConstructionSpec:
     def digit_at(self, n: int) -> int:
         """Digit at position n, via modular indexing into the segment block."""
         s = self.segment_at(n)
-        seg = self.segments[s - 1]
-        return seg.block[(n - self.boundaries[s - 1] - 1) % len(seg.block)]
+        block = self.segments[s - 1].block_digits
+        return block[(n - self.boundaries[s - 1] - 1) % len(block)]
 
     def idef_index(self, n: int) -> int:
         """Index i with boundaries[i] < n <= boundaries[i+1] (prefix convention)."""
@@ -351,10 +371,11 @@ class ConstructionSpec:
         """
         parts = []
         for seg, take in self.prefix_parts(n_max):
-            full, rem = divmod(take, len(seg.block))
-            parts.append((full, seg.block))
+            block = seg.block_digits
+            full, rem = divmod(take, len(block))
+            parts.append((full, block))
             if rem:
-                parts.append((1, seg.block[:rem]))
+                parts.append((1, block[:rem]))
         return ConcatSpec(tuple(parts))
 
     def digits_prefix(self, n_max: int) -> DigitString:
@@ -365,8 +386,8 @@ class ConstructionSpec:
     def to_json(self) -> dict:
         segments = []
         for seg in self.segments:
-            if seg.generator is not None:
-                gen, gb, gw = seg.generator
+            if isinstance(seg.block, EnumerationRuns):
+                gen, gb, gw = _generator(seg.block)
                 block_obj: dict = {"gen": gen, "b": gb, "w": gw}
             else:
                 block_obj = {"gen": "explicit", "digits": list(seg.block)}
@@ -431,13 +452,13 @@ def qnex_spec(
 
     Segment i < i_min is empty filler ((0,1) with multiplicity 0) so that
     segment indices keep their meaning; segment i >= i_min holds ``l_fn(i)``
-    copies of ``build_P(i, w_fn(i))`` over base ``2**i``.  The defaults
+    copies of ``build_P_runs(i, w_fn(i))`` over base ``2**i``.  The defaults
     (w=2, l=2**(2i), i in [6, 10]) give a total length around 2.3 * 10**12,
     fine for random access though far beyond materialization.
 
-    Asking for the unscaled parameters (w_fn(i) = i*i, l_fn(i) = 2**(4*i*i))
-    raises a size-limit error: the very first block would need
-    36 * 2**216 digits.
+    The unscaled parameters (w_fn(i) = i*i, l_fn(i) = 2**(4*i*i)) build
+    too, but a digit read raises a size-limit error: the very first block
+    has 36 * 2**216 digits.
     """
     if not isinstance(i_min, int) or i_min < 6:
         raise InvalidSpecError(f"i_min must be an integer >= 6, got {i_min}")
@@ -447,9 +468,7 @@ def qnex_spec(
     l_fn = l_fn or (lambda i: 2 ** (2 * i))
     segments = [SegmentSpec(0, (0, 1), 2) for _ in range(1, i_min)]
     for i in range(i_min, i_max + 1):
-        w = w_fn(i)
-        block = build_P(i, w)
-        segments.append(SegmentSpec(l_fn(i), block, 2**i, generator=("P", i, w)))
+        segments.append(SegmentSpec(l_fn(i), build_P_runs(i, w_fn(i)), 2**i))
     return ConstructionSpec(tuple(segments), family="qnex-scaled")
 
 
@@ -469,9 +488,9 @@ def qde_spec(
     """Scaled family that is normal in both senses.
 
     Segment 1 is empty filler; segment i >= i_min holds ``l_fn(i)`` copies
-    of ``build_C(i, w_fn(i))`` over base i.  Defaults: w=2, l=i**3,
+    of build_C(i, w_fn(i))'s runs over base i.  Defaults: w=2, l=i**3,
     i in [2, 12], total length 1,261,414 digits.  The unscaled parameters
-    (w_fn(i) = i*i, l_fn(i) = i**(3*i)) hit the size cap immediately.
+    (w_fn(i) = i*i, l_fn(i) = i**(3*i)) build too; digit reads past the cap raise.
     """
     if not isinstance(i_min, int) or i_min < 2:
         raise InvalidSpecError(f"i_min must be an integer >= 2, got {i_min}")
@@ -483,9 +502,7 @@ def qde_spec(
     for i in range(2, i_min):
         segments.append(SegmentSpec(0, (0, 1), i))
     for i in range(i_min, i_max + 1):
-        w = w_fn(i)
-        block = build_C(i, w)
-        segments.append(SegmentSpec(l_fn(i), block, i, generator=("C", i, w)))
+        segments.append(SegmentSpec(l_fn(i), EnumerationRuns(i, 1, w_fn(i)), i))
     return ConstructionSpec(tuple(segments), family="qde-scaled")
 
 

@@ -401,7 +401,7 @@ def _qde_segment_eps_primes(spec: ConstructionSpec, eps_fn) -> list[Fraction]:
     """Per-segment scaled-digit discrepancy budgets eps'_s, 1-based list."""
     out = []
     for s, seg in enumerate(spec.segments, start=1):
-        out.append(e1l_bound(seg.base, eps_fn(s), len(seg.block)))
+        out.append(e1l_bound(seg.base, eps_fn(s), seg.block.length))
     return out
 
 
@@ -416,7 +416,7 @@ def epsbar_rows(spec: ConstructionSpec, positions) -> list[tuple]:
     depend on i alone, so they are worked out once per distinct i.
     """
     eps_primes = _qde_segment_eps_primes(spec, qde_default_eps)
-    seg_meta = [(seg.multiplicity, len(seg.block)) for seg in spec.segments]
+    seg_meta = [(seg.multiplicity, seg.block.length) for seg in spec.segments]
     bounds: dict[int, tuple] = {}
     rows = []
     for n in positions:

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .blocks import ConcatSpec, DigitString, digit_data, enumeration_table, exact_type, max_digit, tally_blocks
+from .blocks import ConcatSpec, DigitString, digit_data, enumeration_table, exact_type, tally_blocks
 from .limits import check_cap
 
 # blocks enumerated per numpy pass, so a check's memory does not grow with
@@ -228,24 +228,22 @@ def check_eps_k_normal(y, eps, k: int, mu: Weighting) -> NormalityVerdict:
     ConcatSpec: its length is the sum of multiplicity times block length,
     its top digit comes from the distinct blocks, and its windows are
     counted without building its digits.  Any other digit sequence is
-    packed once into a DigitString, which ``max_digit`` and each length's
-    ``tally_blocks`` read without repacking.  The alphabet**k blocks of
-    the longest length count against the size cap before any length is
-    checked, so a check the cap refuses does no work.
+    packed once into a DigitString, which each length's ``tally_blocks``
+    reads without repacking; either text gives its ``length`` and ``top``.
+    The alphabet**k blocks of the longest length count against the size
+    cap before any length is checked, so a check the cap refuses does no
+    work.
     """
     eps = Fraction(eps)
     if not (0 < eps < 1):
         raise ValueError(f"eps must satisfy 0 < eps < 1, got {eps}")
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k}")
-    if isinstance(y, ConcatSpec):
-        text, n = y, y.length
-    else:
-        text = DigitString(y)  # packed once; every later read shares it
-        n = len(text)
+    text = y if isinstance(y, ConcatSpec) else DigitString(y)  # packed once; every later read shares it
+    n = text.length
     if n == 0:
         raise ValueError("normality check needs a nonempty digit string")
-    alphabet = max(mu.support_bound, max_digit(text)) + 1
+    alphabet = max(mu.support_bound, text.top) + 1
     check_cap(alphabet**k, what="enumerated blocks")
     p, q = eps.numerator, eps.denominator
     for m in range(1, k + 1):

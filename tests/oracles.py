@@ -185,6 +185,18 @@ def literal_orbit(qs, ds, n, tail):
     return lo, lo + unit
 
 
+def literal_enumeration(alphabet, rep, w):
+    """Every base-``alphabet`` block of length w in lexicographic order, flat.
+
+    A block with t top digits (alphabet - 1) is written out rep**t times:
+    build_P(b, w) is (b + 1, 2**b - b, w), build_C(b, w) is (b, 1, w).
+    """
+    out = []
+    for block in itertools.product(range(alphabet), repeat=w):
+        out.extend(block * rep ** block.count(alphabet - 1))
+    return out
+
+
 def chunk_runs(digits, w):
     """Run-length encode consecutive length-w chunks of a digit string."""
     seq = tuple(digits)

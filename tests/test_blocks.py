@@ -172,6 +172,9 @@ def test_digit_data_refuses_concat_spec():
     spec = ConcatSpec(((3, DigitString((0, 1))),))
     with pytest.raises(TypeError):
         digit_data(spec)
+    # packing a spec into a DigitString is refused too, not built past the cap
+    with size_cap(5), pytest.raises(TypeError, match="use concat"):
+        DigitString(ConcatSpec(((1000, DigitString((0, 1, 2))),)))
     # the counter reads a spec's runs, and counts what its digits hold
     assert count_occurrences((0, 1), spec) == count_occurrences((0, 1), concat(spec)) == 3
 

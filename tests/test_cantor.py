@@ -310,8 +310,9 @@ def test_normality_ratio_reaches_the_end_of_qnex():
     exp = CantorExpansion.from_spec(spec)
     n = spec.total_length - 1
     assert n == 2_345_622_568_959
-    # a prefix of n digits is never built, so a tiny cap does not stop the count
-    with size_cap(1000):
+    # a prefix of n digits is never built, so a cap of the largest block's
+    # 2,097,152 digits, built at the first read, does not stop the count
+    with size_cap(2_097_152):
         count = count_occurrences((0, 1), spec.prefix_runs(n + 1))
         ratio = normality_ratio(exp, (0, 1), n)
     assert count == 2_793_472

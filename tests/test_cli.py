@@ -90,6 +90,24 @@ def test_construct_json(capsys, spec_file):
     assert payload["digits"] == list(SMALL_DIGITS)
 
 
+def test_construct_output_and_spec_file_are_frozen(tmp_path, capsys):
+    # both files were written when the spec held each block's digits and a
+    # generator tag; it now holds the enumeration's runs
+    data = Path(__file__).resolve().parent / "data" / "specs"
+    spec_out = tmp_path / "spec.json"
+    assert main(["construct", "--family", "qnex-scaled", "--n-max", "10", "--spec-out", str(spec_out)]) == 0
+    assert capsys.readouterr().out == (data / "construct_out.json").read_text()
+    assert spec_out.read_bytes() == (data / "qnex_spec.json").read_bytes()
+
+
+def test_moments_and_orbit_on_qnex_read_only_the_digits_they_need(capsys):
+    # moments reads no digit, and an orbit at n = 100 builds only segment 6's
+    # 8192-digit block, so neither builds P(10, 2)'s 2,097,152 digits
+    for argv in (["moments", "--k", "2"], ["orbit"]):
+        assert main(argv + ["--family", "qnex-scaled", "--checkpoints", "100", "--cap", "1000000"]) == 0
+    capsys.readouterr()
+
+
 def test_construct_csv(capsys, spec_file):
     code = main(["construct", "--spec", spec_file, "--n-max", "4", "--format", "csv"])
     assert code == 0
@@ -149,9 +167,11 @@ def test_cap_flag_does_not_outlive_its_call(monkeypatch, capsys, spec_file):
 # One invocation per subcommand that does capped work, and one per claim:
 # ``--cap N`` and ``CNL_SIZE_CAP=N`` must give the same exit code.  The tiny
 # cap stops the built prefixes of construct, count and normality, the scaled
-# claims in their family builders and the claims that enumerate blocks or
-# positions; moments and report on a spec build no prefix and loop over no
-# positions, so they finish under it.  The generous one lets everything finish.
+# claims at their first read of a block's digits and the claims that
+# enumerate blocks or positions; moments and report on a spec build no
+# prefix and loop over no positions, so they finish under it, and so does
+# moments on qnex-scaled, whose spec reads no digit.  The generous one lets
+# everything finish.
 _POINT_GRIDS = {"eknu": "b=6,w=2,k=1", "bounds-ng-nl": "b=2,w=2,k_max=2"}
 CAP_PARITY_ARGV = {
     "construct": ["construct", "--spec", "SPEC", "--n-max", "10"],
@@ -159,7 +179,9 @@ CAP_PARITY_ARGV = {
     "normality": ["normality", "check", "--spec", "SPEC", "--n-max", "10",
                   "--eps", "1/2", "--k", "1", "--mu", "uniform:4"],
     "moments": ["moments", "--spec", "SPEC", "--k", "2", "--checkpoints", "9"],
+    "moments-qnex": ["moments", "--family", "qnex-scaled", "--k", "2", "--checkpoints", "100"],
     "orbit": ["orbit", "--spec", "SPEC", "--checkpoints", "1", "--tail", "8"],
+    "orbit-qnex": ["orbit", "--family", "qnex-scaled", "--checkpoints", "100", "--tail", "8"],
     "report": ["report", "--spec", "SPEC", "--block", "1,3", "--checkpoints", "9"],
     **{
         f"verify-{claim}": ["verify", "--claim", claim]

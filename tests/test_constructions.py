@@ -1,8 +1,9 @@
 """Enumeration blocks and segment constructions."""
 
 import itertools
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,16 @@ from hypothesis import strategies as st
 
 from cantornormal import blocks as blocks_module
 from cantornormal import constructions
-from cantornormal.blocks import ConcatSpec, DigitString, concat, count_occurrences, max_digit, tally_blocks
+from cantornormal.blocks import (
+    ConcatSpec,
+    DigitString,
+    EnumerationRuns,
+    concat,
+    count_occurrences,
+    max_digit,
+    tally_blocks,
+)
+from cantornormal.cantor import CantorExpansion, orbit_point, q_moment, scaled_value_counts
 from cantornormal.constructions import (
     ConstructionSpec,
     SegmentSpec,
@@ -32,7 +42,7 @@ from cantornormal.errors import (
 from cantornormal.limits import size_cap
 from cantornormal.verify import DEFAULT_JOBS
 
-from oracles import chunk_runs
+from oracles import chunk_runs, literal_enumeration
 
 # ---------------------------------------------------------------------------
 # Weighted enumeration blocks.
@@ -249,18 +259,21 @@ def test_enumeration_digits_are_built_once_and_shared(builder):
 
 
 def test_enumeration_cache_never_bypasses_the_cap():
-    qnex_spec()  # every block of the family is now built and kept
+    ends = qnex_spec().boundaries[6:]
+    for n in ends:
+        qnex_spec().digit_at(n)  # every block of the family is now built and kept
     build_C(3, 2)
     with size_cap(5):
+        # a spec reads no digit as it is built; its first digit read is refused
+        spec = qnex_spec()
         with pytest.raises(SizeLimitError):
-            qnex_spec()
+            spec.digit_at(ends[0])
         with pytest.raises(SizeLimitError):
             build_C(3, 2)
     with pytest.raises(ValueError):
         build_P(1, 2)
     # blocks built before keep their digits after a refused call
-    spec = qnex_spec()
-    assert spec.segments[5].block == build_P(6, 2)
+    assert spec.segments[5].block_digits == build_P(6, 2)
 
 
 def test_enumeration_cache_is_bounded_in_bytes(monkeypatch):
@@ -437,6 +450,161 @@ def test_spec_from_json_validation():
         )
 
 
+SPEC_DATA = Path(__file__).resolve().parent / "data" / "specs"
+
+
+def mixed_spec():
+    # explicit digits, build_P's runs, build_C's runs and a zero-copy filler
+    return ConstructionSpec(
+        (
+            SegmentSpec(0, (0, 1), 2),
+            SegmentSpec(3, (1, 0, 2), 3),
+            SegmentSpec(2, build_P_runs(2, 2), 4),
+            SegmentSpec(4, EnumerationRuns(3, 1, 2), 3),
+        ),
+        family="mixed",
+    )
+
+
+@pytest.mark.parametrize("name, make", [("qnex", qnex_spec), ("qde", qde_spec), ("mixed", mixed_spec)])
+def test_spec_json_bytes_are_frozen(tmp_path, name, make):
+    # the files were saved when every block was held as its digits plus a
+    # generator tag; a block held as its runs saves the same bytes
+    spec = make()
+    path = tmp_path / "spec.json"
+    spec.save(path)
+    assert path.read_bytes() == (SPEC_DATA / f"{name}_spec.json").read_bytes()
+    for again in (ConstructionSpec.load(path), ConstructionSpec.from_json(spec.to_json())):
+        assert again == spec and hash(again) == hash(spec)
+
+
+def test_an_explicit_block_saves_as_its_digits():
+    # an explicit block has no recipe that could disagree with its digits,
+    # not even when they are build_P's own
+    spec = ConstructionSpec((SegmentSpec(1, (0, 1, 2), 3), SegmentSpec(1, build_P(2, 2), 3)))
+    blocks = [seg["block"] for seg in spec.to_json()["segments"]]
+    assert blocks == [{"gen": "explicit", "digits": [0, 1, 2]}, {"gen": "explicit", "digits": list(build_P(2, 2))}]
+    again = ConstructionSpec.from_json(spec.to_json())
+    assert again == spec and again.boundaries == (0, 3, 35)
+    with pytest.raises(TypeError):
+        SegmentSpec(1, (0, 1, 2), 3, generator=("P", 2, 2))
+
+
+def test_segment_refuses_runs_it_cannot_save_or_pack():
+    with pytest.raises(InvalidSpecError, match=r"^runs \(3, 5, 2\) are neither build_P's nor build_C's$"):
+        SegmentSpec(1, EnumerationRuns(3, 5, 2), 3)
+    # any other ConcatSpec is refused, never iterated into digits
+    with size_cap(5), pytest.raises(TypeError, match="use concat"):
+        SegmentSpec(1, ConcatSpec([(1000, DigitString([0, 1, 2]))]), 3)
+
+
+_SHAPES = st.sampled_from([(3, 2, 1), (3, 2, 2), (4, 5, 1), (2, 1, 1), (2, 1, 3), (3, 1, 2)])  # (alphabet, rep, w)
+_SEGMENTS = st.tuples(
+    st.integers(0, 3),
+    st.one_of(_SHAPES.map(lambda shape: EnumerationRuns(*shape)), st.lists(st.integers(0, 4), min_size=1, max_size=4)),
+    st.integers(0, 2),
+)
+
+
+@given(st.lists(_SEGMENTS, min_size=1, max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_enumeration_segments_read_like_their_literal_digits(raw):
+    segments = [SegmentSpec(m, block, max(2, max_digit(block) + 1 + extra)) for m, block, extra in raw]
+    spec = ConstructionSpec(tuple(segments))
+    digits, scaled = [], []
+    for seg in segments:
+        block = seg.block
+        if isinstance(block, EnumerationRuns):
+            literal = literal_enumeration(block.alphabet, block.rep, block.w)
+        else:
+            literal = list(block)
+        assert seg.block_digits.as_tuple() == tuple(literal)
+        copies = literal * seg.multiplicity
+        digits += copies
+        scaled += [Fraction(d, seg.base) for d in copies]
+    assert spec.total_length == len(digits)
+    for n in range(1, len(digits) + 1):
+        assert spec.digit_at(n) == digits[n - 1]
+        assert concat(spec.prefix_runs(n)).as_tuple() == tuple(digits[:n])
+        assert scaled_value_counts(spec, n) == Counter(scaled[:n])
+
+
+def test_digit_reads_build_an_enumeration_once_per_segment(monkeypatch):
+    # a budget below build_P(2, 2)'s 32 bytes caches nothing, so only the
+    # segment's own memo saves a rebuild
+    monkeypatch.setattr(constructions, "_ENUMERATIONS", OrderedDict())
+    monkeypatch.setattr(constructions, "_enumerations_nbytes", 0)
+    monkeypatch.setattr(constructions, "_ENUMERATIONS_BYTES", 31)
+    calls = []
+    real = constructions.build_P
+
+    def counted(b, w):
+        calls.append((b, w))
+        return real(b, w)
+
+    monkeypatch.setattr(constructions, "build_P", counted)
+    spec = ConstructionSpec((SegmentSpec(1, build_P_runs(2, 2), 3), SegmentSpec(3, build_P_runs(2, 2), 4)))
+    assert calls == []  # building a spec reads no digit
+    literal = literal_enumeration(3, 2, 2)
+    for n in range(1, 51):
+        assert spec.digit_at(n) == literal[(n - 1) % 32]
+    assert calls == [(2, 2), (2, 2)] and not constructions._ENUMERATIONS
+
+
+def paper_qnex():
+    return qnex_spec(i_max=12, w_fn=lambda i: i * i, l_fn=lambda i: 2 ** (4 * i * i))
+
+
+def paper_qde():
+    return qde_spec(i_max=9, w_fn=lambda i: i * i, l_fn=lambda i: i ** (3 * i))
+
+
+@pytest.mark.parametrize(
+    "make, sizes",
+    [
+        # segment i: (copies, block length, base)
+        (paper_qnex, [(2 ** (4 * i * i), i * i * 2 ** (i**3), 2**i) for i in range(6, 13)]),
+        (paper_qde, [(i ** (3 * i), i * i * i ** (i * i), i) for i in range(2, 10)]),
+    ],
+    ids=["qnex", "qde"],
+)
+def test_paper_parameter_specs_answer_closed_forms(make, sizes):
+    spec = make()
+    nonempty = [seg for seg in spec.segments if seg.multiplicity]
+    assert [(seg.multiplicity, seg.block.length, seg.base) for seg in nonempty] == sizes
+    total = sum(m * length for m, length, _ in sizes)
+    assert spec.total_length == total and total.bit_length() > 300
+    Q = CantorExpansion.from_spec(spec).Q
+    assert q_moment(Q, total, 1) == sum(Fraction(m * length, q) for m, length, q in sizes)
+    seams = sum(Fraction(1, q * r) for (_, _, q), (_, _, r) in zip(sizes, sizes[1:]))
+    assert q_moment(Q, total - 1, 2) == sum(Fraction(m * length - 1, q * q) for m, length, q in sizes) + seams
+    for seg in nonempty:
+        for k in (1, 2):
+            tally = tally_blocks(seg.block, k, seg.base)
+            closed = seg.block.window_counts(k, seg.base)
+            assert [part.tolist() for part in tally] == [part.tolist() for part in closed]
+
+
+@pytest.mark.parametrize("make", [paper_qnex, paper_qde], ids=["qnex", "qde"])
+def test_paper_parameter_digit_reads_hit_the_cap(make):
+    spec = make()
+    exp = CantorExpansion.from_spec(spec)
+    # the first segment whose block passes the default cap of 10**8 digits
+    s = next(s for s, seg in enumerate(spec.segments) if seg.block.length > 10**8)
+    n = spec.boundaries[s]
+    reads = [
+        lambda: spec.digit_at(n + 1),
+        lambda: orbit_point(exp, n),
+        lambda: scaled_value_counts(spec, 1),
+        lambda: spec.prefix_runs(n + 1),
+    ]
+    if n < 10**8:  # a longer prefix is refused for its length alone
+        reads.append(lambda: spec.digits_prefix(n + 1))
+    for read in reads:
+        with pytest.raises(SizeLimitError):
+            read()
+
+
 def test_assemble_respects_cap():
     spec = qde_spec()
     with size_cap(10**5), pytest.raises(SizeLimitError):
@@ -466,7 +634,7 @@ def test_qnex_spec_frozen_shape():
         assert seg.multiplicity == 2 ** (2 * i)
         assert seg.base == 2**i
         assert len(seg.block) == 2 * 2 ** (2 * i)
-        assert seg.generator == ("P", i, 2)
+        assert seg.block == build_P_runs(i, 2)
 
 
 def test_qnex_digits_stay_within_base():
@@ -484,8 +652,10 @@ def test_qnex_spec_guards():
         qnex_spec(i_min=5)
     with pytest.raises(InvalidSpecError):
         qnex_spec(i_min=8, i_max=7)
+    # the paper's parameters build; a digit read is refused
+    spec = qnex_spec(w_fn=lambda i: i * i, l_fn=lambda i: 2 ** (4 * i * i))
     with pytest.raises(SizeLimitError):
-        qnex_spec(w_fn=lambda i: i * i, l_fn=lambda i: 2 ** (4 * i * i))
+        spec.digit_at(1)
 
 
 def test_qde_spec_frozen_shape():
@@ -498,7 +668,7 @@ def test_qde_spec_frozen_shape():
         assert seg.multiplicity == i**3
         assert seg.base == i
         assert len(seg.block) == 2 * i * i
-        assert seg.generator == ("C", i, 2)
+        assert seg.block == EnumerationRuns(i, 1, 2)
 
 
 def test_default_eps_schedules():

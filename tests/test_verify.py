@@ -416,7 +416,7 @@ def test_notdn_scaled_catches_spread_orbit():
 
 def _plain_segments(spec):
     """A spec's segments as (multiplicity, digit tuple, base) triples for the oracles."""
-    return [(seg.multiplicity, seg.block.as_tuple(), seg.base) for seg in spec.segments]
+    return [(seg.multiplicity, seg.block_digits.as_tuple(), seg.base) for seg in spec.segments]
 
 
 @pytest.fixture(scope="module")

@@ -182,14 +182,14 @@ def test_eps_k_normal_packs_a_wide_text_once(monkeypatch):
     # a digit past 2**64 makes an object array, which packing reads entry by
     # entry; max_digit and the tally must share the one packed DigitString
     reads = []
-    real = blocks_module._pack_digits
+    real = blocks_module.digit_data
 
     def counted(digits):
         if not isinstance(digits, DigitString):  # a DigitString hands over its array
             reads.append(type(digits))
         return real(digits)
 
-    monkeypatch.setattr(blocks_module, "_pack_digits", counted)
+    monkeypatch.setattr(blocks_module, "digit_data", counted)
     y = [0] * 5 + [1, 2**64]
     with size_cap(2**65):  # the alphabet reaches 2**64 + 1
         verdict = check_eps_k_normal(y, Fraction(1, 4), 1, uniform(2))
