@@ -27,7 +27,6 @@ caller names, the codes in ascending order.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 import struct
@@ -45,11 +44,46 @@ from .limits import check_cap
 _TALLY_CHUNK = 1 << 22
 
 
+class lazy:
+    """An attribute computed on its first read and kept in the instance's ``__dict__``.
+
+    ``functools.cached_property`` without its lock: on Python 3.11 every
+    first read takes the descriptor's lock, about 1.4 us.  Threads that
+    race on a first read may each compute the value and keep one; every
+    lazy attribute here is a pure function of its instance, so any is right.
+    """
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+def _frozen(arr: np.ndarray) -> bool:
+    """True when nothing can write ``arr``'s memory: no array or buffer under it is writable."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    if arr is None:
+        return True
+    try:
+        with memoryview(arr) as view:
+            return view.readonly
+    except TypeError:
+        return False
+
+
 def digit_data(digits) -> np.ndarray:
     """The packed form of a digit sequence, validated.
 
     Accepts a DigitString (its array is shared), bytes, bytearray, an
-    unsigned numpy array (shared when it is read-only, else copied) or any
+    unsigned numpy array (shared when no writable array or buffer owns its
+    memory, else copied, so its digits cannot change once checked) or any
     iterable of integers.  Each entry is read with ``operator.index``, so a
     float or a string is refused, never truncated.  Digits must be
     non-negative; no base is attached, so ``SegmentSpec`` is where digits
@@ -61,7 +95,7 @@ def digit_data(digits) -> np.ndarray:
     if isinstance(digits, ConcatSpec):
         raise TypeError("a ConcatSpec is not materialized implicitly; use concat(spec)")
     if isinstance(digits, np.ndarray) and digits.dtype.kind == "u":
-        arr = digits.copy() if digits.flags.writeable else digits
+        arr = digits if _frozen(digits) else digits.copy()
     elif isinstance(digits, (bytes, bytearray)):
         arr = np.frombuffer(bytes(digits), dtype=np.uint8)
     else:
@@ -101,7 +135,7 @@ class DigitString:
     packed from; indexing gives Python ints and slicing gives a
     DigitString that shares the packed array.  ``length`` is ``len``, as on
     a ConcatSpec; ``top``, the largest digit of a nonempty string, is found
-    once.
+    once, and ``prefixes`` finds the tops of many prefixes at once.
     """
 
     digits: np.ndarray
@@ -114,9 +148,27 @@ class DigitString:
 
     length = property(__len__)
 
-    @functools.cached_property
+    @lazy
     def top(self) -> int:
         return int(self.digits.max())
+
+    def prefixes(self, lengths) -> list[DigitString]:
+        """The prefix of each length in 1..len(self), sharing the packed array.
+
+        Every prefix's top is read from one running maximum of the digits,
+        so no prefix scans its own.
+        """
+        digits, size = self.digits, len(self.digits)
+        running = np.maximum.accumulate(digits).tolist()
+        out = []
+        for n in lengths:
+            if not 0 < n <= size:
+                raise ValueError(f"prefix length must lie in 1..{size}, got {n}")
+            prefix = object.__new__(DigitString)
+            attrs = prefix.__dict__
+            attrs["digits"], attrs["top"] = digits[:n], running[n - 1]
+            out.append(prefix)
+        return out
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.digits.tolist())
@@ -175,7 +227,7 @@ class ConcatSpec:
         self.parts = tuple(checked)
         self.length = sum(m * len(b) for m, b in checked)
 
-    @functools.cached_property
+    @lazy
     def groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         count_type = exact_type(self.length)
         runs = [(m, b.digits) for m, b in self.parts if m and len(b)]
@@ -187,7 +239,7 @@ class ConcatSpec:
             out.append((np.array(copies, dtype=count_type), table))
         return tuple(out)
 
-    @functools.cached_property
+    @lazy
     def top(self) -> int:
         """Largest digit, read from the run tables, which hold only runs with digits."""
         return max(int(table.max()) for _, table in self.groups)
@@ -237,7 +289,7 @@ class EnumerationRuns(ConcatSpec):
     def top(self) -> int:
         return self.alphabet - 1
 
-    @functools.cached_property
+    @lazy
     def groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         check_cap(self.alphabet**self.w, what="enumerated runs")
         table = enumeration_table(self.alphabet, self.w)
@@ -247,7 +299,7 @@ class EnumerationRuns(ConcatSpec):
         powers = np.array([self.rep**t for t in range(self.w + 1)], dtype=exact_type(self.length))
         return ((powers[np.count_nonzero(table == self.top, axis=1)], table),)
 
-    @functools.cached_property
+    @lazy
     def parts(self) -> tuple[tuple[int, DigitString], ...]:
         (copies, table), = self.groups
         return tuple((m, DigitString(row)) for m, row in zip(copies.tolist(), table))

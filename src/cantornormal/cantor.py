@@ -363,8 +363,9 @@ def scaled_prefix_counts(spec: ConstructionSpec, positions: Iterable[int]) -> np
     counted by one ``np.bincount``.  No digit is read per position, no
     Fraction is made, and nothing counts against the size cap, so
     positions may be astronomically large as long as the construction
-    reaches them.  Counts are exact integers: the matrix is int64 while
-    ``sweep_dtype`` for the largest position says so, else object.
+    reaches them.  Counts are exact integers: the matrix is in the
+    narrowest signed type that holds the largest position while
+    ``sweep_dtype`` for it says int64, else object.
     Positions must not descend; each is checked as it is reached.
     """
     bounds = spec.boundaries
@@ -379,15 +380,20 @@ def scaled_prefix_counts(spec: ConstructionSpec, positions: Iterable[int]) -> np
             raise NeedsMoreSegmentsError(n, spec.total_length)
         prev = n
     table = spec.scaled_values
-    starts = table.starts
+    # the columns are kept narrow; a slice of them is widened to intp, the
+    # index type numpy reads without a cast, before it indexes
+    starts, columns = table.starts, table.columns
     dtype = sweep_dtype(int(table.q.max(initial=1)), prev)
+    if dtype is not object:
+        dtype = np.min_scalar_type(-prev)
     rows = np.zeros((len(positions), len(table.p)), dtype=dtype)
     running = np.zeros(len(table.p), dtype=dtype)
     s = 0  # segments 1..s are in the running row
     for row, n in zip(rows, positions):
         if (reached := bisect_right(bounds, n) - 1) > s:
             whole = slice(starts[s], starts[reached])
-            np.add.at(running, table.columns[whole], table.whole[whole].astype(dtype, copy=False))
+            # ufunc.at takes its fast path only when no operand needs a cast
+            np.add.at(running, columns[whole].astype(np.intp), table.whole[whole].astype(dtype))
             s = reached
         row += running
         if take := n - bounds[s]:
@@ -396,7 +402,9 @@ def scaled_prefix_counts(spec: ConstructionSpec, positions: Iterable[int]) -> np
             cut = slice(starts[s], starts[s + 1])
             present = table.digits[cut]
             part = np.bincount(present.searchsorted(block.digits[:rem]), minlength=len(present))
-            row[table.columns[cut]] += full * table.once[cut].astype(dtype, copy=False) + part.astype(dtype, copy=False)
+            gain = np.multiply(table.once[cut], full, dtype=dtype)
+            gain += part
+            row[columns[cut].astype(np.intp)] += gain
     return rows
 
 

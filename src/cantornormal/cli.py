@@ -355,7 +355,8 @@ def _cmd_verify(args) -> int:
     _emit_json(payload, args.out)
     if args.out:
         runtimes = [
-            {"claim": c.claim, "params": j["params"], "runtime_seconds": c.runtime_seconds}
+            {"claim": c.claim, "params": j["params"], "runtime_seconds": c.runtime_seconds,
+             "minor_faults": c.minor_faults}
             for c, j in zip(certs, cert_json)
         ]
         with open(args.out + ".meta.json", "w", encoding="utf-8") as fh:

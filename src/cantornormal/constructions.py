@@ -26,7 +26,6 @@ from collections import OrderedDict
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -39,7 +38,7 @@ from .blocks import (
     count_top_digit,
     digit_data,
     enumeration_table,
-    exact_type,
+    lazy,
 )
 from .discrepancy import distinct_values
 from .errors import InvalidSpecError, NeedsMoreSegmentsError
@@ -54,8 +53,9 @@ def _check_bw(b: int, w: int) -> None:
 
 
 # The enumeration blocks built so far, least recently used first, and their
-# digits' bytes.  Their arrays are read-only, and a block is handed out
-# itself, so its top digit is found once.
+# digits' bytes.  Their arrays are read-only down to the memory that owns
+# them, so packing shares them, and a block is handed out itself, so its top
+# digit is found once.
 _ENUMERATIONS: OrderedDict[tuple, DigitString] = OrderedDict()
 _enumerations_nbytes = 0
 _ENUMERATIONS_BYTES = 16 << 20
@@ -129,7 +129,12 @@ def build_C(b: int, w: int) -> DigitString:
     _check_bw(b, w)
     total = w * b**w
     check_cap(total)
-    return _enumeration(("C", b, w), lambda: enumeration_table(b, w).reshape(-1))
+    def digits() -> np.ndarray:
+        table = enumeration_table(b, w)
+        table.setflags(write=False)
+        return table.reshape(-1)
+
+    return _enumeration(("C", b, w), digits)
 
 
 def _generator(runs: EnumerationRuns) -> tuple[str, int, int] | None:
@@ -147,7 +152,8 @@ class SegmentSpec:
     ``block`` is build_P's or build_C's EnumerationRuns, or any other digit
     sequence, held packed as a DigitString (a DigitString is kept as given,
     with its top digit).  This is the one place digits meet a base: every
-    digit must lie in 0..base-1.  ``block_digits`` reads the block's digits.
+    digit must lie in 0..base-1.  ``length`` is the segment's digit count,
+    found at construction; ``block_digits`` reads the block's digits.
     """
 
     multiplicity: int
@@ -155,25 +161,26 @@ class SegmentSpec:
     base: int
 
     def __post_init__(self):
-        if not isinstance(self.multiplicity, int) or self.multiplicity < 0:
-            raise InvalidSpecError(f"multiplicity must be an integer >= 0, got {self.multiplicity}")
-        if not isinstance(self.base, int) or self.base < 2:
-            raise InvalidSpecError(f"segment base must be an integer >= 2, got {self.base}")
-        # packing refuses any ConcatSpec but an enumeration's runs
-        block = self.block if isinstance(self.block, (DigitString, EnumerationRuns)) else DigitString(self.block)
-        if isinstance(block, EnumerationRuns) and _generator(block) is None:
-            raise InvalidSpecError(f"runs {block.alphabet, block.rep, block.w} are neither build_P's nor build_C's")
-        if not block.length:
+        mult, block, base = self.multiplicity, self.block, self.base
+        if not isinstance(mult, int) or mult < 0:
+            raise InvalidSpecError(f"multiplicity must be an integer >= 0, got {mult}")
+        if not isinstance(base, int) or base < 2:
+            raise InvalidSpecError(f"segment base must be an integer >= 2, got {base}")
+        attrs = self.__dict__  # a frozen instance's attributes, written directly
+        if isinstance(block, EnumerationRuns):
+            if _generator(block) is None:
+                raise InvalidSpecError(f"runs {block.alphabet, block.rep, block.w} are neither build_P's nor build_C's")
+        else:
+            if not isinstance(block, DigitString):
+                block = attrs["block"] = DigitString(block)  # packing refuses any other ConcatSpec
+            attrs["block_digits"] = block  # its digits are read already
+        if not (length := block.length):
             raise InvalidSpecError("segment block must hold at least one digit")
-        if (top := block.top) >= self.base:
-            raise InvalidSpecError(f"digit {top} out of range for base {self.base}")
-        object.__setattr__(self, "block", block)
+        if (top := block.top) >= base:
+            raise InvalidSpecError(f"digit {top} out of range for base {base}")
+        attrs["length"] = mult * length
 
-    @property
-    def length(self) -> int:
-        return self.multiplicity * self.block.length
-
-    @cached_property
+    @lazy
     def block_digits(self) -> DigitString:
         """The block's digits, kept once read; an enumeration's come from build_P or build_C."""
         if isinstance(self.block, DigitString):
@@ -195,9 +202,10 @@ class ScaledValues:
     block), segment by segment, digits ascending: ``digits`` the digit (in
     the dtype of the segment blocks), ``columns`` its value's column of
     ``p``/``q``, ``once`` how often it occurs in one copy of the block and
-    ``whole`` in the whole segment (int64 while the spec's length fits,
-    else object).  Segment s has entries ``starts[s]:starts[s + 1]``, none
-    when it has no copies.
+    ``whole`` in the whole segment.  Each is in the narrowest integer type
+    that holds it: ``once`` holds the longest block's length and ``whole``
+    the spec's length (object past 2**64 - 1).  Segment s has entries
+    ``starts[s]:starts[s + 1]``, none when it has no copies.
     """
 
     p: np.ndarray
@@ -212,11 +220,9 @@ class ScaledValues:
     def of(cls, spec: ConstructionSpec) -> ScaledValues:
         """Every segment's block counted at once, with no numpy call per segment.
 
-        The blocks of the segments with copies are joined, and each digit
-        is keyed by (segment, digit).  While one key per possible pair fits
-        in max(joined length, 2**16), as ``blocks.tally_blocks`` counts, one
-        ``np.bincount`` counts the keys; otherwise one ``np.lexsort`` groups
-        the pairs.
+        The blocks of the segments with copies are counted by one
+        ``_digit_entries`` call, and their scaled digits ranked by one
+        ``distinct_values`` call.
         """
         segments = spec.segments
         used = [s for s, seg in enumerate(segments) if seg.multiplicity]
@@ -224,31 +230,43 @@ class ScaledValues:
         if not used:
             none = np.zeros(0, dtype=np.int64)
             return cls(none, none, none, none.astype(np.intp), none, none, tuple(starts.tolist()))
-        arrays = [segments[s].block_digits.digits for s in used]
-        lengths = [len(a) for a in arrays]
-        joined = np.concatenate(arrays)
-        width = max(segments[s].block.top for s in used) + 1
-        if len(used) * width <= max(len(joined), 1 << 16):
-            keys = np.repeat(np.arange(0, len(used) * width, width), lengths)
-            np.add(keys, joined, out=keys, casting="unsafe")  # digits are below width
-            table = np.bincount(keys, minlength=len(used) * width)
-            found = table.nonzero()[0]
-            once, digits = table[found], (found % width).astype(joined.dtype)
-            counted = np.count_nonzero(table.reshape(len(used), width), axis=1)
-        else:
-            owner = np.repeat(np.arange(len(used)), lengths)
-            order = np.lexsort((joined, owner))
-            owner, joined = owner[order], joined[order]
-            first = np.flatnonzero(np.concatenate(([True], (owner[1:] != owner[:-1]) | (joined[1:] != joined[:-1]))))
-            once, digits = np.diff(first, append=len(joined)), joined[first]
-            counted = np.bincount(owner[first], minlength=len(used))
-        starts[np.array(used) + 1] = counted
-        bases = [segments[s].base for s in used]
-        p, q, columns = distinct_values(
-            digits.astype(exact_type(width - 1)), np.array(bases, dtype=exact_type(max(bases))).repeat(counted)
+        arrays, tops, bases, copies = zip(
+            *((seg.block_digits.digits, seg.block.top, seg.base, seg.multiplicity) for seg in map(segments.__getitem__, used))
         )
-        copies = np.array([segments[s].multiplicity for s in used], dtype=exact_type(spec.total_length))
-        return cls(p, q, digits, columns, once, copies.repeat(counted) * once, tuple(starts.cumsum().tolist()))
+        digits, once, counted = _digit_entries(arrays, max(tops) + 1)
+        starts[np.array(used) + 1] = counted
+        p, q, columns = distinct_values(digits, np.array(bases, dtype=np.min_scalar_type(max(bases))).repeat(counted))
+        copies = np.array(copies, dtype=np.min_scalar_type(spec.total_length)).repeat(counted)
+        return cls(p, q, digits, columns, once, copies * once, tuple(starts.cumsum().tolist()))
+
+
+def _digit_entries(arrays: tuple[np.ndarray, ...], width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each array's distinct digits, ascending, and how often each occurs, all arrays at once.
+
+    Returns (digits, once, counted): the entries of one array after another,
+    ``digits`` in the arrays' joined dtype and ``once`` in the narrowest
+    type that holds the longest array's length, and ``counted[i]`` entries
+    for array i.  Every digit is below ``width``.  Each digit gets the key
+    i * width + digit, in the narrowest type that holds every key, and one
+    stable sort groups equal keys: a radix sort while the keys fit 16 bits.
+    No numpy call is made per array, and the temporaries go on return.
+    """
+    lengths = [len(a) for a in arrays]
+    joined = np.concatenate(arrays)
+    size = len(arrays) * width
+    offsets = np.arange(len(arrays) + 1, dtype=np.min_scalar_type(size)) * width  # each array's first key, then size
+    keys = np.repeat(offsets[:-1], lengths)
+    keys += joined  # digits are below width, so their type is no wider than the keys'
+    keys.sort(kind="stable")
+    new = np.empty(len(keys) + 1, dtype=bool)  # where an entry starts, and the end
+    new[0] = new[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:-1])
+    edges = np.flatnonzero(new).astype(np.min_scalar_type(len(keys)))
+    once = (edges[1:] - edges[:-1]).astype(np.min_scalar_type(max(lengths)))
+    pairs = keys[new[:-1]]
+    bounds = pairs.searchsorted(offsets)
+    counted = bounds[1:] - bounds[:-1]
+    return (pairs - offsets[:-1].repeat(counted)).astype(joined.dtype), once, counted
 
 
 def _segment_from_json(raw) -> SegmentSpec:
@@ -289,7 +307,7 @@ class ConstructionSpec:
             raise InvalidSpecError("segments must be SegmentSpec instances")
         object.__setattr__(self, "segments", segs)
 
-    @cached_property
+    @lazy
     def boundaries(self) -> tuple[int, ...]:
         """Cumulative digit counts: boundaries[i] = length through segment i."""
         acc = [0]
@@ -301,7 +319,7 @@ class ConstructionSpec:
     def total_length(self) -> int:
         return self.boundaries[-1]
 
-    @cached_property
+    @lazy
     def scaled_values(self) -> ScaledValues:
         """The spec's distinct scaled digits as one integer table, built once."""
         return ScaledValues.of(self)
@@ -517,16 +535,14 @@ def salat_counterexample_spec(n_max: int) -> ConstructionSpec:
     if not isinstance(n_max, int) or n_max < 1:
         raise ValueError(f"n_max must be an integer >= 1, got {n_max}")
     check_cap(n_max, what="positions")
-    # row m starts after m(m-1)/2 < n_max positions, so m <= isqrt(2 n_max) + 1;
-    # every row's digits are a view of 1..that
-    top = isqrt(2 * n_max) + 1
-    counting = np.arange(1, top + 1, dtype=np.min_scalar_type(top))
+    # rows 1..full take full(full+1)/2 <= n_max positions, and a cut row
+    # takes the rest, fewer than full + 1; every row's digits are a prefix
+    # of 1..full, sharing its array
+    full = (isqrt(8 * n_max + 1) - 1) // 2
+    takes = list(range(1, full + 1))
+    if cut := n_max - full * (full + 1) // 2:
+        takes.append(cut)
+    counting = np.arange(1, full + 1, dtype=np.min_scalar_type(full))
     counting.setflags(write=False)
-    segments = []
-    m = 1
-    while n_max:
-        take = min(m, n_max)
-        segments.append(SegmentSpec(1, counting[:take], m + 1))
-        n_max -= take
-        m += 1
-    return ConstructionSpec(tuple(segments))
+    rows = DigitString(counting).prefixes(takes)
+    return ConstructionSpec(tuple(SegmentSpec(1, row, m + 1) for m, row in enumerate(rows, 1)))

@@ -7,10 +7,11 @@ certificate always carries enough structure to reproduce the failure
 by hand.
 
 Certificates are deterministic: the canonical JSON form excludes the
-wall-clock runtime (kept on the object for sidecar metadata), so identical
-inputs yield byte-identical canonical output.  Verifiers never read the
-clock: ``run_claim`` and ``run_all`` time each whole verifier call, set-up
-such as building a default spec included, and stamp ``runtime_seconds``.
+wall-clock runtime and the page-fault count (kept on the object for sidecar
+metadata), so identical inputs yield byte-identical canonical output.
+Verifiers never read the clock: ``run_claim`` and ``run_all`` time each
+whole verifier call, set-up such as building a default spec included, and
+stamp ``runtime_seconds`` and ``minor_faults``.
 
 Claims never assert limits.  Scaled-family checks pin down finite-horizon
 inequalities that the limiting arguments rest on; growth-rate trends are
@@ -22,6 +23,7 @@ import inspect
 import itertools
 import json
 import math
+import resource
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -77,14 +79,15 @@ class Certificate:
     counterexample: dict | None = None
     details: dict = field(default_factory=dict)
     runtime_seconds: float | None = None
+    minor_faults: int | None = None
 
     def __post_init__(self):
         if not self.passed and self.counterexample is None:
             raise ValueError("a failed certificate must carry a counterexample")
 
     def to_json(self) -> dict:
-        # canonical form: runtime deliberately excluded so output is
-        # byte-identical across runs (runtime goes in a sidecar)
+        # canonical form: runtime and page faults deliberately excluded so
+        # output is byte-identical across runs (they go in a sidecar)
         return {
             "claim": self.claim,
             "params": _jsonable(self.params),
@@ -627,16 +630,22 @@ DEFAULT_JOBS: tuple[tuple[str, dict], ...] = (
 )
 
 
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _timed(fn, kwargs: dict) -> Certificate:
-    """Call one verifier with keyword arguments and stamp its wall time.
+    """Call one verifier with keyword arguments and stamp its wall time and page faults.
 
     This is the only place a job is timed, so ``runtime_seconds`` covers
     the whole call: default specs, checkpoint selection and other set-up
-    included.
+    included.  ``minor_faults`` counts the pages the process faulted in
+    meanwhile, fresh memory the allocator took from the system.
     """
-    t0 = time.perf_counter()
+    f0, t0 = _minor_faults(), time.perf_counter()
     cert = fn(**kwargs)
     cert.runtime_seconds = time.perf_counter() - t0
+    cert.minor_faults = _minor_faults() - f0
     return cert
 
 

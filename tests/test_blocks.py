@@ -25,7 +25,7 @@ from cantornormal.blocks import (
     write_digit_file,
 )
 from cantornormal.cantor import BasicSequence, CantorExpansion
-from cantornormal.constructions import SegmentSpec
+from cantornormal.constructions import ConstructionSpec, SegmentSpec, build_C, salat_counterexample_spec
 from cantornormal.errors import InvalidSpecError, NeedsMoreDigitsError, SizeLimitError
 from cantornormal.limits import size_cap
 
@@ -177,6 +177,54 @@ def test_digit_data_refuses_concat_spec():
         DigitString(ConcatSpec(((1000, DigitString((0, 1, 2))),)))
     # the counter reads a spec's runs, and counts what its digits hold
     assert count_occurrences((0, 1), spec) == count_occurrences((0, 1), concat(spec)) == 3
+
+
+def test_packing_copies_digits_whose_memory_can_still_change():
+    # a read-only view of a writable array: writing the array would change
+    # a segment's digits after they were checked against its base
+    owner = np.array([0, 1, 1, 0], dtype=np.uint8)
+    view = owner.view()
+    view.setflags(write=False)
+    seg = SegmentSpec(1, view, 2)
+    owner[1] = 7
+    spec = ConstructionSpec((seg,))
+    assert [spec.digit_at(n) for n in range(1, 5)] == [0, 1, 1, 0]
+    assert seg.block.top == 1
+    assert not np.shares_memory(seg.block.digits, owner)
+    # so is a read-only array over a writable buffer
+    buffer = bytearray(b"\x00\x01")
+    over = np.frombuffer(buffer, dtype=np.uint8)
+    over.setflags(write=False)
+    packed = digit_data(over)
+    buffer[0] = 9
+    assert packed.tolist() == [0, 1]
+    # memory no one can write is shared: an owner made read-only, its
+    # views, and bytes
+    frozen = np.arange(5, dtype=np.uint8)
+    frozen.setflags(write=False)
+    assert digit_data(frozen) is frozen
+    assert np.shares_memory(digit_data(frozen[1:4]), frozen)
+    fixed = np.frombuffer(b"\x00\x01\x02", dtype=np.uint8)
+    assert digit_data(fixed) is fixed
+    # the enumeration blocks' digits are built read-only down to their owner
+    enumerated = build_C(3, 2).digits
+    assert digit_data(enumerated) is enumerated
+
+
+def test_prefixes_share_the_array_and_take_their_tops_from_a_running_maximum():
+    digits = DigitString((3, 1, 4, 1, 5, 9, 2, 6))
+    prefixes = digits.prefixes([1, 2, 3, 6, 8])
+    assert [p.as_tuple() for p in prefixes] == [(3,), (3, 1), (3, 1, 4), (3, 1, 4, 1, 5, 9), digits.as_tuple()]
+    assert [p.top for p in prefixes] == [3, 3, 4, 9, 9]
+    assert all(np.shares_memory(p.digits, digits.digits) for p in prefixes)
+    for bad in (0, 9, -1):
+        with pytest.raises(ValueError, match="prefix length must lie in 1..8"):
+            digits.prefixes([bad])
+    # the staircase's rows are prefixes of one read-only 1..top
+    spec = salat_counterexample_spec(25)
+    first = spec.segments[0].block.digits
+    assert all(np.shares_memory(seg.block.digits, first) for seg in spec.segments)
+    assert [seg.block.top for seg in spec.segments] == [1, 2, 3, 4, 5, 6, 4]
 
 
 def test_max_digit_paths_agree():

@@ -607,6 +607,32 @@ def test_scaled_prefix_counts_match_literal_expansion(segs):
         assert list(values) == sorted(set(map(Fraction, ds, qs)))
 
 
+@pytest.mark.parametrize("n_total, tamper", [(1, None), (20100, None), (24999, None), (24999, 150), (40000, 7)])
+def test_staircase_prefix_counts_match_its_literal_digits(n_total, tamper):
+    # one-copy rows 1..m over base m + 1, the last one cut.  Up to 256 rows
+    # a (row, digit) key fits 16 bits and the entries are grouped by a radix
+    # sort; n = 40000 takes 283 rows, so its keys are uint32.  A tampered row
+    # repeats a digit and holds 0, so its entries count more than once.
+    spec = salat_counterexample_spec(n_total)
+    if tamper is not None:
+        row = spec.segments[tamper - 1]
+        block = [0] + [tamper // 2] * (tamper - 2) + [tamper]
+        segs = list(spec.segments)
+        segs[tamper - 1] = SegmentSpec(1, block, row.base)
+        spec = ConstructionSpec(tuple(segs))
+    qs, ds = literal_expansion(spec.segments)
+    assert len(qs) == n_total
+    ends = [m * (m + 1) // 2 for m in range(1, 300, 37)]
+    positions = sorted({1, n_total - 1, n_total} - {0} | {e for e in ends if e <= n_total})
+    tables = matrix_tables(spec, scaled_prefix_counts(spec, positions))
+    counted, at = Counter(), 0
+    for n, table in zip(positions, tables):
+        counted.update(map(Fraction, ds[at:n], qs[at:n]))
+        at = n
+        assert table == +counted
+    assert (0 in counted) == (tamper is not None)
+
+
 def test_scaled_prefix_counts_skip_empty_segments():
     spec = ConstructionSpec(
         (

@@ -577,7 +577,8 @@ def test_verify_all_sidecar_names_budget_overruns(monkeypatch, tmp_path, capsys)
     meta = json.loads((tmp_path / "all.json.meta.json").read_text())
     assert meta["overruns"] == ["lemma-amount"]
     assert [job["claim"] for job in meta["runtimes"]] == ["lemma-amount"]
-    assert set(meta["runtimes"][0]) == {"claim", "params", "runtime_seconds"}
+    assert set(meta["runtimes"][0]) == {"claim", "params", "runtime_seconds", "minor_faults"}
+    assert meta["runtimes"][0]["minor_faults"] >= 0
     assert len(json.loads(out.read_text())["skipped"]) == 12
     # a budget that holds names no overrun
     assert main(["verify", "--all", "--budget", "1h", "--out", str(out)]) == 0

@@ -514,10 +514,56 @@ def test_large_matrices_sweep_in_row_blocks(monkeypatch):
         for row, m in zip(rows, n)
     ]
     assert _sweep(p, q, np.array(rows), n) == expected
-    # two rows per block with a last block of one, then one row per block
-    for block in (2 * len(values), 1):
+    # two rows per block with a last block of one, then one row per block in
+    # blocks of columns, the last one short, and then of one column each
+    for block in (2 * len(values), 7, 1):
         monkeypatch.setattr(discrepancy_module, "_SWEEP_BLOCK", block)
         assert _sweep(p, q, np.array(rows), n) == expected
+        # a single table, as a 1-D row, in narrow types
+        narrow = [np.array(a, dtype=np.min_scalar_type(max(a))) for a in (p, q, rows[3])]
+        assert _sweep(*narrow, n[3:4]) == expected[3:4]
+
+
+@pytest.mark.parametrize("max_q, narrow", [(255, np.uint8), (256, np.uint16)])
+def test_ranking_on_both_sides_of_the_16_bit_key_cut(max_q, narrow):
+    # below q = 256 every key (p << 16) // q fits 16 bits and is radix sorted
+    # as uint16; q = 256 takes the int64 key.  The values crowd both ends of
+    # [0, 1), where the keys reach 0 and the top of their range, and some
+    # repeat in other terms
+    qs = (max_q, max_q - 1, 128, 97, 3, 2)
+    entries = [(p, q) for q in qs for p in sorted({0, 1, q // 2, q - 2, q - 1})]
+    entries += [(2, 4), (90, 194), (max_q - 3, max_q - 1), (127, 254)]
+    entries = [entries[i * 7 % len(entries)] for i in range(len(entries))]  # unsorted, every entry once
+    points = [Fraction(p, q) for p, q in entries]
+    for dtype in (np.int64, narrow):
+        p = np.array([p for p, _ in entries], dtype=dtype)
+        q = np.array([q for _, q in entries], dtype=dtype)
+        order, keys = discrepancy_module._rank(p, q, max_q)
+        if max_q < 256:
+            assert [k.dtype for k in keys] == [np.uint16]
+            assert int(keys[0].max()) == ((max_q - 1) << 16) // max_q
+        else:
+            assert [k.dtype for k in keys] == [np.int64]
+        assert [points[i] for i in order.tolist()] == sorted(points)
+        vp, vq, index = distinct_values(p, q)
+        values = [Fraction(a, b) for a, b in zip(vp.tolist(), vq.tolist())]
+        assert values == sorted(set(points))
+        assert [values[j] for j in index.tolist()] == points
+    assert star_discrepancy(points) == sweep_dstar(points)
+    assert kn1_bound(sorted(points)) == sweep_dstar(points)
+    with pytest.raises(ValueError, match="sorted ascending"):
+        kn1_bound(points)
+
+
+@given(st.lists(st.integers(200, 300).flatmap(lambda q: st.tuples(st.integers(0, q - 1), st.just(q))), min_size=1, max_size=30))
+@settings(max_examples=200)
+def test_points_near_the_16_bit_key_cut_match_the_oracle(entries):
+    points = [Fraction(p, q) for p, q in entries]
+    assert star_discrepancy(points) == sweep_dstar(points)
+    vp, vq, index = distinct_values([p for p, _ in entries], [q for _, q in entries])
+    values = [Fraction(a, b) for a, b in zip(vp.tolist(), vq.tolist())]
+    assert values == sorted(set(points))
+    assert [values[j] for j in index.tolist()] == points
 
 
 def test_kn1_ranks_its_points_once(monkeypatch):

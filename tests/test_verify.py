@@ -77,9 +77,10 @@ def test_certificate_json_excludes_runtime_and_stringifies_fractions():
         checked=2,
         details={"values": [Fraction(1, 2), 5]},
         runtime_seconds=1.23,
+        minor_faults=4,
     )
     obj = cert.to_json()
-    assert "runtime_seconds" not in obj
+    assert "runtime_seconds" not in obj and "minor_faults" not in obj
     assert obj["params"]["eps"] == "1/3"
     assert obj["details"]["values"] == ["1/2", 5]
 
@@ -88,8 +89,9 @@ def test_certificates_are_byte_identical_across_runs():
     grid = {"b": [2, 3], "w": [1, 2]}
     [a] = run_claim("lemma-amount", grid)
     [b] = run_claim("lemma-amount", grid)
-    # the runtimes differ between the runs; the canonical bytes may not
+    # the runtimes and page faults differ between the runs; the canonical bytes may not
     assert isinstance(a.runtime_seconds, float) and isinstance(b.runtime_seconds, float)
+    assert type(a.minor_faults) is type(b.minor_faults) is int and min(a.minor_faults, b.minor_faults) >= 0
     assert a.canonical_bytes() == b.canonical_bytes()
     assert a.canonical_bytes().endswith(b"\n")
 
@@ -97,7 +99,7 @@ def test_certificates_are_byte_identical_across_runs():
 def test_runner_and_direct_call_give_the_same_bytes():
     direct = verify_lemma_amount(b_range=[2, 3], w_range=[1, 2])
     [run] = run_claim("lemma-amount", {"b": [2, 3], "w": [1, 2]})
-    assert direct.runtime_seconds is None  # verifiers never read the clock
+    assert direct.runtime_seconds is direct.minor_faults is None  # verifiers never read the clock
     assert run.canonical_bytes() == direct.canonical_bytes()
     [point] = run_claim("eknu", {"b": [6], "w": [2], "k": [1]})
     assert point.canonical_bytes() == verify_eknu(6, 2, 1).canonical_bytes()
