@@ -27,6 +27,7 @@ caller names, the codes in ascending order.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import struct
@@ -42,25 +43,6 @@ from .limits import check_cap
 
 # windows handled per numpy pass, so scans of long texts use bounded memory
 _TALLY_CHUNK = 1 << 22
-
-
-class lazy:
-    """An attribute computed on its first read and kept in the instance's ``__dict__``.
-
-    ``functools.cached_property`` without its lock: on Python 3.11 every
-    first read takes the descriptor's lock, about 1.4 us.  Threads that
-    race on a first read may each compute the value and keep one; every
-    lazy attribute here is a pure function of its instance, so any is right.
-    """
-
-    def __init__(self, fn):
-        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 def _frozen(arr: np.ndarray) -> bool:
@@ -148,7 +130,7 @@ class DigitString:
 
     length = property(__len__)
 
-    @lazy
+    @functools.cached_property
     def top(self) -> int:
         return int(self.digits.max())
 
@@ -227,7 +209,7 @@ class ConcatSpec:
         self.parts = tuple(checked)
         self.length = sum(m * len(b) for m, b in checked)
 
-    @lazy
+    @functools.cached_property
     def groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         count_type = exact_type(self.length)
         runs = [(m, b.digits) for m, b in self.parts if m and len(b)]
@@ -239,7 +221,7 @@ class ConcatSpec:
             out.append((np.array(copies, dtype=count_type), table))
         return tuple(out)
 
-    @lazy
+    @functools.cached_property
     def top(self) -> int:
         """Largest digit, read from the run tables, which hold only runs with digits."""
         return max(int(table.max()) for _, table in self.groups)
@@ -289,7 +271,7 @@ class EnumerationRuns(ConcatSpec):
     def top(self) -> int:
         return self.alphabet - 1
 
-    @lazy
+    @functools.cached_property
     def groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         check_cap(self.alphabet**self.w, what="enumerated runs")
         table = enumeration_table(self.alphabet, self.w)
@@ -299,7 +281,7 @@ class EnumerationRuns(ConcatSpec):
         powers = np.array([self.rep**t for t in range(self.w + 1)], dtype=exact_type(self.length))
         return ((powers[np.count_nonzero(table == self.top, axis=1)], table),)
 
-    @lazy
+    @functools.cached_property
     def parts(self) -> tuple[tuple[int, DigitString], ...]:
         (copies, table), = self.groups
         return tuple((m, DigitString(row)) for m, row in zip(copies.tolist(), table))

@@ -363,9 +363,8 @@ def scaled_prefix_counts(spec: ConstructionSpec, positions: Iterable[int]) -> np
     counted by one ``np.bincount``.  No digit is read per position, no
     Fraction is made, and nothing counts against the size cap, so
     positions may be astronomically large as long as the construction
-    reaches them.  Counts are exact integers: the matrix is in the
-    narrowest signed type that holds the largest position while
-    ``sweep_dtype`` for it says int64, else object.
+    reaches them.  Counts are exact integers: the matrix is int64 while
+    ``sweep_dtype`` for the largest position says so, else object.
     Positions must not descend; each is checked as it is reached.
     """
     bounds = spec.boundaries
@@ -380,20 +379,15 @@ def scaled_prefix_counts(spec: ConstructionSpec, positions: Iterable[int]) -> np
             raise NeedsMoreSegmentsError(n, spec.total_length)
         prev = n
     table = spec.scaled_values
-    # the columns are kept narrow; a slice of them is widened to intp, the
-    # index type numpy reads without a cast, before it indexes
-    starts, columns = table.starts, table.columns
+    starts = table.starts
     dtype = sweep_dtype(int(table.q.max(initial=1)), prev)
-    if dtype is not object:
-        dtype = np.min_scalar_type(-prev)
     rows = np.zeros((len(positions), len(table.p)), dtype=dtype)
     running = np.zeros(len(table.p), dtype=dtype)
     s = 0  # segments 1..s are in the running row
     for row, n in zip(rows, positions):
         if (reached := bisect_right(bounds, n) - 1) > s:
             whole = slice(starts[s], starts[reached])
-            # ufunc.at takes its fast path only when no operand needs a cast
-            np.add.at(running, columns[whole].astype(np.intp), table.whole[whole].astype(dtype))
+            np.add.at(running, table.columns[whole], table.whole[whole].astype(dtype, copy=False))
             s = reached
         row += running
         if take := n - bounds[s]:
@@ -402,9 +396,7 @@ def scaled_prefix_counts(spec: ConstructionSpec, positions: Iterable[int]) -> np
             cut = slice(starts[s], starts[s + 1])
             present = table.digits[cut]
             part = np.bincount(present.searchsorted(block.digits[:rem]), minlength=len(present))
-            gain = np.multiply(table.once[cut], full, dtype=dtype)
-            gain += part
-            row[columns[cut].astype(np.intp)] += gain
+            row[table.columns[cut]] += full * table.once[cut].astype(dtype, copy=False) + part.astype(dtype, copy=False)
     return rows
 
 

@@ -26,6 +26,7 @@ from collections import OrderedDict
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -38,7 +39,6 @@ from .blocks import (
     count_top_digit,
     digit_data,
     enumeration_table,
-    lazy,
 )
 from .discrepancy import distinct_values
 from .errors import InvalidSpecError, NeedsMoreSegmentsError
@@ -180,7 +180,7 @@ class SegmentSpec:
             raise InvalidSpecError(f"digit {top} out of range for base {base}")
         attrs["length"] = mult * length
 
-    @lazy
+    @cached_property
     def block_digits(self) -> DigitString:
         """The block's digits, kept once read; an enumeration's come from build_P or build_C."""
         if isinstance(self.block, DigitString):
@@ -202,9 +202,10 @@ class ScaledValues:
     block), segment by segment, digits ascending: ``digits`` the digit (in
     the dtype of the segment blocks), ``columns`` its value's column of
     ``p``/``q``, ``once`` how often it occurs in one copy of the block and
-    ``whole`` in the whole segment.  Each is in the narrowest integer type
-    that holds it: ``once`` holds the longest block's length and ``whole``
-    the spec's length (object past 2**64 - 1).  Segment s has entries
+    ``whole`` in the whole segment.  ``columns`` is intp, the type numpy
+    indexes with; the others are in the narrowest integer type that holds
+    them: ``once`` holds the longest block's length and ``whole`` the spec's
+    length (object past 2**64 - 1).  Segment s has entries
     ``starts[s]:starts[s + 1]``, none when it has no copies.
     """
 
@@ -307,7 +308,7 @@ class ConstructionSpec:
             raise InvalidSpecError("segments must be SegmentSpec instances")
         object.__setattr__(self, "segments", segs)
 
-    @lazy
+    @cached_property
     def boundaries(self) -> tuple[int, ...]:
         """Cumulative digit counts: boundaries[i] = length through segment i."""
         acc = [0]
@@ -319,7 +320,7 @@ class ConstructionSpec:
     def total_length(self) -> int:
         return self.boundaries[-1]
 
-    @lazy
+    @cached_property
     def scaled_values(self) -> ScaledValues:
         """The spec's distinct scaled digits as one integer table, built once."""
         return ScaledValues.of(self)

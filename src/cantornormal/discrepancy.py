@@ -22,25 +22,22 @@ Thm 1.4), both over integer arrays p, q of values p/q:
   max q < 2**20 the key is that one int64 word.  Past that it comes from
   long division in steps of L = 62 - bits(max q) bits, so each step
   r << L stays below 2**62, and is packed into at most two words of up to
-  62 bits.  One
-  argsort orders the top word, which is the whole key while max q < 2**20
-  or 2**30 <= max q < 2**31; ``np.lexsort`` runs only when the top word
-  ties.
+  62 bits.  One argsort orders the top word, which is the whole key while
+  max q < 2**20 or 2**30 <= max q < 2**31; ``np.lexsort`` runs only when
+  the top word ties.
 - ``_sweep`` takes the values in that order and a (tables x values) count
   matrix, one n per row, and gives every row's D* in one vectorized pass;
-  a single table is one 1-D row through the same code.  It goes through
-  blocks of at most ``_SWEEP_BLOCK`` entries, so no temporary outgrows one
-  block, and takes integer inputs of any type.  Along each row,
+  a single table is one 1-D row through the same code.  Along each row,
   each candidate is an integer d over q * n.  A float64 pre-filter keeps
   the candidates within a relative 2**-40 of their row's float maximum
   (the float error is at most about 4 * 2**-53), and only those (row,
   column) pairs are compared by integer cross-multiplication, so each
   maximum stays exact.  Only the results are built as Fractions.
 
-The arithmetic is int64 while ``sweep_dtype`` says every term fits:
+Ranking takes integer arrays of any type.  Past its 16-bit keys, and in
+the sweep, the arrays are int64 while ``sweep_dtype`` says every term fits:
 denominators of at most 61 bits, and n * max q below 2**63 for the largest
-n swept; the arrays themselves may be narrower.  Otherwise they hold
-Python ints in object arrays, and the key is
+n swept.  Otherwise they hold Python ints in object arrays, and the key is
 the one integer (p << 2 bits(max q)) // q.  Point sets with denominators
 past 2**61 take that path, such as notdn-scaled's 100 orbit points, whose
 denominators have up to 641 bits; so do tables whose n * max q passes 2**63.
@@ -148,25 +145,22 @@ def _rank(p: np.ndarray, q: np.ndarray, max_q: int) -> tuple[np.ndarray, list[np
 def _dense_ranks(order: np.ndarray, keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """From ``_rank``: the rank of each position among the distinct values, and where the values rise.
 
-    The ranks are in the narrowest signed type that holds them, so their
-    differences fit it too.  The second array marks each sorted position
-    ``order[i + 1]`` whose value is above that of ``order[i]``.
+    The second array marks each sorted position ``order[i + 1]`` whose
+    value is above that of ``order[i]``.
     """
     rises = np.zeros(len(order) - 1, dtype=bool)  # where the next sorted value is larger
     for key in keys:
         ranked = key[order]
         rises |= ranked[1:] != ranked[:-1]
-    rank = np.empty(len(order), dtype=np.min_scalar_type(-len(order)))
+    rank = np.empty(len(order), dtype=np.intp)
     rank[order[0]] = 0
-    rank[order[1:]] = rises.cumsum(dtype=rank.dtype)
+    rank[order[1:]] = rises.cumsum()
     return rank, rises
 
 
 # Entries of a count matrix swept at once.  Larger temporaries come back
 # from the allocator as fresh pages on every call: sweeping four rows of
-# 12363 values at once faulted in about 400 more pages than row by row, and
-# the staircase check faulted in about 100 more per call with its rows
-# swept whole than in blocks of columns.
+# 12363 values at once faulted in about 400 more pages than row by row.
 _SWEEP_BLOCK = 1 << 13
 
 
@@ -175,61 +169,44 @@ def _sweep(p: np.ndarray, q: np.ndarray, counts: np.ndarray, n: Sequence[int]) -
 
     The one D* sweep; nothing is checked.  ``counts`` is a (tables x
     values) matrix, or one table as a 1-D row; every step runs along the
-    last axis, so both take the same code.  A matrix of more than
-    ``_SWEEP_BLOCK`` entries goes through in blocks of rows, and a row
-    longer than that in blocks of columns, each carrying the count before
-    it.  The values ascend; equal values must be adjacent but may repeat
-    and need not be in lowest terms.  The arrays are nonempty, and all
-    object arrays when ``sweep_dtype`` for max q and the largest n is
-    object; otherwise they are integer arrays of any type, and every sum
-    and product is formed in int64.  ``n`` holds one Python int per table.
+    last axis, so both take the same code, and a matrix of more than
+    ``_SWEEP_BLOCK`` entries goes through in blocks of rows.  The values
+    ascend; equal values must be adjacent but may repeat and need not be in
+    lowest terms.  The arrays are nonempty and all in one ``sweep_dtype``
+    for max q and the largest n; ``n`` holds one Python int per table.
     Counts may be 0 and each table's sum to at most its n.  Over a table's
     entries with cumulative counts c_t, the sup is the max over t of
     max(c_t/n - v_t, v_t - c_{t-1}/n), plus the right-end gap 1 - c_last/n
     (0 when all mass is counted).  An entry that splits a value, or has
     count 0, gives candidates between the value's true ones, so the maximum
-    is unchanged.  The float pre-filter keeps, per table and block, the
-    candidates within a relative 2**-40 of their float maximum; only those
-    (table, value) pairs are compared by integer cross-multiplication.
+    is unchanged.  The float pre-filter keeps, per table, the candidates
+    within a relative 2**-40 of its float maximum; only those (table,
+    value) pairs are compared by integer cross-multiplication.
     """
     width = counts.shape[-1]
     if len(n) > 1 and counts.size > _SWEEP_BLOCK:
         step = max(1, _SWEEP_BLOCK // width)
         return [d for r in range(0, len(n), step) for d in _sweep(p, q, counts[r : r + step], n[r : r + step])]
-    wide = q.dtype if q.dtype == object else np.dtype(np.int64)
-    totals = np.array(n, dtype=wide).reshape(counts.shape[:-1] + (1,))
-    before, found = None, []
-    for lo in range(0, width, _SWEEP_BLOCK):  # one block of columns unless one row is longer
-        cols = slice(lo, lo + _SWEEP_BLOCK)
-        part, qs = counts[..., cols], q[cols]
-        # candidates over q * n: A over [0, v] - v, and v - A just left of v,
-        # which sum to count * q >= 0; each step writes over a temporary
-        above = np.add.accumulate(part, axis=-1, dtype=wide)
-        if before is not None:
-            above += before
-        before = above[..., -1:].copy()
-        np.multiply(above, qs, out=above, dtype=wide)
-        d = np.multiply(p[cols], totals, dtype=wide)
-        above -= d
-        np.multiply(part, qs, out=d, dtype=wide)
-        d -= above
-        np.maximum(above, d, out=d)
-        ratio = np.asarray(d / qs, dtype=np.float64)  # within about 4 * 2**-53 of d / q
-        near = ratio >= np.maximum.reduce(ratio, axis=-1, keepdims=True) * (1 - 2.0**-40)
-        flat = near.ravel().nonzero()[0]  # far faster than a 2-D nonzero on long rows
-        found.append((flat, d.take(flat).tolist(), qs.take(flat, mode="wrap").tolist()))
-    if len(found) == 1 and len(found[0][1]) == len(n):  # one candidate left per table: its maximum
-        best = list(zip(*found[0][1:]))
+    # candidates over q * n: A over [0, v] - v, and v - A just left of v,
+    # which sum to count * q >= 0
+    cum = np.add.accumulate(counts, axis=-1)
+    above = cum * q - p * np.array(n, dtype=counts.dtype).reshape(counts.shape[:-1] + (1,))
+    d = np.maximum(above, counts * q - above)
+    ratio = np.asarray(d / q, dtype=np.float64)  # within about 4 * 2**-53 of d / q
+    near = ratio >= np.maximum.reduce(ratio, axis=-1, keepdims=True) * (1 - 2.0**-40)
+    flat = near.ravel().nonzero()[0]  # far faster than a 2-D nonzero on long rows
+    found = zip(d.take(flat).tolist(), q.take(flat, mode="wrap").tolist())
+    if len(flat) == len(n):  # one candidate left per table: its maximum
+        best = list(found)
     else:
         best = [(0, 1)] * len(n)
-        for flat, nums, dens in found:
-            # a block of several rows is the whole width; one row is row 0 in every block
-            for r, num, den in zip((flat // width).tolist(), nums, dens):
-                if num * best[r][1] > best[r][0] * den:
-                    best[r] = num, den
+        for at, (num, den) in zip(flat.tolist(), found):
+            r = at // width
+            if num * best[r][1] > best[r][0] * den:
+                best[r] = num, den
     out = []
-    for (num, den), m, mass in zip(best, n, before.ravel().tolist()):
-        if (gap := m - mass) * den > num:
+    for (num, den), m, counted in zip(best, n, cum[..., -1:].ravel().tolist()):
+        if (gap := m - counted) * den > num:
             num, den = gap, 1
         out.append(Fraction(num, den * m))
     return out
@@ -313,9 +290,10 @@ def distinct_values(ps, qs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     length with 0 <= p < q; they are not checked, and p/q need not be in
     lowest terms.  Returns (vp, vq, index): each distinct value keeps the
     terms of one of its entries, and entry i has the value vp[j]/vq[j] for
-    j = index[i].  The entries are ranked once by ``_rank``, arrays in
-    their own types; index is ``_dense_ranks``', and each value keeps the
-    terms of its first entry in rank order, in their types.
+    j = index[i].  The entries are ranked once by ``_rank``; each value
+    keeps the terms of its first entry in rank order, in the types of ``ps``
+    and ``qs`` (int64 for Python ints that fit, else object), and index is
+    an intp array.
     """
     p, q = _ints(ps), _ints(qs)
     max_q = int(q.max())
@@ -331,15 +309,13 @@ def star_discrepancy_of_rows(p: np.ndarray, q: np.ndarray, counts: np.ndarray, n
     Row r describes n[r] points, counts[r, i] of them at p[i]/q[i], the
     rest above every value.  ``p`` and ``q`` are integer arrays holding
     distinct values in ascending order, as ``distinct_values`` returns them;
-    ``counts`` has one column per value, and nothing is checked.  When
-    ``sweep_dtype`` for max q and the largest n is object, every array is
-    brought to it; otherwise integer arrays are swept in their own types,
-    and all rows go through one ``_sweep``.
+    ``counts`` has one column per value, and nothing is checked.  Every
+    array is brought to ``sweep_dtype`` for max q and the largest n, and
+    all rows go through one ``_sweep``.
     """
     n = list(n)
     dtype = sweep_dtype(int(q.max()), max(n))
-    arrays = (a if dtype is not object and a.dtype.kind in "iu" else a.astype(dtype) for a in (p, q, counts))
-    return _sweep(*arrays, n)
+    return _sweep(p.astype(dtype, copy=False), q.astype(dtype, copy=False), counts.astype(dtype, copy=False), n)
 
 
 class _CountOne(tuple):

@@ -39,6 +39,7 @@ from cantornormal.errors import (
     NeedsMoreDigitsError,
     SizeLimitError,
 )
+from cantornormal.discrepancy import star_discrepancy_of_rows
 from cantornormal import cantor as cantor_module
 from cantornormal.limits import size_cap
 
@@ -631,6 +632,25 @@ def test_staircase_prefix_counts_match_its_literal_digits(n_total, tamper):
         at = n
         assert table == +counted
     assert (0 in counted) == (tamper is not None)
+
+
+@pytest.mark.parametrize("n", [127, 128, 255, 256, 32767, 32768, 65536, 2**31, 2**32])
+def test_one_value_counts_reach_every_position(n):
+    # every digit is 1 over base 2, so the one count is n itself: at the
+    # edges of the small integer types it must not wrap, whether the
+    # position ends a run of whole copies, cuts a run of two-digit copies,
+    # or cuts a single copy longer than the type holds
+    copies = ConstructionSpec((SegmentSpec(n, (1,), 2),))
+    assert scaled_prefix_counts(copies, [n]).tolist() == [[n]]
+    assert scaled_value_counts(copies, n) == {Fraction(1, 2): n}
+    pairs = ConstructionSpec((SegmentSpec(n, (1, 1), 2),))
+    assert scaled_prefix_counts(pairs, [n - 1, n]).tolist() == [[n - 1], [n]]
+    if n <= 1 << 16:
+        cut = ConstructionSpec((SegmentSpec(1, [1] * (n + 1), 2),))
+        assert scaled_prefix_counts(cut, [n]).tolist() == [[n]]
+        assert scaled_value_counts(cut, n) == {Fraction(1, 2): n}
+    values = copies.scaled_values
+    assert star_discrepancy_of_rows(values.p, values.q, scaled_prefix_counts(copies, [n]), [n]) == [Fraction(1, 2)]
 
 
 def test_scaled_prefix_counts_skip_empty_segments():

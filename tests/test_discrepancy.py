@@ -514,14 +514,10 @@ def test_large_matrices_sweep_in_row_blocks(monkeypatch):
         for row, m in zip(rows, n)
     ]
     assert _sweep(p, q, np.array(rows), n) == expected
-    # two rows per block with a last block of one, then one row per block in
-    # blocks of columns, the last one short, and then of one column each
-    for block in (2 * len(values), 7, 1):
+    # two rows per block with a last block of one, then one row per block
+    for block in (2 * len(values), 1):
         monkeypatch.setattr(discrepancy_module, "_SWEEP_BLOCK", block)
         assert _sweep(p, q, np.array(rows), n) == expected
-        # a single table, as a 1-D row, in narrow types
-        narrow = [np.array(a, dtype=np.min_scalar_type(max(a))) for a in (p, q, rows[3])]
-        assert _sweep(*narrow, n[3:4]) == expected[3:4]
 
 
 @pytest.mark.parametrize("max_q, narrow", [(255, np.uint8), (256, np.uint16)])
