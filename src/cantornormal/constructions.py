@@ -199,14 +199,16 @@ class ScaledValues:
     table; ``cantor.scaled_prefix_counts`` fills them.
 
     The other arrays hold one entry per (segment, distinct digit of its
-    block), segment by segment, digits ascending: ``digits`` the digit (in
-    the dtype of the segment blocks), ``columns`` its value's column of
-    ``p``/``q``, ``once`` how often it occurs in one copy of the block and
-    ``whole`` in the whole segment.  ``columns`` is intp, the type numpy
-    indexes with; the others are in the narrowest integer type that holds
-    them: ``once`` holds the longest block's length and ``whole`` the spec's
-    length (object past 2**64 - 1).  Segment s has entries
-    ``starts[s]:starts[s + 1]``, none when it has no copies.
+    block), segment by segment, digits ascending: ``digits`` the digit,
+    ``columns`` its value's column of ``p``/``q``, ``once`` how often it
+    occurs in one copy of the block and ``whole`` in the whole segment.
+    Segment s has entries ``starts[s]:starts[s + 1]``, none when it has no
+    copies.  ``columns`` and ``starts`` are intp, the type numpy indexes
+    with; the others are in narrow integer types: ``digits`` in one that
+    holds every block's digits, ``once`` the longest block's length and
+    ``whole`` the spec's length (object past 2**64 - 1).  An enumeration's
+    entries are closed forms, so making the table reads the digits of
+    explicit blocks only.
     """
 
     p: np.ndarray
@@ -215,30 +217,73 @@ class ScaledValues:
     columns: np.ndarray
     once: np.ndarray
     whole: np.ndarray
-    starts: tuple[int, ...]
+    starts: np.ndarray
 
     @classmethod
     def of(cls, spec: ConstructionSpec) -> ScaledValues:
         """Every segment's block counted at once, with no numpy call per segment.
 
-        The blocks of the segments with copies are counted by one
-        ``_digit_entries`` call, and their scaled digits ranked by one
-        ``distinct_values`` call.
+        The enumerations' entries are closed forms (``_enumeration_entries``),
+        so no enumeration's digits are read.  The explicit blocks of the
+        segments with copies are counted by one ``_digit_entries`` call; a
+        spec with both kinds puts them in segment order by one boolean mask.
+        One ``distinct_values`` call ranks the scaled digits.
         """
         segments = spec.segments
         used = [s for s, seg in enumerate(segments) if seg.multiplicity]
         starts = np.zeros(len(segments) + 1, dtype=np.intp)
         if not used:
             none = np.zeros(0, dtype=np.int64)
-            return cls(none, none, none, none.astype(np.intp), none, none, tuple(starts.tolist()))
-        arrays, tops, bases, copies = zip(
-            *((seg.block_digits.digits, seg.block.top, seg.base, seg.multiplicity) for seg in map(segments.__getitem__, used))
-        )
-        digits, once, counted = _digit_entries(arrays, max(tops) + 1)
+            return cls(none, none, none, none.astype(np.intp), none, none, starts)
+        blocks = [segments[s].block for s in used]
+        closed = [isinstance(block, EnumerationRuns) for block in blocks]
+        if listed := [block for block, c in zip(blocks, closed) if not c]:
+            arrays = tuple(block.digits for block in listed)
+            digits, once, counted = _digit_entries(arrays, max(block.top for block in listed) + 1)
+        if len(listed) < len(blocks):
+            closed_entries = _enumeration_entries([block for block, c in zip(blocks, closed) if c])
+            if listed:
+                sizes = iter(closed_entries[2]), iter(counted.tolist())
+                counted = [next(sizes[not c]) for c in closed]
+                mask = np.repeat(closed, counted)  # the entries of enumerations
+                digits, once = _masked(mask, closed_entries[0], digits), _masked(mask, closed_entries[1], once)
+            else:
+                digits, once, counted = closed_entries
         starts[np.array(used) + 1] = counted
+        bases = [segments[s].base for s in used]
         p, q, columns = distinct_values(digits, np.array(bases, dtype=np.min_scalar_type(max(bases))).repeat(counted))
+        copies = [segments[s].multiplicity for s in used]
         copies = np.array(copies, dtype=np.min_scalar_type(spec.total_length)).repeat(counted)
-        return cls(p, q, digits, columns, once, copies * once, tuple(starts.cumsum().tolist()))
+        return cls(p, q, digits, columns, once, copies * once, starts.cumsum())
+
+
+def _enumeration_entries(blocks: list[EnumerationRuns]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """``_digit_entries`` of enumerations, from closed forms: no digit is read.
+
+    An enumeration of the base-a blocks of length w, one with t top digits
+    repeated rep**t times, holds every digit 0..a-1.  With s = a - 1 + rep,
+    each digit below the top occurs w * s**(w-1) times in one copy and the
+    top digit w * rep * s**(w-1) times (the k = 1 case of
+    ``EnumerationRuns.window_counts``).  ``once`` is in the narrowest type
+    that holds the longest block's length, object past 2**64 - 1.
+    """
+    counted = [block.alphabet for block in blocks]
+    once = []
+    for block in blocks:
+        unit = block.w * (block.alphabet - 1 + block.rep) ** (block.w - 1)
+        once += [unit] * block.top + [unit * block.rep]
+    ends = np.cumsum(counted)
+    digits = np.arange(ends[-1]) - (ends - counted).repeat(counted)
+    once_type = np.min_scalar_type(max(block.length for block in blocks))
+    return digits.astype(np.min_scalar_type(max(counted) - 1)), np.array(once, dtype=once_type), counted
+
+
+def _masked(mask: np.ndarray, chosen: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """One array with ``chosen`` where ``mask`` holds and ``rest`` elsewhere, each in order."""
+    out = np.empty(len(mask), dtype=np.result_type(chosen, rest))
+    out[mask] = chosen
+    out[~mask] = rest
+    return out
 
 
 def _digit_entries(arrays: tuple[np.ndarray, ...], width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -57,9 +57,10 @@ staircase counterexample each sweep all their prefixes in one call.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -401,10 +402,12 @@ def e1l_bound(b: int, eps, length: int) -> Fraction:
         raise ValueError(f"b must be an integer >= 2, got {b}")
     if not isinstance(length, int) or length < 1:
         raise ValueError(f"length must be an integer >= 1, got {length}")
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
+    eps = eps if type(eps) is Fraction else Fraction(eps)
+    p, q = eps.as_integer_ratio()
+    if not 0 < p < q:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    return Fraction(1, b) + eps + Fraction(1, length)
+    # 1/b + 1/length + p/q over the one denominator b * length * q
+    return Fraction(q * (length + b) + p * b * length, b * length * q)
 
 
 @dataclass(frozen=True)
@@ -416,34 +419,48 @@ class PrefixWeights:
     block.  ``next_length`` and ``next_eps`` describe family i+1, which the
     prefix may cut into: a partial count of whole copies plus a remainder
     of fewer than one block.
+
+    Construction checks each entry once and totals the entries in
+    integers: ``included_points`` is sum_j l_j |x_j|, and the mass
+    sum_j l_j |x_j| eps'_j is ``mass_numerator`` over ``mass_denominator``,
+    the lcm of the eps' denominators.  ``f_bound``, ``epsbar`` and
+    ``boundf_hypotheses`` read these totals, so none of them sums a
+    Fraction per entry.
     """
 
     entries: tuple[tuple[int, int, Fraction], ...]
     next_length: int
     next_eps: Fraction
+    included_points: int = field(init=False, repr=False, compare=False)
+    mass_numerator: int = field(init=False, repr=False, compare=False)
+    mass_denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entries:
             raise ValueError("need at least one fully included family")
-        ok = []
+        ok, points, ratios = [], [], []
         for copies, length, eps in self.entries:
             if not (isinstance(copies, int) and copies >= 0):
                 raise ValueError(f"copies must be an integer >= 0, got {copies}")
             if not (isinstance(length, int) and length >= 1):
                 raise ValueError(f"block length must be an integer >= 1, got {length}")
-            ok.append((copies, length, Fraction(eps)))
-        object.__setattr__(self, "entries", tuple(ok))
+            eps = eps if type(eps) is Fraction else Fraction(eps)
+            ok.append((copies, length, eps))
+            points.append(copies * length)
+            ratios.append(eps.as_integer_ratio())
         if not (isinstance(self.next_length, int) and self.next_length >= 1):
             raise ValueError(f"next_length must be an integer >= 1, got {self.next_length}")
-        object.__setattr__(self, "next_eps", Fraction(self.next_eps))
-
-    @property
-    def included_points(self) -> int:
-        return sum(c * ln for c, ln, _ in self.entries)
+        scale = math.lcm(*(q for _, q in ratios))
+        set_ = object.__setattr__  # frozen: the checked values are written directly
+        set_(self, "entries", tuple(ok))
+        set_(self, "next_eps", self.next_eps if type(self.next_eps) is Fraction else Fraction(self.next_eps))
+        set_(self, "included_points", sum(points))
+        set_(self, "mass_numerator", sum(w * p * (scale // q) for w, (p, q) in zip(points, ratios)))
+        set_(self, "mass_denominator", scale)
 
     @property
     def included_mass(self) -> Fraction:
-        return sum((c * ln * e for c, ln, e in self.entries), Fraction(0))
+        return Fraction(self.mass_numerator, self.mass_denominator)
 
 
 def f_bound(pw: PrefixWeights, w: int, z: int) -> Fraction:
@@ -452,17 +469,20 @@ def f_bound(pw: PrefixWeights, w: int, z: int) -> Fraction:
         f(w, z) = (sum_j l_j |x_j| eps'_j  +  |x_{i+1}| eps'_{i+1} w  +  z)
                   / (sum_j l_j |x_j|  +  |x_{i+1}| w  +  z)
 
-    The z extra points are budgeted at the worst rate 1 apiece.
+    The z extra points are budgeted at the worst rate 1 apiece.  The
+    numerator is one integer over the mass denominator times that of
+    eps'_{i+1}, so one Fraction is made.
     """
     if not (isinstance(w, int) and w >= 0):
         raise ValueError(f"w must be an integer >= 0, got {w}")
     if not (isinstance(z, int) and 0 <= z <= pw.next_length):
         raise ValueError(f"z must be an integer in [0, next_length], got {z}")
-    num = pw.included_mass + pw.next_length * pw.next_eps * w + z
     den = pw.included_points + pw.next_length * w + z
     if den == 0:
         raise ValueError("bound undefined on an empty prefix")
-    return Fraction(num) / den
+    p, q = pw.next_eps.as_integer_ratio()
+    scale = pw.mass_denominator * q
+    return Fraction(pw.mass_numerator * q + pw.next_length * w * p * pw.mass_denominator + z * scale, scale * den)
 
 
 def epsbar(pw: PrefixWeights) -> Fraction:
@@ -504,18 +524,17 @@ def boundf_hypotheses(pw: PrefixWeights) -> HypothesisReport:
         failures.append("last-multiplicity-positive")
     if last_len <= 0:
         failures.append("last-length-positive")
-    head = pw.entries[:-1]
-    head_points = sum(c * ln for c, ln, _ in head)
-    head_mass = sum((c * ln * e for c, ln, e in head), Fraction(0))
-    if not head_points > head_mass:
+    # the families before the last, from the integer totals
+    last_points = last_c * last_len
+    last_p, last_q = last_eps.as_integer_ratio()
+    head_points = pw.included_points - last_points
+    head_mass = pw.mass_numerator - last_points * last_p * (pw.mass_denominator // last_q)
+    if not head_points * pw.mass_denominator > head_mass:
         failures.append("earlier-mass-dominates-error")
-    if not pw.next_eps < 1:
+    next_p, next_q = pw.next_eps.as_integer_ratio()
+    if not next_p < next_q:
         failures.append("next-eps-below-one")
-    else:
-        denom = last_c * last_len
-        small = True
-        if pw.next_eps > 0:
-            small = denom > 0 and Fraction(pw.next_length, denom) < (1 - last_eps) / pw.next_eps
-        if not small:
-            failures.append("next-block-small-enough")
+    # next_length / last_points < (1 - eps'_i) / eps'_{i+1}, cross-multiplied: it fails when last_points is 0
+    elif next_p > 0 and not pw.next_length * next_p * last_q < (last_q - last_p) * last_points * next_q:
+        failures.append("next-block-small-enough")
     return HypothesisReport(holds=not failures, failures=tuple(failures))

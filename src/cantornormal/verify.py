@@ -416,10 +416,13 @@ def epsbar_rows(spec: ConstructionSpec, positions) -> list[tuple]:
     preconditions, or is None when no segment is fully included or none
     follows; bar is epsbar_i where they hold, else None.  Segment budgets
     are ``e1l_bound`` at tolerances ``qde_default_eps(s)``.  hyp and bar
-    depend on i alone, so they are worked out once per distinct i.
+    depend on i alone, so they are worked out once per distinct i: one
+    ``PrefixWeights`` of the first i segments, which totals its points and
+    mass in integers, read by one ``boundf_hypotheses`` and, where they
+    hold, one ``epsbar`` call.
     """
     eps_primes = _qde_segment_eps_primes(spec, qde_default_eps)
-    seg_meta = [(seg.multiplicity, seg.block.length) for seg in spec.segments]
+    entries = [(seg.multiplicity, seg.block.length, eps) for seg, eps in zip(spec.segments, eps_primes)]
     bounds: dict[int, tuple] = {}
     rows = []
     for n in positions:
@@ -428,8 +431,8 @@ def epsbar_rows(spec: ConstructionSpec, positions) -> list[tuple]:
             rows.append((n, i, None, None))
             continue
         if i not in bounds:
-            entries = tuple((seg_meta[j][0], seg_meta[j][1], eps_primes[j]) for j in range(i))
-            pw = PrefixWeights(entries, seg_meta[i][1], eps_primes[i])
+            _, next_length, next_eps = entries[i]
+            pw = PrefixWeights(tuple(entries[:i]), next_length, next_eps)
             hyp = boundf_hypotheses(pw)
             bounds[i] = (hyp, epsbar(pw) if hyp else None)
         rows.append((n, i, *bounds[i]))

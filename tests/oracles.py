@@ -330,3 +330,56 @@ def literal_salat(qs, ds, m_rows):
     if m_rows >= 200 and not (row200 is not None and row200 <= Fraction(1, 20)):
         failures.append({"reason": "row-200 discrepancy above 1/20", "value": row200})
     return not failures, {"failures": failures} if failures else None, details
+
+
+def literal_epsbar_rows(segments, positions):
+    """(n, i, failures, bar) at each position: the interpolated prefix bound, summed entry by entry.
+
+    ``segments`` are (multiplicity, block, base).  i is the largest j whose
+    first j segments end before position n.  Segment s (1-based) has the
+    budget eps'_s = 1/base + eps_s + 1/len(block), with eps_1 = 3/5 and
+    eps_s = 1/s after it.  With no segment before n, or none after the i-th,
+    failures and bar are None.  Otherwise, for the families 1..i and the
+    next one, failures names each precondition that fails, in the order
+    they are checked:
+
+    - last-multiplicity-positive: family i has at least one copy;
+    - earlier-mass-dominates-error: over the families 1..i-1, the points
+      l_j |x_j| sum above the mass l_j |x_j| eps'_j;
+    - next-eps-below-one: eps'_{i+1} < 1; and only if it holds,
+    - next-block-small-enough: where eps'_{i+1} > 0, the points of family i
+      are positive and |x_{i+1}| / (l_i |x_i|) < (1 - eps'_i) / eps'_{i+1}.
+
+    bar is the bound (mass + |x_{i+1}|) / (points + |x_{i+1}|) over the
+    families 1..i when no precondition fails, else None.
+    """
+    budgets = []
+    for s, (_, block, base) in enumerate(segments, start=1):
+        eps = Fraction(3, 5) if s == 1 else Fraction(1, s)
+        budgets.append(Fraction(1, base) + eps + Fraction(1, len(block)))
+    ends = [0]
+    for mult, block, _ in segments:
+        ends.append(ends[-1] + mult * len(block))
+    out = []
+    for n in positions:
+        i = 0
+        while i + 1 < len(ends) and ends[i + 1] < n:
+            i += 1
+        if i == 0 or i >= len(segments):
+            out.append((n, i, None, None))
+            continue
+        points = [mult * len(block) for mult, block, _ in segments[:i]]
+        masses = [p * budgets[j] for j, p in enumerate(points)]
+        next_length, next_eps, last_eps = len(segments[i][1]), budgets[i], budgets[i - 1]
+        failures = []
+        if segments[i - 1][0] <= 0:
+            failures.append("last-multiplicity-positive")
+        if not sum(points[:-1]) > sum(masses[:-1], Fraction(0)):
+            failures.append("earlier-mass-dominates-error")
+        if not next_eps < 1:
+            failures.append("next-eps-below-one")
+        elif next_eps > 0 and not (points[-1] > 0 and Fraction(next_length, points[-1]) < (1 - last_eps) / next_eps):
+            failures.append("next-block-small-enough")
+        bar = None if failures else (sum(masses, Fraction(0)) + next_length) / (sum(points) + next_length)
+        out.append((n, i, failures, bar))
+    return out

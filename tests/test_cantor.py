@@ -30,6 +30,7 @@ from cantornormal.blocks import count_occurrences, count_prefix_occurrences
 from cantornormal.constructions import (
     ConstructionSpec,
     SegmentSpec,
+    build_P_runs,
     qde_spec,
     qnex_spec,
     salat_counterexample_spec,
@@ -594,18 +595,107 @@ def test_scaled_prefix_counts_match_one_position_tables(family):
     assert matrix.sum(axis=1).tolist() == positions
 
 
-@given(segments)
+def copy_counts(spec, n):
+    """The scaled-digit table of the first n digits, segment by segment: whole copies, then the cut copy."""
+    table, left = Counter(), n
+    for seg in spec.segments:
+        take = min(left, seg.length)
+        full, rem = divmod(take, len(seg.block_digits)) if take else (0, 0)
+        block = [Fraction(d, seg.base) for d in seg.block_digits]
+        for v, c in Counter(block).items():
+            table[v] += full * c
+        table.update(block[:rem])
+        left -= take
+    return +table
+
+
+@given(segments, st.data())
 @settings(max_examples=100)
-def test_scaled_prefix_counts_match_literal_expansion(segs):
+def test_scaled_prefix_counts_match_literal_expansion(segs, data):
     spec = ConstructionSpec(tuple(segs))
     qs, ds = literal_expansion(segs)
+    if not qs:
+        return
     positions = range(1, len(qs) + 1)
-    if positions:
-        expected = [Counter(map(Fraction, ds[:n], qs[:n])) for n in positions]
-        assert matrix_tables(spec, scaled_prefix_counts(spec, positions)) == expected
-        # one column per distinct value, ascending, whatever the segments repeat
-        values = matrix_tables(spec, np.ones((1, len(spec.scaled_values.p)), dtype=np.int64))[0]
-        assert list(values) == sorted(set(map(Fraction, ds, qs)))
+    expected = [Counter(map(Fraction, ds[:n], qs[:n])) for n in positions]
+    assert matrix_tables(spec, scaled_prefix_counts(spec, positions)) == expected
+    # a draw of positions, some repeated and some exactly on segment ends, and each one alone
+    ends = sorted({b for b in spec.boundaries if b})
+    drawn = sorted(data.draw(st.lists(st.sampled_from([*positions, *ends]), min_size=1, max_size=12)))
+    assert matrix_tables(spec, scaled_prefix_counts(spec, drawn)) == [expected[n - 1] for n in drawn]
+    assert [matrix_tables(spec, scaled_prefix_counts(spec, [n]))[0] for n in drawn] == [expected[n - 1] for n in drawn]
+    assert scaled_value_counts(spec, drawn[0]) == expected[drawn[0] - 1]
+    # one column per distinct value, ascending, whatever the segments repeat
+    values = matrix_tables(spec, np.ones((1, len(spec.scaled_values.p)), dtype=np.int64))[0]
+    assert list(values) == sorted(set(map(Fraction, ds, qs)))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_scaled_prefix_counts_across_empty_segments_and_repeated_digits(rows):
+    # zero-copy segments between filled ones, blocks that repeat digits (and
+    # two segments over one base that share values), cut copies at every offset
+    spec = ConstructionSpec(
+        (
+            SegmentSpec(0, (1,), 2),
+            SegmentSpec(3, (1, 1, 0, 1), 3),
+            SegmentSpec(0, (4, 4), 5),
+            SegmentSpec(0, (2,), 7),
+            SegmentSpec(2, (2, 2, 2), 4),
+            SegmentSpec(4, (0, 3, 3, 0, 2), 6),
+            SegmentSpec(0, (1,), 2),
+            SegmentSpec(1, (0, 4, 2, 4, 4, 4), 6),
+        )
+    )
+    qs, ds = literal_expansion(spec.segments)
+    literal = [Counter(map(Fraction, ds[:n], qs[:n])) for n in range(len(qs) + 1)]
+    ends = [b for b in spec.boundaries if b]
+    positions = sorted([*range(1, len(qs) + 1), *ends, *ends[::2]])
+    for at in range(0, len(positions), rows):
+        chunk = positions[at : at + rows]
+        assert matrix_tables(spec, scaled_prefix_counts(spec, chunk)) == [literal[n] for n in chunk]
+
+
+def test_scaled_prefix_counts_object_path_over_many_rows():
+    # past 2**63 the matrix holds Python ints: rows that cut the long segment
+    # at many offsets, repeat, end it exactly, and cut the next one
+    big = 2**62 + 3
+    spec = ConstructionSpec(
+        (SegmentSpec(2, (1, 0, 1), 2), SegmentSpec(0, (4,), 5), SegmentSpec(big, (0, 2, 1, 2), 3), SegmentSpec(5, (3, 0), 4))
+    )
+    b = spec.boundaries
+    positions = sorted([1, 6, 7, 8, 9, 10, 10, 2**63, 2**63 + 1, 2**64 - 1, b[3] - 1, b[3], b[3], b[3] + 1, b[4] - 1, b[4]])
+    matrix = scaled_prefix_counts(spec, positions)
+    assert matrix.dtype == object
+    assert matrix_tables(spec, matrix) == [copy_counts(spec, n) for n in positions]
+    assert all(type(c) is int for c in matrix.ravel().tolist())
+    assert matrix.sum(axis=1).tolist() == positions
+
+
+def test_rows_that_end_a_segment_before_an_astronomical_block():
+    # the rows fit int64, but one copy of the next block holds each digit
+    # more than 2**63 times; rows that take none of it read no digit of it
+    huge = build_P_runs(12, 144)
+    spec = ConstructionSpec((SegmentSpec(3, (1, 0), 2), SegmentSpec(2, huge, 2**12), SegmentSpec(1, (1,), 3)))
+    assert spec.scaled_values.once.dtype == object
+    half = Fraction(1, 2)
+    for positions in ([2, 6], [6, 6], [1, 2, 3, 6]):
+        matrix = scaled_prefix_counts(spec, positions)
+        assert matrix.dtype == np.int64
+        assert matrix_tables(spec, matrix) == [Counter({half: (n + 1) // 2, 0: n // 2}) for n in positions]
+    with size_cap(10**6), pytest.raises(SizeLimitError):
+        scaled_prefix_counts(spec, [6, 7])
+
+
+def test_scaled_prefix_counts_at_every_position_of_a_small_qde():
+    spec = qde_spec(i_max=4)
+    qs, ds = literal_expansion(spec.segments)
+    positions = list(range(1, spec.total_length + 1))
+    counted, expected = Counter(), []
+    for q, d in zip(qs, ds):
+        counted[Fraction(d, q)] += 1
+        expected.append(+counted)
+    assert matrix_tables(spec, scaled_prefix_counts(spec, positions)) == expected
+    assert [copy_counts(spec, n) for n in (1, 64, 65, 550, 551, 2598)] == [expected[n - 1] for n in (1, 64, 65, 550, 551, 2598)]
 
 
 @pytest.mark.parametrize("n_total, tamper", [(1, None), (20100, None), (24999, None), (24999, 150), (40000, 7)])

@@ -20,7 +20,7 @@ from cantornormal.blocks import (
     max_digit,
     tally_blocks,
 )
-from cantornormal.cantor import CantorExpansion, orbit_point, q_moment, scaled_value_counts
+from cantornormal.cantor import CantorExpansion, orbit_point, q_moment, scaled_prefix_counts, scaled_value_counts
 from cantornormal.constructions import (
     ConstructionSpec,
     SegmentSpec,
@@ -39,6 +39,7 @@ from cantornormal.errors import (
     NeedsMoreSegmentsError,
     SizeLimitError,
 )
+from cantornormal.discrepancy import star_discrepancy_of_rows
 from cantornormal.limits import size_cap
 from cantornormal.verify import DEFAULT_JOBS
 
@@ -595,7 +596,7 @@ def test_paper_parameter_digit_reads_hit_the_cap(make):
     reads = [
         lambda: spec.digit_at(n + 1),
         lambda: orbit_point(exp, n),
-        lambda: scaled_value_counts(spec, 1),
+        lambda: scaled_value_counts(spec, n + 1),  # a cut copy of the block reads its digits
         lambda: spec.prefix_runs(n + 1),
     ]
     if n < 10**8:  # a longer prefix is refused for its length alone
@@ -603,6 +604,49 @@ def test_paper_parameter_digit_reads_hit_the_cap(make):
     for read in reads:
         with pytest.raises(SizeLimitError):
             read()
+
+
+@pytest.fixture
+def no_enumeration_digits(monkeypatch):
+    def refuse(b, w):
+        raise AssertionError(f"digits of an enumeration read: {b, w}")
+
+    monkeypatch.setattr(constructions, "build_P", refuse)
+    monkeypatch.setattr(constructions, "build_C", refuse)
+
+
+def test_paper_qde_scaled_digits_at_segment_ends(no_enumeration_digits):
+    # every segment end takes whole segments only, so each table is a closed
+    # form; its D* is 1/i plus less than 2e-7, and exactly 1/2 at i = 2
+    spec = paper_qde()
+    ends = list(spec.boundaries[2:])
+    values = spec.scaled_values
+    matrix = scaled_prefix_counts(spec, ends)
+    assert matrix.sum(axis=1).tolist() == ends
+    d_stars = star_discrepancy_of_rows(values.p, values.q, matrix, ends)
+    assert d_stars[0] == Fraction(1, 2)
+    for i, d in zip(range(2, 10), d_stars):
+        assert Fraction(1, i) <= d < Fraction(1, i) + Fraction(2, 10**7)
+    # one row at a time reads the same tables, the last one of them too
+    assert scaled_value_counts(spec, ends[-1]) == {
+        Fraction(p, q): c for p, q, c in zip(values.p.tolist(), values.q.tolist(), matrix[-1].tolist()) if c
+    }
+
+
+def test_paper_qnex_scaled_values_read_no_digits(no_enumeration_digits):
+    spec = paper_qnex()
+    values = spec.scaled_values
+    # segment i: digits 0..i over base 2**i, the top one 2**i - i times as often as each other
+    entries = [(seg, d) for seg in spec.segments if seg.multiplicity for d in range(seg.block.top + 1)]
+    once = [
+        seg.block.w * (2**seg.block.top) ** (seg.block.w - 1) * (seg.block.rep if d == seg.block.top else 1)
+        for seg, d in entries
+    ]
+    assert values.once.tolist() == once
+    assert values.whole.tolist() == [c * seg.multiplicity for c, (seg, _) in zip(once, entries)]
+    assert values.digits.tolist() == [d for _, d in entries]
+    ends = list(spec.boundaries[6:])
+    assert scaled_prefix_counts(spec, ends).sum(axis=1).tolist() == ends
 
 
 def test_assemble_respects_cap():

@@ -772,6 +772,22 @@ def test_hypotheses_failure_names():
     assert "next-block-small-enough" in rep.failures
 
 
+def test_hypotheses_are_strict_at_their_boundaries():
+    # head points equal to head mass, and next_length / (l_i |x_i|) equal to
+    # (1 - eps'_i) / eps'_{i+1} = (1 - 1/2) / (1/4) = 2, both fail
+    head = (10, 10, Fraction(1, 10))
+    assert boundf_hypotheses(PrefixWeights((head, (1, 2, Fraction(1, 2))), 3, Fraction(1, 4))).holds
+    rep = boundf_hypotheses(PrefixWeights((head, (1, 2, Fraction(1, 2))), 4, Fraction(1, 4)))
+    assert rep.failures == ("next-block-small-enough",)
+    rep = boundf_hypotheses(PrefixWeights(((1, 2, Fraction(1)), (1, 2, Fraction(1, 2))), 3, Fraction(1, 4)))
+    assert rep.failures == ("earlier-mass-dominates-error",)
+    # the totals are integers over the lcm of the eps' denominators
+    pw = PrefixWeights((head, (3, 4, Fraction(1, 6)), (1, 9, Fraction(2, 15))), 3, Fraction(1, 4))
+    # points 100 + 12 + 9, mass 10 + 2 + 6/5 = 396/30
+    assert (pw.included_points, pw.mass_numerator, pw.mass_denominator) == (121, 396, 30)
+    assert pw.included_mass == Fraction(66, 5)
+
+
 def test_hypotheses_allow_perfect_next_family():
     # eps' = 0 on the next family trivially satisfies the length condition
     pw = PrefixWeights(((4, 2, Fraction(1, 4)), (2, 3, Fraction(1, 4))), 50, Fraction(0))

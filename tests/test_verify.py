@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cantornormal import cli
 from cantornormal import constructions as constructions_module
@@ -54,7 +56,7 @@ from cantornormal.verify import (
 )
 from cantornormal.weightings import uniform
 
-from oracles import literal_notdn, literal_salat, literal_t0
+from oracles import literal_epsbar_rows, literal_notdn, literal_salat, literal_t0
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +503,69 @@ def test_epsbar_rows_work_once_per_included_count(monkeypatch):
         pw = PrefixWeights(entries, len(spec.segments[i].block), budget[i])
         assert hyp.failures == boundf_hypotheses(pw).failures
         assert bar == (real_epsbar(pw) if boundf_hypotheses(pw) else None)
+
+
+# (copies, base, block length) per segment
+_EPSBAR_SEGMENTS = st.lists(st.tuples(st.integers(0, 300), st.integers(2, 12), st.integers(1, 300)), min_size=2, max_size=12)
+_QDE_SHAPE = [(0, 2, 2)] + [(i**3, i, 2 * i * i) for i in range(2, 7)]
+_EPSBAR_CASES = [
+    _QDE_SHAPE,  # the bound holds from i = 2 on
+    [(3, 5, 4), (0, 7, 9), (2, 3, 5)],  # a family with no copies before the cut one
+    [(4, 9, 6), (2, 2, 8), (5, 6, 10)],  # family 2 over base 2: eps' above 1
+    [(1, 12, 1), (1, 12, 300), (7, 12, 2)],  # a one-point family before a long block
+    [(0, 4, 3), (0, 5, 2), (6, 3, 7)],  # nothing before the last family
+]
+
+
+def _epsbar_spec(raw):
+    return ConstructionSpec(tuple(SegmentSpec(m, [d % base for d in range(length)], base) for m, base, length in raw))
+
+
+def _epsbar_positions(spec, picks):
+    """Every segment end, the first and last position, and the picks, within the spec."""
+    total = spec.total_length
+    return sorted({b for b in spec.boundaries if b} | {1, total} | {1 + p % total for p in picks})
+
+
+@given(_EPSBAR_SEGMENTS, st.lists(st.integers(0, 10**9), max_size=20))
+@settings(max_examples=150, deadline=None)
+@example(_EPSBAR_CASES[0], [5, 70, 900, 123456])
+@example(_EPSBAR_CASES[1], [0, 20, 70])
+@example(_EPSBAR_CASES[2], [3, 30, 90])
+@example(_EPSBAR_CASES[3], [0, 5, 200, 400])
+@example(_EPSBAR_CASES[4], [3, 40])
+def test_epsbar_rows_match_the_literal_oracle(raw, picks):
+    spec = _epsbar_spec(raw)
+    if not spec.total_length:
+        return
+    positions = _epsbar_positions(spec, picks)
+    segments = [(seg.multiplicity, seg.block.as_tuple(), seg.base) for seg in spec.segments]
+    rows = verify_module.epsbar_rows(spec, positions)
+    got = [(n, i, None if hyp is None else list(hyp.failures), bar) for n, i, hyp, bar in rows]
+    assert got == literal_epsbar_rows(segments, positions)
+    assert all(hyp is None or hyp.holds == (bar is not None) for _, _, hyp, bar in rows)
+
+
+def test_epsbar_oracle_cases_reach_every_failure():
+    # every precondition the interpolation bound can fail on (a block always
+    # has a digit, so last-length-positive cannot), rows with no fully
+    # included family and rows inside the last family, and rows that hold
+    failures, kinds = set(), set()
+    for raw in _EPSBAR_CASES:
+        spec = _epsbar_spec(raw)
+        positions = _epsbar_positions(spec, range(0, spec.total_length, 7))
+        for n, i, hyp, bar in verify_module.epsbar_rows(spec, positions):
+            failures.update(() if hyp is None else hyp.failures)
+            kinds.add("none-included" if hyp is None else "holds" if bar is not None else "fails")
+            if n > spec.boundaries[-2]:
+                kinds.add("last-segment")
+    assert failures == {
+        "last-multiplicity-positive",
+        "earlier-mass-dominates-error",
+        "next-eps-below-one",
+        "next-block-small-enough",
+    }
+    assert kinds == {"none-included", "holds", "fails", "last-segment"}
 
 
 def test_mqd_scaled_catches_constant_digits():
