@@ -268,14 +268,14 @@ def _enumeration_entries(blocks: list[EnumerationRuns]) -> tuple[np.ndarray, np.
     that holds the longest block's length, object past 2**64 - 1.
     """
     counted = [block.alphabet for block in blocks]
-    once = []
+    digits, once = [], []
     for block in blocks:
         unit = block.w * (block.alphabet - 1 + block.rep) ** (block.w - 1)
+        digits += range(block.alphabet)
         once += [unit] * block.top + [unit * block.rep]
-    ends = np.cumsum(counted)
-    digits = np.arange(ends[-1]) - (ends - counted).repeat(counted)
+    digit_type = np.min_scalar_type(max(counted) - 1)
     once_type = np.min_scalar_type(max(block.length for block in blocks))
-    return digits.astype(np.min_scalar_type(max(counted) - 1)), np.array(once, dtype=once_type), counted
+    return np.array(digits, dtype=digit_type), np.array(once, dtype=once_type), counted
 
 
 def _masked(mask: np.ndarray, chosen: np.ndarray, rest: np.ndarray) -> np.ndarray:
