@@ -470,7 +470,8 @@ def _prefix_row(spec: ConstructionSpec, n: int, dtype) -> np.ndarray:
         # with a whole copy taken, every once count is at most n
         counts = table.once[cut].astype(dtype) * full if full else np.zeros(cut.stop - cut.start, dtype=dtype)
         if rem:
-            counts += np.bincount(table.digits[cut].searchsorted(segment.block_digits.digits[:rem]), minlength=len(counts))
+            places = table.digits[cut].searchsorted(segment.block_digits.digits[:rem])
+            counts += np.bincount(places, minlength=len(counts))
         row[table.columns[cut]] += counts
     return row
 
