@@ -29,7 +29,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .blocks import DigitString, count_occurrences, digit_data, exact_type
+from .blocks import DigitString, count_occurrences, digit_data
 from .constructions import ConstructionSpec, SegmentSpec
 from .discrepancy import sweep_dtype
 from .errors import InvalidSpecError, NeedsMoreDigitsError, NeedsMoreSegmentsError
@@ -353,27 +353,20 @@ def scaled_prefix_counts(spec: ConstructionSpec, positions: Iterable[int]) -> np
     """Count matrix of the scaled digits E_m/q_m over m <= n, one row for each n in ``positions``.
 
     Column j counts the value spec.scaled_values.p[j] / q[j], so row r is
-    the scaled-digit table of the first positions[r] digits.  Positions are
-    checked one by one, and the rest reads the flat arrays of
-    ``spec.scaled_values`` in a fixed number of numpy calls, plus at most
-    two per group of rows and one per segment cut, never one per position:
-
-    * rows that take the same segments whole form a group.  Each entry of
-      those segments is added, by one ``np.add.at``, to the first row of
-      the first group that takes it; then each group's first row adds the
-      row before it, and the group's other rows copy it;
-    * each (cut row, entry of the segment it cuts) pair gets the segment's
-      whole copies times the entry's ``once`` count, plus how often the
-      entry's digit occurs in the cut copy (``_cut_copy_counts``), and one
-      indexed ``+=`` adds the pairs to their rows.
-
-    A single position is one ``_prefix_row``.  Only a cut copy reads
-    digits, through its segment's ``block_digits``.  No Fraction is made,
-    and nothing counts against the size cap, so positions may be
-    astronomically large as long as the construction reaches them.  Counts
-    are exact integers: the matrix is int64 while ``sweep_dtype`` for the
-    largest position says so, else object.  Positions must not descend;
-    each is checked as it is reached.
+    the scaled-digit table of the first positions[r] digits.  One walk over
+    the segments, read from the flat arrays of ``spec.scaled_values``: the
+    whole segments reached since the last position add their ``whole``
+    counts to a running row as one range of entries, by one ``np.add.at``.
+    Each position's row is the running row plus its cut segment's whole
+    copies times its ``once`` counts, plus the cut copy's digits, placed
+    among the segment's ascending digits by one ``searchsorted`` and
+    counted by one ``np.bincount``.  Only a cut copy reads digits, through
+    its segment's ``block_digits``.  No Fraction is made, and nothing
+    counts against the size cap, so positions may be astronomically large
+    as long as the construction reaches them.  Counts are exact integers:
+    the matrix is int64 while ``sweep_dtype`` for the largest position
+    says so, else object.  Positions must not descend; each is checked as
+    it is reached.
     """
     bounds = spec.boundaries
     positions = list(positions)
@@ -387,126 +380,28 @@ def scaled_prefix_counts(spec: ConstructionSpec, positions: Iterable[int]) -> np
             raise NeedsMoreSegmentsError(n, bounds[-1])
         prev = n
     table = spec.scaled_values
-    width = len(table.p)
+    starts = table.starts
     dtype = sweep_dtype(int(table.q.max(initial=1)), prev)
-    if not positions:
-        return np.zeros((0, width), dtype=dtype)
-    if len(positions) == 1:
-        return _prefix_row(spec, prev, dtype)[None]
-    starts = table.starts
-    kind = exact_type(bounds[-1])
-    at = np.array(positions, dtype=kind)
-    ends = np.array(bounds, dtype=kind)
-    segments = ends.searchsorted(at, side="right") - 1  # row r takes segments[r] segments whole
-    groups, group_of = _runs(segments)
-    group_segments = segments.take(groups[:-1])
-    group_starts = starts.take(group_segments)
-    rows = np.zeros((len(positions), width), dtype=dtype)
-    if included := int(group_starts[-1]):
-        # each entry at the first row of the first group that takes its segment whole
-        fresh = group_starts.copy()  # how many entries each group is the first to take
-        fresh[1:] -= group_starts[:-1]
-        at_row = np.repeat(groups[:-1] * width, fresh)
-        at_row += table.columns[:included]
-        np.add.at(rows.reshape(-1), at_row, table.whole[:included].astype(dtype, copy=False))
-    firsts = groups.tolist()
-    for first, end in zip(firsts, firsts[1:]):
-        # a group's row adds the row before it, and its other rows copy it
-        row = rows[first]
-        if first:
-            row += rows[first - 1]
-        if end > first + 1:
-            rows[first + 1 : end] = row
-    takes = at - ends.take(segments)
-    if not takes.any():
-        return rows
-    lengths = [spec.segments[s].block.length if s < len(spec.segments) else 1 for s in group_segments.tolist()]
-    lengths = np.array(lengths, dtype=kind).take(group_of)
-    full = takes // lengths
-    rem = takes - full * lengths
-    # one pair per row and entry of the segment it cuts, entries[i] the entry of pair i (a
-    # row that ends a segment pairs with the entries of the next, of which it takes nothing)
-    lows = group_starts.take(group_of)
-    sizes = starts.take(segments + 1, mode="clip") - lows  # a row past the last segment cuts no entries
-    pair_ends = sizes.cumsum()
-    entries = np.arange(pair_ends[-1]) + (lows - pair_ends + sizes).repeat(sizes)
-    full = full.astype(dtype, copy=False).repeat(sizes)
-    once = table.once.take(entries)
-    if not np.can_cast(once.dtype, dtype):  # a count past n is in a segment no copy of which is whole
-        once[full == 0] = 0
-    counts = full * once.astype(dtype, copy=False)
-    if rem.any():
-        tops = np.maximum.reduceat(rem, groups[:-1]).tolist()
-        counts += _cut_copy_counts(spec, dict(zip(group_segments.tolist(), tops)), entries, rem.repeat(sizes))
-    rows.reshape(-1)[np.arange(len(positions)).repeat(sizes) * width + table.columns.take(entries)] += counts
+    rows = np.zeros((len(positions), len(table.p)), dtype=dtype)
+    running = np.zeros(len(table.p), dtype=dtype)
+    s = 0  # segments 1..s are in the running row
+    for row, n in zip(rows, positions):
+        if (reached := bisect_right(bounds, n) - 1) > s:
+            whole = slice(starts[s], starts[reached])
+            np.add.at(running, table.columns[whole], table.whole[whole].astype(dtype, copy=False))
+            s = reached
+        row += running
+        if take := n - bounds[s]:
+            segment = spec.segments[s]
+            full, rem = divmod(take, segment.block.length)
+            cut = slice(starts[s], starts[s + 1])
+            # with a whole copy taken, every once count is at most n
+            counts = table.once[cut].astype(dtype) * full if full else np.zeros(cut.stop - cut.start, dtype=dtype)
+            if rem:
+                places = table.digits[cut].searchsorted(segment.block_digits.digits[:rem])
+                counts += np.bincount(places, minlength=len(counts))
+            row[table.columns[cut]] += counts
     return rows
-
-
-def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index where each run of equal entries of a nonempty array starts, then its length; and each entry's run."""
-    new = np.ones(len(values) + 1, dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=new[1:-1])
-    return new.nonzero()[0], new[:-1].cumsum() - 1
-
-
-def _prefix_row(spec: ConstructionSpec, n: int, dtype) -> np.ndarray:
-    """The scaled-digit table of the first n digits as one row of ``scaled_prefix_counts``, n checked.
-
-    The segments taken whole add their ``whole`` counts by one
-    ``np.add.at``; the segment cut adds its whole copies times its
-    ``once`` counts and its cut copy's digits, placed among the segment's
-    ascending digits by one ``searchsorted`` and counted by one
-    ``np.bincount``.
-    """
-    table = spec.scaled_values
-    row = np.zeros(len(table.p), dtype=dtype)
-    s = bisect_right(spec.boundaries, n) - 1
-    if included := table.starts[s]:
-        np.add.at(row, table.columns[:included], table.whole[:included].astype(dtype, copy=False))
-    if take := n - spec.boundaries[s]:
-        segment = spec.segments[s]
-        full, rem = divmod(take, segment.block.length)
-        cut = slice(included, table.starts[s + 1])
-        # with a whole copy taken, every once count is at most n
-        counts = table.once[cut].astype(dtype) * full if full else np.zeros(cut.stop - cut.start, dtype=dtype)
-        if rem:
-            places = table.digits[cut].searchsorted(segment.block_digits.digits[:rem])
-            counts += np.bincount(places, minlength=len(counts))
-        row[table.columns[cut]] += counts
-    return row
-
-
-def _cut_copy_counts(spec: ConstructionSpec, tops: dict[int, int], entries: np.ndarray, rems: np.ndarray) -> np.ndarray:
-    """How often the digit of ``spec.scaled_values`` entry entries[i] occurs in the first rems[i] digits of its block.
-
-    ``tops`` maps each segment cut to its longest cut copy, at least every
-    rem paired with its entries.  Offset t < T of segment s's block,
-    holding the digit of entry e, gets the key e * T + t, with T the
-    longest cut copy of all; the offsets below rem that hold entry e's
-    digit are then the sorted keys in [e * T, e * T + rem), and each count
-    is a difference of two ``searchsorted`` results.  Only the first
-    tops[s] digits of segment s are read, by ``block_digits``, and placed
-    among its entries by one ``searchsorted``, unless its digits are
-    0..k-1 and so their own places.  Counts are int64.
-    """
-    table = spec.scaled_values
-    starts = table.starts
-    cuts = [(s, top) for s, top in tops.items() if top]
-    width = max(top for _, top in cuts)
-    places, shifts, at = [], [], 0
-    for s, top in cuts:
-        digits = spec.segments[s].block_digits.digits[:top]
-        present = table.digits[starts[s] : starts[s + 1]]
-        # digits 0..k-1 (every enumeration's) are their own places
-        places.append(digits if present[-1] < len(present) else present.searchsorted(digits))
-        shifts.append(starts[s] * width - at)
-        at += top
-    keys = np.concatenate(places, dtype=np.int64) * width
-    keys += np.arange(at)
-    keys += np.repeat(shifts, [top for _, top in cuts])
-    keys.sort()
-    lows = entries * width
-    return keys.searchsorted(lows + rems.astype(np.int64, copy=False)) - keys.searchsorted(lows)
 
 
 def scaled_value_counts(spec: ConstructionSpec, n: int) -> dict[Fraction, int]:
